@@ -3,7 +3,8 @@
 Commands operate on a scenario file and write a JSON result document;
 `simulate` additionally writes a per-trial CSV next to the JSON output.
 Exit status: 0 success, 2 validation error (bad file, bad flags), 3
-numerical non-convergence or a diverging estimate.
+numerical failure (non-finite result, failed decomposition, saturation or
+cross check out of tolerance, non-identifiable parameter).
 """
 
 from __future__ import annotations
@@ -87,10 +88,7 @@ def _emit_gnuplot(args, columns: list[tuple], header: str) -> None:
 
 
 def _convergence_block(report: fisher.FisherReport) -> dict:
-    return {
-        "steps": [[h, e] for h, e in report.step_sequence],
-        "converged": report.converged,
-    }
+    return {"converged": report.converged}
 
 
 def cmd_qfi(args) -> int:
@@ -108,7 +106,6 @@ def cmd_qfi(args) -> int:
             "convergence": _convergence_block(report),
         },
     )
-    _emit_gnuplot(args, report.step_sequence, "step qfi_estimate")
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
@@ -131,10 +128,7 @@ def cmd_cfi(args) -> int:
             "convergence": _convergence_block(report),
         },
     )
-    _emit_gnuplot(args, report.step_sequence, "step estimate")
-    if report.diverging_at_point or not report.converged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
 def cmd_design(args) -> int:
@@ -272,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON result here instead of stdout")
         p.add_argument("--angular", action="store_true",
                        help="report angular-separation information (multiply by z0^2)")
-        p.add_argument("--gnuplot-dat", help="also write plain columnar data to this path")
         if simulate:
+            p.add_argument("--gnuplot-dat",
+                           help="also write plain columnar data (trial theta_hat) to this path")
             p.add_argument("--photons", type=int, default=100000)
             p.add_argument("--trials", type=int, default=500)
             p.add_argument("--seed", type=int, default=0)

@@ -1,17 +1,17 @@
 """Quantum and classical Fisher information for emitter localization.
 
-The quantum side works through the trace-norm fidelity of the source
-overlap matrix M = C(r)^dag C(r'); the quantum Fisher information of a
-generalized coordinate is the curvature 8 (1 - ||M||_1) / dtheta^2 in
-the limit of small displacements.  The classical side evaluates photon
-counting statistics behind a fixed interferometer, either through the
-probability-derivative formula sum_q (dp_q/dtheta)^2 / p_q or through
-the classical fidelity between neighboring probability distributions.
+Both quantities are closed forms in the amplitude matrix C(theta) and its
+analytic derivative dC/dtheta (geometry.amplitude_and_derivative).  The
+quantum Fisher information of rho = C C^dag is the purification form
+4 min_K ||dC + C K||^2 over anti-Hermitian gauges K (Braunstein & Caves,
+PRL 72, 3439, 1994), evaluated on the thin SVD of C with an explicit rank
+rule.  The classical side evaluates photon counting statistics behind a
+fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
+limit at dark output ports.
 
-Finite-difference limits use geometric step halving with Richardson
-extrapolation; fidelities inside the limit are evaluated in extended
-precision (see _precision) because 1 - f underflows double precision
-long before the limit converges.
+The trace-norm and classical fidelities of displaced scenario pairs are
+kept for finite-displacement checks (see interferometer.verify_saturation
+and _precision).
 """
 
 from __future__ import annotations
@@ -23,29 +23,22 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _precision
 from .geometry import (
     Collector,
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
-    displace,
+    amplitude_and_derivative,
 )
 
-# Default initial step of the QFI/CFI limit, in units of 1/k (keeps the
-# phase increment per step small for any wavenumber).
-STEP_SCALE = 1e-3
-# Relative tolerance on successive Richardson extrapolants.
-RICHARDSON_RTOL = 1e-6
-# Maximum number of step halvings before reporting non-convergence.
-MAX_HALVINGS = 8
 # Unitarity tolerance for measurement matrices (Frobenius norm).
 UNITARITY_TOL = 1e-10
-# Dark-port thresholds: probabilities below DARK_P with derivative below
-# DARK_DP contribute nothing (removable singularity); below DARK_P with a
-# larger derivative the estimate is flagged as diverging.
-DARK_P = 1e-14
-DARK_DP = 1e-10
+# Output ports with probability at or below this are dark: their Fisher
+# term is the 0/0 limit 4 sum_s |(R dC)_{qs}|^2 of (dp_q)^2 / p_q.  The
+# dark ports of synthesized measurements sit at 1e-31 or below (rounding
+# of R C); dim ports above the threshold keep the direct term, which is
+# then accurate to about 1e-3 of itself.
+DARK_P = 1e-26
 
 
 class NumericalError(RuntimeError):
@@ -57,9 +50,9 @@ class FisherReport:
     """Result of a Fisher-information evaluation for one coordinate.
 
     Values are reported for the physical parameter attached to the
-    coordinate (see GeneralizedCoordinate.parameter_scale).  The step
-    sequence holds the raw finite-difference estimates (step, estimate)
-    before extrapolation.
+    coordinate (see GeneralizedCoordinate.parameter_scale).  Values come
+    from closed forms, so ``step_sequence`` (finite-difference steps) is
+    always empty and ``converged`` is false only for a non-finite value.
     """
 
     direction: GeneralizedCoordinate
@@ -67,7 +60,6 @@ class FisherReport:
     cfi: float | None = None
     step_sequence: list[tuple[float, float]] = field(default_factory=list)
     converged: bool = True
-    diverging_at_point: bool = False
 
     @property
     def saturation_ratio(self) -> float | None:
@@ -85,8 +77,6 @@ class FisherReport:
             "cfi": self.cfi,
             "saturation_ratio": self.saturation_ratio,
             "converged": self.converged,
-            "diverging_at_point": self.diverging_at_point,
-            "steps": [[h, e] for h, e in self.step_sequence],
         }
 
 
@@ -152,179 +142,100 @@ def classical_fidelity(C: np.ndarray, C_prime: np.ndarray, R) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Richardson extrapolation
+# Quantum and classical Fisher information
 # ---------------------------------------------------------------------------
 
 
-def _richardson(
-    estimates: Sequence[float], rel_tol: float, abs_tol: float = 0.0
-) -> tuple[float, bool, int]:
-    """Extrapolate a sequence E(h), E(h/2), ... with leading error O(h^2).
+def _rounding_tol(C: np.ndarray) -> float:
+    """Relative rounding level of quantities computed from C."""
+    return max(C.shape) * np.finfo(float).eps
 
-    Returns (value, converged, n_used); stops as soon as two successive
-    diagonal extrapolants agree to rel_tol (or to abs_tol, which callers
-    set to the numerical noise floor of the estimates so that
-    zero-information directions converge to zero instead of chasing
-    round-off).
+
+def _drop_rounding(value: float, C: np.ndarray, dC: np.ndarray) -> float:
+    """0.0 for an information value at the rounding level of ||dC||^2.
+
+    Projections of dC carry errors of a few tol ||dC|| per entry, so a
+    zero-information direction leaves a residue well below the floor.
     """
-    diag_prev = None
-    row_prev: list[float] = []
-    for i, e in enumerate(estimates):
-        row = [e]
-        for m in range(1, i + 1):
-            fac = 4.0**m
-            row.append((fac * row[m - 1] - row_prev[m - 1]) / (fac - 1.0))
-        diag = row[-1]
-        if diag_prev is not None:
-            if abs(diag - diag_prev) <= rel_tol * max(abs(diag), abs(diag_prev)) + abs_tol:
-                if abs(diag) <= abs_tol:
-                    diag = 0.0
-                return diag, True, i + 1
-        diag_prev = diag
-        row_prev = row
-    return diag_prev if diag_prev is not None else 0.0, False, len(list(estimates))
+    floor = 4.0 * (8.0 * _rounding_tol(C) * np.linalg.norm(dC)) ** 2
+    return 0.0 if value <= floor else value
 
 
-def _default_step(scenario: Scenario) -> float:
-    return STEP_SCALE / scenario.k
+def _report(direction: GeneralizedCoordinate, **values: float) -> FisherReport:
+    """Report for the physical parameter: coordinate values times parameter_scale^2."""
+    scale2 = direction.parameter_scale**2
+    scaled = {name: scale2 * value for name, value in values.items()}
+    converged = all(math.isfinite(v) for v in scaled.values())
+    return FisherReport(direction=direction, converged=converged, **scaled)
 
 
-# ---------------------------------------------------------------------------
-# Quantum Fisher information
-# ---------------------------------------------------------------------------
+def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
+    """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD C = U S V^dag.
+
+    Singular values at or below max(N_C, N_S) eps s_max count as zero,
+    leaving rank r.  With A = U_r^dag dC V_r the minimum is
+    ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
+    + sum_{i<j} |s_j A_ij + s_i conj(A_ji)|^2 / (s_i^2 + s_j^2); the last
+    two sums are half the symmetric double sum over all i, j <= r below.
+    """
+    tol = _rounding_tol(C)
+    try:
+        U, s, Vh = np.linalg.svd(C, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed for amplitude matrix of shape {C.shape}") from exc
+    r = int(np.count_nonzero(s > tol * s[0]))
+    Ur, sr = U[:, :r], s[:r]
+    UdC = Ur.conj().T @ dC
+    kernel = dC - Ur @ UdC
+    A = UdC @ Vh[:r].conj().T
+    si, sj = sr[:, None], sr[None, :]
+    support = np.abs(sj * A + si * A.conj().T) ** 2 / (si**2 + sj**2)
+    value = np.vdot(kernel, kernel).real + 0.5 * support.sum()
+    return _drop_rounding(4.0 * float(value), C, dC)
 
 
-def qfi(
-    scenario: Scenario,
-    direction: GeneralizedCoordinate,
-    *,
-    initial_step: float | None = None,
-    max_halvings: int = MAX_HALVINGS,
-    rel_tol: float = RICHARDSON_RTOL,
-) -> FisherReport:
+def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
     """Quantum Fisher information of the parameter attached to ``direction``.
 
-    Evaluates 8 (1 - ||M(r - a h/2, r + a h/2)||_1) / h^2 on a halving
-    step sequence and Richardson-extrapolates.  The report carries the
-    raw per-step estimates and the convergence flag; non-convergence is
-    reported, not raised.
+    Closed form on the SVD of C (see _qfi_value).  At coincident sources
+    C loses rank and the value is the continuous limit of the QFI from
+    nearby separations (Safranek, PRA 95, 052320, 2017).  A value at the
+    rounding level of ||dC||^2 is reported as exactly 0.0.
     """
-    if direction.n_sources != scenario.n_sources:
-        raise ScenarioError("direction length does not match the scenario")
-    h0 = initial_step if initial_step is not None else _default_step(scenario)
-    estimates: list[float] = []
-    steps: list[tuple[float, float]] = []
-    value, converged = 0.0, False
-    for i in range(max_halvings + 1):
-        h = h0 / 2.0**i
-        one_minus_f = _precision.one_minus_trace_norm_fidelity(
-            displace(scenario, direction, -h / 2.0),
-            displace(scenario, direction, +h / 2.0),
-        )
-        e = 8.0 * one_minus_f / h**2
-        estimates.append(e)
-        steps.append((h, e))
-        # Noise floor of the extended-precision fidelity difference.
-        noise = 8.0 * 1e-26 / h**2
-        value, converged, _ = _richardson(estimates, rel_tol, abs_tol=noise)
-        if converged:
-            break
-    scale2 = direction.parameter_scale**2
-    return FisherReport(
-        direction=direction,
-        qfi=scale2 * value,
-        step_sequence=[(h, scale2 * e) for h, e in steps],
-        converged=converged,
-    )
+    C, dC = amplitude_and_derivative(scenario, direction)
+    return _report(direction, qfi=_qfi_value(C, dC))
 
 
-# ---------------------------------------------------------------------------
-# Classical Fisher information
-# ---------------------------------------------------------------------------
-
-
-def _cfi_at_step(scenario, direction, R, h) -> tuple[float, bool]:
-    """One central-difference CFI estimate; bool flags a diverging dark port."""
-    from .geometry import build_amplitude_matrix
-
-    p0 = detection_probabilities(build_amplitude_matrix(scenario), R)
-    p_plus = detection_probabilities(
-        build_amplitude_matrix(displace(scenario, direction, +h)), R
-    )
-    p_minus = detection_probabilities(
-        build_amplitude_matrix(displace(scenario, direction, -h)), R
-    )
-    dp = (p_plus - p_minus) / (2.0 * h)
-    total, diverging = 0.0, False
-    for pq, dq in zip(p0, dp):
-        if pq < DARK_P:
-            if abs(dq) < DARK_DP:
-                continue
-            diverging = True
-            continue
-        total += dq * dq / pq
-    return total, diverging
-
-
-def cfi(
-    scenario: Scenario,
-    direction: GeneralizedCoordinate,
-    R,
-    *,
-    initial_step: float | None = None,
-    max_halvings: int = MAX_HALVINGS,
-    rel_tol: float = RICHARDSON_RTOL,
-) -> FisherReport:
+def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
     """Classical Fisher information of photon counting behind interferometer R.
 
-    Central-differences the detection probabilities over the same halving
-    step schedule as the quantum limit, accumulating sum_q p'_q^2 / p_q at
-    the base configuration.  Ports darker than 1e-14 contribute nothing
-    when their derivative also vanishes; a dark port with a live
-    derivative marks the estimate as diverging at this point.
+    Sums (dp_q)^2 / p_q with dp = 2 Re sum_s conj(R C) (R dC).  A dark port
+    (p_q <= DARK_P) contributes the 0/0 limit 4 sum_s |(R dC)_{qs}|^2.  A
+    value at the rounding level of ||dC||^2 is reported as exactly 0.0.
     """
-    if direction.n_sources != scenario.n_sources:
-        raise ScenarioError("direction length does not match the scenario")
+    C, dC = amplitude_and_derivative(scenario, direction)
     R = _as_matrix(R)
-    h0 = initial_step if initial_step is not None else _default_step(scenario)
-    estimates: list[float] = []
-    steps: list[tuple[float, float]] = []
-    value, converged, diverging = 0.0, False, False
-    n_ports = scenario.n_collectors
-    for i in range(max_halvings + 1):
-        h = h0 / 2.0**i
-        e, bad = _cfi_at_step(scenario, direction, R, h)
-        diverging = diverging or bad
-        estimates.append(e)
-        steps.append((h, e))
-        # Probability round-off propagated through the central difference.
-        noise = n_ports * n_ports * (1e-15 / h) ** 2
-        value, converged, _ = _richardson(estimates, rel_tol, abs_tol=noise)
-        if converged:
-            break
-    scale2 = direction.parameter_scale**2
-    return FisherReport(
-        direction=direction,
-        cfi=math.inf if diverging else scale2 * value,
-        step_sequence=[(h, scale2 * e) for h, e in steps],
-        converged=converged and not diverging,
-        diverging_at_point=diverging,
+    p = detection_probabilities(C, R)
+    RC, RdC = R @ C, R @ dC
+    dark = p <= DARK_P
+    dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=1)
+    terms = np.where(
+        dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=1), dp**2 / np.where(dark, 1.0, p)
     )
+    return _report(direction, cfi=_drop_rounding(float(terms.sum()), C, dC))
 
 
 def information_report(
-    scenario: Scenario, direction: GeneralizedCoordinate, R, **kwargs
+    scenario: Scenario, direction: GeneralizedCoordinate, R
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
-    q = qfi(scenario, direction, **kwargs)
-    c = cfi(scenario, direction, R, **kwargs)
+    q = qfi(scenario, direction)
+    c = cfi(scenario, direction, R)
     return FisherReport(
         direction=direction,
         qfi=q.qfi,
         cfi=c.cfi,
-        step_sequence=q.step_sequence,
         converged=q.converged and c.converged,
-        diverging_at_point=c.diverging_at_point,
     )
 
 
@@ -395,8 +306,7 @@ def optimal_axial_phase(
         direction = named_direction("separation-z", scenario.n_sources)
 
     def value(alpha: float) -> float:
-        report = cfi(scenario, direction, beam_splitter_with_phase(alpha))
-        return report.cfi if math.isfinite(report.cfi) else 0.0
+        return cfi(scenario, direction, beam_splitter_with_phase(alpha)).cfi
 
     grid = np.linspace(-math.pi, math.pi, grid_points, endpoint=False)
     values = [value(a) for a in grid]
@@ -488,9 +398,8 @@ def _tangent_for(target: ParaxialTarget, axis: int) -> np.ndarray:
     return t
 
 
-def _fd_quadratic_form(scenario: Scenario, tangent: np.ndarray, **kwargs) -> float:
-    report = qfi(scenario, GeneralizedCoordinate.from_tangent(tangent), **kwargs)
-    return report.qfi
+def _fd_quadratic_form(scenario: Scenario, tangent: np.ndarray) -> float:
+    return qfi(scenario, GeneralizedCoordinate.from_tangent(tangent)).qfi
 
 
 def qfi_matrix_consistency(
@@ -498,12 +407,12 @@ def qfi_matrix_consistency(
     target: ParaxialTarget,
     *,
     entries: Sequence[tuple[int, int]] | None = None,
-    **kwargs,
 ) -> ConsistencyReport:
-    """Compare the paraxial closed form against the trace-norm limit.
+    """Compare the paraxial closed form against the general qfi engine.
 
-    Diagonal entries come from single-direction finite differences; the
-    off-diagonal ones from the polarization identity
+    Diagonal entries come from single-direction qfi values (reported as
+    ``finite_difference`` for compatibility); the off-diagonal ones from
+    the polarization identity
     I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
     """
     target = ParaxialTarget(target)
@@ -522,7 +431,7 @@ def qfi_matrix_consistency(
 
     def diag(axis: int) -> float:
         if axis not in diag_cache:
-            diag_cache[axis] = _fd_quadratic_form(scenario, _tangent_for(target, axis), **kwargs)
+            diag_cache[axis] = _fd_quadratic_form(scenario, _tangent_for(target, axis))
         return diag_cache[axis]
 
     for a, b in wanted:
@@ -530,7 +439,7 @@ def qfi_matrix_consistency(
             fd[a, a] = diag(a)
         else:
             combo = _fd_quadratic_form(
-                scenario, _tangent_for(target, a) + _tangent_for(target, b), **kwargs
+                scenario, _tangent_for(target, a) + _tangent_for(target, b)
             )
             fd[a, b] = fd[b, a] = 0.5 * (combo - diag(a) - diag(b))
     # Entries far below the dominant one are held to an absolute standard

@@ -261,6 +261,40 @@ def displace(
     return scenario.with_source_positions(positions)
 
 
+def _raw_amplitudes(
+    uv: np.ndarray, xyz: np.ndarray, k: float, z0: float, mode: Mode, a: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Unnormalized amplitudes gamma (N_C, N_S) and d gamma / d theta along ``a``.
+
+    ``uv`` holds collector and ``xyz`` source coordinates; ``a`` is the flat
+    3 N_S direction or None (no derivative).  Paraxial gamma is exp(i phi)
+    with unit modulus; exact gamma is exp(i k d) / d.
+    """
+    u, v = uv[:, :1], uv[:, 1:]
+    x, y, z = xyz.T
+    if a is not None:
+        ax, ay, az = a.reshape(-1, 3).T
+    if mode is Mode.PARAXIAL:
+        rho2 = u**2 + v**2
+        gamma = np.exp(1j * (-k * (u * x + v * y) / z0 - k * z * rho2 / (2.0 * z0**2)))
+        if a is None:
+            return gamma, None
+        dphi = -k * (u * ax + v * ay) / z0 - k * az * rho2 / (2.0 * z0**2)
+        return gamma, 1j * dphi * gamma
+    ex, ey, ez = x - u, y - v, z0 + z
+    d = np.sqrt(ex**2 + ey**2 + ez**2)
+    if not (d > 0.0).all():
+        q, s = np.argwhere(~(d > 0.0))[0]
+        raise DegenerateGeometryError(
+            f"source {tuple(xyz[s])} coincides with collector {tuple(uv[q])}"
+        )
+    gamma = np.exp(1j * k * d) / d
+    if a is None:
+        return gamma, None
+    dd = (ex * ax + ey * ay + ez * az) / d
+    return gamma, gamma * (1j * k - 1.0 / d) * dd
+
+
 def amplitude(
     collector: Collector,
     source: SourcePoint,
@@ -275,38 +309,54 @@ def amplitude(
     normalization is applied when the full matrix is assembled); paraxial
     mode returns the normalized 1/sqrt(N_C) entry directly.
     """
-    if Mode(mode) is Mode.PARAXIAL:
-        phi = (
-            -k * (collector.u * source.x + collector.v * source.y) / z0
-            - k * source.z * (collector.u**2 + collector.v**2) / (2.0 * z0**2)
-        )
-        return np.exp(1j * phi) / np.sqrt(n_collectors)
-    distance = np.sqrt(
-        (source.x - collector.u) ** 2
-        + (source.y - collector.v) ** 2
-        + (z0 + source.z) ** 2
+    mode = Mode(mode)
+    gamma, _ = _raw_amplitudes(
+        np.array([[collector.u, collector.v]]),
+        np.array([[source.x, source.y, source.z]]),
+        k, z0, mode, None,
     )
-    if distance <= 0.0 or not np.isfinite(distance):
+    value = complex(gamma[0, 0])
+    return value / np.sqrt(n_collectors) if mode is Mode.PARAXIAL else value
+
+
+def amplitude_and_derivative(
+    scenario: Scenario, direction: GeneralizedCoordinate | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Amplitude matrix C and its closed-form derivative dC/dtheta along ``direction``.
+
+    Column s of C is sqrt(w_s) n_s with n_s = gamma_s / ||gamma_s||.  The
+    derivative of the normalized column is
+    sqrt(w_s) (dgamma_s - n_s Re(n_s^dag dgamma_s)) / ||gamma_s||, which in
+    paraxial mode reduces to i dphi * C (the Re term vanishes).  With
+    ``direction`` None only C is computed.
+    """
+    a = None
+    if direction is not None:
+        a = direction.a
+        if a.size != 3 * scenario.n_sources:
+            raise ScenarioError("direction length does not match the scenario")
+    gamma, dgamma = _raw_amplitudes(
+        scenario.collector_positions(), scenario.source_positions(),
+        scenario.k, scenario.z0, scenario.mode, a,
+    )
+    norms = np.linalg.norm(gamma, axis=0)
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
         raise DegenerateGeometryError(
-            f"source {source} coincides with collector {collector}"
+            f"zero-norm amplitude column for source {int(np.argmax(bad))}"
         )
-    return np.exp(1j * k * distance) / distance
+    scale = np.sqrt(scenario.weights()) / norms
+    C = gamma * scale
+    if dgamma is None:
+        return C, None
+    n = gamma / norms
+    radial = np.real(np.sum(n.conj() * dgamma, axis=0))
+    return C, (dgamma - n * radial) * scale
 
 
 def build_amplitude_matrix(scenario: Scenario) -> np.ndarray:
     """(N_C, N_S) complex matrix with column s = sqrt(p_s) * normalized gamma(., s)."""
-    nc, ns = scenario.n_collectors, scenario.n_sources
-    C = np.empty((nc, ns), dtype=complex)
-    weights = scenario.weights()
-    for s, src in enumerate(scenario.sources):
-        col = np.array(
-            [amplitude(c, src, scenario.k, scenario.z0, scenario.mode, nc) for c in scenario.collectors]
-        )
-        norm = np.linalg.norm(col)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise DegenerateGeometryError(f"zero-norm amplitude column for source {s}")
-        C[:, s] = np.sqrt(weights[s]) * col / norm
-    return C
+    return amplitude_and_derivative(scenario, None)[0]
 
 
 # ---------------------------------------------------------------------------

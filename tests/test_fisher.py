@@ -1,9 +1,11 @@
-"""Fidelity, QFI/CFI limit, generator-moment and closed-form matrix tests."""
+"""Fidelity, closed-form QFI/CFI, generator-moment and closed-form matrix tests."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
 from emitterfisher import (
@@ -30,8 +32,10 @@ from emitterfisher import (
     qfi_matrix_consistency,
     qft_interferometer,
     quantum_fidelity,
+    synthesize_optimal_interferometer,
 )
-from emitterfisher.fisher import NumericalError, _richardson
+from emitterfisher._precision import one_minus_trace_norm_fidelity
+from emitterfisher.fisher import NumericalError
 
 K, Z0 = 1.0, 100.0
 
@@ -130,7 +134,7 @@ def test_fidelity_bounds_random_scenarios():
 
 
 # ---------------------------------------------------------------------------
-# QFI limit
+# QFI
 # ---------------------------------------------------------------------------
 
 
@@ -146,7 +150,7 @@ def test_qfi_zero_information_direction():
     # All collectors at the same u: no transverse-x information.
     s = symmetric_pair(0.2, collectors=((5.0, 0.0), (5.0, 0.0)))
     report = qfi(s, named_direction("separation-x", 2))
-    assert report.qfi == pytest.approx(0.0, abs=1e-15)
+    assert report.qfi == 0.0
     assert report.converged
 
 
@@ -180,29 +184,40 @@ def test_collector_relabeling_invariance():
     rng = np.random.default_rng(21)
     s = random_scenario(rng, ns=2, nc=5)
     d = random_direction(rng, 2)
-    perm = rng.permutation(5)
-    s_perm = Scenario(
-        sources=s.sources,
-        collectors=tuple(s.collectors[i] for i in perm),
-        k=s.k,
-        z0=s.z0,
-        mode=s.mode,
-    )
     R = unitary_group.rvs(5, random_state=2)
-    R_perm = R[:, perm]
     rep = information_report(s, d, R)
-    rep_perm = information_report(s_perm, d, R_perm)
-    assert rep_perm.qfi == pytest.approx(rep.qfi, rel=1e-9)
-    assert rep_perm.cfi == pytest.approx(rep.cfi, rel=1e-9)
+    perms = [rng.permutation(5) for _ in range(3)] + [np.arange(5)[::-1], np.roll(np.arange(5), 1)]
+    for perm in perms:
+        s_perm = Scenario(
+            sources=s.sources,
+            collectors=tuple(s.collectors[i] for i in perm),
+            k=s.k,
+            z0=s.z0,
+            mode=s.mode,
+        )
+        rep_perm = information_report(s_perm, d, R[:, perm])
+        assert rep_perm.qfi == pytest.approx(rep.qfi, rel=1e-9)
+        assert rep_perm.cfi == pytest.approx(rep.cfi, rel=1e-9)
 
 
-def test_richardson_quadratic_sequence():
-    # E(h) = L + c h^2 must extrapolate to L after two refinements.
-    L, c, h0 = 3.7, 0.9, 0.5
-    seq = [L + c * (h0 / 2**i) ** 2 for i in range(4)]
-    value, converged, _ = _richardson(seq, 1e-10)
-    assert converged
-    assert value == pytest.approx(L, rel=1e-12)
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_qfi_matches_fidelity_oracle(mode, seed):
+    # 8 (1 - f(h)) / h^2 from the extended-precision trace-norm fidelity of
+    # the pair r -+ a h/2, at h and h/2, then one Richardson step.
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, mode=mode)
+    d = random_direction(rng, s.n_sources)
+
+    def curvature(h):
+        one_minus_f = one_minus_trace_norm_fidelity(
+            displace(s, d, -h / 2), displace(s, d, h / 2)
+        )
+        return 8.0 * one_minus_f / h**2
+
+    h = 1e-3 / s.k
+    oracle = (4.0 * curvature(h / 2) - curvature(h)) / 3.0
+    assert qfi(s, d).qfi == pytest.approx(d.parameter_scale**2 * oracle, rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +326,7 @@ def test_cfi_identity_measurement_is_blind():
     # Identity measurement on the symmetric pair: probabilities stationary.
     s = symmetric_pair(0.2)
     report = cfi(s, named_direction("separation-x", 2), identity_interferometer(2))
-    assert report.cfi == pytest.approx(0.0, abs=1e-12)
+    assert report.cfi == 0.0
 
 
 def test_cfi_four_collector_qft():
@@ -335,6 +350,79 @@ def test_cfi_never_exceeds_qfi():
         n_converged += 1
         assert rep.cfi <= rep.qfi * (1 + 1e-6) + 1e-15
     assert n_converged >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 3),
+    nc=st.integers(2, 7),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+)
+def test_cfi_never_exceeds_qfi_property(seed, ns, nc, mode):
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, ns=ns, nc=nc, mode=mode)
+    d = random_direction(rng, ns)
+    R = unitary_group.rvs(nc, random_state=rng)
+    rep = information_report(s, d, R)
+    assert rep.converged
+    assert rep.cfi <= rep.qfi * (1 + 1e-9)
+
+
+def test_cfi_synthesized_dark_port_reaches_qfi():
+    # One source, two collectors: the synthesized measurement sends all
+    # light to port 0, so port 1 is dark and carries the information
+    # through the 0/0 limit of (dp)^2 / p.
+    s = Scenario(
+        sources=(SourcePoint(0.3, -0.1, 0.2),),
+        collectors=(Collector(5.0, 0.0), Collector(-4.0, 1.0)),
+        k=K,
+        z0=Z0,
+    )
+    d = named_direction("x", 1)
+    moved = displace(s, d, 1e-4)
+    C = build_amplitude_matrix(s)
+    R = synthesize_optimal_interferometer(C, build_amplitude_matrix(moved)).interferometer
+    assert detection_probabilities(C, R)[1] < 1e-14
+    rep = information_report(s, d, R)
+    assert rep.qfi == pytest.approx(4 * K**2 * 4.5**2 / Z0**2, rel=1e-9)
+    assert 1 - 1e-5 <= rep.saturation_ratio <= 1 + 1e-6
+
+
+FOUR = ((3.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (-3.0, 0.0))
+
+
+def weighted_pair(dx, collectors, mode, weights):
+    return Scenario(
+        sources=(
+            SourcePoint(dx / 2, 0.0, 0.0, weight=weights[0]),
+            SourcePoint(-dx / 2, 0.0, 0.0, weight=weights[1]),
+        ),
+        collectors=tuple(Collector(u, v) for u, v in collectors),
+        k=K,
+        z0=Z0,
+        mode=mode,
+    )
+
+
+@pytest.mark.parametrize("name", ["separation-x", "separation-z"])
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 0.5)])
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+def test_qfi_continuous_at_coincident_sources(mode, weights, name):
+    # C loses rank at dx = 0; the QFI is the limit from nearby separations.
+    d = named_direction(name, 2)
+    reference = qfi(weighted_pair(1e-3, FOUR, mode, weights), d).qfi
+    if mode is Mode.PARAXIAL and name == "separation-x":
+        assert reference == pytest.approx(5 * 3.0**2 / (9 * Z0**2), rel=1e-9)
+    for dx in (0.0, 1e-9, 1e-6):
+        s = weighted_pair(dx, FOUR, mode, weights)
+        report = qfi(s, d)
+        assert report.converged
+        assert report.qfi == pytest.approx(reference, rel=1e-6)
+        assert cfi(s, d, qft_interferometer(4)).cfi <= report.qfi * (1 + 1e-9)
+        pair = weighted_pair(dx, ((5.0, 0.0), (-5.0, 0.0)), mode, weights)
+        bs = cfi(pair, d, beam_splitter_with_phase(0.0)).cfi
+        assert bs <= qfi(pair, d).qfi * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from emitterfisher import (
     ScenarioError,
     SourcePoint,
     amplitude,
+    amplitude_and_derivative,
     build_amplitude_matrix,
     displace,
     load_scenario,
@@ -118,6 +119,24 @@ def test_column_norm_equals_weight(mode):
         np.testing.assert_allclose(
             (np.abs(C) ** 2).sum(axis=0), s.weights(), atol=COLUMN_TOL
         )
+
+
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+def test_amplitude_derivative_matches_central_difference(mode):
+    rng = np.random.default_rng(43)
+    s = Scenario(
+        sources=tuple(SourcePoint(*rng.normal(0, 0.5, 3), weight=w) for w in (0.7, 1.3)),
+        collectors=tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(5)),
+        k=1.3,
+        z0=100.0,
+        mode=mode,
+    )
+    d = GeneralizedCoordinate.from_tangent(rng.normal(size=6))
+    C, dC = amplitude_and_derivative(s, d)
+    np.testing.assert_array_equal(C, build_amplitude_matrix(s))
+    h = 1e-4
+    fd = (build_amplitude_matrix(displace(s, d, h)) - build_amplitude_matrix(displace(s, d, -h))) / (2 * h)
+    np.testing.assert_allclose(dC, fd, atol=1e-8 * np.abs(dC).max())
 
 
 def test_weights_default_equal_and_normalized():
