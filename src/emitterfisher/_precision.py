@@ -1,10 +1,13 @@
-"""Extended-precision kernels for fidelity evaluation.
+"""Extended-precision fidelities: the test oracle for the closed forms.
 
-Fisher information estimates divide 1 - fidelity by a squared step; for
-small steps the fidelity sits within 1e-10 of 1 and double precision
-leaves only a few significant digits.  These helpers rebuild the
-amplitude matrices and evaluate the trace-norm and classical fidelities
-with mpmath so that the subtraction is exact to the working precision.
+The Fisher information is the curvature of a fidelity:
+I = lim 8 (1 - f(h)) / h^2 for the pair (r, r + a h).  Near h = 0 the
+fidelity sits within 1e-10 of 1, so these helpers rebuild the amplitude
+matrices and evaluate the trace-norm and classical fidelities in mpmath,
+where the subtraction is exact to the working precision.  The tests
+compare the closed-form qfi and cfi of the fisher module with that limit.
+The package itself does not import this module, so mpmath is a test
+dependency only.
 """
 
 from __future__ import annotations
@@ -79,13 +82,7 @@ def one_minus_trace_norm_fidelity(
         return float(1 - f)
 
 
-# Above this mode count the classical fidelity is evaluated in double
-# precision (the Hellinger form below is difference-based, so the loss of
-# precision is relative, not absolute).
-MP_MODE_LIMIT = 64
-
-
-def _hellinger_half_sum(p, q, sqrt, zero) -> "float | mpmath.mpf":
+def _hellinger_half_sum(p, q) -> mpmath.mpf:
     """(1/2) sum (p - q)^2 / (sqrt p + sqrt q)^2 == 1 - sum sqrt(p q).
 
     The identity holds for normalized distributions, so both inputs are
@@ -94,12 +91,12 @@ def _hellinger_half_sum(p, q, sqrt, zero) -> "float | mpmath.mpf":
     result relatively (through the p - q differences) rather than as an
     absolute offset of order machine epsilon.
     """
-    sp = sum(p, zero)
-    sq = sum(q, zero)
-    total = zero
+    sp = mp.fsum(p)
+    sq = mp.fsum(q)
+    total = mp.mpf(0)
     for pi, qi in zip(p, q):
         pi, qi = pi / sp, qi / sq
-        denom = sqrt(pi) + sqrt(qi)
+        denom = mp.sqrt(pi) + mp.sqrt(qi)
         if denom > 0:
             total += (pi - qi) ** 2 / denom**2
     return total / 2
@@ -129,22 +126,10 @@ def one_minus_classical_fidelity(
 ) -> float:
     """1 - sum_q sqrt(p_q(a) p_q(b)) for measurement R (Hellinger form).
 
-    Up to MP_MODE_LIMIT modes everything runs in extended precision with
-    an exactly unitarized measurement.  Beyond that the evaluation runs
-    in double precision; the difference-based Hellinger form keeps the
-    error relative, which is ample for the wide-aperture grids where the
-    limit applies.
+    Runs in extended precision with an exactly unitarized measurement.
     """
     R = np.asarray(R, dtype=complex)
     nc = R.shape[0]
-    if nc > MP_MODE_LIMIT:
-        from .geometry import build_amplitude_matrix
-
-        RCa = R @ build_amplitude_matrix(scenario_a)
-        RCb = R @ build_amplitude_matrix(scenario_b)
-        p = (np.abs(RCa) ** 2).sum(axis=1)
-        q = (np.abs(RCb) ** 2).sum(axis=1)
-        return float(_hellinger_half_sum(p, q, np.sqrt, 0.0))
     with _dps(dps):
         Ca = amplitude_matrix_mp(scenario_a)
         Cb = amplitude_matrix_mp(scenario_b)
@@ -153,4 +138,4 @@ def one_minus_classical_fidelity(
         ns = RCa.cols
         p = [mp.fsum([abs(RCa[v, s]) ** 2 for s in range(ns)]) for v in range(nc)]
         q = [mp.fsum([abs(RCb[v, s]) ** 2 for s in range(ns)]) for v in range(nc)]
-        return float(_hellinger_half_sum(p, q, mp.sqrt, mp.mpf(0)))
+        return float(_hellinger_half_sum(p, q))

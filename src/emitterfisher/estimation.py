@@ -20,6 +20,7 @@ import numpy as np
 
 from . import fisher
 from .geometry import GeneralizedCoordinate, Scenario, ScenarioError, build_amplitude_matrix, displace
+from .interferometer import Interferometer
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Probability floor inside log-likelihoods.
@@ -73,14 +74,19 @@ class EstimationResult:
         }
 
 
+def _measurement(R) -> Interferometer:
+    """R as an Interferometer, so that a raw matrix is checked unitary once."""
+    return R if isinstance(R, Interferometer) else Interferometer(R)
+
+
 def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R):
     """p(theta) where theta is the parameter attached to the direction."""
-    Rm = np.asarray(getattr(R, "matrix", R), dtype=complex)
+    R = _measurement(R)
     scale = direction.parameter_scale
 
     def path(theta: float) -> np.ndarray:
         moved = displace(scenario, direction, scale * theta)
-        return fisher.detection_probabilities(build_amplitude_matrix(moved), Rm)
+        return fisher.detection_probabilities(build_amplitude_matrix(moved), R)
 
     return path
 
@@ -210,6 +216,7 @@ def crb_sweep(
     """
     if trials < 2:
         raise ScenarioError("need at least two trials to estimate a variance")
+    R = _measurement(R)
     at_truth = displace(scenario, direction, direction.parameter_scale * theta_true)
     cfi_report = fisher.cfi(at_truth, direction, R)
     cfi_value = cfi_report.cfi

@@ -7,11 +7,15 @@ quantum Fisher information of rho = C C^dag is the purification form
 PRL 72, 3439, 1994), evaluated on the thin SVD of C with an explicit rank
 rule.  The classical side evaluates photon counting statistics behind a
 fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
-limit at dark output ports.
+limit at dark output ports.  These two values are the only Fisher
+numbers the package reports: interferometer.verify_saturation takes its
+saturation ratio from information_report as well.
 
 The trace-norm and classical fidelities of displaced scenario pairs are
-kept for finite-displacement checks (see interferometer.verify_saturation
-and _precision).
+kept as double-precision diagnostics of a finite displacement.
+
+A measurement is an Interferometer, whose constructor checked it unitary,
+or a raw square matrix, checked here once per call.
 """
 
 from __future__ import annotations
@@ -108,30 +112,32 @@ def quantum_fidelity(M: np.ndarray) -> float:
         ) from exc
 
 
-def _as_matrix(R) -> np.ndarray:
-    # Accepts a raw unitary matrix or an Interferometer-like object.
-    return np.asarray(getattr(R, "matrix", R), dtype=complex)
+def _as_matrix(R, n_collectors: int) -> np.ndarray:
+    """Matrix of measurement R acting on n_collectors modes.
 
-
-def _check_unitary(R: np.ndarray) -> None:
-    n = R.shape[0]
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ScenarioError(f"interferometer matrix must be square, got {R.shape}")
-    resid = np.linalg.norm(R.conj().T @ R - np.eye(n))
-    if resid > UNITARITY_TOL:
-        raise NumericalError(f"matrix is not unitary: ||R^dag R - I|| = {resid:.3e}")
+    The matrix of an Interferometer-like object (one with a ``matrix``)
+    is taken as is, because the Interferometer constructor checked it; a
+    raw matrix is checked for unitarity here.
+    """
+    matrix = getattr(R, "matrix", None)
+    if matrix is None:
+        matrix = np.asarray(R, dtype=complex)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ScenarioError(f"interferometer matrix must be square, got {matrix.shape}")
+        resid = np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))
+        if resid > UNITARITY_TOL:
+            raise NumericalError(f"matrix is not unitary: ||R^dag R - I|| = {resid:.3e}")
+    if matrix.shape[1] != n_collectors:
+        raise ScenarioError(
+            f"interferometer size {matrix.shape[0]} != collector count {n_collectors}"
+        )
+    return matrix
 
 
 def detection_probabilities(C: np.ndarray, R) -> np.ndarray:
     """Photon detection probabilities p_q = sum_s |(R C)_{qs}|^2."""
-    R = _as_matrix(R)
-    _check_unitary(R)
     C = np.asarray(C)
-    if R.shape[1] != C.shape[0]:
-        raise ScenarioError(
-            f"interferometer size {R.shape[0]} != collector count {C.shape[0]}"
-        )
-    return (np.abs(R @ C) ** 2).sum(axis=1)
+    return (np.abs(_as_matrix(R, C.shape[0]) @ C) ** 2).sum(axis=1)
 
 
 def classical_fidelity(C: np.ndarray, C_prime: np.ndarray, R) -> float:
@@ -214,9 +220,9 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
     value at the rounding level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    R = _as_matrix(R)
-    p = detection_probabilities(C, R)
+    R = _as_matrix(R, C.shape[0])
     RC, RdC = R @ C, R @ dC
+    p = (np.abs(RC) ** 2).sum(axis=1)
     dark = p <= DARK_P
     dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=1)
     terms = np.where(

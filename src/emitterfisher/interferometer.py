@@ -33,8 +33,14 @@ from enum import Enum
 import numpy as np
 import scipy.linalg
 
-from . import _precision
-from .fisher import UNITARITY_TOL, NumericalError
+from .fisher import (
+    UNITARITY_TOL,
+    NumericalError,
+    classical_fidelity,
+    information_report,
+    overlap_matrix,
+    quantum_fidelity,
+)
 from .geometry import (
     GeneralizedCoordinate,
     Scenario,
@@ -46,9 +52,9 @@ from .geometry import (
 # Default synthesis displacement, as a fraction of the natural scale
 # z0 / (k * max collector offset) over which phases change by ~1 radian.
 SYNTH_STEP_FRACTION = 1e-4
-# 1 - fidelity below this floor means the displacement carries no
-# information at working precision; the saturation ratio is defined as 1.
-ZERO_INFORMATION_FLOOR = 1e-25
+# verify_saturation divides the step by 8 at most this many times while
+# the saturation ratio falls short of 1 by more than 1e-6.
+MAX_REFINEMENTS = 3
 # Structural tolerances for the aligned frames.
 UPPER_TRIANGULAR_TOL = 1e-10
 LOWER_TRIANGULAR_TOL = 1e-9
@@ -74,18 +80,21 @@ class Interferometer:
     matrix: np.ndarray
     provenance: Provenance = Provenance.USER_SUPPLIED
     alpha: float | None = None
+    # ||R^dag R - I||_F of the constructor's unitarity check.
+    unitarity_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
-        resid = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))
+        resid = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
         if resid > UNITARITY_TOL:
             raise NumericalError(
                 f"interferometer is not unitary: ||R^dag R - I||_F = {resid:.3e}"
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "unitarity_residual", resid)
         object.__setattr__(self, "provenance", Provenance(self.provenance))
 
     @property
@@ -329,11 +338,14 @@ def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> Syn
 class SaturationReport:
     """Structural and information-level checks for one synthesized pair.
 
-    Fisher information estimates are single-step curvatures
-    8 (1 - f) / dtheta^2 of the quantum and classical fidelities at the
-    synthesis displacement, evaluated in extended precision.  Structural
-    residuals (triangularity, diagonal products, scalar-product
-    preservation) refer to the alignment stage.
+    ``qfi_estimate``, ``cfi_estimate`` and ``saturation_ratio`` are the
+    closed-form values of fisher.information_report for the returned
+    measurement at the base point, so ``cfi`` of
+    ``synthesis.interferometer`` reports the same numbers.  The quantum
+    and classical fidelities of the synthesis pair (r, r + a delta_theta)
+    are double-precision diagnostics.  Structural residuals
+    (triangularity, diagonal products, scalar-product preservation) refer
+    to the alignment stage.
     """
 
     delta_theta: float
@@ -391,28 +403,31 @@ def verify_saturation(
     scenario: Scenario,
     direction: GeneralizedCoordinate,
     delta_theta: float | None = None,
-    *,
-    max_refinements: int = 3,
 ) -> SaturationReport:
     """Synthesize the optimal measurement for (r, r + a dtheta) and check it.
 
     Asserting structure: R1 A upper-triangular, R1 B lower-triangular,
     D_s = |a'(s,s)| |b'(s,s)|, scalar products preserved.  Asserting
-    information: classical / quantum Fisher estimates agree (ratio within
-    [1 - 1e-5, 1 + 1e-6] for well-posed scenarios).  A displacement that
-    leaves the state unchanged at working precision yields ratio 1 by
-    definition.
+    information: the closed-form CFI of the synthesized measurement over
+    the QFI (fisher.information_report, with 0/0 defined as 1) lies in
+    [1 - 1e-5, 1 + 1e-6] for well-posed scenarios.
 
     The synthesized measurement is exactly optimal only in the limit of
-    small displacements; when the ratio at the requested step falls short
-    of 1 by more than 1e-6 the step is shrunk (up to ``max_refinements``
-    times) and the measurement re-synthesized.
+    small displacements; when the ratio falls short of 1 by more than 1e-6
+    the step is divided by 8 (up to MAX_REFINEMENTS times) and the
+    measurement re-synthesized.  A zero or non-finite ``delta_theta``
+    synthesizes from an identical pair, which defines no measurement, and
+    raises ScenarioError.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
+    if delta_theta == 0.0 or not math.isfinite(delta_theta):
+        raise ScenarioError(
+            f"synthesis displacement must be finite and nonzero, got {delta_theta}"
+        )
     report = _verify_once(scenario, direction, delta_theta)
-    for _ in range(max_refinements):
-        if report.saturation_ratio >= 1.0 - 1e-6 or delta_theta == 0.0:
+    for _ in range(MAX_REFINEMENTS):
+        if report.saturation_ratio >= 1.0 - 1e-6:
             break
         delta_theta /= 8.0
         report = _verify_once(scenario, direction, delta_theta)
@@ -424,10 +439,8 @@ def _verify_once(
     direction: GeneralizedCoordinate,
     delta_theta: float,
 ) -> SaturationReport:
-    base = scenario
-    moved = displace(scenario, direction, delta_theta)
-    C = build_amplitude_matrix(base)
-    C_prime = build_amplitude_matrix(moved)
+    C = build_amplitude_matrix(scenario)
+    C_prime = build_amplitude_matrix(displace(scenario, direction, delta_theta))
     syn = synthesize_optimal_interferometer(C, C_prime)
     ns = scenario.n_sources
 
@@ -440,36 +453,15 @@ def _verify_once(
         np.max(np.abs(np.abs(np.diagonal(RA)[:ns] * np.diagonal(RB)[:ns]) - D))
     )
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
-    unit_resid = float(
-        np.linalg.norm(
-            syn.interferometer.matrix.conj().T @ syn.interferometer.matrix
-            - np.eye(scenario.n_collectors)
-        )
-    )
-
-    if delta_theta == 0.0:
-        one_minus_fq, one_minus_fc = 0.0, 0.0
-    else:
-        one_minus_fq = _precision.one_minus_trace_norm_fidelity(base, moved, dps=40)
-        one_minus_fc = _precision.one_minus_classical_fidelity(
-            base, moved, syn.interferometer.matrix, dps=40
-        )
-    if one_minus_fq < ZERO_INFORMATION_FLOOR:
-        qfi_est = cfi_est = 0.0
-        ratio = 1.0
-    else:
-        qfi_est = 8.0 * one_minus_fq / delta_theta**2
-        cfi_est = 8.0 * one_minus_fc / delta_theta**2
-        ratio = one_minus_fc / one_minus_fq
-    scale2 = direction.parameter_scale**2
+    info = information_report(scenario, direction, syn.interferometer)
     return SaturationReport(
         delta_theta=delta_theta,
-        quantum_fidelity=1.0 - one_minus_fq,
-        classical_fidelity=1.0 - one_minus_fc,
-        qfi_estimate=scale2 * qfi_est,
-        cfi_estimate=scale2 * cfi_est,
-        saturation_ratio=ratio,
-        unitarity_residual=unit_resid,
+        quantum_fidelity=quantum_fidelity(overlap_matrix(C, C_prime)),
+        classical_fidelity=classical_fidelity(C, C_prime, syn.interferometer),
+        qfi_estimate=info.qfi,
+        cfi_estimate=info.cfi,
+        saturation_ratio=info.saturation_ratio,
+        unitarity_residual=syn.interferometer.unitarity_residual,
         lower_triangular_residual=lower_resid,
         upper_triangular_residual=upper_resid,
         diagonal_product_residual=diag_resid,

@@ -1,6 +1,10 @@
 """Fidelity, closed-form QFI/CFI, generator-moment and closed-form matrix tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import unitary_group
 
+import emitterfisher
 from emitterfisher import (
     Collector,
     GeneralizedCoordinate,
@@ -26,6 +31,7 @@ from emitterfisher import (
     identity_interferometer,
     information_report,
     named_direction,
+    natural_displacement_scale,
     overlap_matrix,
     paraxial_qfi_matrix,
     qfi,
@@ -34,7 +40,10 @@ from emitterfisher import (
     quantum_fidelity,
     synthesize_optimal_interferometer,
 )
-from emitterfisher._precision import one_minus_trace_norm_fidelity
+from emitterfisher._precision import (
+    one_minus_classical_fidelity,
+    one_minus_trace_norm_fidelity,
+)
 from emitterfisher.fisher import NumericalError
 
 K, Z0 = 1.0, 100.0
@@ -423,6 +432,50 @@ def test_qfi_continuous_at_coincident_sources(mode, weights, name):
         pair = weighted_pair(dx, ((5.0, 0.0), (-5.0, 0.0)), mode, weights)
         bs = cfi(pair, d, beam_splitter_with_phase(0.0)).cfi
         assert bs <= qfi(pair, d).qfi * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("measurement", ["qft", "haar", "synthesized"])
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_cfi_matches_fidelity_oracle(seed, mode, measurement):
+    # Symmetric curvature (e(h) + e(-h)) / 2 with e(h) = 8 (1 - F_c(r, r + a h)) / h^2
+    # from the extended-precision classical fidelity, at h and h/2, then one
+    # Richardson step.  The symmetric form cancels the cubic term of 1 - F_c.
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, mode=mode)
+    d = random_direction(rng, s.n_sources)
+    h = 1e-4 * natural_displacement_scale(s)
+    if measurement == "qft":
+        R = qft_interferometer(s.n_collectors).matrix
+    elif measurement == "haar":
+        R = unitary_group.rvs(s.n_collectors, random_state=seed)
+    else:
+        C_moved = build_amplitude_matrix(displace(s, d, h))
+        R = synthesize_optimal_interferometer(build_amplitude_matrix(s), C_moved).interferometer.matrix
+
+    def curvature(step):
+        e = [8.0 * one_minus_classical_fidelity(s, displace(s, d, t), R, dps=50) / t**2
+             for t in (step, -step)]
+        return (e[0] + e[1]) / 2.0
+
+    oracle = (4.0 * curvature(h / 2) - curvature(h)) / 3.0
+    assert cfi(s, d, R).cfi == pytest.approx(d.parameter_scale**2 * oracle, rel=1e-7)
+
+
+def test_cfi_requires_unitary_raw_matrix():
+    s = symmetric_pair(0.2)
+    with pytest.raises(NumericalError):
+        cfi(s, named_direction("separation-x", 2), np.eye(2) * 1.001)
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is a test dependency: only the _precision oracle uses it.
+    src = str(Path(emitterfisher.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, emitterfisher, emitterfisher.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,17 @@ from emitterfisher import (
     beam_splitter_with_phase,
     build_amplitude_matrix,
     builtin_interferometer,
+    bundled_scenario_path,
+    bundled_scenarios,
     classical_fidelity,
     detection_probabilities,
+    disc_collector_grid,
     displace,
     identity_interferometer,
+    information_report,
     interferometer_from_json,
     interferometer_to_json,
+    load_scenario,
     named_direction,
     overlap_matrix,
     qft_interferometer,
@@ -299,11 +304,47 @@ def test_saturation_two_collector_closed_form():
 
 
 def test_saturation_zero_displacement():
+    # A zero step synthesizes from an identical pair: no measurement is defined.
     s = symmetric_pair(0.2)
-    report = verify_saturation(s, named_direction("separation-x", 2), delta_theta=0.0)
-    assert report.saturation_ratio == 1.0
-    assert report.quantum_fidelity == 1.0
-    assert report.classical_fidelity == 1.0
+    for step in (0.0, math.nan, math.inf):
+        with pytest.raises(ScenarioError):
+            verify_saturation(s, named_direction("separation-x", 2), delta_theta=step)
+
+
+def test_saturation_ratio_is_the_closed_form_ratio():
+    # design, saturate and cfi report one number: the information_report
+    # ratio of the measurement verify_saturation returns.
+    rng = np.random.default_rng(41)
+    cases = [(s, named_direction(name, s.n_sources))
+             for s in map(load_scenario, bundled_scenarios().values())
+             for name in ("separation-x", "separation-z")]
+    for _ in range(8):
+        s = random_scenario(rng)
+        cases.append((s, GeneralizedCoordinate.from_tangent(rng.normal(size=3 * s.n_sources))))
+    for s, d in cases:
+        report = verify_saturation(s, d)
+        info = information_report(s, d, report.synthesis.interferometer)
+        assert report.saturation_ratio == pytest.approx(info.saturation_ratio, rel=1e-12)
+        assert report.qfi_estimate == pytest.approx(info.qfi, rel=1e-12)
+        assert report.cfi_estimate == pytest.approx(info.cfi, rel=1e-12)
+
+
+def test_saturation_refines_ill_conditioned_wide_aperture():
+    # Eight sources seen through the N_C = 317 disc (sigma_min / sigma_max
+    # ~ 1e-10): at the default step the synthesized measurement reaches
+    # only 0.99996 of the QFI, so the step must be refined until the CFI
+    # of the returned measurement is in band.
+    rng = np.random.default_rng(101)
+    pair = load_scenario(bundled_scenario_path("two_collector.scn"))
+    sources = tuple(
+        SourcePoint(*rng.normal(0, 0.2, 3), weight=w) for w in rng.uniform(0.5, 1.5, 8)
+    )
+    s = Scenario(sources, disc_collector_grid(0.1), pair.k, pair.z0, pair.mode)
+    d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * 8))
+    report = verify_saturation(s, d)
+    info = information_report(s, d, report.synthesis.interferometer)
+    assert report.saturation_ratio == pytest.approx(info.saturation_ratio, rel=1e-12)
+    assert RATIO_LO <= report.saturation_ratio <= RATIO_HI
 
 
 def test_saturation_sweep_smoke():
