@@ -21,6 +21,7 @@ from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
+    build_amplitude_matrix,
     load_scenario,
     named_direction,
     scenario_digest,
@@ -136,8 +137,6 @@ def cmd_design(args) -> int:
     direction = _parse_direction(args.direction, scenario)
     saturation = itf.verify_saturation(scenario, direction)
     designed = saturation.synthesis.interferometer
-    from .geometry import build_amplitude_matrix
-
     probabilities = fisher.detection_probabilities(
         build_amplitude_matrix(scenario), designed
     )
@@ -213,7 +212,6 @@ def cmd_simulate(args) -> int:
             n_photons=args.photons,
             trials=args.trials,
             seed=args.seed,
-            threads=args.threads,
         )
     except estimation.NonIdentifiableError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--photons", type=int, default=100000)
             p.add_argument("--trials", type=int, default=500)
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--threads", type=int, default=1)
             p.add_argument("--theta-true", type=float, default=0.0,
                            help="true parameter value used to generate photons")
 

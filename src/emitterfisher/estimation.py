@@ -13,13 +13,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fisher
-from .geometry import GeneralizedCoordinate, Scenario, ScenarioError, build_amplitude_matrix, displace
+from .geometry import GeneralizedCoordinate, Scenario, ScenarioError, amplitude_arrays, displace
 from .interferometer import Interferometer
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -29,6 +28,8 @@ LOG_FLOOR = 1e-300
 GRID_POINTS = 64
 # Relative tolerance of the golden-section refinement.
 REFINE_TOL = 1e-8
+# Half-width of the default search interval in predicted standard deviations.
+SEARCH_SIGMAS = 10.0
 
 
 class NonIdentifiableError(ValueError):
@@ -79,16 +80,32 @@ def _measurement(R) -> Interferometer:
     return R if isinstance(R, Interferometer) else Interferometer(R)
 
 
-def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R):
-    """p(theta) where theta is the parameter attached to the direction."""
+def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *checked: float):
+    """p(theta) for the sources at r + a * parameter_scale * theta, with no Scenario per theta.
+
+    Only the scenarios at the ``checked`` thetas are built, to validate them;
+    sources move linearly in theta, so the ends of an interval cover all of it.
+    """
     R = _measurement(R)
     scale = direction.parameter_scale
+    for theta in checked:
+        displace(scenario, direction, scale * theta)
+    uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
+    a = direction.a.reshape(-1, 3)
 
     def path(theta: float) -> np.ndarray:
-        moved = displace(scenario, direction, scale * theta)
-        return fisher.detection_probabilities(build_amplitude_matrix(moved), R)
+        moved = xyz + a * (scale * theta)
+        C, _ = amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode)
+        return fisher.detection_probabilities(C, R)
 
     return path
+
+
+def _draw(p: np.ndarray, n_photons: int, seed: int, theta_true: float) -> DetectionRecord:
+    """Multinomial draw of n photons from p, clipped at 0 and renormalized."""
+    p = np.clip(p, 0.0, None)
+    counts = np.random.default_rng(seed).multinomial(n_photons, p / p.sum())
+    return DetectionRecord(counts=counts, n_photons=n_photons, seed=seed, true_theta=theta_true)
 
 
 def sample_detections(
@@ -102,14 +119,8 @@ def sample_detections(
     """Multinomial draw of n photons from p(. | theta_true); seed-reproducible."""
     if n_photons < 1:
         raise ScenarioError("n_photons must be >= 1")
-    p = _probability_path(scenario, direction, R)(theta_true)
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n_photons, p)
-    return DetectionRecord(
-        counts=counts, n_photons=n_photons, seed=seed, true_theta=theta_true
-    )
+    p = _probability_path(scenario, direction, R, theta_true)(theta_true)
+    return _draw(p, n_photons, seed, theta_true)
 
 
 def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> float:
@@ -123,9 +134,6 @@ def mle_estimate(
     direction: GeneralizedCoordinate,
     R,
     search_interval: tuple[float, float],
-    *,
-    grid_points: int = GRID_POINTS,
-    cfi_value: float | None = None,
 ) -> EstimationResult:
     """Maximize the counting log-likelihood over the search interval.
 
@@ -139,19 +147,35 @@ def mle_estimate(
     lo, hi = map(float, search_interval)
     if not lo < hi:
         raise ScenarioError(f"invalid search interval [{lo}, {hi}]")
-    path = _probability_path(scenario, direction, R)
-    grid = np.linspace(lo, hi, grid_points)
-    probs = np.array([path(t) for t in grid])
+    path = _probability_path(scenario, direction, R, lo, hi)
+    theta_hat = _refine(counts, path, *_likelihood_grid(path, lo, hi))
+    return EstimationResult(
+        theta_hat=theta_hat,
+        log_likelihood=_log_likelihood(counts, path(theta_hat)),
+        fisher_predicted_variance=math.nan,
+        empirical_variance=math.nan,
+        trials=1,
+    )
+
+
+def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """GRID_POINTS thetas spanning [lo, hi] and log p at each; flat p is not identifiable."""
+    theta = np.linspace(lo, hi, GRID_POINTS)
+    probs = np.array([path(t) for t in theta])
     if np.max(np.abs(probs - probs[0])) < 1e-12:
         raise NonIdentifiableError(
             "detection probabilities are constant over the search interval"
         )
-    ll = np.array([_log_likelihood(counts, p) for p in probs])
-    best = int(np.argmax(ll))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
+    return theta, np.log(np.maximum(probs, LOG_FLOOR))
 
-    tol = REFINE_TOL * (hi - lo)
+
+def _refine(counts: np.ndarray, path, theta: np.ndarray, log_p: np.ndarray) -> float:
+    """Grid mode of the log-likelihood, refined by golden-section search."""
+    mask = counts > 0
+    best = int(np.argmax((counts[mask] * log_p[:, mask]).sum(axis=1)))
+    a = theta[max(best - 1, 0)]
+    b = theta[min(best + 1, GRID_POINTS - 1)]
+    tol = REFINE_TOL * (theta[-1] - theta[0])
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1 = _log_likelihood(counts, path(x1))
@@ -165,28 +189,17 @@ def mle_estimate(
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
             f1 = _log_likelihood(counts, path(x1))
-    theta_hat = 0.5 * (a + b)
-    n = counts.sum()
-    predicted = math.nan
-    if cfi_value is not None and cfi_value > 0 and n > 0:
-        predicted = 1.0 / (n * cfi_value)
-    return EstimationResult(
-        theta_hat=float(theta_hat),
-        log_likelihood=_log_likelihood(counts, path(theta_hat)),
-        fisher_predicted_variance=predicted,
-        empirical_variance=math.nan,
-        trials=1,
-    )
+    return float(0.5 * (a + b))
 
 
 def default_search_interval(
-    prior_center: float, n_photons: int, cfi_value: float, n_sigmas: float = 10.0
+    prior_center: float, n_photons: int, cfi_value: float
 ) -> tuple[float, float]:
-    """prior_center +- n_sigmas predicted standard deviations."""
-    if cfi_value <= 0:
-        raise ScenarioError("CFI must be positive to size the search interval")
+    """prior_center +- SEARCH_SIGMAS predicted standard deviations."""
+    if n_photons < 1 or cfi_value <= 0:
+        raise ScenarioError("n_photons and the CFI must be positive to size the search interval")
     sigma = math.sqrt(1.0 / (n_photons * cfi_value))
-    return prior_center - n_sigmas * sigma, prior_center + n_sigmas * sigma
+    return prior_center - SEARCH_SIGMAS * sigma, prior_center + SEARCH_SIGMAS * sigma
 
 
 @dataclass
@@ -206,40 +219,33 @@ def crb_sweep(
     trials: int,
     seed: int,
     threads: int = 1,
-    search_interval: tuple[float, float] | None = None,
 ) -> tuple[EstimationResult, list[TrialRecord]]:
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
-    Per-trial seeds are spawned deterministically from the master seed, so
-    results are identical for any thread count.  Returns the aggregate
-    (with crb_ratio = empirical_variance * n * CFI) and per-trial records.
+    p(theta_true) and the likelihood grid are computed once per sweep.
+    Per-trial seeds are spawned deterministically from the master seed; each
+    estimate equals mle_estimate of sample_detections(..., seed=record.seed)
+    over default_search_interval.  ``threads`` is ignored.  Returns the
+    aggregate (crb_ratio = empirical_variance * n * CFI) and per-trial records.
     """
     if trials < 2:
         raise ScenarioError("need at least two trials to estimate a variance")
     R = _measurement(R)
     at_truth = displace(scenario, direction, direction.parameter_scale * theta_true)
-    cfi_report = fisher.cfi(at_truth, direction, R)
-    cfi_value = cfi_report.cfi
+    cfi_value = fisher.cfi(at_truth, direction, R).cfi
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
         raise NonIdentifiableError(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
         )
-    if search_interval is None:
-        search_interval = default_search_interval(theta_true, n_photons, cfi_value)
+    lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
+    path = _probability_path(scenario, direction, R, lo, hi)
+    theta, log_p = _likelihood_grid(path, lo, hi)
+    p_true = path(theta_true)
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-
-    def one_trial(i: int) -> TrialRecord:
-        record = sample_detections(
-            scenario, direction, theta_true, R, n_photons, trial_seeds[i]
-        )
-        est = mle_estimate(record, scenario, direction, R, search_interval)
-        return TrialRecord(trial=i, seed=trial_seeds[i], theta_hat=est.theta_hat)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one_trial, range(trials)))
-    else:
-        records = [one_trial(i) for i in range(trials)]
+    records = []
+    for i, trial_seed in enumerate(trial_seeds):
+        counts = _draw(p_true, n_photons, trial_seed, theta_true).counts
+        records.append(TrialRecord(i, trial_seed, _refine(counts, path, theta, log_p)))
     estimates = np.array([r.theta_hat for r in records])
     empirical = float(np.var(estimates, ddof=1))
     predicted = 1.0 / (n_photons * cfi_value)

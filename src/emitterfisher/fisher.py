@@ -33,6 +33,7 @@ from .geometry import (
     Scenario,
     ScenarioError,
     amplitude_and_derivative,
+    named_direction,
 )
 
 # Unitarity tolerance for measurement matrices (Frobenius norm).
@@ -43,6 +44,8 @@ UNITARITY_TOL = 1e-10
 # of R C); dim ports above the threshold keep the direct term, which is
 # then accurate to about 1e-3 of itself.
 DARK_P = 1e-26
+# Phase grid of the optimal_axial_phase scan over [-pi, pi).
+AXIAL_PHASE_GRID = 181
 
 
 class NumericalError(RuntimeError):
@@ -289,32 +292,27 @@ def generator_moments(collectors, k: float, z0: float) -> GeneratorMoments:
 
 
 def optimal_axial_phase(
-    scenario: Scenario,
-    direction: GeneralizedCoordinate | None = None,
-    *,
-    grid_points: int = 181,
+    scenario: Scenario, direction: GeneralizedCoordinate | None = None
 ) -> float:
     """Splitter phase maximizing the CFI of a direction on a two-collector pair.
 
     The single tuning phase of the phase-plus-splitter measurement must be
     retuned per parameter: zero is best for the transverse separation, but
     the axial separation (the default direction here) generally wants a
-    different setting.  A coarse phase grid is scanned and the best point
-    refined parabolically.
+    different setting.  A coarse grid of AXIAL_PHASE_GRID phases is scanned
+    and the best point refined parabolically.
     """
     from .interferometer import beam_splitter_with_phase
 
     if scenario.n_collectors != 2:
         raise ScenarioError("phase tuning applies to two-collector scenarios")
     if direction is None:
-        from .geometry import named_direction
-
         direction = named_direction("separation-z", scenario.n_sources)
 
     def value(alpha: float) -> float:
         return cfi(scenario, direction, beam_splitter_with_phase(alpha)).cfi
 
-    grid = np.linspace(-math.pi, math.pi, grid_points, endpoint=False)
+    grid = np.linspace(-math.pi, math.pi, AXIAL_PHASE_GRID, endpoint=False)
     values = [value(a) for a in grid]
     best = int(np.argmax(values))
     step = grid[1] - grid[0]

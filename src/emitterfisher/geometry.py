@@ -335,17 +335,21 @@ def amplitude_and_derivative(
         a = direction.a
         if a.size != 3 * scenario.n_sources:
             raise ScenarioError("direction length does not match the scenario")
-    gamma, dgamma = _raw_amplitudes(
-        scenario.collector_positions(), scenario.source_positions(),
-        scenario.k, scenario.z0, scenario.mode, a,
-    )
+    uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
+    return amplitude_arrays(uv, xyz, weights, scenario.k, scenario.z0, scenario.mode, a)
+
+
+def amplitude_arrays(uv: np.ndarray, xyz: np.ndarray, weights: np.ndarray, k: float, z0: float,
+                     mode: Mode, a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """C and dC/dtheta from the arrays of a valid Scenario whose sources may have moved."""
+    gamma, dgamma = _raw_amplitudes(uv, xyz, k, z0, mode, a)
     norms = np.linalg.norm(gamma, axis=0)
     bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
         raise DegenerateGeometryError(
             f"zero-norm amplitude column for source {int(np.argmax(bad))}"
         )
-    scale = np.sqrt(scenario.weights()) / norms
+    scale = np.sqrt(weights) / norms
     C = gamma * scale
     if dgamma is None:
         return C, None

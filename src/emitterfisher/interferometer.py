@@ -209,7 +209,8 @@ class SynthesisResult:
     R1 @ aligned_source_frame upper-triangular and
     R1 @ aligned_displaced_frame lower-triangular.  ``pivots`` records the
     column order used by the rank-revealing QR (identity order for well-
-    conditioned frames).
+    conditioned frames).  ``coherence_rotation`` is the N_S x N_S unitary
+    applied to the first N_S rows of R1; the other rows of R are R1's.
     """
 
     interferometer: Interferometer
@@ -254,8 +255,8 @@ def _identity_ordered_eigvecs(H: np.ndarray) -> np.ndarray:
 
 
 def _coherence_rotation(R1: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> np.ndarray:
-    """Unitary on the first N_S output modes of R1 that diagonalizes the
-    support block of the symmetric logarithmic derivative.
+    """N_S x N_S unitary on the first N_S output modes of R1 that
+    diagonalizes the support block of the symmetric logarithmic derivative.
 
     In the R1 output frame the mid-pair photon state is nearly diagonal on
     the first N_S modes.  Solving rho L + L rho = 2 (sigma - rho) on that
@@ -265,7 +266,7 @@ def _coherence_rotation(R1: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> n
     """
     ns = C.shape[1]
     if ns <= 1:
-        return np.eye(R1.shape[0], dtype=complex)
+        return np.eye(ns, dtype=complex)
     # Only the occupied output block matters; project with the first rows.
     P = R1[:ns]
     PC, PCp = P @ C, P @ C_prime
@@ -275,17 +276,10 @@ def _coherence_rotation(R1: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> n
     diff_b = 0.5 * (diff + diff.conj().T)
     lam, U = np.linalg.eigh(rho_b)
     dt = U.conj().T @ diff_b @ U
-    L = np.zeros_like(dt)
-    for i in range(ns):
-        for j in range(ns):
-            den = lam[i] + lam[j]
-            if den > 1e-300:
-                L[i, j] = 2.0 * dt[i, j] / den
+    den = lam[:, None] + lam[None, :]
+    L = np.divide(2.0 * dt, den, out=np.zeros_like(dt), where=den > 1e-300)
     L = U @ L @ U.conj().T
-    UL = _identity_ordered_eigvecs(0.5 * (L + L.conj().T))
-    G = np.eye(R1.shape[0], dtype=complex)
-    G[:ns, :ns] = UL.conj().T
-    return G
+    return _identity_ordered_eigvecs(0.5 * (L + L.conj().T)).conj().T
 
 
 def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> SynthesisResult:
@@ -316,7 +310,7 @@ def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> Syn
     R1 = Q.conj().T
     R1 = _phase_fix_rows(R1, R1 @ A, ns)
     G = _coherence_rotation(R1, C, C_prime)
-    R = G @ R1
+    R = np.vstack([G @ R1[:ns], R1[ns:]])
     return SynthesisResult(
         interferometer=Interferometer(R, Provenance.SYNTHESIZED),
         alignment_unitary=R1,

@@ -179,13 +179,40 @@ def test_crb_ratio_qft_scheme():
     assert 0.8 <= aggregate.crb_ratio <= 1.2
 
 
-def test_crb_threads_deterministic():
+def test_crb_trials_equal_one_trial_estimates():
+    # A sweep shares p(theta_true) and the likelihood grid between trials;
+    # each trial must still give what the one-trial functions give.
     s = two_collector_scenario()
-    kwargs = dict(theta_true=2.0, n_photons=5000, trials=40, seed=12)
-    seq, _ = crb_sweep(s, SEP_X, beam_splitter_with_phase(0.0), threads=1, **kwargs)
-    par, _ = crb_sweep(s, SEP_X, beam_splitter_with_phase(0.0), threads=4, **kwargs)
-    assert seq.empirical_variance == par.empirical_variance
-    assert seq.theta_hat == par.theta_hat
+    bs = beam_splitter_with_phase(0.0)
+    n = 5000
+    aggregate, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=n, trials=40, seed=12)
+    cfi_value = 1.0 / (aggregate.fisher_predicted_variance * n)
+    interval = default_search_interval(2.0, n, cfi_value)
+    assert len({r.seed for r in records}) == 40
+    for r in records:
+        record = sample_detections(s, SEP_X, 2.0, bs, n, seed=r.seed)
+        assert r.theta_hat == mle_estimate(record, s, SEP_X, bs, interval).theta_hat
+
+
+def test_crb_scenario_count_does_not_depend_on_trials(monkeypatch):
+    # Only the truth and the two ends of the search interval are displaced
+    # into a Scenario; the trials evaluate p(theta) from arrays.
+    s = two_collector_scenario()
+    built = []
+    original = Scenario.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(Scenario, "__post_init__", counting)
+    counts = []
+    for trials in (2, 40):
+        built.clear()
+        crb_sweep(s, SEP_X, beam_splitter_with_phase(0.0),
+                  theta_true=2.0, n_photons=5000, trials=trials, seed=12)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_crb_identity_measurement_rejected():

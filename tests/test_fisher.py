@@ -378,6 +378,46 @@ def test_cfi_never_exceeds_qfi_property(seed, ns, nc, mode):
     assert rep.cfi <= rep.qfi * (1 + 1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(2, 3),
+    nc=st.integers(3, 7),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+)
+def test_source_permutation_invariance_property(seed, ns, nc, mode):
+    # Relabeling the sources, together with their weights and their
+    # direction triples, describes the same state and the same parameter.
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, ns=ns, nc=nc, mode=mode)
+    d = random_direction(rng, ns)
+    R = unitary_group.rvs(nc, random_state=rng)
+    perm = rng.permutation(ns)
+    s_perm = Scenario(tuple(s.sources[i] for i in perm), s.collectors, s.k, s.z0, s.mode)
+    d_perm = GeneralizedCoordinate(d.a.reshape(-1, 3)[perm].ravel(), d.parameter_scale)
+    rep, rep_perm = information_report(s, d, R), information_report(s_perm, d_perm, R)
+    assert rep_perm.qfi == pytest.approx(rep.qfi, rel=1e-12)
+    assert rep_perm.cfi == pytest.approx(rep.cfi, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    nc=st.integers(2, 7),
+    c=st.floats(0.1, 10.0),
+    c_prime=st.floats(0.5, 10.0),
+)
+def test_paraxial_transverse_qfi_scales_as_k2_over_z02_property(seed, nc, c, c_prime):
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, ns=1, nc=nc, mode=Mode.PARAXIAL)
+    tangent = np.append(rng.normal(size=2), 0.0)
+    d = GeneralizedCoordinate.from_tangent(tangent)
+    scaled = Scenario(s.sources, s.collectors, c * s.k, c_prime * s.z0, Mode.PARAXIAL)
+    base = qfi(s, d).qfi
+    assert base > 0
+    assert qfi(scaled, d).qfi == pytest.approx(c**2 / c_prime**2 * base, rel=1e-12)
+
+
 def test_cfi_synthesized_dark_port_reaches_qfi():
     # One source, two collectors: the synthesized measurement sends all
     # light to port 0, so port 1 is dark and carries the information
