@@ -11,7 +11,6 @@ golden-section search on the log-likelihood.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ import numpy as np
 
 from . import fisher
 from .geometry import GeneralizedCoordinate, Scenario, ScenarioError, amplitude_arrays, displace
-from .interferometer import Interferometer
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Probability floor inside log-likelihoods.
@@ -75,18 +73,14 @@ class EstimationResult:
         }
 
 
-def _measurement(R) -> Interferometer:
-    """R as an Interferometer, so that a raw matrix is checked unitary once."""
-    return R if isinstance(R, Interferometer) else Interferometer(R)
-
-
 def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *checked: float):
     """p(theta) for the sources at r + a * parameter_scale * theta, with no Scenario per theta.
 
     Only the scenarios at the ``checked`` thetas are built, to validate them;
     sources move linearly in theta, so the ends of an interval cover all of it.
+    A measurement R that is not an Interferometer is checked once, here.
     """
-    R = _measurement(R)
+    R = fisher.as_interferometer(R)
     scale = direction.parameter_scale
     for theta in checked:
         displace(scenario, direction, scale * theta)
@@ -230,7 +224,7 @@ def crb_sweep(
     """
     if trials < 2:
         raise ScenarioError("need at least two trials to estimate a variance")
-    R = _measurement(R)
+    R = fisher.as_interferometer(R)
     at_truth = displace(scenario, direction, direction.parameter_scale * theta_true)
     cfi_value = fisher.cfi(at_truth, direction, R).cfi
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
@@ -266,12 +260,3 @@ def write_trials_csv(path, records: list[TrialRecord]) -> None:
         writer.writerow(["trial", "seed", "theta_hat"])
         for r in records:
             writer.writerow([r.trial, r.seed, repr(r.theta_hat)])
-
-
-def write_aggregate_json(path, aggregate: EstimationResult, *, qfi_value: float | None = None,
-                         cfi_value: float | None = None) -> None:
-    doc = aggregate.to_dict()
-    doc["cfi"] = cfi_value
-    doc["qfi"] = qfi_value
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)

@@ -14,8 +14,9 @@ saturation ratio from information_report as well.
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
 
-A measurement is an Interferometer, whose constructor checked it unitary,
-or a raw square matrix, checked here once per call.
+A measurement is an Interferometer, whose constructor is the one place
+that checks a matrix unitary; anything else passed as a measurement goes
+through that constructor first.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .geometry import (
     Scenario,
     ScenarioError,
     amplitude_and_derivative,
-    named_direction,
 )
 
 # Unitarity tolerance for measurement matrices (Frobenius norm).
@@ -44,12 +44,56 @@ UNITARITY_TOL = 1e-10
 # of R C); dim ports above the threshold keep the direct term, which is
 # then accurate to about 1e-3 of itself.
 DARK_P = 1e-26
-# Phase grid of the optimal_axial_phase scan over [-pi, pi).
-AXIAL_PHASE_GRID = 181
 
 
 class NumericalError(RuntimeError):
     """A numerical routine failed (SVD breakdown, non-unitary input, ...)."""
+
+
+class Provenance(str, Enum):
+    IDENTITY = "identity"
+    BS_PHASE = "bs_phase"
+    QFT = "qft"
+    SYNTHESIZED = "synthesized"
+    USER_SUPPLIED = "user_supplied"
+
+
+@dataclass(frozen=True)
+class Interferometer:
+    """Unitary mode transformation feeding the photodetectors.
+
+    Row q of the matrix is the detector-q projection: the probability of
+    a click at detector q is the squared row norm of (matrix @ C).
+    """
+
+    matrix: np.ndarray
+    provenance: Provenance = Provenance.USER_SUPPLIED
+    alpha: float | None = None
+    # ||R^dag R - I||_F of the constructor's unitarity check.
+    unitarity_residual: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
+        resid = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+        if resid > UNITARITY_TOL:
+            raise NumericalError(
+                f"interferometer is not unitary: ||R^dag R - I||_F = {resid:.3e}"
+            )
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "unitarity_residual", resid)
+        object.__setattr__(self, "provenance", Provenance(self.provenance))
+
+    @property
+    def n_modes(self) -> int:
+        return self.matrix.shape[0]
+
+
+def as_interferometer(R) -> Interferometer:
+    """R itself if it is an Interferometer, else Interferometer(R), which checks it."""
+    return R if isinstance(R, Interferometer) else Interferometer(R)
 
 
 @dataclass
@@ -116,20 +160,8 @@ def quantum_fidelity(M: np.ndarray) -> float:
 
 
 def _as_matrix(R, n_collectors: int) -> np.ndarray:
-    """Matrix of measurement R acting on n_collectors modes.
-
-    The matrix of an Interferometer-like object (one with a ``matrix``)
-    is taken as is, because the Interferometer constructor checked it; a
-    raw matrix is checked for unitarity here.
-    """
-    matrix = getattr(R, "matrix", None)
-    if matrix is None:
-        matrix = np.asarray(R, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ScenarioError(f"interferometer matrix must be square, got {matrix.shape}")
-        resid = np.linalg.norm(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))
-        if resid > UNITARITY_TOL:
-            raise NumericalError(f"matrix is not unitary: ||R^dag R - I|| = {resid:.3e}")
+    """Matrix of measurement R, which must act on n_collectors modes."""
+    matrix = as_interferometer(R).matrix
     if matrix.shape[1] != n_collectors:
         raise ScenarioError(
             f"interferometer size {matrix.shape[0]} != collector count {n_collectors}"
@@ -289,39 +321,6 @@ def generator_moments(collectors, k: float, z0: float) -> GeneratorMoments:
     cov = centered @ centered.T / g.shape[1]
     cov = 0.5 * (cov + cov.T)
     return GeneratorMoments(mean=mean, covariance=cov)
-
-
-def optimal_axial_phase(
-    scenario: Scenario, direction: GeneralizedCoordinate | None = None
-) -> float:
-    """Splitter phase maximizing the CFI of a direction on a two-collector pair.
-
-    The single tuning phase of the phase-plus-splitter measurement must be
-    retuned per parameter: zero is best for the transverse separation, but
-    the axial separation (the default direction here) generally wants a
-    different setting.  A coarse grid of AXIAL_PHASE_GRID phases is scanned
-    and the best point refined parabolically.
-    """
-    from .interferometer import beam_splitter_with_phase
-
-    if scenario.n_collectors != 2:
-        raise ScenarioError("phase tuning applies to two-collector scenarios")
-    if direction is None:
-        direction = named_direction("separation-z", scenario.n_sources)
-
-    def value(alpha: float) -> float:
-        return cfi(scenario, direction, beam_splitter_with_phase(alpha)).cfi
-
-    grid = np.linspace(-math.pi, math.pi, AXIAL_PHASE_GRID, endpoint=False)
-    values = [value(a) for a in grid]
-    best = int(np.argmax(values))
-    step = grid[1] - grid[0]
-    a, b, c = grid[best] - step, grid[best], grid[best] + step
-    fa, fb, fc = value(a), values[best], value(c)
-    denom = (fa - 2 * fb + fc)
-    if denom < 0:  # concave: parabolic vertex
-        return float(b + 0.5 * step * (fa - fc) / denom)
-    return float(b)
 
 
 class ParaxialTarget(str, Enum):

@@ -21,6 +21,9 @@ matrices C(r) and C(r') of a displaced scenario pair:
 Stage 1 alone reproduces the textbook examples (a 50:50 beam splitter
 for two symmetric sources, the four-mode Fourier transform geometry);
 stage 2 is required for generic configurations.
+
+The Interferometer type and its unitarity check live in fisher, which
+imports nothing from this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
 
 from .fisher import (
     UNITARITY_TOL,
+    Interferometer,
     NumericalError,
+    Provenance,
+    cfi,
     classical_fidelity,
     information_report,
     overlap_matrix,
@@ -47,6 +52,7 @@ from .geometry import (
     ScenarioError,
     build_amplitude_matrix,
     displace,
+    named_direction,
 )
 
 # Default synthesis displacement, as a fraction of the natural scale
@@ -59,47 +65,8 @@ MAX_REFINEMENTS = 3
 UPPER_TRIANGULAR_TOL = 1e-10
 LOWER_TRIANGULAR_TOL = 1e-9
 DIAGONAL_PRODUCT_TOL = 1e-9
-
-
-class Provenance(str, Enum):
-    IDENTITY = "identity"
-    BS_PHASE = "bs_phase"
-    QFT = "qft"
-    SYNTHESIZED = "synthesized"
-    USER_SUPPLIED = "user_supplied"
-
-
-@dataclass(frozen=True)
-class Interferometer:
-    """Unitary mode transformation feeding the photodetectors.
-
-    Row q of the matrix is the detector-q projection: the probability of
-    a click at detector q is the squared row norm of (matrix @ C).
-    """
-
-    matrix: np.ndarray
-    provenance: Provenance = Provenance.USER_SUPPLIED
-    alpha: float | None = None
-    # ||R^dag R - I||_F of the constructor's unitarity check.
-    unitarity_residual: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
-        resid = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-        if resid > UNITARITY_TOL:
-            raise NumericalError(
-                f"interferometer is not unitary: ||R^dag R - I||_F = {resid:.3e}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "unitarity_residual", resid)
-        object.__setattr__(self, "provenance", Provenance(self.provenance))
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0]
+# Phase grid of the optimal_axial_phase scan over [-pi, pi).
+AXIAL_PHASE_GRID = 181
 
 
 def identity_interferometer(n_modes: int) -> Interferometer:
@@ -132,6 +99,37 @@ def builtin_interferometer(kind: str, n_modes: int, alpha: float | None = None) 
     if kind == "qft":
         return qft_interferometer(n_modes)
     raise ScenarioError(f"unknown interferometer kind {kind!r}")
+
+
+def optimal_axial_phase(
+    scenario: Scenario, direction: GeneralizedCoordinate | None = None
+) -> float:
+    """Splitter phase maximizing the CFI of a direction on a two-collector pair.
+
+    The single tuning phase of the phase-plus-splitter measurement must be
+    retuned per parameter: zero is best for the transverse separation, but
+    the axial separation (the default direction here) generally wants a
+    different setting.  A coarse grid of AXIAL_PHASE_GRID phases is scanned
+    and the best point refined parabolically.
+    """
+    if scenario.n_collectors != 2:
+        raise ScenarioError("phase tuning applies to two-collector scenarios")
+    if direction is None:
+        direction = named_direction("separation-z", scenario.n_sources)
+
+    def value(alpha: float) -> float:
+        return cfi(scenario, direction, beam_splitter_with_phase(alpha)).cfi
+
+    grid = np.linspace(-math.pi, math.pi, AXIAL_PHASE_GRID, endpoint=False)
+    values = [value(a) for a in grid]
+    best = int(np.argmax(values))
+    step = grid[1] - grid[0]
+    a, b, c = grid[best] - step, grid[best], grid[best] + step
+    fa, fb, fc = value(a), values[best], value(c)
+    denom = (fa - 2 * fb + fc)
+    if denom < 0:  # concave: parabolic vertex
+        return float(b + 0.5 * step * (fa - fc) / denom)
+    return float(b)
 
 
 # ---------------------------------------------------------------------------

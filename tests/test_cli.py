@@ -113,6 +113,55 @@ def test_simulate_command(two_collector, tmp_path):
     assert len(csv_lines) == 61
 
 
+SIMULATE_ARGS = ("--interferometer", "bs_phase:0.0", "--photons", "3000", "--trials", "6",
+                 "--seed", "5", "--theta-true", "1.0")
+
+HEAD = ["command", "scenario_digest", "direction"]
+DOCUMENT_KEYS = {
+    "qfi": HEAD + ["qfi", "convergence"],
+    "cfi": HEAD + ["interferometer", "qfi", "cfi", "saturation_ratio", "convergence"],
+    "design": HEAD + ["interferometer", "probabilities", "saturation_ratio"],
+    "saturate": HEAD + [
+        "delta_theta", "quantum_fidelity", "classical_fidelity", "qfi_estimate",
+        "cfi_estimate", "saturation_ratio", "unitarity_residual",
+        "lower_triangular_residual", "upper_triangular_residual",
+        "diagonal_product_residual", "scalar_product_residual", "pivoted", "structure_ok",
+    ],
+    "qfimatrix": ["command", "scenario_digest", "target", "qfi_matrix", "finite_difference",
+                  "max_relative_error"],
+    "simulate": HEAD + [
+        "interferometer", "qfi", "cfi", "theta_hat", "log_likelihood",
+        "fisher_predicted_variance", "empirical_variance", "trials", "crb_ratio",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DOCUMENT_KEYS))
+def test_document_key_order(command, tmp_path):
+    scenario = "four_collector.scn" if command == "saturate" else "two_collector.scn"
+    extra = {"cfi": SIMULATE_ARGS[:2], "simulate": SIMULATE_ARGS}.get(command, ())
+    out = tmp_path / "doc.json"
+    code = run_cli(command, "--scenario", str(bundled_scenario_path(scenario)),
+                   "--direction", "separation-x", *extra, "--out", str(out))
+    assert code == EXIT_OK
+    assert list(read_json(out)) == DOCUMENT_KEYS[command]
+
+
+def test_simulate_angular_scales_information_only(two_collector, tmp_path):
+    plain, angular = tmp_path / "plain.json", tmp_path / "angular.json"
+    base = ("simulate", "--scenario", two_collector, "--direction", "separation-x",
+            *SIMULATE_ARGS)
+    assert run_cli(*base, "--out", str(plain)) == EXIT_OK
+    assert run_cli(*base, "--angular", "--out", str(angular)) == EXIT_OK
+    a, b = read_json(plain), read_json(angular)
+    z0_squared = 100.0**2
+    assert b["qfi"] == a["qfi"] * z0_squared
+    assert b["cfi"] == a["cfi"] * z0_squared
+    for key in ("theta_hat", "fisher_predicted_variance", "empirical_variance", "crb_ratio"):
+        assert b[key] == a[key]
+    assert (tmp_path / "plain.csv").read_text() == (tmp_path / "angular.csv").read_text()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text(

@@ -22,7 +22,7 @@ from emitterfisher import (
     qfi,
     sample_detections,
 )
-from emitterfisher.estimation import write_aggregate_json, write_trials_csv
+from emitterfisher.estimation import write_trials_csv
 
 
 def two_collector_scenario(dx=0.2, u=5.0):
@@ -237,19 +237,12 @@ def test_crb_identity_measurement_rejected():
 
 def test_trial_outputs(tmp_path):
     s = two_collector_scenario()
-    aggregate, records = crb_sweep(
+    _, records = crb_sweep(
         s, SEP_X, beam_splitter_with_phase(0.0),
         theta_true=2.0, n_photons=2000, trials=10, seed=4,
     )
     csv_path = tmp_path / "trials.csv"
-    json_path = tmp_path / "aggregate.json"
     write_trials_csv(csv_path, records)
-    write_aggregate_json(json_path, aggregate, qfi_value=0.0025, cfi_value=0.0025)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "trial,seed,theta_hat"
     assert len(lines) == 11
-    import json
-
-    doc = json.loads(json_path.read_text())
-    assert doc["trials"] == 10
-    assert doc["qfi"] == 0.0025

@@ -1,10 +1,12 @@
 """Fidelity, closed-form QFI/CFI, generator-moment and closed-form matrix tests."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from emitterfisher import (
     build_amplitude_matrix,
     cfi,
     classical_fidelity,
+    crb_sweep,
     detection_probabilities,
     displace,
     generator_moments,
@@ -506,6 +509,39 @@ def test_cfi_requires_unitary_raw_matrix():
     s = symmetric_pair(0.2)
     with pytest.raises(NumericalError):
         cfi(s, named_direction("separation-x", 2), np.eye(2) * 1.001)
+
+
+MEASUREMENT_ENTRY_POINTS = {
+    "cfi": lambda s, d, R: cfi(s, d, R),
+    "information_report": lambda s, d, R: information_report(s, d, R),
+    "detection_probabilities": lambda s, d, R: detection_probabilities(
+        build_amplitude_matrix(s), R),
+    "classical_fidelity": lambda s, d, R: classical_fidelity(
+        build_amplitude_matrix(s), build_amplitude_matrix(displace(s, d, 1e-3)), R),
+    "crb_sweep": lambda s, d, R: crb_sweep(s, d, R, theta_true=0.0, n_photons=100, trials=3,
+                                           seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MEASUREMENT_ENTRY_POINTS))
+def test_entry_points_reject_non_interferometer_measurement(entry):
+    # An object with a non-unitary `.matrix` is not an Interferometer: every
+    # entry point passes it to the Interferometer constructor, which cannot
+    # read it, so no Fisher value (here CFI = 2 QFI) is computed from it.
+    s = symmetric_pair(0.2)
+    fake = SimpleNamespace(matrix=np.array([[1, 1], [1, -1]], dtype=complex))
+    with pytest.raises(TypeError):
+        MEASUREMENT_ENTRY_POINTS[entry](s, named_direction("separation-x", 2), fake)
+
+
+def test_fisher_does_not_import_interferometer():
+    # The Interferometer type and its unitarity check live in fisher, so the
+    # measurement modules import fisher and never the other way round.
+    tree = ast.parse(Path(emitterfisher.fisher.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert not any(name and name.endswith("interferometer") for name in imported)
 
 
 def test_import_does_not_load_mpmath():
