@@ -86,7 +86,7 @@ def cmd_cfi(args, scenario, direction):
 
 def cmd_design(args, scenario, direction):
     saturation = itf.verify_saturation(scenario, direction)
-    designed = saturation.synthesis.interferometer
+    designed = saturation.interferometer
     probabilities = fisher.detection_probabilities(build_amplitude_matrix(scenario), designed)
     return {
         "interferometer": json.loads(itf.interferometer_to_json(designed)),

@@ -8,8 +8,9 @@ PRL 72, 3439, 1994), evaluated on the thin SVD of C with an explicit rank
 rule.  The classical side evaluates photon counting statistics behind a
 fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
-numbers the package reports: interferometer.verify_saturation takes its
-saturation ratio from information_report as well.
+numbers the package reports: interferometer.verify_saturation takes the
+saturation ratio of its step-free optimal measurement from
+information_report as well.
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
@@ -210,25 +211,28 @@ def _report(direction: GeneralizedCoordinate, **values: float) -> FisherReport:
     return FisherReport(direction=direction, converged=converged, **scaled)
 
 
-def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
-    """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD C = U S V^dag.
-
-    Singular values at or below max(N_C, N_S) eps s_max count as zero,
-    leaving rank r.  With A = U_r^dag dC V_r the minimum is
-    ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
-    + sum_{i<j} |s_j A_ij + s_i conj(A_ji)|^2 / (s_i^2 + s_j^2); the last
-    two sums are half the symmetric double sum over all i, j <= r below.
-    """
-    tol = _rounding_tol(C)
+def support_svd(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD C = U_r diag(s_r) V_r^dag, keeping s > max(N_C, N_S) eps s_max."""
     try:
         U, s, Vh = np.linalg.svd(C, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed for amplitude matrix of shape {C.shape}") from exc
-    r = int(np.count_nonzero(s > tol * s[0]))
-    Ur, sr = U[:, :r], s[:r]
+    r = int(np.count_nonzero(s > _rounding_tol(C) * s[0]))
+    return U[:, :r], s[:r], Vh[:r].conj().T
+
+
+def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
+    """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd).
+
+    With A = U_r^dag dC V_r the minimum is
+    ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
+    + sum_{i<j} |s_j A_ij + s_i conj(A_ji)|^2 / (s_i^2 + s_j^2); the last
+    two sums are half the symmetric double sum over all i, j <= r below.
+    """
+    Ur, sr, Vr = support_svd(C)
     UdC = Ur.conj().T @ dC
     kernel = dC - Ur @ UdC
-    A = UdC @ Vh[:r].conj().T
+    A = UdC @ Vr
     si, sj = sr[:, None], sr[None, :]
     support = np.abs(sj * A + si * A.conj().T) ** 2 / (si**2 + sj**2)
     value = np.vdot(kernel, kernel).real + 0.5 * support.sum()

@@ -435,11 +435,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario(path) -> Scenario:
     """Load a scenario from a YAML key-value file (.scn)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"cannot parse scenario file {path}: {exc}") from exc
+    except (OSError, yaml.YAMLError) as exc:
+        raise ScenarioError(f"cannot load scenario file {path}: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -1,26 +1,19 @@
-"""Interferometer construction: built-ins, optimal synthesis, saturation checks.
+"""Interferometer construction: built-ins, optimal measurement, saturation checks.
 
-The synthesized measurement is built in two stages from the amplitude
-matrices C(r) and C(r') of a displaced scenario pair:
+The optimal measurement (optimal_interferometer) is built from the
+amplitude matrix C and its derivative dC alone.  Its first rows are the
+eigenbasis of the symmetric logarithmic derivative on the support of the
+photon state rho = C C^dag, which reads out both the classical mixture
+and the coherence response of rho; its remaining rows span the kernel of
+C^dag, dark ports that capture the response leaking out of the support.
 
-1. alignment: the singular value decomposition V^dag M W = D of the
-   overlap matrix M = C^dag C' defines source frames A = C V and
-   B = C' W whose columns are biorthogonal (A^dag B = D).  A full QR
-   factorization of A yields a unitary R1 with R1 A upper-triangular,
-   which forces R1 B lower-triangular and puts the singular values on
-   the matched diagonals: D_s = |a'(s,s)| |b'(s,s)|.
-
-2. coherence rotation: as the displacement shrinks, R1 tends to the
-   eigenbasis of the photon state rho = C C^dag, which measures the
-   classical mixture but is blind to the off-diagonal response of rho
-   within its support.  A final rotation of the first N_S output modes
-   into the eigenbasis of the support block of the symmetric logarithmic
-   derivative restores that information; the remaining (dark) output
-   modes already capture the response leaking out of the support.
-
-Stage 1 alone reproduces the textbook examples (a 50:50 beam splitter
-for two symmetric sources, the four-mode Fourier transform geometry);
-stage 2 is required for generic configurations.
+The paper's finite-pair construction from C(r) and C(r') is kept as the
+theorem check.  Alignment: the SVD V^dag M W = D of M = C^dag C' defines
+biorthogonal frames A = C V and B = C' W (A^dag B = D); a full QR of A
+yields a unitary R1 with R1 A upper-triangular, which forces R1 B
+lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the diagonals.
+synthesize_optimal_interferometer adds a rotation of the first N_S
+output modes of R1 into the support eigenbasis of the SLD of the pair.
 
 The Interferometer type and its unitarity check live in fisher, which
 imports nothing from this module; they are re-exported here.
@@ -45,25 +38,25 @@ from .fisher import (
     information_report,
     overlap_matrix,
     quantum_fidelity,
+    support_svd,
 )
 from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
+    amplitude_and_derivative,
     build_amplitude_matrix,
     displace,
     named_direction,
 )
 
-# Default synthesis displacement, as a fraction of the natural scale
-# z0 / (k * max collector offset) over which phases change by ~1 radian.
+# Default displacement of the theorem check's pair, as a fraction of the
+# natural scale z0 / (k * max collector offset) over which phases change
+# by ~1 radian.
 SYNTH_STEP_FRACTION = 1e-4
-# verify_saturation divides the step by 8 at most this many times while
-# the saturation ratio falls short of 1 by more than 1e-6.
-MAX_REFINEMENTS = 3
-# Structural tolerances for the aligned frames.
-UPPER_TRIANGULAR_TOL = 1e-10
-LOWER_TRIANGULAR_TOL = 1e-9
+# Structural tolerances for the aligned frames, one per residual.
+LOWER_TRIANGULAR_TOL = 1e-10
+UPPER_TRIANGULAR_TOL = 1e-9
 DIAGONAL_PRODUCT_TOL = 1e-9
 # Phase grid of the optimal_axial_phase scan over [-pi, pi).
 AXIAL_PHASE_GRID = 181
@@ -221,30 +214,24 @@ class SynthesisResult:
     coherence_rotation: np.ndarray
 
 
-def _phase_fix_rows(R: np.ndarray, RA: np.ndarray, n_cols: int) -> np.ndarray:
-    """Scale rows of R so the diagonal of R A is real and nonnegative."""
-    phases = np.ones(R.shape[0], dtype=complex)
-    for i in range(min(n_cols, R.shape[0])):
-        d = RA[i, i]
-        if abs(d) > 1e-300:
-            phases[i] = np.conj(d) / abs(d)
-    return phases[:, None] * R
+def _sld_eigenbasis(lam: np.ndarray, drho: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Eigenvectors (columns) of the symmetric logarithmic derivative L.
 
-
-def _identity_ordered_eigvecs(H: np.ndarray) -> np.ndarray:
-    """Eigenvectors of a Hermitian matrix, columns permuted and phased to
-    stay as close to the identity as possible (keeps the correction a
-    no-op for already-diagonal inputs)."""
-    _, U = np.linalg.eigh(H)
+    rho = frame diag(lam) frame^dag and ``drho`` is d rho written in the
+    eigenbasis, so rho L + L rho = 2 d rho gives
+    L_ij = 2 drho_ij / (lam_i + lam_j) there (zero where the denominator
+    vanishes).  The eigenvectors are returned in frame coordinates,
+    permuted and phased to stay as close to the identity as possible (a
+    no-op correction for an already-diagonal L).
+    """
+    den = lam[:, None] + lam[None, :]
+    L = np.divide(2.0 * drho, den, out=np.zeros_like(drho), where=den > 1e-300)
+    L = frame @ L @ frame.conj().T
+    _, U = np.linalg.eigh(0.5 * (L + L.conj().T))
     n = U.shape[0]
     order: list[int] = []
-    used: set[int] = set()
     for i in range(n):
-        for c in sorted(range(n), key=lambda c: -abs(U[i, c])):
-            if c not in used:
-                used.add(c)
-                order.append(c)
-                break
+        order.append(max((c for c in range(n) if c not in order), key=lambda c: abs(U[i, c])))
     U = U[:, order]
     for i in range(n):
         if abs(U[i, i]) > 1e-300:
@@ -262,30 +249,45 @@ def _coherence_rotation(R1: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> n
     occupations are handled correctly) gives the rotation angles needed to
     read out the coherence response.
     """
-    ns = C.shape[1]
-    if ns <= 1:
-        return np.eye(ns, dtype=complex)
     # Only the occupied output block matters; project with the first rows.
-    P = R1[:ns]
+    P = R1[: C.shape[1]]
     PC, PCp = P @ C, P @ C_prime
-    mid = (PC @ PC.conj().T + PCp @ PCp.conj().T) / 2.0
-    diff = PCp @ PCp.conj().T - PC @ PC.conj().T
-    rho_b = 0.5 * (mid + mid.conj().T)
-    diff_b = 0.5 * (diff + diff.conj().T)
-    lam, U = np.linalg.eigh(rho_b)
-    dt = U.conj().T @ diff_b @ U
-    den = lam[:, None] + lam[None, :]
-    L = np.divide(2.0 * dt, den, out=np.zeros_like(dt), where=den > 1e-300)
-    L = U @ L @ U.conj().T
-    return _identity_ordered_eigvecs(0.5 * (L + L.conj().T)).conj().T
+    rho = PC @ PC.conj().T
+    diff = PCp @ PCp.conj().T - rho
+    lam, U = np.linalg.eigh(rho + 0.5 * diff)
+    return _sld_eigenbasis(lam, U.conj().T @ diff @ U, U).conj().T
 
 
-def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> SynthesisResult:
-    """Construct the measurement that saturates the quantum bound for the pair.
+def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
+    """The measurement that saturates the QFI of rho = C C^dag along dC.
 
-    Requires at least as many collectors as sources.  Rank-deficient
-    aligned frames (coincident sources) are handled by the column pivoting
-    of the QR factorization; the pivot order is recorded.
+    This is the small-displacement limit of the pair construction, and it
+    depends on (C, dC) alone.  On the thin SVD C = U_r S V_r^dag (the rank
+    rule of fisher.qfi), the support rows are the eigenvectors of the
+    symmetric logarithmic derivative, L_ij = 2 (U_r^dag d rho U_r)_ij /
+    (s_i^2 + s_j^2) (Braunstein & Caves, PRL 72, 3439, 1994).  The kernel
+    rows are an orthonormal basis of ker C^dag: those ports are dark, and
+    through the 0/0 limit of fisher.cfi they carry the kernel term of the
+    QFI in any basis.
+    """
+    C = np.asarray(C, dtype=complex)
+    if C.shape != np.shape(dC):
+        raise ScenarioError(f"amplitude and derivative shapes differ: {C.shape} vs {np.shape(dC)}")
+    Ur, s, Vr = support_svd(C)
+    r = s.size
+    A = Ur.conj().T @ dC @ Vr
+    G = _sld_eigenbasis(s**2, A * s[None, :] + s[:, None] * A.conj().T, np.eye(r))
+    # Rows r: of Q^dag span ker C^dag; rows :r span the support and are replaced.
+    R = np.linalg.qr(Ur, mode="complete").Q.conj().T
+    R[:r] = G.conj().T @ Ur.conj().T
+    return Interferometer(R, Provenance.SYNTHESIZED)
+
+
+def _align(C: np.ndarray, C_prime: np.ndarray):
+    """Alignment stage of the pair construction (module docstring): (R1, A, B, D, pivots).
+
+    The columns of A, B and D are in the pivot order of a rank-revealing
+    QR of A, and the diagonal of R1 A is real and nonnegative.
     """
     C = np.asarray(C, dtype=complex)
     C_prime = np.asarray(C_prime, dtype=complex)
@@ -301,13 +303,24 @@ def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> Syn
     B = C_prime @ align.W
     # Rank-revealing QR; for a well-conditioned A the pivot order is the
     # identity because the aligned columns already come norm-sorted.
-    Q, _, piv = scipy.linalg.qr(A, mode="full", pivoting=True)
-    A = A[:, piv]
-    B = B[:, piv]
-    D = align.D[piv]
-    R1 = Q.conj().T
-    R1 = _phase_fix_rows(R1, R1 @ A, ns)
-    G = _coherence_rotation(R1, C, C_prime)
+    Q, T, piv = scipy.linalg.qr(A, mode="full", pivoting=True)
+    # Row phases that make the diagonal of R1 A = T real and nonnegative.
+    d = np.diagonal(T)
+    phases = np.ones(nc, dtype=complex)
+    phases[: d.size] = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)
+    return phases[:, None] * Q.conj().T, A[:, piv], B[:, piv], align.D[piv], piv
+
+
+def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> SynthesisResult:
+    """Construct the measurement that saturates the quantum bound for the pair.
+
+    Requires at least as many collectors as sources.  Rank-deficient
+    aligned frames (coincident sources) are handled by the column pivoting
+    of the QR factorization; the pivot order is recorded.
+    """
+    R1, A, B, D, piv = _align(C, C_prime)
+    ns = A.shape[1]
+    G = _coherence_rotation(R1, np.asarray(C), np.asarray(C_prime))
     R = np.vstack([G @ R1[:ns], R1[ns:]])
     return SynthesisResult(
         interferometer=Interferometer(R, Provenance.SYNTHESIZED),
@@ -328,16 +341,18 @@ def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> Syn
 
 @dataclass
 class SaturationReport:
-    """Structural and information-level checks for one synthesized pair.
+    """The optimal measurement for one direction and the theorem check.
 
-    ``qfi_estimate``, ``cfi_estimate`` and ``saturation_ratio`` are the
-    closed-form values of fisher.information_report for the returned
-    measurement at the base point, so ``cfi`` of
-    ``synthesis.interferometer`` reports the same numbers.  The quantum
-    and classical fidelities of the synthesis pair (r, r + a delta_theta)
-    are double-precision diagnostics.  Structural residuals
-    (triangularity, diagonal products, scalar-product preservation) refer
-    to the alignment stage.
+    ``interferometer`` is optimal_interferometer of (C, dC) at the base
+    point, independent of ``delta_theta``.  ``qfi_estimate``,
+    ``cfi_estimate`` and ``saturation_ratio`` are the closed-form values
+    of fisher.information_report for it, so ``cfi`` of ``interferometer``
+    reports the same numbers, and ``unitarity_residual`` is its
+    constructor's check.  The theorem check runs the alignment stage of
+    the pair construction on (r, r + a delta_theta): the triangularity,
+    diagonal-product and scalar-product residuals and the QR pivots refer
+    to it.  The quantum fidelity of the pair and its classical fidelity
+    behind ``interferometer`` are double-precision diagnostics.
     """
 
     delta_theta: float
@@ -353,14 +368,14 @@ class SaturationReport:
     scalar_product_residual: float
     pivoted: bool
     pivots: np.ndarray
-    synthesis: SynthesisResult
+    interferometer: Interferometer
     structure_ok: bool = field(init=False)
 
     def __post_init__(self):
         self.structure_ok = (
             self.unitarity_residual < UNITARITY_TOL
-            and self.lower_triangular_residual < UPPER_TRIANGULAR_TOL
-            and self.upper_triangular_residual < LOWER_TRIANGULAR_TOL
+            and self.lower_triangular_residual < LOWER_TRIANGULAR_TOL
+            and self.upper_triangular_residual < UPPER_TRIANGULAR_TOL
             and self.diagonal_product_residual < DIAGONAL_PRODUCT_TOL
         )
 
@@ -396,20 +411,15 @@ def verify_saturation(
     direction: GeneralizedCoordinate,
     delta_theta: float | None = None,
 ) -> SaturationReport:
-    """Synthesize the optimal measurement for (r, r + a dtheta) and check it.
+    """The optimal measurement for ``direction`` and its checks.
 
-    Asserting structure: R1 A upper-triangular, R1 B lower-triangular,
-    D_s = |a'(s,s)| |b'(s,s)|, scalar products preserved.  Asserting
-    information: the closed-form CFI of the synthesized measurement over
-    the QFI (fisher.information_report, with 0/0 defined as 1) lies in
-    [1 - 1e-5, 1 + 1e-6] for well-posed scenarios.
-
-    The synthesized measurement is exactly optimal only in the limit of
-    small displacements; when the ratio falls short of 1 by more than 1e-6
-    the step is divided by 8 (up to MAX_REFINEMENTS times) and the
-    measurement re-synthesized.  A zero or non-finite ``delta_theta``
-    synthesizes from an identical pair, which defines no measurement, and
-    raises ScenarioError.
+    Asserting information: the closed-form CFI of optimal_interferometer
+    over the QFI (fisher.information_report, with 0/0 defined as 1) lies
+    in [1 - 1e-5, 1 + 1e-6] for well-posed scenarios.  Asserting structure
+    (the theorem check, at the requested step): R1 A upper-triangular,
+    R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|, scalar products
+    preserved.  A zero or non-finite ``delta_theta`` gives an identical
+    pair, which defines no alignment, and raises ScenarioError.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
@@ -417,27 +427,10 @@ def verify_saturation(
         raise ScenarioError(
             f"synthesis displacement must be finite and nonzero, got {delta_theta}"
         )
-    report = _verify_once(scenario, direction, delta_theta)
-    for _ in range(MAX_REFINEMENTS):
-        if report.saturation_ratio >= 1.0 - 1e-6:
-            break
-        delta_theta /= 8.0
-        report = _verify_once(scenario, direction, delta_theta)
-    return report
-
-
-def _verify_once(
-    scenario: Scenario,
-    direction: GeneralizedCoordinate,
-    delta_theta: float,
-) -> SaturationReport:
-    C = build_amplitude_matrix(scenario)
+    C, dC = amplitude_and_derivative(scenario, direction)
     C_prime = build_amplitude_matrix(displace(scenario, direction, delta_theta))
-    syn = synthesize_optimal_interferometer(C, C_prime)
+    R1, A, B, D, piv = _align(C, C_prime)
     ns = scenario.n_sources
-
-    R1 = syn.alignment_unitary
-    A, B, D = syn.aligned_source_frame, syn.aligned_displaced_frame, syn.singular_values
     RA, RB = R1 @ A, R1 @ B
     lower_resid = float(np.max(np.abs(np.tril(RA, -1)))) if ns > 0 else 0.0
     upper_resid = float(np.max(np.abs(np.triu(RB, 1)))) if ns > 1 else 0.0
@@ -445,20 +438,21 @@ def _verify_once(
         np.max(np.abs(np.abs(np.diagonal(RA)[:ns] * np.diagonal(RB)[:ns]) - D))
     )
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
-    info = information_report(scenario, direction, syn.interferometer)
+    R = optimal_interferometer(C, dC)
+    info = information_report(scenario, direction, R)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=quantum_fidelity(overlap_matrix(C, C_prime)),
-        classical_fidelity=classical_fidelity(C, C_prime, syn.interferometer),
+        classical_fidelity=classical_fidelity(C, C_prime, R),
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,
-        unitarity_residual=syn.interferometer.unitarity_residual,
+        unitarity_residual=R.unitarity_residual,
         lower_triangular_residual=lower_resid,
         upper_triangular_residual=upper_resid,
         diagonal_product_residual=diag_resid,
         scalar_product_residual=scalar_resid,
-        pivoted=syn.pivoted,
-        pivots=syn.pivots,
-        synthesis=syn,
+        pivoted=bool(np.any(piv != np.arange(ns))),
+        pivots=np.asarray(piv),
+        interferometer=R,
     )

@@ -173,6 +173,13 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "aperture" in capsys.readouterr().err
 
 
+def test_missing_scenario_file_exits_2(tmp_path, capsys):
+    code = run_cli("qfi", "--scenario", str(tmp_path / "nope.scn"), "--direction", "separation-x")
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.scn" in err
+
+
 def test_bad_direction_exits_2(two_collector, capsys):
     code = run_cli("qfi", "--scenario", two_collector, "--direction", "diagonal-q")
     assert code == EXIT_VALIDATION

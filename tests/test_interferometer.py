@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitterfisher import (
     Collector,
@@ -15,6 +17,7 @@ from emitterfisher import (
     Scenario,
     ScenarioError,
     SourcePoint,
+    amplitude_and_derivative,
     beam_splitter_with_phase,
     build_amplitude_matrix,
     builtin_interferometer,
@@ -30,6 +33,7 @@ from emitterfisher import (
     interferometer_to_json,
     load_scenario,
     named_direction,
+    optimal_interferometer,
     overlap_matrix,
     qft_interferometer,
     quantum_fidelity,
@@ -178,7 +182,7 @@ def test_synthesized_two_collector_is_balanced_splitter():
     s = symmetric_pair(0.2)
     d = named_direction("separation-x", 2)
     report = verify_saturation(s, d)
-    R = report.synthesis.interferometer.matrix
+    R = report.interferometer.matrix
     np.testing.assert_allclose(np.abs(R), np.full((2, 2), 1 / math.sqrt(2)), atol=1e-9)
     assert RATIO_LO <= report.saturation_ratio <= RATIO_HI
 
@@ -189,7 +193,7 @@ def test_synthesized_four_collector_acts_like_qft():
     s = symmetric_pair(0.02, collectors=((3.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (-3.0, 0.0)))
     d = named_direction("separation-x", 2)
     report = verify_saturation(s, d)
-    R = report.synthesis.interferometer
+    R = report.interferometer
     C = build_amplitude_matrix(s)
     np.testing.assert_allclose(
         detection_probabilities(C, R),
@@ -214,7 +218,7 @@ def test_single_source_any_geometry_saturates():
         report = verify_saturation(s, d)
         assert RATIO_LO <= report.saturation_ratio <= RATIO_HI
         # First output mode carries all the light at the base point.
-        p = detection_probabilities(build_amplitude_matrix(s), report.synthesis.interferometer)
+        p = detection_probabilities(build_amplitude_matrix(s), report.interferometer)
         assert p[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -252,17 +256,65 @@ def test_coincident_sources_fall_back_gracefully():
 
 
 def test_parameter_independent_magnitude_pattern():
-    # Paraxial two-source separation: the synthesized mode magnitudes do
-    # not depend on the displacement used to build the measurement.
+    # Paraxial two-source separation: the optimal mode magnitudes do not
+    # depend on the displacement of the theorem check.
     s = symmetric_pair(0.1, collectors=((3.0, 0.0), (1.0, 0.0), (-1.0, 0.0), (-3.0, 0.0)))
     d = named_direction("separation-x", 2)
     r1 = verify_saturation(s, d, delta_theta=2e-3)
     r2 = verify_saturation(s, d, delta_theta=2e-3 / 3)
-    np.testing.assert_allclose(
-        np.abs(r1.synthesis.interferometer.matrix),
-        np.abs(r2.synthesis.interferometer.matrix),
-        atol=1e-5,
+    np.testing.assert_array_equal(
+        np.abs(r1.interferometer.matrix), np.abs(r2.interferometer.matrix)
     )
+
+
+def test_optimal_measurement_is_step_free():
+    # The returned measurement comes from (C, dC) alone: bit-identical for
+    # any step of the theorem check, and equal to optimal_interferometer.
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        s = random_scenario(rng)
+        d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * s.n_sources))
+        R = verify_saturation(s, d).interferometer.matrix
+        other_step = verify_saturation(s, d, delta_theta=-3e-6).interferometer.matrix
+        np.testing.assert_array_equal(other_step, R)
+        direct = optimal_interferometer(*amplitude_and_derivative(s, d)).matrix
+        np.testing.assert_array_equal(direct, R)
+
+
+def test_verify_saturation_builds_one_interferometer(monkeypatch):
+    # One O(N_C^3) unitarity check per call: the theorem check builds none.
+    built = []
+    check = Interferometer.__post_init__
+
+    def counted_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Interferometer, "__post_init__", counted_check)
+    s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    verify_saturation(s, named_direction("separation-x", 2))
+    assert len(built) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 4),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+    coincident=st.booleans(),
+)
+def test_step_free_saturation_property(seed, ns, mode, coincident):
+    # CFI / QFI of the optimal measurement is 1 to rounding, also where two
+    # sources coincide and C loses rank.
+    rng = np.random.default_rng(seed)
+    nc = int(rng.integers(ns, 9))
+    sources = [SourcePoint(*rng.normal(0, 0.5, 3), weight=w) for w in rng.uniform(0.5, 1.5, ns)]
+    if coincident and ns > 1:
+        sources[1] = SourcePoint(sources[0].x, sources[0].y, sources[0].z, weight=sources[1].weight)
+    s = Scenario(tuple(sources), tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(nc)),
+                 k=1.0, z0=100.0, mode=mode)
+    d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+    assert abs(verify_saturation(s, d).saturation_ratio - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +375,19 @@ def test_saturation_ratio_is_the_closed_form_ratio():
         cases.append((s, GeneralizedCoordinate.from_tangent(rng.normal(size=3 * s.n_sources))))
     for s, d in cases:
         report = verify_saturation(s, d)
-        info = information_report(s, d, report.synthesis.interferometer)
+        info = information_report(s, d, report.interferometer)
         assert report.saturation_ratio == pytest.approx(info.saturation_ratio, rel=1e-12)
         assert report.qfi_estimate == pytest.approx(info.qfi, rel=1e-12)
         assert report.cfi_estimate == pytest.approx(info.cfi, rel=1e-12)
 
 
-def test_saturation_refines_ill_conditioned_wide_aperture():
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 101])
+def test_saturation_step_free_on_ill_conditioned_wide_aperture(seed):
     # Eight sources seen through the N_C = 317 disc (sigma_min / sigma_max
-    # ~ 1e-10): at the default step the synthesized measurement reaches
-    # only 0.99996 of the QFI, so the step must be refined until the CFI
-    # of the returned measurement is in band.
-    rng = np.random.default_rng(101)
+    # ~ 1e-10): a measurement synthesized from a displaced pair reaches only
+    # 0.99996 of the QFI at the default step; the step-free one reaches it
+    # to rounding.
+    rng = np.random.default_rng(seed)
     pair = load_scenario(bundled_scenario_path("two_collector.scn"))
     sources = tuple(
         SourcePoint(*rng.normal(0, 0.2, 3), weight=w) for w in rng.uniform(0.5, 1.5, 8)
@@ -342,9 +395,9 @@ def test_saturation_refines_ill_conditioned_wide_aperture():
     s = Scenario(sources, disc_collector_grid(0.1), pair.k, pair.z0, pair.mode)
     d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * 8))
     report = verify_saturation(s, d)
-    info = information_report(s, d, report.synthesis.interferometer)
+    info = information_report(s, d, report.interferometer)
     assert report.saturation_ratio == pytest.approx(info.saturation_ratio, rel=1e-12)
-    assert RATIO_LO <= report.saturation_ratio <= RATIO_HI
+    assert abs(report.saturation_ratio - 1.0) < 1e-10
 
 
 def test_saturation_sweep_smoke():
