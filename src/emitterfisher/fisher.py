@@ -239,6 +239,23 @@ def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
     return _drop_rounding(4.0 * float(value), C, dC)
 
 
+def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> float:
+    """sum_q (dp_q)^2 / p_q behind R, with dp = 2 Re sum_s conj(R C) (R dC).
+
+    A dark port (p_q <= DARK_P) contributes the 0/0 limit
+    4 sum_s |(R dC)_{qs}|^2.
+    """
+    R = _as_matrix(R, C.shape[0])
+    RC, RdC = R @ C, R @ dC
+    p = (np.abs(RC) ** 2).sum(axis=1)
+    dark = p <= DARK_P
+    dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=1)
+    terms = np.where(
+        dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=1), dp**2 / np.where(dark, 1.0, p)
+    )
+    return _drop_rounding(float(terms.sum()), C, dC)
+
+
 def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
     """Quantum Fisher information of the parameter attached to ``direction``.
 
@@ -254,34 +271,26 @@ def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
 def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
     """Classical Fisher information of photon counting behind interferometer R.
 
-    Sums (dp_q)^2 / p_q with dp = 2 Re sum_s conj(R C) (R dC).  A dark port
-    (p_q <= DARK_P) contributes the 0/0 limit 4 sum_s |(R dC)_{qs}|^2.  A
-    value at the rounding level of ||dC||^2 is reported as exactly 0.0.
+    Closed form in R C and R dC (see _cfi_value).  A value at the rounding
+    level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    R = _as_matrix(R, C.shape[0])
-    RC, RdC = R @ C, R @ dC
-    p = (np.abs(RC) ** 2).sum(axis=1)
-    dark = p <= DARK_P
-    dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=1)
-    terms = np.where(
-        dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=1), dp**2 / np.where(dark, 1.0, p)
-    )
-    return _report(direction, cfi=_drop_rounding(float(terms.sum()), C, dC))
+    return _report(direction, cfi=_cfi_value(C, dC, R))
+
+
+def information_from_amplitudes(
+    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R
+) -> FisherReport:
+    """Joint qfi and cfi report from C and dC = amplitude_and_derivative(scenario, direction)."""
+    return _report(direction, qfi=_qfi_value(C, dC), cfi=_cfi_value(C, dC, R))
 
 
 def information_report(
     scenario: Scenario, direction: GeneralizedCoordinate, R
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
-    q = qfi(scenario, direction)
-    c = cfi(scenario, direction, R)
-    return FisherReport(
-        direction=direction,
-        qfi=q.qfi,
-        cfi=c.cfi,
-        converged=q.converged and c.converged,
-    )
+    C, dC = amplitude_and_derivative(scenario, direction)
+    return information_from_amplitudes(direction, C, dC, R)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -35,6 +36,11 @@ import yaml
 PARAXIAL_SCALE_WARN = 0.1
 # Per-column normalization tolerance used by the self checks.
 COLUMN_NORM_TOL = 1e-12
+# Scenario files go through libyaml when PyYAML was built with it.  The C
+# classes share the pure-Python SafeConstructor, resolver and representer,
+# so they read the same data and write the same text, only faster.
+SCENARIO_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+SCENARIO_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 
 
 class ScenarioError(ValueError):
@@ -89,7 +95,9 @@ class Collector:
 class Scenario:
     """Full problem instance: sources, collectors, wavenumber, reference distance.
 
-    Source weights are normalized to sum to one on construction.  In
+    Source weights are normalized to sum to one on construction; weights
+    that already sum to one within rounding are kept as they are, so a
+    saved and reloaded scenario is equal to the original.  In
     paraxial mode a warning is emitted when the geometry is too large
     relative to z0 for the approximation to be trustworthy.
     """
@@ -114,8 +122,9 @@ class Scenario:
         mode = Mode(self.mode)
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "z0", float(self.z0))
-        total = sum(s.weight for s in sources)
-        sources = tuple(replace(s, weight=s.weight / total) for s in sources)
+        total = math.fsum(s.weight for s in sources)
+        if abs(total - 1.0) > len(sources) * np.finfo(float).eps:
+            sources = tuple(replace(s, weight=s.weight / total) for s in sources)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "collectors", collectors)
         object.__setattr__(self, "mode", mode)
@@ -437,7 +446,7 @@ def load_scenario(path) -> Scenario:
     """Load a scenario from a YAML key-value file (.scn)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=SCENARIO_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ScenarioError(f"cannot load scenario file {path}: {exc}") from exc
     return scenario_from_dict(data)
@@ -445,7 +454,7 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
+        yaml.dump(scenario_to_dict(scenario), fh, Dumper=SCENARIO_DUMPER, sort_keys=False)
 
 
 def scenario_digest(scenario: Scenario) -> str:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .fisher import (
     UNITARITY_TOL,
@@ -35,7 +34,7 @@ from .fisher import (
     Provenance,
     cfi,
     classical_fidelity,
-    information_report,
+    information_from_amplitudes,
     overlap_matrix,
     quantum_fidelity,
     support_svd,
@@ -301,6 +300,9 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
     align = svd_alignment(C.conj().T @ C_prime)
     A = C @ align.V
     B = C_prime @ align.W
+    # Imported here: scipy is the slowest import of the package and this is its only use.
+    import scipy.linalg
+
     # Rank-revealing QR; for a well-conditioned A the pivot order is the
     # identity because the aligned columns already come norm-sorted.
     Q, T, piv = scipy.linalg.qr(A, mode="full", pivoting=True)
@@ -439,7 +441,7 @@ def verify_saturation(
     )
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
     R = optimal_interferometer(C, dC)
-    info = information_report(scenario, direction, R)
+    info = information_from_amplitudes(direction, C, dC, R)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=quantum_fidelity(overlap_matrix(C, C_prime)),

@@ -1,14 +1,20 @@
 """Command-line interface tests: commands, exit codes, result documents."""
 
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emitterfisher
 from emitterfisher import bundled_scenario_path, bundled_scenarios, identity_interferometer
 from emitterfisher import interferometer_to_json
-from emitterfisher.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from emitterfisher.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
 def run_cli(*argv):
@@ -178,6 +184,49 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nope.scn" in err
+
+
+def test_yaml_syntax_error_exits_2(tmp_path, capsys):
+    bad = tmp_path / "broken.scn"
+    bad.write_text("mode: paraxial\nk: [1.0\n")
+    code = run_cli("qfi", "--scenario", str(bad), "--direction", "x")
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot load scenario file {bad}")
+
+
+def test_parser_built_once_per_process(two_collector, monkeypatch, tmp_path):
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        for name in ("a.json", "b.json"):
+            assert run_cli("qfi", "--scenario", two_collector, "--direction", "separation-x",
+                           "--out", str(tmp_path / name)) == EXIT_OK
+        # One top-level parser (plus one per subcommand), for both calls.
+        assert constructed.count("emitterfisher") == 1
+    finally:
+        build_parser.cache_clear()
+
+
+def test_subprocess_document_matches_in_process(two_collector, capsys):
+    # `python -m emitterfisher.cli` goes through a fresh interpreter's
+    # imports, which in-process calls never see; its document is the same.
+    argv = ["qfi", "--scenario", two_collector, "--direction", "separation-x"]
+    src = str(Path(emitterfisher.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-m", "emitterfisher.cli", *argv], env=env,
+                           capture_output=True, text=True)
+    assert child.returncode == EXIT_OK, child.stderr
+    assert run_cli(*argv) == EXIT_OK
+    in_process = capsys.readouterr().out
+    assert child.stdout == in_process
+    assert json.loads(child.stdout)["scenario_digest"] == json.loads(in_process)["scenario_digest"]
 
 
 def test_bad_direction_exits_2(two_collector, capsys):

@@ -544,14 +544,38 @@ def test_fisher_does_not_import_interferometer():
     assert not any(name and name.endswith("interferometer") for name in imported)
 
 
-def test_import_does_not_load_mpmath():
-    # mpmath is a test dependency: only the _precision oracle uses it.
+def _loaded_after_import(module: str) -> bool:
+    """Whether importing emitterfisher and its CLI loads ``module``, in a fresh interpreter."""
     src = str(Path(emitterfisher.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, emitterfisher, emitterfisher.cli; print('mpmath' in sys.modules)"
+    code = f"import sys, emitterfisher, emitterfisher.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is a test dependency: only the _precision oracle uses it.
+    assert not _loaded_after_import("mpmath")
+
+
+def test_import_does_not_load_scipy():
+    # scipy is the slowest import; only the theorem check's pivoted QR needs it.
+    assert not _loaded_after_import("scipy")
+
+
+def test_information_report_equals_separate_values():
+    # One (C, dC) for both values gives bit for bit what qfi and cfi give alone.
+    rng = np.random.default_rng(8)
+    for mode in (Mode.PARAXIAL, Mode.EXACT):
+        for ns, nc in ((1, 3), (2, 2), (3, 6)):
+            s = random_scenario(rng, ns=ns, nc=nc, mode=mode)
+            d = random_direction(rng, ns)
+            R = unitary_group.rvs(nc, random_state=int(rng.integers(1 << 30)))
+            rep = information_report(s, d, R)
+            assert rep.qfi == qfi(s, d).qfi
+            assert rep.cfi == cfi(s, d, R).cfi
+            assert rep.converged
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitterfisher import (
     Collector,
@@ -16,12 +19,14 @@ from emitterfisher import (
     amplitude,
     amplitude_and_derivative,
     build_amplitude_matrix,
+    bundled_scenarios,
     displace,
     load_scenario,
     named_direction,
     save_scenario,
     scenario_digest,
 )
+from emitterfisher import geometry
 from emitterfisher.geometry import scenario_from_dict
 
 COLUMN_TOL = 1e-12
@@ -280,6 +285,79 @@ def test_paraxial_scale_warning():
 def test_scenario_file_round_trip(tmp_path):
     s = make_scenario([(0.1, 0.2, -0.3), (-0.1, 0, 0)], [(5, 0), (-5, 1)], k=2.0, z0=80.0)
     path = tmp_path / "roundtrip.scn"
+    save_scenario(s, path)
+    loaded = load_scenario(path)
+    assert loaded == s
+    assert scenario_digest(loaded) == scenario_digest(s)
+
+
+# Coordinates from 1e-9 to 1e3 in magnitude, either sign, and zero.
+_coordinate = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent, mantissa: sign * mantissa * 10.0**exponent,
+              st.sampled_from((-1.0, 1.0)), st.integers(-9, 2), st.floats(1.0, 10.0)),
+)
+_positive = st.floats(1e-9, 1e3)
+_scenario_dicts = st.fixed_dictionaries({
+    "mode": st.sampled_from(("paraxial", "exact")),
+    "k": _positive,
+    "z0": _positive,
+    "sources": st.lists(st.fixed_dictionaries({
+        "x": _coordinate, "y": _coordinate, "z": _coordinate, "weight": _positive,
+    }), min_size=1, max_size=5),
+    "collectors": st.lists(st.fixed_dictionaries({"u": _coordinate, "v": _coordinate}),
+                           min_size=1, max_size=40),
+})
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_scenario_yaml_classes_match_pure_python_bundled(name):
+    # The module's (libyaml, where available) loader and dumper agree with
+    # PyYAML's pure-Python reference on the bundled files.
+    text = bundled_scenarios()[name].read_text(encoding="utf-8")
+    data = yaml.load(text, Loader=geometry.SCENARIO_LOADER)
+    assert data == yaml.load(text, Loader=yaml.SafeLoader)
+    dumped = yaml.dump(data, Dumper=geometry.SCENARIO_DUMPER, sort_keys=False)
+    assert dumped == yaml.safe_dump(data, sort_keys=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_scenario_dicts)
+def test_scenario_yaml_classes_match_pure_python(data):
+    text = yaml.dump(data, Dumper=geometry.SCENARIO_DUMPER, sort_keys=False)
+    assert text == yaml.safe_dump(data, sort_keys=False)
+    loaded = yaml.load(text, Loader=geometry.SCENARIO_LOADER)
+    assert loaded == yaml.load(text, Loader=yaml.SafeLoader) == data
+
+
+def test_scenario_file_pure_python_fallback(monkeypatch, tmp_path):
+    # PyYAML built without libyaml: the pure-Python classes read and write
+    # the same scenarios.
+    path = bundled_scenarios()["four_collector.scn"]
+    expected = load_scenario(path)
+    monkeypatch.setattr(geometry, "SCENARIO_LOADER", yaml.SafeLoader)
+    monkeypatch.setattr(geometry, "SCENARIO_DUMPER", yaml.SafeDumper)
+    assert load_scenario(path) == expected
+    save_scenario(expected, tmp_path / "fallback.scn")
+    assert load_scenario(tmp_path / "fallback.scn") == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=5),
+    data=st.data(),
+)
+def test_scenario_save_load_round_trip_property(weights, data, tmp_path_factory):
+    # Normalized weights are kept as they are, so save -> load is lossless.
+    xs = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(weights), max_size=len(weights)))
+    s = Scenario(
+        sources=tuple(SourcePoint(x, -x, 0.5 * x, weight=w) for x, w in zip(xs, weights)),
+        collectors=(Collector(3.0, 0.5), Collector(-2.0, 1.0)),
+        k=1.0,
+        z0=100.0,
+        mode=Mode.EXACT,
+    )
+    path = tmp_path_factory.mktemp("round_trip") / "s.scn"
     save_scenario(s, path)
     loaded = load_scenario(path)
     assert loaded == s

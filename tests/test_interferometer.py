@@ -296,6 +296,30 @@ def test_verify_saturation_builds_one_interferometer(monkeypatch):
     assert len(built) == 1
 
 
+def test_verify_saturation_builds_amplitudes_once(monkeypatch):
+    # The Fisher values come from verify_saturation's own (C, dC) and equal,
+    # bit for bit, what information_report gives for the returned measurement.
+    import emitterfisher.fisher as fisher_mod
+    import emitterfisher.interferometer as itf_mod
+
+    s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    d = named_direction("separation-z", 2)
+    builds = []
+
+    def counted(scenario, direction):
+        builds.append(direction)
+        return amplitude_and_derivative(scenario, direction)
+
+    monkeypatch.setattr(fisher_mod, "amplitude_and_derivative", counted)
+    monkeypatch.setattr(itf_mod, "amplitude_and_derivative", counted)
+    report = verify_saturation(s, d)
+    assert len(builds) == 1
+    monkeypatch.undo()
+    info = information_report(s, d, report.interferometer)
+    assert (report.qfi_estimate, report.cfi_estimate, report.saturation_ratio) == (
+        info.qfi, info.cfi, info.saturation_ratio)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
