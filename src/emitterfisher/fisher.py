@@ -10,7 +10,8 @@ fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
 numbers the package reports: interferometer.verify_saturation takes the
 saturation ratio of its step-free optimal measurement from
-information_report as well.
+information_from_amplitudes, the form of information_report that takes
+an already built (C, dC).
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
