@@ -25,7 +25,6 @@ from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
-    build_amplitude_matrix,
     load_scenario,
     named_direction,
     scenario_digest,
@@ -87,11 +86,9 @@ def cmd_cfi(args, scenario, direction):
 
 def cmd_design(args, scenario, direction):
     saturation = itf.verify_saturation(scenario, direction)
-    designed = saturation.interferometer
-    probabilities = fisher.detection_probabilities(build_amplitude_matrix(scenario), designed)
     return {
-        "interferometer": json.loads(itf.interferometer_to_json(designed)),
-        "probabilities": probabilities.tolist(),
+        "interferometer": json.loads(itf.interferometer_to_json(saturation.interferometer)),
+        "probabilities": saturation.probabilities.tolist(),
         "saturation_ratio": saturation.saturation_ratio,
     }, True
 

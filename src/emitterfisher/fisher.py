@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -419,12 +418,7 @@ def _fd_quadratic_form(scenario: Scenario, tangent: np.ndarray) -> float:
     return qfi(scenario, GeneralizedCoordinate.from_tangent(tangent)).qfi
 
 
-def qfi_matrix_consistency(
-    scenario: Scenario,
-    target: ParaxialTarget,
-    *,
-    entries: Sequence[tuple[int, int]] | None = None,
-) -> ConsistencyReport:
+def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> ConsistencyReport:
     """Compare the paraxial closed form against the general qfi engine.
 
     Diagonal entries come from single-direction qfi values (reported as
@@ -440,32 +434,16 @@ def qfi_matrix_consistency(
             f"scenario has {scenario.n_sources}"
         )
     closed = paraxial_qfi_matrix(scenario.collectors, scenario.k, scenario.z0, target)
-    fd = np.full((3, 3), np.nan)
-    wanted = list(entries) if entries is not None else [
-        (a, b) for a in range(3) for b in range(a, 3)
-    ]
-    diag_cache: dict[int, float] = {}
-
-    def diag(axis: int) -> float:
-        if axis not in diag_cache:
-            diag_cache[axis] = _fd_quadratic_form(scenario, _tangent_for(target, axis))
-        return diag_cache[axis]
-
-    for a, b in wanted:
-        if a == b:
-            fd[a, a] = diag(a)
-        else:
-            combo = _fd_quadratic_form(
-                scenario, _tangent_for(target, a) + _tangent_for(target, b)
-            )
-            fd[a, b] = fd[b, a] = 0.5 * (combo - diag(a) - diag(b))
+    fd = np.diag([_fd_quadratic_form(scenario, _tangent_for(target, a)) for a in range(3)])
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        combo = _fd_quadratic_form(scenario, _tangent_for(target, a) + _tangent_for(target, b))
+        fd[a, b] = fd[b, a] = 0.5 * (combo - fd[a, a] - fd[b, b])
     # Entries far below the dominant one are held to an absolute standard
     # of 1e-3 * scale so that exact zeros do not produce spurious relative
     # errors from round-off.
     scale = np.max(np.abs(closed))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-3 * scale)
-    rel[np.isnan(fd)] = np.nan
     return ConsistencyReport(
         target=target, closed_form=closed, finite_difference=fd, relative_errors=rel
     )

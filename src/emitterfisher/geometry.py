@@ -447,7 +447,9 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=SCENARIO_LOADER)
-    except (OSError, yaml.YAMLError) as exc:
+    # PyYAML's constructors raise plain ValueError, LookupError or
+    # AttributeError for a tagged scalar they cannot read (``k: !!float``).
+    except (OSError, yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
         raise ScenarioError(f"cannot load scenario file {path}: {exc}") from exc
     return scenario_from_dict(data)
 

@@ -9,11 +9,14 @@ C^dag, dark ports that capture the response leaking out of the support.
 
 The paper's finite-pair construction from C(r) and C(r') is kept as the
 theorem check.  Alignment: the SVD V^dag M W = D of M = C^dag C' defines
-biorthogonal frames A = C V and B = C' W (A^dag B = D); a full QR of A
-yields a unitary R1 with R1 A upper-triangular, which forces R1 B
-lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the diagonals.
-synthesize_optimal_interferometer adds a rotation of the first N_S
-output modes of R1 into the support eigenbasis of the SLD of the pair.
+biorthogonal frames A = C V and B = C' W (A^dag B = D); an economic QR of
+A yields the N_S occupied output rows P with P A upper-triangular, which
+forces P B lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the
+diagonals.  The other N_C - N_S output modes carry no light of either
+frame, so the check reads P alone.  synthesize_optimal_interferometer
+rotates P into the support eigenbasis of the SLD of the pair.  Both
+optimal measurements complete their support rows with the same dark
+ports construction (_with_dark_ports).
 
 The Interferometer type and its unitarity check live in fisher, which
 imports nothing from this module; they are re-exported here.
@@ -33,10 +36,8 @@ from .fisher import (
     NumericalError,
     Provenance,
     cfi,
-    classical_fidelity,
+    detection_probabilities,
     information_from_amplitudes,
-    overlap_matrix,
-    quantum_fidelity,
     support_svd,
 )
 from .geometry import (
@@ -195,12 +196,13 @@ class SynthesisResult:
     """Outcome of synthesize_optimal_interferometer.
 
     ``interferometer`` is the full measurement (alignment + coherence
-    rotation); ``alignment_unitary`` is the triangularizing stage R1 with
-    R1 @ aligned_source_frame upper-triangular and
-    R1 @ aligned_displaced_frame lower-triangular.  ``pivots`` records the
-    column order used by the rank-revealing QR (identity order for well-
-    conditioned frames).  ``coherence_rotation`` is the N_S x N_S unitary
-    applied to the first N_S rows of R1; the other rows of R are R1's.
+    rotation); ``alignment_unitary`` is the triangularizing stage R1: the
+    occupied rows P of the alignment, with P @ aligned_source_frame
+    upper-triangular and P @ aligned_displaced_frame lower-triangular,
+    followed by the dark ports of R.  ``pivots`` records the column order
+    used by the rank-revealing QR (identity order for well-conditioned
+    frames).  ``coherence_rotation`` is the N_S x N_S unitary applied to
+    the first N_S rows of R1; the other rows of R are R1's.
     """
 
     interferometer: Interferometer
@@ -238,18 +240,17 @@ def _sld_eigenbasis(lam: np.ndarray, drho: np.ndarray, frame: np.ndarray) -> np.
     return U
 
 
-def _coherence_rotation(R1: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> np.ndarray:
-    """N_S x N_S unitary on the first N_S output modes of R1 that
-    diagonalizes the support block of the symmetric logarithmic derivative.
+def _coherence_rotation(P: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> np.ndarray:
+    """N_S x N_S unitary on the occupied output modes P of the alignment
+    that diagonalizes the support block of the symmetric logarithmic
+    derivative.
 
-    In the R1 output frame the mid-pair photon state is nearly diagonal on
-    the first N_S modes.  Solving rho L + L rho = 2 (sigma - rho) on that
-    block (in the exact eigenbasis of the block, so nearly degenerate
-    occupations are handled correctly) gives the rotation angles needed to
-    read out the coherence response.
+    In the P output frame the mid-pair photon state is nearly diagonal.
+    Solving rho L + L rho = 2 (sigma - rho) on that block (in the exact
+    eigenbasis of the block, so nearly degenerate occupations are handled
+    correctly) gives the rotation angles needed to read out the coherence
+    response.
     """
-    # Only the occupied output block matters; project with the first rows.
-    P = R1[: C.shape[1]]
     PC, PCp = P @ C, P @ C_prime
     rho = PC @ PC.conj().T
     diff = PCp @ PCp.conj().T - rho
@@ -276,17 +277,29 @@ def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
     r = s.size
     A = Ur.conj().T @ dC @ Vr
     G = _sld_eigenbasis(s**2, A * s[None, :] + s[:, None] * A.conj().T, np.eye(r))
-    # Rows r: of Q^dag span ker C^dag; rows :r span the support and are replaced.
-    R = np.linalg.qr(Ur, mode="complete").Q.conj().T
-    R[:r] = G.conj().T @ Ur.conj().T
+    return _with_dark_ports(Ur, G.conj().T @ Ur.conj().T)
+
+
+def _with_dark_ports(basis: np.ndarray, support_rows: np.ndarray) -> Interferometer:
+    """The measurement with ``support_rows`` first and dark ports after them.
+
+    ``basis`` has orthonormal columns spanning the row space of
+    ``support_rows``.  In Q^dag of its complete QR the rows past the
+    first basis.shape[1] span the orthogonal complement, ports that stay
+    dark at the base point; the first rows span the support and are
+    replaced.
+    """
+    R = np.linalg.qr(basis, mode="complete").Q.conj().T
+    R[: support_rows.shape[0]] = support_rows
     return Interferometer(R, Provenance.SYNTHESIZED)
 
 
 def _align(C: np.ndarray, C_prime: np.ndarray):
-    """Alignment stage of the pair construction (module docstring): (R1, A, B, D, pivots).
+    """Alignment stage of the pair construction (module docstring): (P, A, B, D, pivots).
 
-    The columns of A, B and D are in the pivot order of a rank-revealing
-    QR of A, and the diagonal of R1 A is real and nonnegative.
+    P holds the N_S occupied output rows (orthonormal, N_S x N_C).  The
+    columns of A, B and D are in the pivot order of a rank-revealing QR
+    of A, and the diagonal of P A is real and nonnegative.
     """
     C = np.asarray(C, dtype=complex)
     C_prime = np.asarray(C_prime, dtype=complex)
@@ -305,11 +318,10 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
 
     # Rank-revealing QR; for a well-conditioned A the pivot order is the
     # identity because the aligned columns already come norm-sorted.
-    Q, T, piv = scipy.linalg.qr(A, mode="full", pivoting=True)
-    # Row phases that make the diagonal of R1 A = T real and nonnegative.
+    Q, T, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    # Row phases that make the diagonal of P A = T real and nonnegative.
     d = np.diagonal(T)
-    phases = np.ones(nc, dtype=complex)
-    phases[: d.size] = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)
+    phases = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)
     return phases[:, None] * Q.conj().T, A[:, piv], B[:, piv], align.D[piv], piv
 
 
@@ -320,13 +332,13 @@ def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> Syn
     aligned frames (coincident sources) are handled by the column pivoting
     of the QR factorization; the pivot order is recorded.
     """
-    R1, A, B, D, piv = _align(C, C_prime)
+    P, A, B, D, piv = _align(C, C_prime)
     ns = A.shape[1]
-    G = _coherence_rotation(R1, np.asarray(C), np.asarray(C_prime))
-    R = np.vstack([G @ R1[:ns], R1[ns:]])
+    G = _coherence_rotation(P, np.asarray(C), np.asarray(C_prime))
+    R = _with_dark_ports(P.conj().T, G @ P)
     return SynthesisResult(
-        interferometer=Interferometer(R, Provenance.SYNTHESIZED),
-        alignment_unitary=R1,
+        interferometer=R,
+        alignment_unitary=np.vstack([P, R.matrix[ns:]]),
         aligned_source_frame=A,
         aligned_displaced_frame=B,
         singular_values=D,
@@ -353,8 +365,11 @@ class SaturationReport:
     constructor's check.  The theorem check runs the alignment stage of
     the pair construction on (r, r + a delta_theta): the triangularity,
     diagonal-product and scalar-product residuals and the QR pivots refer
-    to it.  The quantum fidelity of the pair and its classical fidelity
+    to it.  The quantum fidelity of the pair (the trace norm of C^dag C',
+    the sum of the alignment's singular values) and its classical fidelity
     behind ``interferometer`` are double-precision diagnostics.
+    ``probabilities`` are the detection probabilities behind
+    ``interferometer`` at the base point; they stay out of ``to_dict``.
     """
 
     delta_theta: float
@@ -371,6 +386,7 @@ class SaturationReport:
     pivoted: bool
     pivots: np.ndarray
     interferometer: Interferometer
+    probabilities: np.ndarray
     structure_ok: bool = field(init=False)
 
     def __post_init__(self):
@@ -431,21 +447,19 @@ def verify_saturation(
         )
     C, dC = amplitude_and_derivative(scenario, direction)
     C_prime = build_amplitude_matrix(displace(scenario, direction, delta_theta))
-    R1, A, B, D, piv = _align(C, C_prime)
-    ns = scenario.n_sources
-    RA, RB = R1 @ A, R1 @ B
-    lower_resid = float(np.max(np.abs(np.tril(RA, -1)))) if ns > 0 else 0.0
-    upper_resid = float(np.max(np.abs(np.triu(RB, 1)))) if ns > 1 else 0.0
-    diag_resid = float(
-        np.max(np.abs(np.abs(np.diagonal(RA)[:ns] * np.diagonal(RB)[:ns]) - D))
-    )
+    P, A, B, D, piv = _align(C, C_prime)
+    PA, PB = P @ A, P @ B
+    lower_resid = float(np.max(np.abs(np.tril(PA, -1))))
+    upper_resid = float(np.max(np.abs(np.triu(PB, 1))))
+    diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
     R = optimal_interferometer(C, dC)
     info = information_from_amplitudes(direction, C, dC, R)
+    p = detection_probabilities(C, R)
     return SaturationReport(
         delta_theta=delta_theta,
-        quantum_fidelity=quantum_fidelity(overlap_matrix(C, C_prime)),
-        classical_fidelity=classical_fidelity(C, C_prime, R),
+        quantum_fidelity=float(D.sum()),
+        classical_fidelity=float(np.sqrt(p * detection_probabilities(C_prime, R)).sum()),
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,
@@ -454,7 +468,8 @@ def verify_saturation(
         upper_triangular_residual=upper_resid,
         diagonal_product_residual=diag_resid,
         scalar_product_residual=scalar_resid,
-        pivoted=bool(np.any(piv != np.arange(ns))),
+        pivoted=bool(np.any(piv != np.arange(scenario.n_sources))),
         pivots=np.asarray(piv),
         interferometer=R,
+        probabilities=p,
     )

@@ -194,6 +194,41 @@ def test_yaml_syntax_error_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot load scenario file {bad}")
 
 
+@pytest.mark.parametrize("value", ["!!float", "!!int abc", "!!bool", "!!timestamp x"])
+def test_unreadable_tagged_value_exits_2(value, tmp_path, capsys):
+    # PyYAML's constructor raises IndexError, ValueError, KeyError or
+    # AttributeError for these, not a YAMLError.
+    bad = tmp_path / "tagged.scn"
+    bad.write_text(
+        f"mode: paraxial\nk: {value}\nz0: 100.0\n"
+        "sources:\n  - {x: 0, y: 0, z: 0}\ncollectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n"
+    )
+    code = run_cli("qfi", "--scenario", str(bad), "--direction", "x")
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: cannot load scenario file {bad}")
+
+
+def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path):
+    # The design document's probabilities come from verify_saturation's C:
+    # one build at the base point, one at the displaced point of the check.
+    import emitterfisher.geometry as geometry_mod
+
+    path = bundled_scenario_path("four_collector.scn")
+    base = emitterfisher.load_scenario(path).source_positions()
+    builds = []
+    raw = geometry_mod._raw_amplitudes
+
+    def counted(uv, xyz, *args):
+        builds.append(np.array_equal(xyz, base))
+        return raw(uv, xyz, *args)
+
+    monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
+    assert run_cli("design", "--scenario", str(path), "--direction", "separation-x",
+                   "--out", str(tmp_path / "design.json")) == EXIT_OK
+    assert builds.count(True) == 1
+    assert len(builds) == 2
+
+
 def test_parser_built_once_per_process(two_collector, monkeypatch, tmp_path):
     constructed = []
     init = argparse.ArgumentParser.__init__

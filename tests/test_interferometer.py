@@ -33,11 +33,14 @@ from emitterfisher import (
     load_scenario,
     named_direction,
     optimal_interferometer,
+    overlap_matrix,
     qft_interferometer,
+    quantum_fidelity,
     svd_alignment,
     synthesize_optimal_interferometer,
     verify_saturation,
 )
+import emitterfisher.interferometer as itf_mod
 from emitterfisher._precision import (
     one_minus_classical_fidelity,
     one_minus_trace_norm_fidelity,
@@ -305,7 +308,6 @@ def test_verify_saturation_builds_amplitudes_once(monkeypatch):
     # The Fisher values come from verify_saturation's own (C, dC) and equal,
     # bit for bit, what information_report gives for the returned measurement.
     import emitterfisher.fisher as fisher_mod
-    import emitterfisher.interferometer as itf_mod
 
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
     d = named_direction("separation-z", 2)
@@ -390,6 +392,115 @@ def test_saturation_zero_displacement():
     for step in (0.0, math.nan, math.inf):
         with pytest.raises(ScenarioError):
             verify_saturation(s, named_direction("separation-x", 2), delta_theta=step)
+
+
+def _full_q_theorem_check(C, C_prime, unitarity_residual):
+    """Reference: the theorem check through the full N_C x N_C Q of the QR.
+
+    Returns (residuals, quantum fidelity, pivots, structure_ok) as computed
+    by projecting A and B with every output row, the N_C - N_S dark ones
+    included, and the fidelity from its own SVD of C^dag C'.
+    """
+    import scipy.linalg
+
+    nc, ns = C.shape
+    align = svd_alignment(C.conj().T @ C_prime)
+    A, B = C @ align.V, C_prime @ align.W
+    Q, T, piv = scipy.linalg.qr(A, mode="full", pivoting=True)
+    d = np.diagonal(T)
+    phases = np.ones(nc, dtype=complex)
+    phases[:ns] = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)
+    R1 = phases[:, None] * Q.conj().T
+    A, B, D = A[:, piv], B[:, piv], align.D[piv]
+    RA, RB = R1 @ A, R1 @ B
+    residuals = {
+        "lower_triangular_residual": float(np.max(np.abs(np.tril(RA, -1)))),
+        "upper_triangular_residual": float(np.max(np.abs(np.triu(RB, 1)))) if ns > 1 else 0.0,
+        "diagonal_product_residual": float(
+            np.max(np.abs(np.abs(np.diagonal(RA)[:ns] * np.diagonal(RB)[:ns]) - D))),
+        "scalar_product_residual": float(np.max(np.abs(A.conj().T @ B - np.diag(D)))),
+    }
+    structure_ok = (
+        unitarity_residual < itf_mod.UNITARITY_TOL
+        and residuals["lower_triangular_residual"] < itf_mod.LOWER_TRIANGULAR_TOL
+        and residuals["upper_triangular_residual"] < itf_mod.UPPER_TRIANGULAR_TOL
+        and residuals["diagonal_product_residual"] < itf_mod.DIAGONAL_PRODUCT_TOL
+    )
+    return residuals, quantum_fidelity(overlap_matrix(C, C_prime)), piv, structure_ok
+
+
+def test_theorem_check_matches_full_q_reference():
+    # The check on the N_S occupied rows gives the full-Q numbers: same
+    # pivots and verdict, residuals and fidelity within 1e-14, over 1-6
+    # sources, both modes, coincident pairs and source scales down to 1e-6.
+    rng = np.random.default_rng(808)
+    verdicts = set()
+    for i in range(240):
+        ns = 1 + i % 6
+        nc = int(rng.integers(ns, ns + 7))
+        mode = (Mode.PARAXIAL, Mode.EXACT)[(i // 6) % 2]
+        scale = (1e-6, 1e-3, 0.1, 0.5, 5.0)[(i // 12) % 5]
+        sources = [SourcePoint(*rng.normal(0, scale, 3), weight=w)
+                   for w in rng.uniform(0.5, 1.5, ns)]
+        if ns > 1 and (i // 60) % 2:
+            sources[1] = SourcePoint(sources[0].x, sources[0].y, sources[0].z,
+                                     weight=sources[1].weight)
+        s = Scenario(tuple(sources), tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(nc)),
+                     k=1.0, z0=100.0, mode=mode)
+        d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+        report = verify_saturation(s, d)
+        C = build_amplitude_matrix(s)
+        C_prime = build_amplitude_matrix(displace(s, d, report.delta_theta))
+        residuals, fq, piv, ok = _full_q_theorem_check(C, C_prime, report.unitarity_residual)
+        np.testing.assert_array_equal(report.pivots, piv)
+        assert report.structure_ok == ok
+        verdicts.add(ok)
+        for name, value in residuals.items():
+            assert abs(getattr(report, name) - value) < 1e-14, (i, name)
+        assert abs(report.quantum_fidelity - fq) < 1e-14
+    assert verdicts == {True, False}
+
+
+def test_theorem_check_forms_no_square_q(monkeypatch):
+    # The QR of the theorem check returns the N_C x N_S occupied block only.
+    import scipy.linalg
+
+    qr = scipy.linalg.qr
+    returned = []
+
+    def recording(*args, **kwargs):
+        out = qr(*args, **kwargs)
+        returned.append(out)
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "qr", recording)
+    s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    verify_saturation(s, named_direction("separation-x", 2))
+    assert [out[0].shape for out in returned] == [(4, 2)]
+
+
+def test_each_optimal_measurement_does_one_complete_qr(monkeypatch):
+    # Both builders complete their support rows through one complete QR.
+    qr = np.linalg.qr
+    modes = []
+
+    def recording(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    d = named_direction("separation-x", 2)
+    C, dC = amplitude_and_derivative(s, d)
+    C_prime = build_amplitude_matrix(displace(s, d, 1e-4))
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    optimal_interferometer(C, dC)
+    assert modes == ["complete"]
+    syn = synthesize_optimal_interferometer(C, C_prime)
+    assert modes == ["complete", "complete"]
+    R, R1, ns = syn.interferometer.matrix, syn.alignment_unitary, s.n_sources
+    np.testing.assert_array_equal(R1[ns:], R[ns:])
+    np.testing.assert_array_equal(syn.coherence_rotation @ R1[:ns], R[:ns])
+    assert np.linalg.norm(R1.conj().T @ R1 - np.eye(s.n_collectors)) < 1e-12
 
 
 def test_saturation_ratio_is_the_closed_form_ratio():
