@@ -444,11 +444,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario(path) -> Scenario:
     """Load a scenario from a YAML key-value file (.scn)."""
+    # PyYAML's constructors raise plain ValueError, LookupError or
+    # AttributeError for a tagged scalar they cannot read (``k: !!float``).
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=SCENARIO_LOADER)
-    # PyYAML's constructors raise plain ValueError, LookupError or
-    # AttributeError for a tagged scalar they cannot read (``k: !!float``).
     except (OSError, yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
         raise ScenarioError(f"cannot load scenario file {path}: {exc}") from exc
     return scenario_from_dict(data)
