@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +198,28 @@ def default_search_interval(
     return prior_center - SEARCH_SIGMAS * sigma, prior_center + SEARCH_SIGMAS * sigma
 
 
+@contextmanager
+def _each_warning_once():
+    """Re-emit the warnings raised inside once per (category, site), whatever their text.
+
+    The Scenario checks of one sweep warn from the same site with different
+    offsets (the paraxial-validity warning at the truth and at both ends of
+    the search interval); the caller sees the first of them.
+    """
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            yield
+    finally:
+        seen = set()
+        for w in caught:
+            site = (w.category, w.filename, w.lineno)
+            if site not in seen:
+                seen.add(site)
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+
+
 @dataclass
 class TrialRecord:
     trial: int
@@ -216,7 +240,9 @@ def crb_sweep(
 ) -> tuple[EstimationResult, list[TrialRecord]]:
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
-    p(theta_true) and the likelihood grid are computed once per sweep.
+    p(theta_true) and the likelihood grid are computed once per sweep, and
+    a warning of the sweep's Scenario checks (paraxial validity) is emitted
+    at most once.
     Per-trial seeds are spawned deterministically from the master seed; each
     estimate equals mle_estimate of sample_detections(..., seed=record.seed)
     over default_search_interval.  ``threads`` is ignored.  Returns the
@@ -225,14 +251,15 @@ def crb_sweep(
     if trials < 2:
         raise ScenarioError("need at least two trials to estimate a variance")
     R = fisher.as_interferometer(R)
-    at_truth = displace(scenario, direction, direction.parameter_scale * theta_true)
-    cfi_value = fisher.cfi(at_truth, direction, R).cfi
-    if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
-        raise NonIdentifiableError(
-            f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
-        )
-    lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
-    path = _probability_path(scenario, direction, R, lo, hi)
+    with _each_warning_once():
+        at_truth = displace(scenario, direction, direction.parameter_scale * theta_true)
+        cfi_value = fisher.cfi(at_truth, direction, R).cfi
+        if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
+            raise NonIdentifiableError(
+                f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
+            )
+        lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
+        path = _probability_path(scenario, direction, R, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
     p_true = path(theta_true)
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]

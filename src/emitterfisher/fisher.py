@@ -9,16 +9,20 @@ rule.  The classical side evaluates photon counting statistics behind a
 fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
 numbers the package reports: interferometer.verify_saturation takes the
-saturation ratio of its step-free optimal measurement from
-information_from_amplitudes, the form of information_report that takes
-an already built (C, dC).
+saturation ratio of its step-free optimal measurement, and the detection
+probabilities behind it, from _information_from_amplitudes, the form of
+information_report that takes an already built (C, dC).
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
 
-A measurement is an Interferometer, whose constructor is the one place
-that checks a matrix unitary; anything else passed as a measurement goes
-through that constructor first.
+A measurement is an Interferometer, whose constructor checks its matrix
+unitary through the full product R^dag R - I, O(N_C^3); anything else
+passed as a measurement goes through that constructor first.  The one
+exception is the package's own optimal measurement, which is built from
+the Householder factors of a QR and checked from them in O(N_C^2 r)
+(_householder_interferometer), with the same tolerance and the same
+``unitarity_residual``.
 """
 
 from __future__ import annotations
@@ -70,15 +74,18 @@ class Interferometer:
     matrix: np.ndarray
     provenance: Provenance = Provenance.USER_SUPPLIED
     alpha: float | None = None
-    # ||R^dag R - I||_F of the constructor's unitarity check.
+    # ||R^dag R - I||_F of the unitarity check (constructor or Householder factors).
     unitarity_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
-        resid = float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-        if resid > UNITARITY_TOL:
+        self._accept(m, float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))))
+
+    def _accept(self, m: np.ndarray, resid: float) -> None:
+        """Freeze the square complex matrix m as this measurement if resid passes (NaN fails)."""
+        if not resid <= UNITARITY_TOL:
             raise NumericalError(
                 f"interferometer is not unitary: ||R^dag R - I||_F = {resid:.3e}"
             )
@@ -90,6 +97,55 @@ class Interferometer:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0]
+
+
+def _householder_interferometer(
+    reflectors: np.ndarray, tau: np.ndarray, support_rows: np.ndarray
+) -> Interferometer:
+    """Synthesized measurement: Q^dag of a Householder QR, support rows first.
+
+    ``reflectors, tau = np.linalg.qr(basis, mode="raw")`` for an N_C x r
+    basis; in compact-WY form Q = I - V T V^dag, with V the unit lower
+    trapezoidal reflectors and T the r x r upper-triangular factor of the
+    LAPACK zlarft recursion.  R = Q^dag is one rank-r update of the
+    identity, and its first r rows are replaced by ``support_rows`` (S,
+    r x N_C), which must span the first r columns of Q.  With K the other
+    rows of R, ||R R^dag - I||^2 = ||S S^dag - I||^2 + 2 ||K S^dag||^2
+    + ||V_2 X V_2^dag||^2, where X = T^dag (V^dag V) T - T - T^dag gives
+    Q^dag Q - I = V X V^dag and V_2 is the rows of V past r.  The last term
+    is tr(X G X^dag G) = <G X, X G> with G = V_2^dag V_2, so the check
+    costs O(N_C^2 r) and equals ||R^dag R - I||_F of the full check to
+    rounding.
+    """
+    r, n = reflectors.shape
+    V = reflectors.T.copy()
+    for i in range(r):
+        V[i, i] = 1.0
+        V[i, i + 1 :] = 0.0
+    W = V.conj().T @ V
+    G = V[r:].conj().T @ V[r:]
+    T = np.diag(tau)
+    for i in range(1, r):
+        T[:i, i] = -tau[i] * (T[:i, :i] @ W[:i, i])
+    Th = T.conj().T
+    R = V @ (-Th @ V.conj().T)
+    R.flat[:: n + 1] += 1.0
+    R[:r] = support_rows
+    # R S^dag is [S S^dag; K S^dag]; minus the identity on its first rows.
+    RS = R @ R[:r].conj().T
+    KS = RS[r:]
+    RS.flat[: r * r : r + 1] -= 1.0
+    X = Th @ W @ T - T - Th
+    resid2 = (
+        np.vdot(RS, RS).real
+        + np.vdot(KS, KS).real
+        + max(np.vdot(G @ X, X @ G).real, 0.0)
+    )
+    measurement = object.__new__(Interferometer)
+    object.__setattr__(measurement, "provenance", Provenance.SYNTHESIZED)
+    object.__setattr__(measurement, "alpha", None)
+    measurement._accept(R, math.sqrt(resid2))
+    return measurement
 
 
 def as_interferometer(R) -> Interferometer:
@@ -239,11 +295,11 @@ def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
     return _drop_rounding(4.0 * float(value), C, dC)
 
 
-def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> float:
-    """sum_q (dp_q)^2 / p_q behind R, with dp = 2 Re sum_s conj(R C) (R dC).
+def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
+    """sum_q (dp_q)^2 / p_q behind R, with dp = 2 Re sum_s conj(R C) (R dC), and p.
 
     A dark port (p_q <= DARK_P) contributes the 0/0 limit
-    4 sum_s |(R dC)_{qs}|^2.
+    4 sum_s |(R dC)_{qs}|^2.  p equals detection_probabilities(C, R).
     """
     R = _as_matrix(R, C.shape[0])
     RC, RdC = R @ C, R @ dC
@@ -253,7 +309,7 @@ def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> float:
     terms = np.where(
         dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=1), dp**2 / np.where(dark, 1.0, p)
     )
-    return _drop_rounding(float(terms.sum()), C, dC)
+    return _drop_rounding(float(terms.sum()), C, dC), p
 
 
 def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
@@ -275,14 +331,19 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
     level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, cfi=_cfi_value(C, dC, R))
+    return _report(direction, cfi=_cfi_value(C, dC, R)[0])
 
 
-def information_from_amplitudes(
+def _information_from_amplitudes(
     direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R
-) -> FisherReport:
-    """Joint qfi and cfi report from C and dC = amplitude_and_derivative(scenario, direction)."""
-    return _report(direction, qfi=_qfi_value(C, dC), cfi=_cfi_value(C, dC, R))
+) -> tuple[FisherReport, np.ndarray]:
+    """Joint qfi and cfi report, and the detection probabilities behind R.
+
+    C and dC are amplitude_and_derivative(scenario, direction); the
+    probabilities come from the same product R C as the cfi.
+    """
+    cfi_value, p = _cfi_value(C, dC, R)
+    return _report(direction, qfi=_qfi_value(C, dC), cfi=cfi_value), p
 
 
 def information_report(
@@ -290,7 +351,7 @@ def information_report(
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
-    return information_from_amplitudes(direction, C, dC, R)
+    return _information_from_amplitudes(direction, C, dC, R)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ rotates P into the support eigenbasis of the SLD of the pair.  Both
 optimal measurements complete their support rows with the same dark
 ports construction (_with_dark_ports).
 
-The Interferometer type and its unitarity check live in fisher, which
-imports nothing from this module; they are re-exported here.
+The Interferometer type and its unitarity checks live in fisher, which
+imports nothing from this module; they are re-exported here.  Both
+optimal measurements are checked from the Householder factors of their
+dark ports in O(N_C^2 N_S); every other matrix goes through the O(N_C^3)
+constructor check.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from .fisher import (
     Interferometer,
     NumericalError,
     Provenance,
+    _householder_interferometer,
+    _information_from_amplitudes,
     cfi,
     detection_probabilities,
-    information_from_amplitudes,
     support_svd,
 )
 from .geometry import (
@@ -284,14 +288,16 @@ def _with_dark_ports(basis: np.ndarray, support_rows: np.ndarray) -> Interferome
     """The measurement with ``support_rows`` first and dark ports after them.
 
     ``basis`` has orthonormal columns spanning the row space of
-    ``support_rows``.  In Q^dag of its complete QR the rows past the
+    ``support_rows``.  One Householder QR of it (the raw reflectors, no
+    square Q) defines Q = I - V T V^dag; in R = Q^dag the rows past the
     first basis.shape[1] span the orthogonal complement, ports that stay
-    dark at the base point; the first rows span the support and are
-    replaced.
+    dark at the base point, and the first rows span the support and are
+    replaced.  R is checked unitary from those factors in O(N_C^2 N_S)
+    (fisher._householder_interferometer), not by the O(N_C^3) product of
+    the Interferometer constructor.
     """
-    R = np.linalg.qr(basis, mode="complete").Q.conj().T
-    R[: support_rows.shape[0]] = support_rows
-    return Interferometer(R, Provenance.SYNTHESIZED)
+    reflectors, tau = np.linalg.qr(basis, mode="raw")
+    return _householder_interferometer(reflectors, tau, support_rows)
 
 
 def _align(C: np.ndarray, C_prime: np.ndarray):
@@ -361,8 +367,8 @@ class SaturationReport:
     point, independent of ``delta_theta``.  ``qfi_estimate``,
     ``cfi_estimate`` and ``saturation_ratio`` are the closed-form values
     of fisher.information_report for it, so ``cfi`` of ``interferometer``
-    reports the same numbers, and ``unitarity_residual`` is its
-    constructor's check.  The theorem check runs the alignment stage of
+    reports the same numbers, and ``unitarity_residual`` is its unitarity
+    check, made from the Householder factors of its dark ports.  The theorem check runs the alignment stage of
     the pair construction on (r, r + a delta_theta): the triangularity,
     diagonal-product and scalar-product residuals and the QR pivots refer
     to it.  The quantum fidelity of the pair (the trace norm of C^dag C',
@@ -454,8 +460,7 @@ def verify_saturation(
     diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
     R = optimal_interferometer(C, dC)
-    info = information_from_amplitudes(direction, C, dC, R)
-    p = detection_probabilities(C, R)
+    info, p = _information_from_amplitudes(direction, C, dC, R)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=float(D.sum()),

@@ -235,6 +235,20 @@ def test_crb_identity_measurement_rejected():
     assert not [w for w in caught if "paraxial mode" in str(w.message)]
 
 
+def test_crb_sweep_warns_once_per_call():
+    # The truth and both ends of the search interval each fail the
+    # paraxial-validity check (offsets 19.8, 17.6 and 22.0 > 0.1 z0); the
+    # sweep reports it once, with the first offset.
+    s = two_collector_scenario(dx=19.8)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        crb_sweep(s, SEP_X, beam_splitter_with_phase(0.0),
+                  theta_true=19.8, n_photons=2000, trials=5, seed=1)
+    paraxial = [str(w.message) for w in caught if "paraxial mode" in str(w.message)]
+    assert len(paraxial) == 1
+    assert "offsets 19.8 " in paraxial[0]
+
+
 def test_trial_outputs(tmp_path):
     s = two_collector_scenario()
     _, records = crb_sweep(

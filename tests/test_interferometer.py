@@ -143,6 +143,9 @@ def test_non_unitary_rejected_on_load():
 def test_interferometer_constructor_validates():
     with pytest.raises(NumericalError):
         Interferometer(np.array([[1.0, 0.0], [0.1, 1.0]]))
+    # A non-finite matrix has a NaN residual, which must not pass.
+    with pytest.raises(NumericalError, match="nan"):
+        Interferometer(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +293,28 @@ def test_optimal_measurement_is_step_free():
 
 
 def test_verify_saturation_builds_one_interferometer(monkeypatch):
-    # One O(N_C^3) unitarity check per call: the theorem check builds none.
-    built = []
+    # One factored unitarity check per call, and no O(N_C^3) constructor
+    # check: the measurement is built from its Householder factors and the
+    # theorem check builds none.
+    built, factored = [], []
     check = Interferometer.__post_init__
+    householder = itf_mod._householder_interferometer
 
     def counted_check(self):
         built.append(self)
         check(self)
 
+    def counted_factored(*args):
+        factored.append(args)
+        return householder(*args)
+
     monkeypatch.setattr(Interferometer, "__post_init__", counted_check)
+    monkeypatch.setattr(itf_mod, "_householder_interferometer", counted_factored)
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
-    verify_saturation(s, named_direction("separation-x", 2))
-    assert len(built) == 1
+    report = verify_saturation(s, named_direction("separation-x", 2))
+    assert (len(built), len(factored)) == (0, 1)
+    assert report.interferometer.provenance is Provenance.SYNTHESIZED
+    assert report.unitarity_residual == report.interferometer.unitarity_residual
 
 
 def test_verify_saturation_builds_amplitudes_once(monkeypatch):
@@ -479,8 +492,9 @@ def test_theorem_check_forms_no_square_q(monkeypatch):
     assert [out[0].shape for out in returned] == [(4, 2)]
 
 
-def test_each_optimal_measurement_does_one_complete_qr(monkeypatch):
-    # Both builders complete their support rows through one complete QR.
+def test_each_optimal_measurement_does_one_householder_qr(monkeypatch):
+    # Both builders complete their support rows from the raw Householder
+    # factors of one QR; neither forms the square Q of a complete QR.
     qr = np.linalg.qr
     modes = []
 
@@ -494,13 +508,108 @@ def test_each_optimal_measurement_does_one_complete_qr(monkeypatch):
     C_prime = build_amplitude_matrix(displace(s, d, 1e-4))
     monkeypatch.setattr(np.linalg, "qr", recording)
     optimal_interferometer(C, dC)
-    assert modes == ["complete"]
+    assert modes == ["raw"]
     syn = synthesize_optimal_interferometer(C, C_prime)
-    assert modes == ["complete", "complete"]
+    assert modes == ["raw", "raw"]
     R, R1, ns = syn.interferometer.matrix, syn.alignment_unitary, s.n_sources
     np.testing.assert_array_equal(R1[ns:], R[ns:])
     np.testing.assert_array_equal(syn.coherence_rotation @ R1[:ns], R[:ns])
     assert np.linalg.norm(R1.conj().T @ R1 - np.eye(s.n_collectors)) < 1e-12
+
+
+def _factored_check_case(seed, ns, mode, coincident, max_collectors=64):
+    """(C, dC, C') of a random array with ns sources and up to max_collectors collectors."""
+    rng = np.random.default_rng(seed)
+    nc = int(rng.integers(ns, max_collectors + 1))
+    sources = [SourcePoint(*rng.normal(0, 0.5, 3), weight=w) for w in rng.uniform(0.5, 1.5, ns)]
+    if coincident and ns > 1:
+        sources[1] = SourcePoint(sources[0].x, sources[0].y, sources[0].z, weight=sources[1].weight)
+    s = Scenario(tuple(sources), tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(nc)),
+                 k=1.0, z0=100.0, mode=mode)
+    d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+    C, dC = amplitude_and_derivative(s, d)
+    C_prime = build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
+    return C, dC, C_prime
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 6),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+    coincident=st.booleans(),
+)
+def test_factored_unitarity_residual_matches_full_check(seed, ns, mode, coincident):
+    # The residual checked from the Householder factors is the O(N_C^3)
+    # constructor's ||R^dag R - I||_F of the same matrix, to rounding, for
+    # both optimal measurements, also where coincident sources make the
+    # support rank r < N_S.
+    C, dC, C_prime = _factored_check_case(seed, ns, mode, coincident)
+    for R in (optimal_interferometer(C, dC),
+              synthesize_optimal_interferometer(C, C_prime).interferometer):
+        full = Interferometer(np.array(R.matrix)).unitarity_residual
+        assert abs(R.unitarity_residual - full) < 1e-12
+        assert R.unitarity_residual < 1e-12
+        assert R.provenance is Provenance.SYNTHESIZED and not R.matrix.flags.writeable
+
+
+def _reflector_product(reflectors, tau):
+    """Q^dag = H_r^dag ... H_1^dag from the definition H_i = I - tau_i v_i v_i^dag."""
+    r, n = reflectors.shape
+    Qh = np.eye(n, dtype=complex)
+    for i in range(r):
+        v = np.concatenate([np.zeros(i), [1.0], reflectors[i, i + 1:]])
+        Qh = (np.eye(n) - np.conj(tau[i]) * np.outer(v, v.conj())) @ Qh
+    return Qh
+
+
+def test_factored_check_rejects_non_unitary_factors():
+    # Support rows off by 1e-6, support rows that overlap the dark rows,
+    # and reflectors whose product is not unitary all raise NumericalError;
+    # a product 1e-12 off unitary passes with the full check's residual.
+    from emitterfisher.fisher import _householder_interferometer
+
+    C, dC, _ = _factored_check_case(7, 3, Mode.PARAXIAL, False, max_collectors=12)
+    Ur = itf_mod.support_svd(C)[0]
+    r, n = Ur.shape[1], C.shape[0]
+    reflectors, tau = np.linalg.qr(Ur, mode="raw")
+    rows = optimal_interferometer(C, dC).matrix[:r]
+    _householder_interferometer(reflectors, tau, rows)
+    noise = np.random.default_rng(3).normal(size=rows.shape)
+    with pytest.raises(NumericalError):
+        _householder_interferometer(reflectors, tau, rows + 1e-6 * noise)
+    turned = np.linalg.qr(np.vstack([rows[:-1], rows[-1] + 1e-3 * noise[-1]]).T).Q.T
+    assert np.linalg.norm(turned @ turned.conj().T - np.eye(r)) < 1e-12
+    with pytest.raises(NumericalError):
+        _householder_interferometer(reflectors, tau, turned)
+    # Only the dark block is off: the support rows are orthonormal and
+    # orthogonal to the dark rows of the perturbed product.
+    for scale, rejected in ((1e-6, True), (1e-12, False)):
+        bent = tau * (1.0 + scale)
+        dark = _reflector_product(reflectors, bent)[r:]
+        own_rows = np.linalg.svd(dark)[2][n - r:]
+        if rejected:
+            with pytest.raises(NumericalError):
+                _householder_interferometer(reflectors, bent, own_rows)
+        else:
+            R = _householder_interferometer(reflectors, bent, own_rows)
+            residual = np.linalg.norm(R.matrix.conj().T @ R.matrix - np.eye(n))
+            assert R.unitarity_residual == pytest.approx(residual, rel=1e-3)
+            assert R.unitarity_residual > 1e-13
+
+
+def test_disc_design_matrix_passes_full_check_after_json_round_trip():
+    # The N_C = 317 disc: the design measurement, checked from its factors,
+    # still passes the constructor's O(N_C^3) check once read back from
+    # its JSON document, at the same residual.
+    pair = load_scenario(bundled_scenario_path("two_collector.scn"))
+    s = Scenario(pair.sources, disc_collector_grid(0.1), pair.k, pair.z0, pair.mode)
+    assert s.n_collectors == 317
+    R = verify_saturation(s, named_direction("separation-x", 2)).interferometer
+    loaded = interferometer_from_json(interferometer_to_json(R))
+    np.testing.assert_array_equal(loaded.matrix, R.matrix)
+    assert loaded.unitarity_residual < 1e-12
+    assert abs(loaded.unitarity_residual - R.unitarity_residual) < 1e-12
 
 
 def test_saturation_ratio_is_the_closed_form_ratio():
