@@ -54,17 +54,15 @@ def _parse_direction(spec: str, scenario: Scenario) -> GeneralizedCoordinate:
 
 
 def _parse_interferometer(spec: str, scenario: Scenario) -> fisher.Interferometer:
-    """A built-in sized for the scenario, or a serialized one; fisher checks its size on use."""
+    """A built-in sized for the scenario, else a serialized file; fisher checks its size on use."""
     spec = spec.strip()
     name, _, arg = spec.partition(":")
-    name = name.lower()
-    if name in ("identity", "qft", "bs_phase"):
-        alpha = float(arg) if arg else None
-        return itf.builtin_interferometer(name, scenario.n_collectors, alpha)
-    path = Path(spec)
-    if not path.exists():
-        raise ScenarioError(f"interferometer {spec!r} is neither a built-in nor a file")
-    return itf.interferometer_from_json(path.read_text(encoding="utf-8"))
+    try:
+        return itf.builtin_interferometer(name, scenario.n_collectors, arg or None)
+    except ScenarioError:
+        if not Path(spec).is_file():
+            raise
+    return itf.interferometer_from_json(Path(spec).read_text(encoding="utf-8"))
 
 
 def cmd_qfi(args, scenario, direction):
@@ -195,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="scenario file (.scn)")
         p.add_argument(
             "--direction",
-            required=True,
+            required=command.reads_direction,
             help="preset (x, separation-x, centroid-x, ...) or comma-separated tangent",
         )
         if command.interferometer:

@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fisher
-from .geometry import GeneralizedCoordinate, Scenario, ScenarioError, amplitude_arrays, displace
+from .geometry import (
+    GeneralizedCoordinate,
+    Scenario,
+    ScenarioError,
+    amplitude_arrays,
+    check_source_positions,
+    direction_rows,
+    finite_number,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Probability floor inside log-likelihoods.
@@ -78,16 +84,17 @@ class EstimationResult:
 def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *checked: float):
     """p(theta) for the sources at r + a * parameter_scale * theta, with no Scenario per theta.
 
-    Only the scenarios at the ``checked`` thetas are built, to validate them;
-    sources move linearly in theta, so the ends of an interval cover all of it.
-    A measurement R that is not an Interferometer is checked once, here.
+    The source positions at the ``checked`` thetas are validated in one
+    check; sources move linearly in theta, so the ends of an interval cover
+    all of it.  A measurement R that is not an Interferometer is checked
+    once, here.
     """
     R = fisher.as_interferometer(R)
     scale = direction.parameter_scale
-    for theta in checked:
-        displace(scenario, direction, scale * theta)
     uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
-    a = direction.a.reshape(-1, 3)
+    a = direction_rows(direction, scenario.n_sources)
+    steps = scale * np.array(checked, dtype=float)
+    check_source_positions(xyz + a * steps[:, None, None], scenario.z0, scenario.mode)
 
     def path(theta: float) -> np.ndarray:
         moved = xyz + a * (scale * theta)
@@ -198,28 +205,6 @@ def default_search_interval(
     return prior_center - SEARCH_SIGMAS * sigma, prior_center + SEARCH_SIGMAS * sigma
 
 
-@contextmanager
-def _each_warning_once():
-    """Re-emit the warnings raised inside once per (category, site), whatever their text.
-
-    The Scenario checks of one sweep warn from the same site with different
-    offsets (the paraxial-validity warning at the truth and at both ends of
-    the search interval); the caller sees the first of them.
-    """
-    caught = []
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            yield
-    finally:
-        seen = set()
-        for w in caught:
-            site = (w.category, w.filename, w.lineno)
-            if site not in seen:
-                seen.add(site)
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
-
 @dataclass
 class TrialRecord:
     trial: int
@@ -240,9 +225,10 @@ def crb_sweep(
 ) -> tuple[EstimationResult, list[TrialRecord]]:
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
-    p(theta_true) and the likelihood grid are computed once per sweep, and
-    a warning of the sweep's Scenario checks (paraxial validity) is emitted
-    at most once.
+    The CFI at the truth comes from the source arrays, without a Scenario;
+    the truth and both ends of the search interval are then checked in one
+    call, so the paraxial-validity warning is emitted at most once.
+    p(theta_true) and the likelihood grid are computed once per sweep.
     Per-trial seeds are spawned deterministically from the master seed; each
     estimate equals mle_estimate of sample_detections(..., seed=record.seed)
     over default_search_interval.  ``threads`` is ignored.  Returns the
@@ -250,16 +236,21 @@ def crb_sweep(
     """
     if trials < 2:
         raise ScenarioError("need at least two trials to estimate a variance")
+    theta_true = finite_number(theta_true, "theta_true")
     R = fisher.as_interferometer(R)
-    with _each_warning_once():
-        at_truth = displace(scenario, direction, direction.parameter_scale * theta_true)
-        cfi_value = fisher.cfi(at_truth, direction, R).cfi
-        if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
-            raise NonIdentifiableError(
-                f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
-            )
-        lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
-        path = _probability_path(scenario, direction, R, lo, hi)
+    scale = direction.parameter_scale
+    at_truth = scenario.source_positions() + direction_rows(direction, scenario.n_sources) * (
+        scale * theta_true
+    )
+    C, dC = amplitude_arrays(scenario.collector_positions(), at_truth, scenario.weights(),
+                             scenario.k, scenario.z0, scenario.mode, direction.a)
+    cfi_value = scale**2 * fisher._cfi_value(C, dC, R)[0]
+    if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
+        raise NonIdentifiableError(
+            f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
+        )
+    lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
+    path = _probability_path(scenario, direction, R, theta_true, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
     p_true = path(theta_true)
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]

@@ -58,6 +58,38 @@ class Mode(str, Enum):
     PARAXIAL = "paraxial"
 
 
+def finite_number(value, what: str) -> float:
+    """``value`` as a finite float; ScenarioError naming ``what`` otherwise."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def check_source_positions(positions, z0: float, mode: Mode) -> None:
+    """Require finite source coordinates; in paraxial mode, warn once if too large.
+
+    ``positions`` is one (N_S, 3) set of source coordinates or a stack of
+    such sets.  The paraxial-validity warning names the largest offset of
+    the first set that exceeds PARAXIAL_SCALE_WARN * z0, and is attributed
+    to the caller of the function that runs the check.
+    """
+    # The largest offset of each set; NaN and inf propagate through max.
+    scales = np.abs(np.asarray(positions, dtype=float)).max(axis=(-2, -1)).reshape(-1).tolist()
+    if not all(map(math.isfinite, scales)):
+        raise ScenarioError("source coordinates must be finite")
+    over = [scale for scale in scales if scale / z0 > PARAXIAL_SCALE_WARN]
+    if mode is Mode.PARAXIAL and over:
+        warnings.warn(
+            f"paraxial mode with source offsets {over[0]:g} exceeding "
+            f"{PARAXIAL_SCALE_WARN:g} * z0; results may be inaccurate",
+            stacklevel=3,
+        )
+
+
 @dataclass(frozen=True)
 class SourcePoint:
     """Point emitter at (x, y, z0 + z) with relative emission weight."""
@@ -69,10 +101,7 @@ class SourcePoint:
 
     def __post_init__(self):
         for name in ("x", "y", "z", "weight"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ScenarioError(f"source {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"source {name}"))
         if self.weight <= 0:
             raise ScenarioError(f"source weight must be > 0, got {self.weight}")
 
@@ -85,10 +114,8 @@ class Collector:
     v: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ScenarioError(f"collector coordinates must be finite: ({self.u}, {self.v})")
+        for name in ("u", "v"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), f"collector {name}"))
 
 
 @dataclass(frozen=True)
@@ -115,29 +142,19 @@ class Scenario:
             raise ScenarioError("scenario needs at least one source")
         if len(collectors) < 1:
             raise ScenarioError("scenario needs at least one collector")
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise ScenarioError(f"wavenumber k must be positive, got {self.k}")
-        if not (np.isfinite(self.z0) and self.z0 > 0):
-            raise ScenarioError(f"reference distance z0 must be positive, got {self.z0}")
+        for name, what in (("k", "wavenumber k"), ("z0", "reference distance z0")):
+            value = finite_number(getattr(self, name), what)
+            if value <= 0:
+                raise ScenarioError(f"{what} must be positive, got {value}")
+            object.__setattr__(self, name, value)
         mode = Mode(self.mode)
-        object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "z0", float(self.z0))
         total = math.fsum(s.weight for s in sources)
         if abs(total - 1.0) > len(sources) * np.finfo(float).eps:
             sources = tuple(replace(s, weight=s.weight / total) for s in sources)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "collectors", collectors)
         object.__setattr__(self, "mode", mode)
-        if mode is Mode.PARAXIAL:
-            scale = max(
-                max(abs(s.x), abs(s.y), abs(s.z)) for s in sources
-            )
-            if scale / self.z0 > PARAXIAL_SCALE_WARN:
-                warnings.warn(
-                    f"paraxial mode with source offsets {scale:g} exceeding "
-                    f"{PARAXIAL_SCALE_WARN:g} * z0; results may be inaccurate",
-                    stacklevel=2,
-                )
+        check_source_positions(self.source_positions(), self.z0, mode)
 
     @property
     def n_sources(self) -> int:
@@ -157,19 +174,6 @@ class Scenario:
     def collector_positions(self) -> np.ndarray:
         """(N_C, 2) array of collector coordinates."""
         return np.array([[c.u, c.v] for c in self.collectors], dtype=float)
-
-    def with_source_positions(self, positions: np.ndarray) -> "Scenario":
-        """Same scenario with source coordinates replaced (weights kept)."""
-        positions = np.asarray(positions, dtype=float)
-        if positions.shape != (self.n_sources, 3):
-            raise ScenarioError(
-                f"positions shape {positions.shape} != ({self.n_sources}, 3)"
-            )
-        sources = tuple(
-            SourcePoint(x=float(p[0]), y=float(p[1]), z=float(p[2]), weight=s.weight)
-            for p, s in zip(positions, self.sources)
-        )
-        return Scenario(sources, self.collectors, self.k, self.z0, self.mode)
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,14 @@ def named_direction(name: str, n_sources: int) -> GeneralizedCoordinate:
     raise ScenarioError(f"unknown direction preset {name!r}")
 
 
+def direction_rows(direction: GeneralizedCoordinate | np.ndarray, n_sources: int) -> np.ndarray:
+    """The flat 3 N_S direction as (N_S, 3) rows, one per source."""
+    a = direction.a if isinstance(direction, GeneralizedCoordinate) else np.asarray(direction, float)
+    if a.size != 3 * n_sources:
+        raise ScenarioError(f"direction length {a.size} != 3 * {n_sources} sources")
+    return a.reshape(n_sources, 3)
+
+
 def displace(
     scenario: Scenario, direction: GeneralizedCoordinate | np.ndarray, delta_theta: float
 ) -> Scenario:
@@ -259,15 +271,12 @@ def displace(
     is in coordinate units.  Weights, collectors, k, z0 and mode are
     unchanged.
     """
-    a = direction.a if isinstance(direction, GeneralizedCoordinate) else np.asarray(direction, float)
-    if a.size != 3 * scenario.n_sources:
-        raise ScenarioError(
-            f"direction length {a.size} != 3 * {scenario.n_sources} sources"
-        )
+    a = direction_rows(direction, scenario.n_sources)
     if delta_theta == 0.0:
         return scenario
-    positions = scenario.source_positions() + a.reshape(-1, 3) * delta_theta
-    return scenario.with_source_positions(positions)
+    positions = scenario.source_positions() + a * delta_theta
+    sources = tuple(SourcePoint(*p, weight=s.weight) for p, s in zip(positions, scenario.sources))
+    return replace(scenario, sources=sources)
 
 
 def _raw_amplitudes(
@@ -275,9 +284,10 @@ def _raw_amplitudes(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Unnormalized amplitudes gamma (N_C, N_S) and d gamma / d theta along ``a``.
 
-    ``uv`` holds collector and ``xyz`` source coordinates; ``a`` is the flat
-    3 N_S direction or None (no derivative).  Paraxial gamma is exp(i phi)
-    with unit modulus; exact gamma is exp(i k d) / d.
+    ``uv`` holds collector and ``xyz`` source coordinates; ``a`` is the
+    3 N_S direction (flat or one row per source) or None (no derivative).
+    Paraxial gamma is exp(i phi) with unit modulus; exact gamma is
+    exp(i k d) / d.
     """
     u, v = uv[:, :1], uv[:, 1:]
     x, y, z = xyz.T
@@ -339,11 +349,7 @@ def amplitude_and_derivative(
     paraxial mode reduces to i dphi * C (the Re term vanishes).  With
     ``direction`` None only C is computed.
     """
-    a = None
-    if direction is not None:
-        a = direction.a
-        if a.size != 3 * scenario.n_sources:
-            raise ScenarioError("direction length does not match the scenario")
+    a = None if direction is None else direction_rows(direction, scenario.n_sources)
     uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
     return amplitude_arrays(uv, xyz, weights, scenario.k, scenario.z0, scenario.mode, a)
 
@@ -390,44 +396,35 @@ def _check_keys(mapping: dict, allowed: set, required: set, context: str) -> Non
         raise ScenarioError(f"missing key {sorted(missing)[0]!r} in {context}")
 
 
+def _records(data: dict, key: str, cls, allowed: set, required: set) -> tuple:
+    """``cls(**item)`` for each mapping in the non-empty list ``data[key]``, keys checked."""
+    items, label = data[key], key[:-1]
+    if not isinstance(items, list) or not items:
+        raise ScenarioError(f"{key!r} must be a non-empty list")
+    records = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{label} #{i} must be a mapping")
+        _check_keys(item, allowed, required, f"{label} #{i}")
+        records.append(cls(**item))
+    return tuple(records)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from parsed file data, rejecting unknown keys."""
+    """Build a Scenario from parsed file data, rejecting unknown keys.
+
+    Values are passed through as parsed; the constructors decide whether
+    each is a valid number.
+    """
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a mapping at top level")
     _check_keys(data, _TOP_KEYS, _TOP_KEYS - {"mode"}, "scenario")
-    sources = []
-    if not isinstance(data["sources"], list) or not data["sources"]:
-        raise ScenarioError("'sources' must be a non-empty list")
-    for i, item in enumerate(data["sources"]):
-        if not isinstance(item, dict):
-            raise ScenarioError(f"source #{i} must be a mapping")
-        _check_keys(item, _SOURCE_KEYS, {"x", "y", "z"}, f"source #{i}")
-        sources.append(
-            SourcePoint(
-                x=float(item["x"]),
-                y=float(item["y"]),
-                z=float(item["z"]),
-                weight=float(item.get("weight", 1.0)),
-            )
-        )
-    collectors = []
-    if not isinstance(data["collectors"], list) or not data["collectors"]:
-        raise ScenarioError("'collectors' must be a non-empty list")
-    for i, item in enumerate(data["collectors"]):
-        if not isinstance(item, dict):
-            raise ScenarioError(f"collector #{i} must be a mapping")
-        _check_keys(item, _COLLECTOR_KEYS, _COLLECTOR_KEYS, f"collector #{i}")
-        collectors.append(Collector(u=float(item["u"]), v=float(item["v"])))
+    sources = _records(data, "sources", SourcePoint, _SOURCE_KEYS, {"x", "y", "z"})
+    collectors = _records(data, "collectors", Collector, _COLLECTOR_KEYS, _COLLECTOR_KEYS)
     mode = data.get("mode", "paraxial")
     if not isinstance(mode, str) or mode.lower() not in (m.value for m in Mode):
         raise ScenarioError(f"mode must be 'exact' or 'paraxial', got {mode!r}")
-    return Scenario(
-        sources=tuple(sources),
-        collectors=tuple(collectors),
-        k=float(data["k"]),
-        z0=float(data["z0"]),
-        mode=Mode(mode.lower()),
-    )
+    return Scenario(sources, collectors, data["k"], data["z0"], Mode(mode.lower()))
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

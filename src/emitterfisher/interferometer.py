@@ -51,6 +51,7 @@ from .geometry import (
     amplitude_and_derivative,
     build_amplitude_matrix,
     displace,
+    finite_number,
     named_direction,
 )
 
@@ -84,18 +85,25 @@ def qft_interferometer(n_modes: int) -> Interferometer:
     return Interferometer(matrix, Provenance.QFT)
 
 
-def builtin_interferometer(kind: str, n_modes: int, alpha: float | None = None) -> Interferometer:
-    """Dispatcher for the named built-ins: identity, bs_phase (2 modes), qft."""
+def builtin_interferometer(
+    kind: str, n_modes: int, alpha: float | str | None = None
+) -> Interferometer:
+    """Dispatcher for the named built-ins: identity, bs_phase (2 modes), qft.
+
+    Only bs_phase takes an argument, its phase ``alpha`` (default 0); it
+    may be given as text, and must be a finite number.
+    """
     kind = kind.strip().lower()
-    if kind == "identity":
-        return identity_interferometer(n_modes)
     if kind == "bs_phase":
         if n_modes != 2:
             raise ScenarioError(f"bs_phase requires exactly 2 modes, got {n_modes}")
-        return beam_splitter_with_phase(alpha if alpha is not None else 0.0)
-    if kind == "qft":
-        return qft_interferometer(n_modes)
-    raise ScenarioError(f"unknown interferometer kind {kind!r}")
+        return beam_splitter_with_phase(0.0 if alpha is None else finite_number(alpha, "bs_phase alpha"))
+    builders = {"identity": identity_interferometer, "qft": qft_interferometer}
+    if kind not in builders:
+        raise ScenarioError(f"unknown interferometer kind {kind!r}")
+    if alpha is not None:
+        raise ScenarioError(f"{kind} takes no argument, got {alpha!r}")
+    return builders[kind](n_modes)
 
 
 def optimal_axial_phase(

@@ -106,6 +106,15 @@ def test_qfimatrix_command(two_collector, tmp_path):
     assert doc["max_relative_error"] < 1e-3
 
 
+def test_qfimatrix_does_not_need_direction(two_collector, capsys):
+    # qfimatrix reads no direction: the flag may be left out, and a given
+    # one changes nothing.
+    assert run_cli("qfimatrix", "--scenario", two_collector) == EXIT_OK
+    without = capsys.readouterr().out
+    assert run_cli("qfimatrix", "--scenario", two_collector, "--direction", "separation-x") == EXIT_OK
+    assert capsys.readouterr().out == without
+
+
 def test_simulate_command(two_collector, tmp_path):
     out = tmp_path / "sim.json"
     code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
@@ -208,6 +217,22 @@ def test_unreadable_tagged_value_exits_2(value, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot load scenario file {bad}")
 
 
+@pytest.mark.parametrize("source, k", [
+    ("{x: 0, y: 0, z: 0}", "abc"),
+    ("{x: null, y: 0, z: 0}", "1.0"),
+    ("{x: 0, y: 0, z: 0}", "[1, 2]"),
+])
+def test_non_numeric_value_exits_2(source, k, tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        f"mode: paraxial\nk: {k}\nz0: 100.0\n"
+        f"sources:\n  - {source}\ncollectors:\n  - {{u: 1, v: 0}}\n  - {{u: -1, v: 0}}\n"
+    )
+    code = run_cli("qfi", "--scenario", str(bad), "--direction", "x")
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path):
     # The design document's probabilities come from verify_saturation's C:
     # one build at the base point, one at the displaced point of the check.
@@ -267,6 +292,14 @@ def test_subprocess_document_matches_in_process(two_collector, capsys):
 def test_bad_direction_exits_2(two_collector, capsys):
     code = run_cli("qfi", "--scenario", two_collector, "--direction", "diagonal-q")
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("spec", ["bs_phase:abc", "bs_phase:nan", "qft:3", "identity:x"])
+def test_bad_interferometer_argument_exits_2(spec, two_collector, capsys):
+    code = run_cli("cfi", "--scenario", two_collector, "--direction", "separation-x",
+                   "--interferometer", spec)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_interferometer_file_round_trip(two_collector, tmp_path):

@@ -1,6 +1,7 @@
 """Geometry, amplitude model and scenario-file tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,31 @@ def test_scenario_invariants():
 def test_paraxial_scale_warning():
     with pytest.warns(UserWarning, match="paraxial"):
         make_scenario([(20.0, 0, 0)], [(5, 0)], z0=100.0)
+
+
+def test_source_position_check_on_a_stack():
+    # One warning for a stack of position sets, naming the first set out of
+    # the paraxial regime; exact mode never warns; a non-finite value raises.
+    stack = np.array([[[1.0, 0, 0]], [[-12.5, 0, 0]], [[30.0, 0, 0]]])
+    with pytest.warns(UserWarning, match="offsets 12.5 ") as caught:
+        geometry.check_source_positions(stack, 100.0, Mode.PARAXIAL)
+    assert len(caught) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geometry.check_source_positions(stack, 100.0, Mode.EXACT)
+    stack[0, 0, 2] = math.nan
+    with pytest.raises(ScenarioError, match="finite"):
+        geometry.check_source_positions(stack, 100.0, Mode.EXACT)
+
+
+@pytest.mark.parametrize("value", [None, "abc", [1, 2], math.inf])
+def test_non_numeric_coordinates_rejected(value):
+    with pytest.raises(ScenarioError):
+        SourcePoint(value, 0, 0)
+    with pytest.raises(ScenarioError):
+        Collector(value, 0)
+    with pytest.raises(ScenarioError):
+        make_scenario([(0, 0, 0)], [(1, 0)], k=value)
 
 
 def test_scenario_file_round_trip(tmp_path):
