@@ -239,9 +239,8 @@ def crb_sweep(
     theta_true = finite_number(theta_true, "theta_true")
     R = fisher.as_interferometer(R)
     scale = direction.parameter_scale
-    at_truth = scenario.source_positions() + direction_rows(direction, scenario.n_sources) * (
-        scale * theta_true
-    )
+    rows = direction_rows(direction, scenario.n_sources)
+    at_truth = scenario.source_positions() + rows * (scale * theta_true)
     C, dC = amplitude_arrays(scenario.collector_positions(), at_truth, scenario.weights(),
                              scenario.k, scenario.z0, scenario.mode, direction.a)
     cfi_value = scale**2 * fisher._cfi_value(C, dC, R)[0]
