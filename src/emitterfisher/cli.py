@@ -85,7 +85,7 @@ def cmd_cfi(args, scenario, direction):
 def cmd_design(args, scenario, direction):
     saturation = itf.verify_saturation(scenario, direction)
     return {
-        "interferometer": json.loads(itf.interferometer_to_json(saturation.interferometer)),
+        "interferometer": itf._interferometer_payload(saturation.interferometer),
         "probabilities": saturation.probabilities.tolist(),
         "saturation_ratio": saturation.saturation_ratio,
     }, True

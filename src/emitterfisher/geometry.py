@@ -147,7 +147,10 @@ class Scenario:
             if value <= 0:
                 raise ScenarioError(f"{what} must be positive, got {value}")
             object.__setattr__(self, name, value)
-        mode = Mode(self.mode)
+        try:
+            mode = Mode(self.mode)
+        except ValueError:
+            raise ScenarioError(f"mode must be 'exact' or 'paraxial', got {self.mode!r}") from None
         total = math.fsum(s.weight for s in sources)
         if abs(total - 1.0) > len(sources) * np.finfo(float).eps:
             sources = tuple(replace(s, weight=s.weight / total) for s in sources)
@@ -413,8 +416,8 @@ def _records(data: dict, key: str, cls, allowed: set, required: set) -> tuple:
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from parsed file data, rejecting unknown keys.
 
-    Values are passed through as parsed; the constructors decide whether
-    each is a valid number.
+    Values are passed through as parsed, a string mode in lower case; the
+    constructors decide whether each is valid.
     """
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must contain a mapping at top level")
@@ -422,9 +425,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     sources = _records(data, "sources", SourcePoint, _SOURCE_KEYS, {"x", "y", "z"})
     collectors = _records(data, "collectors", Collector, _COLLECTOR_KEYS, _COLLECTOR_KEYS)
     mode = data.get("mode", "paraxial")
-    if not isinstance(mode, str) or mode.lower() not in (m.value for m in Mode):
-        raise ScenarioError(f"mode must be 'exact' or 'paraxial', got {mode!r}")
-    return Scenario(sources, collectors, data["k"], data["z0"], Mode(mode.lower()))
+    mode = mode.lower() if isinstance(mode, str) else mode
+    return Scenario(sources, collectors, data["k"], data["z0"], mode)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

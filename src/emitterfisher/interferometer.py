@@ -6,6 +6,9 @@ eigenbasis of the symmetric logarithmic derivative on the support of the
 photon state rho = C C^dag, which reads out both the classical mixture
 and the coherence response of rho; its remaining rows span the kernel of
 C^dag, dark ports that capture the response leaking out of the support.
+It is the one builder of the optimal measurement:
+synthesize_optimal_interferometer feeds it the finite difference C' - C
+of a pair C(r), C(r').
 
 The paper's finite-pair construction from C(r) and C(r') is kept as the
 theorem check.  Alignment: the SVD V^dag M W = D of M = C^dag C' defines
@@ -13,15 +16,12 @@ biorthogonal frames A = C V and B = C' W (A^dag B = D); an economic QR of
 A yields the N_S occupied output rows P with P A upper-triangular, which
 forces P B lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the
 diagonals.  The other N_C - N_S output modes carry no light of either
-frame, so the check reads P alone.  synthesize_optimal_interferometer
-rotates P into the support eigenbasis of the SLD of the pair.  Both
-optimal measurements complete their support rows with the same dark
-ports construction (_with_dark_ports).
+frame, so the check reads P alone.
 
 The Interferometer type and its unitarity checks live in fisher, which
-imports nothing from this module; they are re-exported here.  Both
-optimal measurements are checked from the Householder factors of their
-dark ports in O(N_C^2 N_S); every other matrix goes through the O(N_C^3)
+imports nothing from this module; they are re-exported here.  The
+optimal measurement is checked from the Householder factors of its dark
+ports in O(N_C^2 N_S); every other matrix goes through the O(N_C^3)
 constructor check.
 """
 
@@ -142,17 +142,21 @@ def optimal_axial_phase(
 # ---------------------------------------------------------------------------
 
 
-def interferometer_to_json(interferometer: Interferometer) -> str:
-    """Row-major [re, im] pair encoding with a provenance tag."""
-    m = interferometer.matrix
+def _interferometer_payload(interferometer: Interferometer) -> dict:
+    """The serialized document as a dict: row-major [re, im] pairs and a provenance tag."""
     payload = {
         "provenance": interferometer.provenance.value,
         "n_modes": interferometer.n_modes,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in m],
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in interferometer.matrix],
     }
     if interferometer.alpha is not None:
         payload["alpha"] = interferometer.alpha
-    return json.dumps(payload, indent=2)
+    return payload
+
+
+def interferometer_to_json(interferometer: Interferometer) -> str:
+    """Row-major [re, im] pair encoding with a provenance tag."""
+    return json.dumps(_interferometer_payload(interferometer), indent=2)
 
 
 def interferometer_from_json(text: str) -> Interferometer:
@@ -207,39 +211,32 @@ def svd_alignment(M: np.ndarray) -> SvdAlignment:
 class SynthesisResult:
     """Outcome of synthesize_optimal_interferometer.
 
-    ``interferometer`` is the full measurement (alignment + coherence
-    rotation); ``alignment_unitary`` is the triangularizing stage R1: the
-    occupied rows P of the alignment, with P @ aligned_source_frame
-    upper-triangular and P @ aligned_displaced_frame lower-triangular,
-    followed by the dark ports of R.  ``pivots`` records the column order
-    used by the rank-revealing QR (identity order for well-conditioned
-    frames).  ``coherence_rotation`` is the N_S x N_S unitary applied to
-    the first N_S rows of R1; the other rows of R are R1's.
+    ``interferometer`` is optimal_interferometer(C, C' - C).  The other
+    fields are the alignment stage of the theorem check: the aligned
+    frames A = C V and B = C' W and the singular values D, in the column
+    order ``pivots`` of the rank-revealing QR (identity order for
+    well-conditioned frames), and whether that order was permuted.
     """
 
     interferometer: Interferometer
-    alignment_unitary: np.ndarray
     aligned_source_frame: np.ndarray
     aligned_displaced_frame: np.ndarray
     singular_values: np.ndarray
     pivots: np.ndarray
     pivoted: bool
-    coherence_rotation: np.ndarray
 
 
-def _sld_eigenbasis(lam: np.ndarray, drho: np.ndarray, frame: np.ndarray) -> np.ndarray:
+def _sld_eigenbasis(lam: np.ndarray, drho: np.ndarray) -> np.ndarray:
     """Eigenvectors (columns) of the symmetric logarithmic derivative L.
 
-    rho = frame diag(lam) frame^dag and ``drho`` is d rho written in the
-    eigenbasis, so rho L + L rho = 2 d rho gives
-    L_ij = 2 drho_ij / (lam_i + lam_j) there (zero where the denominator
-    vanishes).  The eigenvectors are returned in frame coordinates,
-    permuted and phased to stay as close to the identity as possible (a
-    no-op correction for an already-diagonal L).
+    rho = diag(lam) and ``drho`` is d rho in the same basis, so
+    rho L + L rho = 2 d rho gives L_ij = 2 drho_ij / (lam_i + lam_j) (zero
+    where the denominator vanishes).  The eigenvectors are permuted and
+    phased to stay as close to the identity as possible (a no-op
+    correction for an already-diagonal L).
     """
     den = lam[:, None] + lam[None, :]
     L = np.divide(2.0 * drho, den, out=np.zeros_like(drho), where=den > 1e-300)
-    L = frame @ L @ frame.conj().T
     _, U = np.linalg.eigh(0.5 * (L + L.conj().T))
     n = U.shape[0]
     order: list[int] = []
@@ -250,24 +247,6 @@ def _sld_eigenbasis(lam: np.ndarray, drho: np.ndarray, frame: np.ndarray) -> np.
         if abs(U[i, i]) > 1e-300:
             U[:, i] *= np.conj(U[i, i]) / abs(U[i, i])
     return U
-
-
-def _coherence_rotation(P: np.ndarray, C: np.ndarray, C_prime: np.ndarray) -> np.ndarray:
-    """N_S x N_S unitary on the occupied output modes P of the alignment
-    that diagonalizes the support block of the symmetric logarithmic
-    derivative.
-
-    In the P output frame the mid-pair photon state is nearly diagonal.
-    Solving rho L + L rho = 2 (sigma - rho) on that block (in the exact
-    eigenbasis of the block, so nearly degenerate occupations are handled
-    correctly) gives the rotation angles needed to read out the coherence
-    response.
-    """
-    PC, PCp = P @ C, P @ C_prime
-    rho = PC @ PC.conj().T
-    diff = PCp @ PCp.conj().T - rho
-    lam, U = np.linalg.eigh(rho + 0.5 * diff)
-    return _sld_eigenbasis(lam, U.conj().T @ diff @ U, U).conj().T
 
 
 def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
@@ -281,31 +260,22 @@ def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
     rows are an orthonormal basis of ker C^dag: those ports are dark, and
     through the 0/0 limit of fisher.cfi they carry the kernel term of the
     QFI in any basis.
+
+    One Householder QR of U_r (the raw reflectors, no square Q) defines
+    Q = I - V T V^dag; in R = Q^dag the rows past the first r span ker
+    C^dag, and the first r rows are replaced by the support rows.  R is
+    checked unitary from those factors in O(N_C^2 N_S)
+    (fisher._householder_interferometer), not by the O(N_C^3) product of
+    the Interferometer constructor.
     """
     C = np.asarray(C, dtype=complex)
     if C.shape != np.shape(dC):
         raise ScenarioError(f"amplitude and derivative shapes differ: {C.shape} vs {np.shape(dC)}")
     Ur, s, Vr = support_svd(C)
-    r = s.size
     A = Ur.conj().T @ dC @ Vr
-    G = _sld_eigenbasis(s**2, A * s[None, :] + s[:, None] * A.conj().T, np.eye(r))
-    return _with_dark_ports(Ur, G.conj().T @ Ur.conj().T)
-
-
-def _with_dark_ports(basis: np.ndarray, support_rows: np.ndarray) -> Interferometer:
-    """The measurement with ``support_rows`` first and dark ports after them.
-
-    ``basis`` has orthonormal columns spanning the row space of
-    ``support_rows``.  One Householder QR of it (the raw reflectors, no
-    square Q) defines Q = I - V T V^dag; in R = Q^dag the rows past the
-    first basis.shape[1] span the orthogonal complement, ports that stay
-    dark at the base point, and the first rows span the support and are
-    replaced.  R is checked unitary from those factors in O(N_C^2 N_S)
-    (fisher._householder_interferometer), not by the O(N_C^3) product of
-    the Interferometer constructor.
-    """
-    reflectors, tau = np.linalg.qr(basis, mode="raw")
-    return _householder_interferometer(reflectors, tau, support_rows)
+    G = _sld_eigenbasis(s**2, A * s[None, :] + s[:, None] * A.conj().T)
+    reflectors, tau = np.linalg.qr(Ur, mode="raw")
+    return _householder_interferometer(reflectors, tau, G.conj().T @ Ur.conj().T)
 
 
 def _align(C: np.ndarray, C_prime: np.ndarray):
@@ -340,25 +310,24 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
 
 
 def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> SynthesisResult:
-    """Construct the measurement that saturates the quantum bound for the pair.
+    """The optimal measurement for the pair (C, C'), with its aligned frames.
 
-    Requires at least as many collectors as sources.  Rank-deficient
-    aligned frames (coincident sources) are handled by the column pivoting
-    of the QR factorization; the pivot order is recorded.
+    The measurement is optimal_interferometer fed the finite difference
+    C' - C; the symmetric logarithmic derivative is linear in dC, so the
+    step size does not rescale it.  The alignment of the pair (module
+    docstring) supplies the other fields.  Requires at least as many
+    collectors as sources.  Rank-deficient aligned frames (coincident
+    sources) are handled by the column pivoting of the QR factorization;
+    the pivot order is recorded.
     """
-    P, A, B, D, piv = _align(C, C_prime)
-    ns = A.shape[1]
-    G = _coherence_rotation(P, np.asarray(C), np.asarray(C_prime))
-    R = _with_dark_ports(P.conj().T, G @ P)
+    _, A, B, D, piv = _align(C, C_prime)
     return SynthesisResult(
-        interferometer=R,
-        alignment_unitary=np.vstack([P, R.matrix[ns:]]),
+        interferometer=optimal_interferometer(C, np.asarray(C_prime) - np.asarray(C)),
         aligned_source_frame=A,
         aligned_displaced_frame=B,
         singular_values=D,
         pivots=np.asarray(piv),
-        pivoted=bool(np.any(piv != np.arange(ns))),
-        coherence_rotation=G,
+        pivoted=bool(np.any(piv != np.arange(A.shape[1]))),
     )
 
 

@@ -233,6 +233,29 @@ def test_non_numeric_value_exits_2(source, k, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", ["fresnel", "3", "[exact]", "null"])
+def test_bad_mode_exits_2(mode, tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        f"mode: {mode}\nk: 1.0\nz0: 100.0\n"
+        "sources:\n  - {x: 0, y: 0, z: 0}\ncollectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n"
+    )
+    code = run_cli("qfi", "--scenario", str(bad), "--direction", "x")
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: mode must be 'exact' or 'paraxial'")
+
+
+def test_design_document_embeds_the_serialized_interferometer(tmp_path):
+    path = bundled_scenario_path("four_collector.scn")
+    out = tmp_path / "design.json"
+    assert run_cli("design", "--scenario", str(path), "--direction", "separation-z",
+                   "--out", str(out)) == EXIT_OK
+    scenario = emitterfisher.load_scenario(path)
+    R = emitterfisher.verify_saturation(
+        scenario, emitterfisher.named_direction("separation-z", 2)).interferometer
+    assert read_json(out)["interferometer"] == json.loads(interferometer_to_json(R))
+
+
 def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path):
     # The design document's probabilities come from verify_saturation's C:
     # one build at the base point, one at the displaced point of the check.

@@ -278,6 +278,19 @@ def test_scenario_invariants():
         SourcePoint(0, 0, 0, weight=-0.5)
 
 
+def test_mode_is_checked_by_the_constructor(tmp_path):
+    # An unknown mode is a ScenarioError from the constructor itself; a
+    # file's mode is read without regard to case.
+    with pytest.raises(ScenarioError, match="mode must be"):
+        make_scenario([(0, 0, 0)], [(1, 0)], mode="fresnel")
+    path = tmp_path / "upper.scn"
+    path.write_text(
+        "mode: EXACT\nk: 1.0\nz0: 100.0\n"
+        "sources:\n  - {x: 0, y: 0, z: 0}\ncollectors:\n  - {u: 1, v: 0}\n"
+    )
+    assert load_scenario(path).mode is Mode.EXACT
+
+
 def test_paraxial_scale_warning():
     with pytest.warns(UserWarning, match="paraxial"):
         make_scenario([(20.0, 0, 0)], [(5, 0)], z0=100.0)
