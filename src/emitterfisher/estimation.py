@@ -87,9 +87,12 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     The source positions at the ``checked`` thetas are validated in one
     check; sources move linearly in theta, so the ends of an interval cover
     all of it.  A measurement R that is not an Interferometer is checked
-    once, here.
+    once, here.  Each p(theta) is a product with R's dense ``matrix``,
+    read once per path: a path applies one R to thousands of N_C x N_S
+    blocks, and at the few collectors of a sweep a matrix product costs
+    less than an FFT or a factored apply.
     """
-    R = fisher.as_interferometer(R)
+    matrix = fisher._measurement(R, scenario.n_collectors).matrix
     scale = direction.parameter_scale
     uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
     a = direction_rows(direction, scenario.n_sources)
@@ -99,7 +102,7 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     def path(theta: float) -> np.ndarray:
         moved = xyz + a * (scale * theta)
         C, _ = amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode)
-        return fisher.detection_probabilities(C, R)
+        return fisher._probabilities(matrix @ C)
 
     return path
 

@@ -10,19 +10,23 @@ fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
 numbers the package reports: interferometer.verify_saturation takes the
 saturation ratio of its step-free optimal measurement, and the detection
-probabilities behind it, from _information_from_amplitudes, the form of
-information_report that takes an already built (C, dC).
+probabilities behind it of C and of a displaced C', from
+_information_from_amplitudes, which takes an already built (C, dC, C')
+and applies the measurement once, to [C, dC, C'].
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
 
-A measurement is an Interferometer, whose constructor checks its matrix
-unitary through the full product R^dag R - I, O(N_C^3); anything else
-passed as a measurement goes through that constructor first.  The one
-exception is the package's own optimal measurement, which is built from
-the Householder factors of a QR and checked from them in O(N_C^2 r)
-(_householder_interferometer), with the same tolerance and the same
-``unitarity_residual``.
+A measurement is an Interferometer, applied to an N_C x m block through
+its ``apply`` in one of three forms.  A dense matrix is checked unitary by
+its constructor through the full product R^dag R - I, O(N_C^3); anything
+else passed as a measurement goes through that constructor first.  The
+package's own optimal measurement stays in Householder form: the factors
+of a QR plus its support rows, checked from them in O(N_C r^2) with the
+same tolerance and the same ``unitarity_residual``, and applied in
+O(N_C r m) (_householder_interferometer).  qft_interferometer is in
+Fourier form, applied by FFT.  No Fisher value forms an N_C x N_C matrix
+for the two factored forms; ``matrix`` builds it when read.
 """
 
 from __future__ import annotations
@@ -63,59 +67,144 @@ class Provenance(str, Enum):
     USER_SUPPLIED = "user_supplied"
 
 
-@dataclass(frozen=True)
+def _full_unitarity_residual(m: np.ndarray) -> float:
+    """||R^dag R - I||_F of a square matrix, through the full product, O(N_C^3)."""
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
+
+
+def _passing(resid: float) -> float:
+    """resid if it passes UNITARITY_TOL (NaN fails), else NumericalError."""
+    if not resid <= UNITARITY_TOL:
+        raise NumericalError(
+            f"interferometer is not unitary: ||R^dag R - I||_F = {resid:.3e}"
+        )
+    return resid
+
+
 class Interferometer:
     """Unitary mode transformation feeding the photodetectors.
 
-    Row q of the matrix is the detector-q projection: the probability of
-    a click at detector q is the squared row norm of (matrix @ C).
+    Row q of ``matrix`` is the detector-q projection: the probability of a
+    click at detector q is the squared row norm of ``apply(C)``, which
+    equals ``matrix @ C``.  A measurement has one of three forms, and
+    ``apply`` acts on an N_C x m block in that form:
+
+    - dense: ``Interferometer(matrix, provenance, alpha)`` checks its
+      matrix square and unitary in ``__post_init__``, through the full
+      product R^dag R - I, O(N_C^3), and applies it as a matrix product;
+    - Householder: the package's optimal measurement, kept as the factors
+      of a QR plus its support rows (_householder_interferometer), checked
+      from them in O(N_C r^2) and applied in O(N_C r m);
+    - Fourier: interferometer.qft_interferometer, applied as an
+      orthonormal inverse FFT along the modes.  It is unitary by
+      construction, so nothing is checked at construction;
+      ``unitarity_residual`` is computed from ``matrix``, with the dense
+      form's formula, when first read.
+
+    ``matrix`` is read-only; the Householder and Fourier forms build it
+    (``_form``) on first access.  Equality and hashing are by identity, so
+    comparing two measurements never forms or compares a matrix.
     """
 
-    matrix: np.ndarray
-    provenance: Provenance = Provenance.USER_SUPPLIED
-    alpha: float | None = None
-    # ||R^dag R - I||_F of the unitarity check (constructor or Householder factors).
-    unitarity_residual: float = field(init=False, repr=False, compare=False)
+    def __init__(self, matrix, provenance=Provenance.USER_SUPPLIED, alpha: float | None = None):
+        self._matrix = matrix
+        self._provenance = Provenance(provenance)
+        self._alpha = alpha
+        self.__post_init__()
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        """The dense form's check: a square matrix, unitary through the full product."""
+        m = np.array(self._matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
-        self._accept(m, float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))))
-
-    def _accept(self, m: np.ndarray, resid: float) -> None:
-        """Freeze the square complex matrix m as this measurement if resid passes (NaN fails)."""
-        if not resid <= UNITARITY_TOL:
-            raise NumericalError(
-                f"interferometer is not unitary: ||R^dag R - I||_F = {resid:.3e}"
-            )
+        self._residual = _passing(_full_unitarity_residual(m))
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "unitarity_residual", resid)
-        object.__setattr__(self, "provenance", Provenance(self.provenance))
+        self._matrix = m
+        self._n_modes = m.shape[0]
+
+    def _init_factored(self, n_modes: int, provenance: Provenance) -> None:
+        """State of a factored form: no matrix yet and no residual unless its builder sets one."""
+        self._matrix = None
+        self._provenance = provenance
+        self._alpha = None
+        self._n_modes = n_modes
+        self._residual = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The N_C x N_C matrix (read-only), built on first access by a factored form."""
+        if self._matrix is None:
+            m = self._form()
+            m.setflags(write=False)
+            self._matrix = m
+        return self._matrix
+
+    @property
+    def provenance(self) -> Provenance:
+        return self._provenance
+
+    @property
+    def alpha(self) -> float | None:
+        return self._alpha
 
     @property
     def n_modes(self) -> int:
-        return self.matrix.shape[0]
+        return self._n_modes
+
+    @property
+    def unitarity_residual(self) -> float:
+        """||R^dag R - I||_F: of the constructor's or the factored check, else of ``matrix``."""
+        if self._residual is None:
+            self._residual = _full_unitarity_residual(self.matrix)
+        return self._residual
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """matrix @ X for an N_C x m block X, in this measurement's form."""
+        return self._matrix @ X
+
+    def __repr__(self) -> str:
+        return f"Interferometer(n_modes={self.n_modes}, provenance={self.provenance.value!r})"
+
+
+class _HouseholderInterferometer(Interferometer):
+    """Householder form: R = Q^dag = I - V T^dag V^dag with its first r rows replaced by S."""
+
+    def __init__(self, V: np.ndarray, Th: np.ndarray, support_rows: np.ndarray):
+        self._init_factored(V.shape[0], Provenance.SYNTHESIZED)
+        self._V, self._Vh, self._Th, self._S = V, V.conj().T, Th, support_rows
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        RX = X - self._V @ (self._Th @ (self._Vh @ X))
+        RX[: self._S.shape[0]] = self._S @ X
+        return RX
+
+    def _form(self) -> np.ndarray:
+        R = self._V @ (-self._Th @ self._Vh)
+        R.flat[:: self._n_modes + 1] += 1.0
+        R[: self._S.shape[0]] = self._S
+        return R
 
 
 def _householder_interferometer(
     reflectors: np.ndarray, tau: np.ndarray, support_rows: np.ndarray
 ) -> Interferometer:
-    """Synthesized measurement: Q^dag of a Householder QR, support rows first.
+    """Synthesized measurement: Q^dag of a Householder QR, support rows first, in factored form.
 
     ``reflectors, tau = np.linalg.qr(basis, mode="raw")`` for an N_C x r
     basis; in compact-WY form Q = I - V T V^dag, with V the unit lower
     trapezoidal reflectors and T the r x r upper-triangular factor of the
     LAPACK zlarft recursion.  R = Q^dag is one rank-r update of the
     identity, and its first r rows are replaced by ``support_rows`` (S,
-    r x N_C), which must span the first r columns of Q.  With K the other
-    rows of R, ||R R^dag - I||^2 = ||S S^dag - I||^2 + 2 ||K S^dag||^2
-    + ||V_2 X V_2^dag||^2, where X = T^dag (V^dag V) T - T - T^dag gives
-    Q^dag Q - I = V X V^dag and V_2 is the rows of V past r.  The last term
-    is tr(X G X^dag G) = <G X, X G> with G = V_2^dag V_2, so the check
-    costs O(N_C^2 r) and equals ||R^dag R - I||_F of the full check to
-    rounding.
+    r x N_C), which must span the first r columns of Q.  So R X is S X on
+    the first r rows and X - V (T^dag (V^dag X)) on the others, O(N_C r m)
+    for an N_C x m block X; R itself is formed only when ``matrix`` is
+    read.  With K the other rows of R, ||R R^dag - I||^2 =
+    ||S S^dag - I||^2 + 2 ||K S^dag||^2 + ||V_2 X V_2^dag||^2, where
+    X = T^dag (V^dag V) T - T - T^dag gives Q^dag Q - I = V X V^dag and
+    V_2 is the rows of V past r.  [S S^dag; K S^dag] is R applied to
+    S^dag, and the last term is tr(X G X^dag G) = <G X, X G> with
+    G = V_2^dag V_2, so the check costs O(N_C r^2) and equals
+    ||R^dag R - I||_F of the full check to rounding.
     """
     r, n = reflectors.shape
     V = reflectors.T.copy()
@@ -128,11 +217,9 @@ def _householder_interferometer(
     for i in range(1, r):
         T[:i, i] = -tau[i] * (T[:i, :i] @ W[:i, i])
     Th = T.conj().T
-    R = V @ (-Th @ V.conj().T)
-    R.flat[:: n + 1] += 1.0
-    R[:r] = support_rows
+    measurement = _HouseholderInterferometer(V, Th, support_rows)
     # R S^dag is [S S^dag; K S^dag]; minus the identity on its first rows.
-    RS = R @ R[:r].conj().T
+    RS = measurement.apply(support_rows.conj().T)
     KS = RS[r:]
     RS.flat[: r * r : r + 1] -= 1.0
     X = Th @ W @ T - T - Th
@@ -141,10 +228,7 @@ def _householder_interferometer(
         + np.vdot(KS, KS).real
         + max(np.vdot(G @ X, X @ G).real, 0.0)
     )
-    measurement = object.__new__(Interferometer)
-    object.__setattr__(measurement, "provenance", Provenance.SYNTHESIZED)
-    object.__setattr__(measurement, "alpha", None)
-    measurement._accept(R, math.sqrt(resid2))
+    measurement._residual = _passing(math.sqrt(resid2))
     return measurement
 
 
@@ -216,27 +300,46 @@ def quantum_fidelity(M: np.ndarray) -> float:
         ) from exc
 
 
-def _as_matrix(R, n_collectors: int) -> np.ndarray:
-    """Matrix of measurement R, which must act on n_collectors modes."""
-    matrix = as_interferometer(R).matrix
-    if matrix.shape[1] != n_collectors:
+def _measurement(R, n_collectors: int) -> Interferometer:
+    """R as an Interferometer, which must act on n_collectors modes."""
+    R = as_interferometer(R)
+    if R.n_modes != n_collectors:
         raise ScenarioError(
-            f"interferometer size {matrix.shape[0]} != collector count {n_collectors}"
+            f"interferometer size {R.n_modes} != collector count {n_collectors}"
         )
-    return matrix
+    return R
+
+
+def _applied(R, *blocks: np.ndarray) -> list[np.ndarray]:
+    """R applied to each block of N_C rows, through one apply to the blocks side by side."""
+    for block in blocks:
+        R = _measurement(R, block.shape[0])
+    RX = R.apply(np.concatenate(blocks, axis=1))
+    out, start = [], 0
+    for block in blocks:
+        out.append(RX[:, start : start + block.shape[1]])
+        start += block.shape[1]
+    return out
+
+
+def _probabilities(RC: np.ndarray) -> np.ndarray:
+    """Detection probabilities p_q = sum_s |(R C)_{qs}|^2 from the product R C."""
+    return (np.abs(RC) ** 2).sum(axis=1)
 
 
 def detection_probabilities(C: np.ndarray, R) -> np.ndarray:
-    """Photon detection probabilities p_q = sum_s |(R C)_{qs}|^2."""
+    """Photon detection probabilities p_q = sum_s |(R C)_{qs}|^2, with R C from R.apply."""
     C = np.asarray(C)
-    return (np.abs(_as_matrix(R, C.shape[0]) @ C) ** 2).sum(axis=1)
+    return _probabilities(_measurement(R, C.shape[0]).apply(C))
 
 
 def classical_fidelity(C: np.ndarray, C_prime: np.ndarray, R) -> float:
-    """Bhattacharyya overlap sum_q sqrt(p_q p'_q) of the two count distributions."""
-    p = detection_probabilities(C, R)
-    p_prime = detection_probabilities(C_prime, R)
-    return float(np.sqrt(p * p_prime).sum())
+    """Bhattacharyya overlap sum_q sqrt(p_q p'_q) of the two count distributions.
+
+    R is applied once, to [C, C'].
+    """
+    RC, RC_prime = _applied(R, np.asarray(C), np.asarray(C_prime))
+    return float(np.sqrt(_probabilities(RC) * _probabilities(RC_prime)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +398,26 @@ def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
     return _drop_rounding(4.0 * float(value), C, dC)
 
 
-def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
-    """sum_q (dp_q)^2 / p_q behind R, with dp = 2 Re sum_s conj(R C) (R dC), and p.
+def _cfi_from_products(
+    C: np.ndarray, dC: np.ndarray, RC: np.ndarray, RdC: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """sum_q (dp_q)^2 / p_q from R C and R dC, with dp = 2 Re sum_s conj(R C) (R dC), and p.
 
     A dark port (p_q <= DARK_P) contributes the 0/0 limit
     4 sum_s |(R dC)_{qs}|^2.  p equals detection_probabilities(C, R).
     """
-    R = _as_matrix(R, C.shape[0])
-    RC, RdC = R @ C, R @ dC
-    p = (np.abs(RC) ** 2).sum(axis=1)
+    p = _probabilities(RC)
     dark = p <= DARK_P
     dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=1)
     terms = np.where(
         dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=1), dp**2 / np.where(dark, 1.0, p)
     )
     return _drop_rounding(float(terms.sum()), C, dC), p
+
+
+def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
+    """The cfi behind R and the detection probabilities, from one apply of R to [C, dC]."""
+    return _cfi_from_products(C, dC, *_applied(R, C, dC))
 
 
 def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
@@ -335,15 +443,18 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
 
 
 def _information_from_amplitudes(
-    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R
-) -> tuple[FisherReport, np.ndarray]:
-    """Joint qfi and cfi report, and the detection probabilities behind R.
+    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R, C_prime: np.ndarray
+) -> tuple[FisherReport, np.ndarray, np.ndarray]:
+    """Joint qfi and cfi report, and the detection probabilities of C and of C' behind R.
 
-    C and dC are amplitude_and_derivative(scenario, direction); the
-    probabilities come from the same product R C as the cfi.
+    C and dC are amplitude_and_derivative(scenario, direction), and C' the
+    amplitudes of another source configuration on the same collectors.  R
+    is applied once, to [C, dC, C'].
     """
-    cfi_value, p = _cfi_value(C, dC, R)
-    return _report(direction, qfi=_qfi_value(C, dC), cfi=cfi_value), p
+    RC, RdC, RC_prime = _applied(R, C, dC, C_prime)
+    cfi_value, p = _cfi_from_products(C, dC, RC, RdC)
+    report = _report(direction, qfi=_qfi_value(C, dC), cfi=cfi_value)
+    return report, p, _probabilities(RC_prime)
 
 
 def information_report(
@@ -351,7 +462,7 @@ def information_report(
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _information_from_amplitudes(direction, C, dC, R)[0]
+    return _report(direction, qfi=_qfi_value(C, dC), cfi=_cfi_value(C, dC, R)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,14 @@ diagonals.  The other N_C - N_S output modes carry no light of either
 frame, so the check reads P alone.
 
 The Interferometer type and its unitarity checks live in fisher, which
-imports nothing from this module; they are re-exported here.  The
-optimal measurement is checked from the Householder factors of its dark
-ports in O(N_C^2 N_S); every other matrix goes through the O(N_C^3)
-constructor check.
+imports nothing from this module; they are re-exported here.  A
+measurement is applied to a block of amplitudes in one of three forms.
+The optimal measurement keeps the Householder factors of its dark ports
+and its support rows, is checked from them in O(N_C N_S^2) and applied
+in O(N_C N_S m); qft_interferometer is applied by FFT and, unitary by
+construction, is not checked; identity, bs_phase and every matrix read
+from outside are dense and go through the O(N_C^3) constructor check.
+Each builds its N_C x N_C matrix only when ``matrix`` is read.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .fisher import (
     _householder_interferometer,
     _information_from_amplitudes,
     cfi,
-    detection_probabilities,
     support_svd,
 )
 from .geometry import (
@@ -78,11 +81,31 @@ def beam_splitter_with_phase(alpha: float = 0.0) -> Interferometer:
     return Interferometer(matrix, Provenance.BS_PHASE, alpha=alpha)
 
 
+class _FourierInterferometer(Interferometer):
+    """Fourier form: the discrete Fourier transform, applied by FFT."""
+
+    def __init__(self, n_modes: int):
+        self._init_factored(n_modes, Provenance.QFT)
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(X, axis=0, norm="ortho")
+
+    def _form(self) -> np.ndarray:
+        n = self._n_modes
+        j, q = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        return np.exp(2j * np.pi * (j * q % n) / n) / math.sqrt(n)
+
+
 def qft_interferometer(n_modes: int) -> Interferometer:
-    """Discrete-Fourier-transform unitary: entry (j, q) = exp(2 pi i j q / N) / sqrt(N)."""
-    j, q = np.meshgrid(np.arange(n_modes), np.arange(n_modes), indexing="ij")
-    matrix = np.exp(2j * np.pi * j * q / n_modes) / math.sqrt(n_modes)
-    return Interferometer(matrix, Provenance.QFT)
+    """Discrete-Fourier-transform unitary: entry (j, q) = exp(2 pi i j q / N) / sqrt(N).
+
+    Fourier form: it is applied as np.fft.ifft(X, axis=0, norm="ortho"),
+    which is this matrix times X.  The matrix is built only when read,
+    from the entry formula with j q reduced mod N in integers, so that
+    every phase lies in [0, 2 pi) and the entries are as accurate as the
+    FFT's; its ``unitarity_residual`` is then computed from it.
+    """
+    return _FourierInterferometer(n_modes)
 
 
 def builtin_interferometer(
@@ -264,9 +287,10 @@ def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
     One Householder QR of U_r (the raw reflectors, no square Q) defines
     Q = I - V T V^dag; in R = Q^dag the rows past the first r span ker
     C^dag, and the first r rows are replaced by the support rows.  R is
-    checked unitary from those factors in O(N_C^2 N_S)
-    (fisher._householder_interferometer), not by the O(N_C^3) product of
-    the Interferometer constructor.
+    returned in that factored form (fisher._householder_interferometer):
+    checked unitary from the factors in O(N_C r^2), not by the O(N_C^3)
+    product of the Interferometer constructor, and applied to a block
+    without forming the N_C x N_C matrix.
     """
     C = np.asarray(C, dtype=complex)
     if C.shape != np.shape(dC):
@@ -344,11 +368,11 @@ class SaturationReport:
     point, independent of ``delta_theta``.  ``qfi_estimate``,
     ``cfi_estimate`` and ``saturation_ratio`` are the closed-form values
     of fisher.information_report for it, so ``cfi`` of ``interferometer``
-    reports the same numbers, and ``unitarity_residual`` is its unitarity
-    check, made from the Householder factors of its dark ports.  The theorem check runs the alignment stage of
-    the pair construction on (r, r + a delta_theta): the triangularity,
-    diagonal-product and scalar-product residuals and the QR pivots refer
-    to it.  The quantum fidelity of the pair (the trace norm of C^dag C',
+    reports the same numbers to rounding, and ``unitarity_residual`` is its
+    unitarity check, made from its Householder factors.  The theorem check
+    runs the alignment stage of the pair construction on
+    (r, r + a delta_theta): the triangularity, diagonal-product and
+    scalar-product residuals and the QR pivots refer to it.  The quantum fidelity of the pair (the trace norm of C^dag C',
     the sum of the alignment's singular values) and its classical fidelity
     behind ``interferometer`` are double-precision diagnostics.
     ``probabilities`` are the detection probabilities behind
@@ -420,7 +444,9 @@ def verify_saturation(
     (the theorem check, at the requested step): R1 A upper-triangular,
     R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|, scalar products
     preserved.  A zero or non-finite ``delta_theta`` gives an identical
-    pair, which defines no alignment, and raises ScenarioError.
+    pair, which defines no alignment, and raises ScenarioError.  The
+    measurement is applied once, to [C, dC, C'], for the Fisher values,
+    the probabilities and the classical fidelity.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
@@ -437,11 +463,11 @@ def verify_saturation(
     diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
     R = optimal_interferometer(C, dC)
-    info, p = _information_from_amplitudes(direction, C, dC, R)
+    info, p, p_prime = _information_from_amplitudes(direction, C, dC, R, C_prime)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=float(D.sum()),
-        classical_fidelity=float(np.sqrt(p * detection_probabilities(C_prime, R)).sum()),
+        classical_fidelity=float(np.sqrt(p * p_prime).sum()),
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,

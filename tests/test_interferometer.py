@@ -23,6 +23,8 @@ from emitterfisher import (
     builtin_interferometer,
     bundled_scenario_path,
     bundled_scenarios,
+    cfi,
+    classical_fidelity,
     detection_probabilities,
     disc_collector_grid,
     displace,
@@ -516,8 +518,8 @@ def test_each_optimal_measurement_does_one_householder_qr(monkeypatch):
                                   optimal_interferometer(C, C_prime - C).matrix)
 
 
-def _factored_check_case(seed, ns, mode, coincident, max_collectors=64):
-    """(C, dC, C') of a random array with ns sources and up to max_collectors collectors."""
+def _random_array(seed, ns, mode, coincident, max_collectors=64):
+    """(scenario, direction): ns sources, up to max_collectors collectors, maybe a coincident pair."""
     rng = np.random.default_rng(seed)
     nc = int(rng.integers(ns, max_collectors + 1))
     sources = [SourcePoint(*rng.normal(0, 0.5, 3), weight=w) for w in rng.uniform(0.5, 1.5, ns)]
@@ -525,7 +527,12 @@ def _factored_check_case(seed, ns, mode, coincident, max_collectors=64):
         sources[1] = SourcePoint(sources[0].x, sources[0].y, sources[0].z, weight=sources[1].weight)
     s = Scenario(tuple(sources), tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(nc)),
                  k=1.0, z0=100.0, mode=mode)
-    d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+    return s, GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+
+
+def _factored_check_case(seed, ns, mode, coincident, max_collectors=64):
+    """(C, dC, C') of a random array with ns sources and up to max_collectors collectors."""
+    s, d = _random_array(seed, ns, mode, coincident, max_collectors)
     C, dC = amplitude_and_derivative(s, d)
     C_prime = build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
     return C, dC, C_prime
@@ -595,6 +602,77 @@ def test_factored_check_rejects_non_unitary_factors():
             residual = np.linalg.norm(R.matrix.conj().T @ R.matrix - np.eye(n))
             assert R.unitarity_residual == pytest.approx(residual, rel=1e-3)
             assert R.unitarity_residual > 1e-13
+
+
+def _close(value, reference, rel=1e-12):
+    return abs(value - reference) <= rel * abs(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 6),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+    coincident=st.booleans(),
+)
+def test_measurement_forms_agree_with_their_matrices(seed, ns, mode, coincident):
+    # Dense, Householder and Fourier forms: apply(X) is matrix @ X, and
+    # every entry point gives through the operator what it gives for the
+    # same measurement passed as a raw dense matrix.
+    s, d = _random_array(seed, ns, mode, coincident)
+    n = s.n_collectors
+    C, dC = amplitude_and_derivative(s, d)
+    C_prime = build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    haar = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))).Q
+    forms = (Interferometer(haar), optimal_interferometer(C, dC),
+             synthesize_optimal_interferometer(C, C_prime).interferometer, qft_interferometer(n))
+    for R in forms:
+        for block in (X, C, dC):
+            assert np.linalg.norm(R.apply(block) - R.matrix @ block) <= 1e-13 * np.linalg.norm(block)
+        raw = np.array(R.matrix)
+        assert _close(cfi(s, d, R).cfi, cfi(s, d, raw).cfi)
+        report, dense_report = information_report(s, d, R), information_report(s, d, raw)
+        assert report.qfi == dense_report.qfi and _close(report.cfi, dense_report.cfi)
+        p, dense_p = detection_probabilities(C, R), detection_probabilities(C, raw)
+        # Dark ports hold rounding only: 1e-15 absolute there.
+        assert np.all(np.abs(p - dense_p) <= np.maximum(1e-12 * dense_p, 1e-15))
+        assert _close(classical_fidelity(C, C_prime, R), classical_fidelity(C, C_prime, raw))
+
+
+def test_measurements_compare_and_hash_by_identity():
+    # Two measurements built alike are two measurements: == and hash are
+    # by identity and never form or compare a matrix, in every form.
+    C, dC, _ = _factored_check_case(7, 2, Mode.PARAXIAL, False, max_collectors=12)
+    for build in (lambda: identity_interferometer(4), lambda: qft_interferometer(4),
+                  lambda: optimal_interferometer(C, dC)):
+        a, b = build(), build()
+        assert a == a and a != b and not a == b
+        table = {a: "a", b: "b"}
+        assert (table[a], table[b]) == ("a", "b")
+
+
+def test_wide_disc_measurements_form_no_dense_matrix():
+    # The N_C = 5025 disc, where one dense R is 404 MB: the optimal
+    # measurement and qft are applied in factored form, so the saturation
+    # check and the cfi behind qft never hold an N_C x N_C array.
+    import tracemalloc
+
+    pair = load_scenario(bundled_scenario_path("two_collector.scn"))
+    s = Scenario(pair.sources, disc_collector_grid(0.025), pair.k, pair.z0, pair.mode)
+    assert s.n_collectors == 5025
+    d = named_direction("separation-x", 2)
+    tracemalloc.start()
+    try:
+        report = verify_saturation(s, d)
+        behind_qft = cfi(s, d, qft_interferometer(s.n_collectors)).cfi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert abs(report.saturation_ratio - 1.0) < 1e-10
+    assert behind_qft <= report.qfi_estimate
 
 
 def test_pair_built_measurement_saturates_on_ill_conditioned_array():
