@@ -5,7 +5,10 @@ the Cramer-Rao prediction 1/(n * CFI) for photon counting behind a given
 interferometer.  Photon records are i.i.d. multinomial draws (weak
 sources: at most one photon per detection window, no losses or dark
 counts); the scalar parameter is estimated by a grid scan refined with
-golden-section search on the log-likelihood.
+golden-section search on the log-likelihood.  Detection probabilities
+are evaluated for a vector of thetas at once, and the trials of a sweep
+are refined together, one batched p(theta) per golden-section step; a
+single estimate is the one-trial case of the same code.
 """
 
 from __future__ import annotations
@@ -84,13 +87,15 @@ class EstimationResult:
 def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *checked: float):
     """p(theta) for the sources at r + a * parameter_scale * theta, with no Scenario per theta.
 
-    The source positions at the ``checked`` thetas are validated in one
-    check; sources move linearly in theta, so the ends of an interval cover
-    all of it.  A measurement R that is not an Interferometer is checked
-    once, here.  Each p(theta) is a product with R's dense ``matrix``,
-    read once per path: a path applies one R to thousands of N_C x N_S
-    blocks, and at the few collectors of a sweep a matrix product costs
-    less than an FFT or a factored apply.
+    The returned function maps T thetas to a (T, N_C) array of detection
+    probabilities, row t depending only on theta t.  The source positions
+    at the ``checked`` thetas are validated in one check; sources move
+    linearly in theta, so the ends of an interval cover all of it.  A
+    measurement R that is not an Interferometer is checked once, here.  R's
+    dense ``matrix`` is read once per path and each call makes one
+    broadcast product with the (T, N_C, N_S) amplitudes: at the few
+    collectors of a sweep a matrix product costs less than an FFT or a
+    factored apply.
     """
     matrix = fisher._measurement(R, scenario.n_collectors).matrix
     scale = direction.parameter_scale
@@ -99,12 +104,33 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     steps = scale * np.array(checked, dtype=float)
     check_source_positions(xyz + a * steps[:, None, None], scenario.z0, scenario.mode)
 
-    def path(theta: float) -> np.ndarray:
-        moved = xyz + a * (scale * theta)
+    def path(theta) -> np.ndarray:
+        moved = xyz + a * (scale * np.asarray(theta, dtype=float))[:, None, None]
         C, _ = amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode)
         return fisher._probabilities(matrix @ C)
 
     return path
+
+
+def _whole_number(value, what: str, least: int) -> int:
+    """``value`` as an int no smaller than ``least``; ScenarioError otherwise."""
+    number = finite_number(value, what)
+    if not number.is_integer() or number < least:
+        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(number)
+
+
+def _checked_counts(counts, n_collectors: int) -> np.ndarray:
+    """Photon counts as a float vector of length N_C: finite, non-negative, not all zero."""
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape != (n_collectors,):
+        raise ScenarioError(f"counts must be a vector of {n_collectors} detector counts, "
+                            f"got shape {counts.shape}")
+    if not (np.isfinite(counts).all() and (counts >= 0).all()):
+        raise ScenarioError("counts must be finite and non-negative")
+    if not counts.sum() > 0:
+        raise ScenarioError("counts hold no photons")
+    return counts
 
 
 def _draw(p: np.ndarray, n_photons: int, seed: int, theta_true: float) -> DetectionRecord:
@@ -123,15 +149,14 @@ def sample_detections(
     seed: int,
 ) -> DetectionRecord:
     """Multinomial draw of n photons from p(. | theta_true); seed-reproducible."""
-    if n_photons < 1:
-        raise ScenarioError("n_photons must be >= 1")
-    p = _probability_path(scenario, direction, R, theta_true)(theta_true)
+    n_photons = _whole_number(n_photons, "n_photons", 1)
+    p = _probability_path(scenario, direction, R, theta_true)([theta_true])[0]
     return _draw(p, n_photons, seed, theta_true)
 
 
-def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> float:
-    mask = counts > 0
-    return float(np.sum(counts[mask] * np.log(np.maximum(p[mask], LOG_FLOOR))))
+def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """sum_q counts_q log p_q over the last axis; terms with zero counts add nothing."""
+    return (counts * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=-1)
 
 
 def mle_estimate(
@@ -143,21 +168,24 @@ def mle_estimate(
 ) -> EstimationResult:
     """Maximize the counting log-likelihood over the search interval.
 
-    A coarse grid locates the mode (and checks identifiability: flat
-    detection probabilities raise NonIdentifiableError); golden-section
-    search refines it to REFINE_TOL times the interval width.
+    The counts must be a finite, non-negative vector of length N_C with a
+    positive total.  A coarse grid locates the mode (and checks
+    identifiability: flat detection probabilities raise
+    NonIdentifiableError); golden-section search refines it to REFINE_TOL
+    times the interval width.  This is the one-trial case of crb_sweep's
+    refinement.
     """
     if isinstance(counts, DetectionRecord):
         counts = counts.counts
-    counts = np.asarray(counts, dtype=float)
+    counts = _checked_counts(counts, scenario.n_collectors)
     lo, hi = map(float, search_interval)
     if not lo < hi:
         raise ScenarioError(f"invalid search interval [{lo}, {hi}]")
     path = _probability_path(scenario, direction, R, lo, hi)
-    theta_hat = _refine(counts, path, *_likelihood_grid(path, lo, hi))
+    theta_hat = float(_refine(counts[None], path, *_likelihood_grid(path, lo, hi))[0])
     return EstimationResult(
         theta_hat=theta_hat,
-        log_likelihood=_log_likelihood(counts, path(theta_hat)),
+        log_likelihood=float(_log_likelihood(counts, path([theta_hat])[0])),
         fisher_predicted_variance=math.nan,
         empirical_variance=math.nan,
         trials=1,
@@ -167,7 +195,7 @@ def mle_estimate(
 def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """GRID_POINTS thetas spanning [lo, hi] and log p at each; flat p is not identifiable."""
     theta = np.linspace(lo, hi, GRID_POINTS)
-    probs = np.array([path(t) for t in theta])
+    probs = path(theta)
     if np.max(np.abs(probs - probs[0])) < 1e-12:
         raise NonIdentifiableError(
             "detection probabilities are constant over the search interval"
@@ -175,27 +203,33 @@ def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return theta, np.log(np.maximum(probs, LOG_FLOOR))
 
 
-def _refine(counts: np.ndarray, path, theta: np.ndarray, log_p: np.ndarray) -> float:
-    """Grid mode of the log-likelihood, refined by golden-section search."""
-    mask = counts > 0
-    best = int(np.argmax((counts[mask] * log_p[:, mask]).sum(axis=1)))
-    a = theta[max(best - 1, 0)]
-    b = theta[min(best + 1, GRID_POINTS - 1)]
+def _refine(counts: np.ndarray, path, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Grid mode of each row of ``counts``, refined by golden-section search in lockstep.
+
+    ``counts`` is (T, N_C); returns the T estimates.  Each step moves every
+    live trial's bracket and evaluates the new points of all of them with
+    one call of ``path``.  A trial whose bracket is within REFINE_TOL times
+    the grid span is frozen: its bracket, points and values stay fixed, so
+    each estimate is what the trial refined alone would give.
+    """
+    best = np.argmax([(counts * row).sum(axis=-1) for row in log_p], axis=0)
+    a = theta[np.maximum(best - 1, 0)]
+    b = theta[np.minimum(best + 1, GRID_POINTS - 1)]
     tol = REFINE_TOL * (theta[-1] - theta[0])
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1 = _log_likelihood(counts, path(x1))
     f2 = _log_likelihood(counts, path(x2))
-    while (b - a) > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = _log_likelihood(counts, path(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = _log_likelihood(counts, path(x1))
-    return float(0.5 * (a + b))
+    while (live := np.flatnonzero((b - a) > tol)).size:
+        up = f1[live] < f2[live]
+        i, j = live[up], live[~up]
+        a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
+        b[j], x2[j], f2[j] = x2[j], x1[j], f1[j]
+        x2[i] = a[i] + GOLDEN * (b[i] - a[i])
+        x1[j] = b[j] - GOLDEN * (b[j] - a[j])
+        f = _log_likelihood(counts[live], path(np.where(up, x2[live], x1[live])))
+        f2[i], f1[j] = f[up], f[~up]
+    return 0.5 * (a + b)
 
 
 def default_search_interval(
@@ -228,17 +262,21 @@ def crb_sweep(
 ) -> tuple[EstimationResult, list[TrialRecord]]:
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
-    The CFI at the truth comes from the source arrays, without a Scenario;
-    the truth and both ends of the search interval are then checked in one
+    ``n_photons`` and ``trials`` (at least two) must be integers.  The CFI
+    at the truth comes from the source arrays, without a Scenario; the
+    truth and both ends of the search interval are then checked in one
     call, so the paraxial-validity warning is emitted at most once.
     p(theta_true) and the likelihood grid are computed once per sweep.
-    Per-trial seeds are spawned deterministically from the master seed; each
-    estimate equals mle_estimate of sample_detections(..., seed=record.seed)
-    over default_search_interval.  ``threads`` is ignored.  Returns the
-    aggregate (crb_ratio = empirical_variance * n * CFI) and per-trial records.
+    Per-trial seeds are spawned deterministically from the master seed;
+    every trial is drawn, then all are refined together, one batched
+    p(theta) per golden-section step.  Each estimate equals mle_estimate
+    of sample_detections(..., seed=record.seed) over
+    default_search_interval.  ``threads`` is ignored.  Returns the
+    aggregate (crb_ratio = empirical_variance * n * CFI) and per-trial
+    records.
     """
-    if trials < 2:
-        raise ScenarioError("need at least two trials to estimate a variance")
+    n_photons = _whole_number(n_photons, "n_photons", 1)
+    trials = _whole_number(trials, "trials", 2)
     theta_true = finite_number(theta_true, "theta_true")
     R = fisher.as_interferometer(R)
     scale = direction.parameter_scale
@@ -254,13 +292,11 @@ def crb_sweep(
     lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
     path = _probability_path(scenario, direction, R, theta_true, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
-    p_true = path(theta_true)
+    p_true = path([theta_true])[0]
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-    records = []
-    for i, trial_seed in enumerate(trial_seeds):
-        counts = _draw(p_true, n_photons, trial_seed, theta_true).counts
-        records.append(TrialRecord(i, trial_seed, _refine(counts, path, theta, log_p)))
-    estimates = np.array([r.theta_hat for r in records])
+    draws = [_draw(p_true, n_photons, s, theta_true).counts for s in trial_seeds]
+    estimates = _refine(np.array(draws, dtype=float), path, theta, log_p)
+    records = [TrialRecord(i, s, float(t)) for i, (s, t) in enumerate(zip(trial_seeds, estimates))]
     empirical = float(np.var(estimates, ddof=1))
     predicted = 1.0 / (n_photons * cfi_value)
     aggregate = EstimationResult(

@@ -323,8 +323,8 @@ def _applied(R, *blocks: np.ndarray) -> list[np.ndarray]:
 
 
 def _probabilities(RC: np.ndarray) -> np.ndarray:
-    """Detection probabilities p_q = sum_s |(R C)_{qs}|^2 from the product R C."""
-    return (np.abs(RC) ** 2).sum(axis=1)
+    """Detection probabilities p_q = sum_s |(R C)_{qs}|^2 from R C or a stack of such products."""
+    return (np.abs(RC) ** 2).sum(axis=-1)
 
 
 def detection_probabilities(C: np.ndarray, R) -> np.ndarray:

@@ -157,7 +157,17 @@ class Scenario:
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "collectors", collectors)
         object.__setattr__(self, "mode", mode)
-        check_source_positions(self.source_positions(), self.z0, mode)
+        # Built once and read-only; plain attributes, not fields, so equality,
+        # hashing and repr see only the records above.
+        for name, rows in (
+            ("_source_positions", [[s.x, s.y, s.z] for s in sources]),
+            ("_weights", [s.weight for s in sources]),
+            ("_collector_positions", [[c.u, c.v] for c in collectors]),
+        ):
+            array = np.array(rows, dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        check_source_positions(self._source_positions, self.z0, mode)
 
     @property
     def n_sources(self) -> int:
@@ -168,15 +178,16 @@ class Scenario:
         return len(self.collectors)
 
     def source_positions(self) -> np.ndarray:
-        """(N_S, 3) array of source coordinates relative to the reference plane."""
-        return np.array([[s.x, s.y, s.z] for s in self.sources], dtype=float)
+        """Read-only (N_S, 3) array of source coordinates relative to the reference plane."""
+        return self._source_positions
 
     def weights(self) -> np.ndarray:
-        return np.array([s.weight for s in self.sources], dtype=float)
+        """Read-only (N_S,) array of the normalized source weights."""
+        return self._weights
 
     def collector_positions(self) -> np.ndarray:
-        """(N_C, 2) array of collector coordinates."""
-        return np.array([[c.u, c.v] for c in self.collectors], dtype=float)
+        """Read-only (N_C, 2) array of collector coordinates."""
+        return self._collector_positions
 
 
 @dataclass(frozen=True)
@@ -285,15 +296,16 @@ def displace(
 def _raw_amplitudes(
     uv: np.ndarray, xyz: np.ndarray, k: float, z0: float, mode: Mode, a: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Unnormalized amplitudes gamma (N_C, N_S) and d gamma / d theta along ``a``.
+    """Unnormalized amplitudes gamma (..., N_C, N_S) and d gamma / d theta along ``a``.
 
-    ``uv`` holds collector and ``xyz`` source coordinates; ``a`` is the
-    3 N_S direction (flat or one row per source) or None (no derivative).
-    Paraxial gamma is exp(i phi) with unit modulus; exact gamma is
-    exp(i k d) / d.
+    ``uv`` holds collector coordinates and ``xyz`` one (N_S, 3) set of
+    source coordinates or a stack (..., N_S, 3) of such sets; ``a`` is the
+    3 N_S direction (flat or one row per source), shared by every set, or
+    None (no derivative).  Paraxial gamma is exp(i phi) with unit modulus;
+    exact gamma is exp(i k d) / d.
     """
     u, v = uv[:, :1], uv[:, 1:]
-    x, y, z = xyz.T
+    x, y, z = (xyz[..., None, :, i] for i in range(3))
     if a is not None:
         ax, ay, az = a.reshape(-1, 3).T
     if mode is Mode.PARAXIAL:
@@ -306,9 +318,9 @@ def _raw_amplitudes(
     ex, ey, ez = x - u, y - v, z0 + z
     d = np.sqrt(ex**2 + ey**2 + ez**2)
     if not (d > 0.0).all():
-        q, s = np.argwhere(~(d > 0.0))[0]
+        *stack, q, s = np.argwhere(~(d > 0.0))[0]
         raise DegenerateGeometryError(
-            f"source {tuple(xyz[s])} coincides with collector {tuple(uv[q])}"
+            f"source {tuple(xyz[(*stack, s)])} coincides with collector {tuple(uv[q])}"
         )
     gamma = np.exp(1j * k * d) / d
     if a is None:
@@ -359,21 +371,27 @@ def amplitude_and_derivative(
 
 def amplitude_arrays(uv: np.ndarray, xyz: np.ndarray, weights: np.ndarray, k: float, z0: float,
                      mode: Mode, a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """C and dC/dtheta from the arrays of a valid Scenario whose sources may have moved."""
+    """C and dC/dtheta from the arrays of a valid Scenario whose sources may have moved.
+
+    ``xyz`` is one (N_S, 3) set of source positions, giving (N_C, N_S)
+    arrays, or a stack (T, N_S, 3), giving (T, N_C, N_S) arrays whose slice
+    t is, bit for bit, what set t alone gives.  Geometry errors are raised
+    once for the whole stack.
+    """
     gamma, dgamma = _raw_amplitudes(uv, xyz, k, z0, mode, a)
-    norms = np.linalg.norm(gamma, axis=0)
+    norms = np.linalg.norm(gamma, axis=-2)
     bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
         raise DegenerateGeometryError(
-            f"zero-norm amplitude column for source {int(np.argmax(bad))}"
+            f"zero-norm amplitude column for source {int(np.argwhere(bad)[0][-1])}"
         )
-    scale = np.sqrt(weights) / norms
+    scale = (np.sqrt(weights) / norms)[..., None, :]
     C = gamma * scale
     if dgamma is None:
         return C, None
-    n = gamma / norms
-    radial = np.real(np.sum(n.conj() * dgamma, axis=0))
-    return C, (dgamma - n * radial) * scale
+    n = gamma / norms[..., None, :]
+    radial = np.real(np.sum(n.conj() * dgamma, axis=-2))
+    return C, (dgamma - n * radial[..., None, :]) * scale
 
 
 def build_amplitude_matrix(scenario: Scenario) -> np.ndarray:

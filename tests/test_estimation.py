@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from emitterfisher import (
     Collector,
     NonIdentifiableError,
     Scenario,
+    ScenarioError,
     SourcePoint,
     beam_splitter_with_phase,
     cfi,
@@ -180,18 +182,100 @@ def test_crb_ratio_qft_scheme():
 
 
 def test_crb_trials_equal_one_trial_estimates():
-    # A sweep shares p(theta_true) and the likelihood grid between trials;
-    # each trial must still give what the one-trial functions give.
-    s = two_collector_scenario()
-    bs = beam_splitter_with_phase(0.0)
+    # A sweep shares p(theta_true) and the likelihood grid between trials and
+    # refines them together; each trial must still give what the one-trial
+    # functions give, on the symmetric pair and on four collectors in exact
+    # mode behind the Fourier measurement.
+    from emitterfisher import Mode, bundled_scenario_path, load_scenario, qft_interferometer
+
+    four = load_scenario(bundled_scenario_path("four_collector.scn"))
+    cases = (
+        (two_collector_scenario(), beam_splitter_with_phase(0.0), 40),
+        (replace(four, mode=Mode.EXACT), qft_interferometer(4), 20),
+    )
     n = 5000
-    aggregate, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=n, trials=40, seed=12)
-    cfi_value = 1.0 / (aggregate.fisher_predicted_variance * n)
-    interval = default_search_interval(2.0, n, cfi_value)
-    assert len({r.seed for r in records}) == 40
-    for r in records:
-        record = sample_detections(s, SEP_X, 2.0, bs, n, seed=r.seed)
-        assert r.theta_hat == mle_estimate(record, s, SEP_X, bs, interval).theta_hat
+    for s, R, trials in cases:
+        aggregate, records = crb_sweep(s, SEP_X, R, theta_true=2.0, n_photons=n,
+                                       trials=trials, seed=12)
+        cfi_value = 1.0 / (aggregate.fisher_predicted_variance * n)
+        interval = default_search_interval(2.0, n, cfi_value)
+        assert len({r.seed for r in records}) == trials
+        for r in records:
+            record = sample_detections(s, SEP_X, 2.0, R, n, seed=r.seed)
+            assert r.theta_hat == mle_estimate(record, s, SEP_X, R, interval).theta_hat
+
+
+def _scalar_refine(counts, path, theta, log_p):
+    """One trial's golden-section search with one p(theta) per call: the reference for _refine."""
+    from emitterfisher.estimation import GOLDEN, LOG_FLOOR, REFINE_TOL
+
+    mask = counts > 0
+
+    def f(t):
+        p = path([t])[0]
+        return float(np.sum(counts[mask] * np.log(np.maximum(p[mask], LOG_FLOOR))))
+
+    best = int(np.argmax((counts[mask] * log_p[:, mask]).sum(axis=1)))
+    a, b = theta[max(best - 1, 0)], theta[min(best + 1, len(theta) - 1)]
+    tol = REFINE_TOL * (theta[-1] - theta[0])
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while (b - a) > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+    return float(0.5 * (a + b))
+
+
+def test_lockstep_refinement_matches_one_trial_search():
+    # Below eight collectors the log-likelihood sums group their terms the
+    # same way, so the lockstep search must reproduce the scalar one bit for
+    # bit, also for trials whose mode sits at or beyond an end of the grid
+    # and which therefore freeze earlier than the rest.
+    from emitterfisher import estimation, qft_interferometer
+
+    s = Scenario(
+        sources=(SourcePoint(0.1, 0, 0), SourcePoint(-0.1, 0, 0)),
+        collectors=tuple(Collector(u, 0.5 * u) for u in (30.0, 10.0, -10.0, -30.0)),
+        k=1.0,
+        z0=100.0,
+    )
+    R = qft_interferometer(4)
+    path = estimation._probability_path(s, SEP_X, R, 1.5, 2.5)
+    theta, log_p = estimation._likelihood_grid(path, 1.5, 2.5)
+    truths = np.concatenate([np.linspace(1.3, 2.7, 15), [1.5, 2.5]])
+    rng = np.random.default_rng(5)
+    counts = np.array([rng.multinomial(20000, p / p.sum()) for p in path(truths)], dtype=float)
+    expected = [_scalar_refine(c, path, theta, log_p) for c in counts]
+    assert estimation._refine(counts, path, theta, log_p).tolist() == expected
+
+
+def test_crb_amplitude_calls_do_not_depend_on_trials(monkeypatch):
+    # All trials are refined in lockstep: each golden-section step evaluates
+    # p(theta) for every trial still refining in one amplitude call.
+    from emitterfisher import estimation
+
+    s = two_collector_scenario()
+    calls = []
+    original = estimation.amplitude_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "amplitude_arrays", counting)
+    counts = []
+    for trials in (2, 40):
+        calls.clear()
+        crb_sweep(s, SEP_X, beam_splitter_with_phase(0.0),
+                  theta_true=2.0, n_photons=5000, trials=trials, seed=12)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 60
 
 
 def test_crb_scenario_count_does_not_depend_on_trials(monkeypatch):
@@ -287,3 +371,44 @@ def test_trial_outputs(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "trial,seed,theta_hat"
     assert len(lines) == 11
+
+
+# ---------------------------------------------------------------------------
+# input checks at the edges
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        ([10, 5, 1], "vector of 2"),
+        ([[10, 5]], "vector of 2"),
+        ([10, math.nan], "finite"),
+        ([10, -1], "non-negative"),
+        ([0, 0], "no photons"),
+    ],
+)
+def test_mle_estimate_rejects_bad_counts(counts, match):
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    with pytest.raises(ScenarioError, match=match):
+        mle_estimate(np.array(counts, dtype=float), s, SEP_X, bs, (1.5, 2.5))
+
+
+def test_non_integer_photon_and_trial_counts_rejected():
+    # Refused before any p(theta) is computed, so no paraxial-validity
+    # warning precedes the error.
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError, match="n_photons must be an integer"):
+            sample_detections(s, SEP_X, 2.0, bs, 1.5, seed=1)
+        with pytest.raises(ScenarioError, match="n_photons must be an integer"):
+            crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1.5, trials=10, seed=1)
+        with pytest.raises(ScenarioError, match="trials must be an integer"):
+            crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=2.5, seed=1)
+        with pytest.raises(ScenarioError, match="trials must be an integer >= 2"):
+            crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=1, seed=1)
+    # An integral float is a whole number.
+    assert sample_detections(s, SEP_X, 2.0, bs, 1000.0, seed=1).counts.sum() == 1000

@@ -145,6 +145,63 @@ def test_amplitude_derivative_matches_central_difference(mode):
     np.testing.assert_allclose(dC, fd, atol=1e-8 * np.abs(dC).max())
 
 
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+def test_stacked_amplitude_arrays_match_one_call_per_set(mode):
+    # A stack of moved source sets gives, slice for slice, the very bits
+    # that one call per set gives, with and without the derivative.
+    rng = np.random.default_rng(44)
+    s = Scenario(
+        sources=tuple(SourcePoint(*rng.normal(0, 0.5, 3), weight=w) for w in (0.7, 1.3)),
+        collectors=tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(9)),
+        k=1.3,
+        z0=100.0,
+        mode=mode,
+    )
+    a = named_direction("separation-x", 2)
+    rows = geometry.direction_rows(a, 2)
+    stack = s.source_positions() + rows * rng.normal(0, 0.3, (7, 1, 1))
+    args = (s.collector_positions(), stack, s.weights(), s.k, s.z0, s.mode)
+    for direction in (None, rows):
+        C, dC = geometry.amplitude_arrays(*args, direction)
+        assert C.shape == (7, 9, 2)
+        for t, xyz in enumerate(stack):
+            C_t, dC_t = geometry.amplitude_arrays(*args[:1], xyz, *args[2:], direction)
+            np.testing.assert_array_equal(C[t], C_t)
+            if direction is None:
+                assert dC is None and dC_t is None
+            else:
+                np.testing.assert_array_equal(dC[t], dC_t)
+
+
+def test_stacked_amplitude_arrays_reject_a_source_on_a_collector():
+    # One degenerate set anywhere in the stack fails the whole call.
+    s = make_scenario([(0, 0, 0), (1, 0, 0)], [(3, 0), (-3, 0)], z0=10.0, mode=Mode.EXACT)
+    stack = np.repeat(s.source_positions()[None], 4, axis=0)
+    stack[2, 1] = (-3.0, 0.0, -10.0)
+    with pytest.raises(DegenerateGeometryError, match=r"with collector \(np.float64\(-3.0\)"):
+        geometry.amplitude_arrays(s.collector_positions(), stack, s.weights(), s.k, s.z0, s.mode)
+
+
+def test_scenario_arrays_are_built_once_and_read_only():
+    # The arrays are cached, not fields: equality, hashing and repr see only
+    # the source and collector records.
+    s = make_scenario([(0, 0, 0), (1, 0, 0)], [(3, 0), (-3, 0), (0, 2)])
+    for getter in (s.source_positions, s.weights, s.collector_positions):
+        assert getter() is getter()
+        assert not getter().flags.writeable
+    np.testing.assert_array_equal(s.collector_positions(), [[3, 0], [-3, 0], [0, 2]])
+    np.testing.assert_array_equal(s.source_positions(), [[0, 0, 0], [1, 0, 0]])
+    twin = make_scenario([(0, 0, 0), (1, 0, 0)], [(3, 0), (-3, 0), (0, 2)])
+    assert s == twin and hash(s) == hash(twin)
+    assert "_positions" not in repr(s) and "_weights" not in repr(s)
+    d = named_direction("separation-x", 2)
+    moved = displace(s, d, 0.5)
+    np.testing.assert_array_equal(
+        moved.source_positions(), s.source_positions() + geometry.direction_rows(d, 2) * 0.5
+    )
+    np.testing.assert_array_equal(s.source_positions(), [[0, 0, 0], [1, 0, 0]])
+
+
 def test_weights_default_equal_and_normalized():
     s = make_scenario([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(1, 0)])
     np.testing.assert_allclose(s.weights(), [1 / 3] * 3)
