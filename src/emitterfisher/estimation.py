@@ -6,9 +6,10 @@ interferometer.  Photon records are i.i.d. multinomial draws (weak
 sources: at most one photon per detection window, no losses or dark
 counts); the scalar parameter is estimated by a grid scan refined with
 golden-section search on the log-likelihood.  Detection probabilities
-are evaluated for a vector of thetas at once, and the trials of a sweep
-are refined together, one batched p(theta) per golden-section step; a
-single estimate is the one-trial case of the same code.
+are evaluated for a vector of thetas at once, one apply of the measurement
+to all their amplitudes; the trials of a sweep are refined together, one
+batched p(theta) per golden-section step, and a single estimate is the
+one-trial case of the same code.
 """
 
 from __future__ import annotations
@@ -91,13 +92,11 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     probabilities, row t depending only on theta t.  The source positions
     at the ``checked`` thetas are validated in one check; sources move
     linearly in theta, so the ends of an interval cover all of it.  A
-    measurement R that is not an Interferometer is checked once, here.  R's
-    dense ``matrix`` is read once per path and each call makes one
-    broadcast product with the (T, N_C, N_S) amplitudes: at the few
-    collectors of a sweep a matrix product costs less than an FFT or a
-    factored apply.
+    measurement R that is not an Interferometer is checked once, here.  Each
+    call applies R once, in its own form, to the (T, N_C, N_S) stack of
+    amplitudes (fisher._applied), and forms no N_C x N_C matrix.
     """
-    matrix = fisher._measurement(R, scenario.n_collectors).matrix
+    R = fisher._measurement(R, scenario.n_collectors)
     scale = direction.parameter_scale
     uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
     a = direction_rows(direction, scenario.n_sources)
@@ -107,7 +106,7 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     def path(theta) -> np.ndarray:
         moved = xyz + a * (scale * np.asarray(theta, dtype=float))[:, None, None]
         C, _ = amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode)
-        return fisher._probabilities(matrix @ C)
+        return fisher._probabilities(fisher._applied(R, C))
 
     return path
 

@@ -25,8 +25,9 @@ package's own optimal measurement stays in Householder form: the factors
 of a QR plus its support rows, checked from them in O(N_C r^2) with the
 same tolerance and the same ``unitarity_residual``, and applied in
 O(N_C r m) (_householder_interferometer).  qft_interferometer is in
-Fourier form, applied by FFT.  No Fisher value forms an N_C x N_C matrix
-for the two factored forms; ``matrix`` builds it when read.
+Fourier form, applied by FFT.  Every value here and estimation's p(theta)
+apply R once, to a stack of amplitude matrices, in _applied, and form no
+N_C x N_C matrix for the factored forms; ``matrix`` builds it when read.
 """
 
 from __future__ import annotations
@@ -277,12 +278,17 @@ class FisherReport:
 # ---------------------------------------------------------------------------
 
 
-def overlap_matrix(C: np.ndarray, C_prime: np.ndarray) -> np.ndarray:
-    """Source overlap matrix M = C^dag C' of two amplitude matrices."""
-    C = np.asarray(C)
-    C_prime = np.asarray(C_prime)
+def _same_shape(C: np.ndarray, C_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two amplitude matrices as arrays of one shape; ScenarioError otherwise."""
+    C, C_prime = np.asarray(C), np.asarray(C_prime)
     if C.shape != C_prime.shape:
         raise ScenarioError(f"amplitude matrix shapes differ: {C.shape} vs {C_prime.shape}")
+    return C, C_prime
+
+
+def overlap_matrix(C: np.ndarray, C_prime: np.ndarray) -> np.ndarray:
+    """Source overlap matrix M = C^dag C' of two amplitude matrices."""
+    C, C_prime = _same_shape(C, C_prime)
     return C.conj().T @ C_prime
 
 
@@ -310,16 +316,14 @@ def _measurement(R, n_collectors: int) -> Interferometer:
     return R
 
 
-def _applied(R, *blocks: np.ndarray) -> list[np.ndarray]:
-    """R applied to each block of N_C rows, through one apply to the blocks side by side."""
-    for block in blocks:
-        R = _measurement(R, block.shape[0])
-    RX = R.apply(np.concatenate(blocks, axis=1))
-    out, start = [], 0
-    for block in blocks:
-        out.append(RX[:, start : start + block.shape[1]])
-        start += block.shape[1]
-    return out
+def _applied(R, X: np.ndarray) -> np.ndarray:
+    """R times every (N_C, m) slice of X (..., N_C, m), by one apply to its slices side by side.
+
+    So a stack [C, dC, C'] is applied as the N_C x 3m block [C | dC | C'].
+    """
+    R = _measurement(R, X.shape[-2])
+    swapped = X.swapaxes(0, -2)
+    return R.apply(swapped.reshape(X.shape[-2], -1)).reshape(swapped.shape).swapaxes(0, -2)
 
 
 def _probabilities(RC: np.ndarray) -> np.ndarray:
@@ -328,17 +332,16 @@ def _probabilities(RC: np.ndarray) -> np.ndarray:
 
 
 def detection_probabilities(C: np.ndarray, R) -> np.ndarray:
-    """Photon detection probabilities p_q = sum_s |(R C)_{qs}|^2, with R C from R.apply."""
-    C = np.asarray(C)
-    return _probabilities(_measurement(R, C.shape[0]).apply(C))
+    """Photon detection probabilities p_q = sum_s |(R C)_{qs}|^2."""
+    return _probabilities(_applied(R, np.asarray(C)))
 
 
 def classical_fidelity(C: np.ndarray, C_prime: np.ndarray, R) -> float:
     """Bhattacharyya overlap sum_q sqrt(p_q p'_q) of the two count distributions.
 
-    R is applied once, to [C, C'].
+    C and C' must have one shape; R is applied once, to [C, C'].
     """
-    RC, RC_prime = _applied(R, np.asarray(C), np.asarray(C_prime))
+    RC, RC_prime = _applied(R, np.stack(_same_shape(C, C_prime)))
     return float(np.sqrt(_probabilities(RC) * _probabilities(RC_prime)).sum())
 
 
@@ -417,7 +420,7 @@ def _cfi_from_products(
 
 def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
     """The cfi behind R and the detection probabilities, from one apply of R to [C, dC]."""
-    return _cfi_from_products(C, dC, *_applied(R, C, dC))
+    return _cfi_from_products(C, dC, *_applied(R, np.stack([C, dC])))
 
 
 def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
@@ -451,7 +454,7 @@ def _information_from_amplitudes(
     amplitudes of another source configuration on the same collectors.  R
     is applied once, to [C, dC, C'].
     """
-    RC, RdC, RC_prime = _applied(R, C, dC, C_prime)
+    RC, RdC, RC_prime = _applied(R, np.stack([C, dC, C_prime]))
     cfi_value, p = _cfi_from_products(C, dC, RC, RdC)
     report = _report(direction, qfi=_qfi_value(C, dC), cfi=cfi_value)
     return report, p, _probabilities(RC_prime)

@@ -44,6 +44,7 @@ from .fisher import (
     Provenance,
     _householder_interferometer,
     _information_from_amplitudes,
+    _same_shape,
     cfi,
     support_svd,
 )
@@ -52,8 +53,9 @@ from .geometry import (
     Scenario,
     ScenarioError,
     amplitude_and_derivative,
-    build_amplitude_matrix,
-    displace,
+    amplitude_arrays,
+    check_source_positions,
+    direction_rows,
     finite_number,
     named_direction,
 )
@@ -309,15 +311,10 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
     columns of A, B and D are in the pivot order of a rank-revealing QR
     of A, and the diagonal of P A is real and nonnegative.
     """
-    C = np.asarray(C, dtype=complex)
-    C_prime = np.asarray(C_prime, dtype=complex)
-    if C.shape != C_prime.shape:
-        raise ScenarioError(f"amplitude matrix shapes differ: {C.shape} vs {C_prime.shape}")
+    C, C_prime = (np.asarray(M, dtype=complex) for M in _same_shape(C, C_prime))
     nc, ns = C.shape
     if nc < ns:
-        raise ScenarioError(
-            f"synthesis needs at least as many collectors as sources ({nc} < {ns})"
-        )
+        raise ScenarioError(f"synthesis needs at least as many collectors as sources ({nc} < {ns})")
     align = svd_alignment(C.conj().T @ C_prime)
     A = C @ align.V
     B = C_prime @ align.W
@@ -451,11 +448,12 @@ def verify_saturation(
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
     if delta_theta == 0.0 or not math.isfinite(delta_theta):
-        raise ScenarioError(
-            f"synthesis displacement must be finite and nonzero, got {delta_theta}"
-        )
+        raise ScenarioError(f"synthesis displacement must be finite and nonzero, got {delta_theta}")
     C, dC = amplitude_and_derivative(scenario, direction)
-    C_prime = build_amplitude_matrix(displace(scenario, direction, delta_theta))
+    moved = scenario.source_positions() + direction_rows(direction, scenario.n_sources) * delta_theta
+    check_source_positions(moved, scenario.z0, scenario.mode)
+    C_prime, _ = amplitude_arrays(scenario.collector_positions(), moved, scenario.weights(),
+                                  scenario.k, scenario.z0, scenario.mode)
     P, A, B, D, piv = _align(C, C_prime)
     PA, PB = P @ A, P @ B
     lower_resid = float(np.max(np.abs(np.tril(PA, -1))))

@@ -7,7 +7,9 @@ in-process `cli.main` argv forms of small-arrays (`--direction=` tangents,
 interferometer JSON files, `qfimatrix` with `--direction`), and the names
 the traced run binds (wide-aperture with `--trace 1`: SYNTH_STEP_FRACTION,
 natural_displacement_scale, SaturationReport.delta_theta and
-SynthesisResult.pivoted).
+SynthesisResult.pivoted).  A traced run also checks that tracing leaves
+every result unchanged; crb-montecarlo runs traced as well, so that check
+covers the Monte-Carlo sweep's path through fisher._applied.
 """
 
 import json
@@ -32,6 +34,10 @@ def run_clean(workload: str, trace: int = 0) -> None:
 
 def test_crb_montecarlo_benchmark_runs_clean():
     run_clean("crb-montecarlo")
+
+
+def test_crb_montecarlo_traced_benchmark_runs_clean():
+    run_clean("crb-montecarlo", trace=1)
 
 
 def test_small_arrays_benchmark_runs_clean():

@@ -184,17 +184,23 @@ def test_crb_ratio_qft_scheme():
 def test_crb_trials_equal_one_trial_estimates():
     # A sweep shares p(theta_true) and the likelihood grid between trials and
     # refines them together; each trial must still give what the one-trial
-    # functions give, on the symmetric pair and on four collectors in exact
-    # mode behind the Fourier measurement.
-    from emitterfisher import Mode, bundled_scenario_path, load_scenario, qft_interferometer
+    # functions give, on the symmetric pair, on four collectors in exact
+    # mode behind the Fourier measurement, and behind it on the N_C = 49
+    # disc, where sums over more than eight collectors are pairwise.
+    from emitterfisher import (Mode, bundled_scenario_path, disc_collector_grid, load_scenario,
+                               qft_interferometer)
 
     four = load_scenario(bundled_scenario_path("four_collector.scn"))
+    pair = load_scenario(bundled_scenario_path("two_collector.scn"))
+    disc = Scenario(pair.sources, disc_collector_grid(0.25), pair.k, pair.z0, pair.mode)
+    # The disc's CFI is about 2.4e-5: more photons keep its search interval
+    # inside the paraxial range.
     cases = (
-        (two_collector_scenario(), beam_splitter_with_phase(0.0), 40),
-        (replace(four, mode=Mode.EXACT), qft_interferometer(4), 20),
+        (two_collector_scenario(), beam_splitter_with_phase(0.0), 40, 5000),
+        (replace(four, mode=Mode.EXACT), qft_interferometer(4), 20, 5000),
+        (disc, qft_interferometer(49), 20, 5_000_000),
     )
-    n = 5000
-    for s, R, trials in cases:
+    for s, R, trials, n in cases:
         aggregate, records = crb_sweep(s, SEP_X, R, theta_true=2.0, n_photons=n,
                                        trials=trials, seed=12)
         cfi_value = 1.0 / (aggregate.fisher_predicted_variance * n)

@@ -308,6 +308,18 @@ def test_classical_fidelity_identical_distributions():
     assert classical_fidelity(C, C, beam_splitter_with_phase(0.0)) == pytest.approx(1.0)
 
 
+def test_classical_fidelity_requires_matching_shapes():
+    # C and C' of different shapes are two different source sets: rejected
+    # with overlap_matrix's message, not applied side by side.
+    C = build_amplitude_matrix(symmetric_pair(0.2))
+    R = beam_splitter_with_phase(0.0)
+    with pytest.raises(ScenarioError) as expected:
+        overlap_matrix(C, C[:, :1])
+    with pytest.raises(ScenarioError) as raised:
+        classical_fidelity(C, C[:, :1], R)
+    assert str(raised.value) == str(expected.value) == "amplitude matrix shapes differ: (2, 2) vs (2, 1)"
+
+
 def test_cauchy_schwarz_random_unitaries():
     # Classical fidelity never drops below the trace-norm fidelity.
     rng = np.random.default_rng(17)

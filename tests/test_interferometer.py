@@ -25,6 +25,7 @@ from emitterfisher import (
     bundled_scenarios,
     cfi,
     classical_fidelity,
+    crb_sweep,
     detection_probabilities,
     disc_collector_grid,
     displace,
@@ -42,6 +43,7 @@ from emitterfisher import (
     synthesize_optimal_interferometer,
     verify_saturation,
 )
+import emitterfisher.fisher as fisher_mod
 import emitterfisher.interferometer as itf_mod
 from emitterfisher._precision import (
     one_minus_classical_fidelity,
@@ -616,21 +618,27 @@ def _close(value, reference, rel=1e-12):
     coincident=st.booleans(),
 )
 def test_measurement_forms_agree_with_their_matrices(seed, ns, mode, coincident):
-    # Dense, Householder and Fourier forms: apply(X) is matrix @ X, and
-    # every entry point gives through the operator what it gives for the
-    # same measurement passed as a raw dense matrix.
+    # Dense, Householder and Fourier forms: apply(X) is matrix @ X, so is
+    # every slice of a (T, N_C, m) stack applied at once, and every entry
+    # point gives through the operator what it gives for the same
+    # measurement passed as a raw dense matrix.
     s, d = _random_array(seed, ns, mode, coincident)
     n = s.n_collectors
     C, dC = amplitude_and_derivative(s, d)
     C_prime = build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    stack = rng.normal(size=(4, n, 3)) + 1j * rng.normal(size=(4, n, 3))
     haar = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))).Q
     forms = (Interferometer(haar), optimal_interferometer(C, dC),
              synthesize_optimal_interferometer(C, C_prime).interferometer, qft_interferometer(n))
     for R in forms:
         for block in (X, C, dC):
             assert np.linalg.norm(R.apply(block) - R.matrix @ block) <= 1e-13 * np.linalg.norm(block)
+        applied = fisher_mod._applied(R, stack)
+        assert applied.shape == stack.shape
+        for RX, block in zip(applied, stack):
+            assert np.linalg.norm(RX - R.matrix @ block) <= 1e-13 * np.linalg.norm(stack)
         raw = np.array(R.matrix)
         assert _close(cfi(s, d, R).cfi, cfi(s, d, raw).cfi)
         report, dense_report = information_report(s, d, R), information_report(s, d, raw)
@@ -656,7 +664,8 @@ def test_measurements_compare_and_hash_by_identity():
 def test_wide_disc_measurements_form_no_dense_matrix():
     # The N_C = 5025 disc, where one dense R is 404 MB: the optimal
     # measurement and qft are applied in factored form, so the saturation
-    # check and the cfi behind qft never hold an N_C x N_C array.
+    # check, the cfi behind qft and a Monte-Carlo sweep behind qft never
+    # hold an N_C x N_C array.
     import tracemalloc
 
     pair = load_scenario(bundled_scenario_path("two_collector.scn"))
@@ -667,12 +676,32 @@ def test_wide_disc_measurements_form_no_dense_matrix():
     try:
         report = verify_saturation(s, d)
         behind_qft = cfi(s, d, qft_interferometer(s.n_collectors)).cfi
+        crb_sweep(s, d, qft_interferometer(s.n_collectors), theta_true=1.0,
+                  n_photons=10_000_000, trials=2, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50e6
     assert abs(report.saturation_ratio - 1.0) < 1e-10
     assert behind_qft <= report.qfi_estimate
+
+
+@pytest.mark.parametrize("form", ["qft", "optimal"])
+def test_sweep_behind_factored_measurement_forms_no_matrix(monkeypatch, form):
+    # A Monte-Carlo sweep on the N_C = 49 disc applies qft and the optimal
+    # measurement in their own form: reading their matrix would raise.
+    pair = load_scenario(bundled_scenario_path("two_collector.scn"))
+    s = Scenario(pair.sources, disc_collector_grid(0.25), pair.k, pair.z0, pair.mode)
+    assert s.n_collectors == 49
+    d = named_direction("separation-x", 2)
+    R = qft_interferometer(49) if form == "qft" else verify_saturation(s, d).interferometer
+
+    def no_matrix(self):
+        raise AssertionError("the sweep formed the N_C x N_C matrix")
+
+    monkeypatch.setattr(type(R), "_form", no_matrix)
+    aggregate, records = crb_sweep(s, d, R, theta_true=1.0, n_photons=5_000_000, trials=5, seed=3)
+    assert len(records) == 5 and math.isfinite(aggregate.crb_ratio)
 
 
 def test_pair_built_measurement_saturates_on_ill_conditioned_array():
