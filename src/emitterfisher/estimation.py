@@ -283,7 +283,7 @@ def crb_sweep(
     at_truth = scenario.source_positions() + rows * (scale * theta_true)
     C, dC = amplitude_arrays(scenario.collector_positions(), at_truth, scenario.weights(),
                              scenario.k, scenario.z0, scenario.mode, direction.a)
-    cfi_value = scale**2 * fisher._cfi_value(C, dC, R)[0]
+    cfi_value = scale**2 * fisher._cfi_value(C, dC, R)
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
         raise NonIdentifiableError(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"

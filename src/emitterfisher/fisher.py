@@ -39,7 +39,6 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
-    Collector,
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
@@ -418,9 +417,9 @@ def _cfi_from_products(
     return _drop_rounding(float(terms.sum()), C, dC), p
 
 
-def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
-    """The cfi behind R and the detection probabilities, from one apply of R to [C, dC]."""
-    return _cfi_from_products(C, dC, *_applied(R, np.stack([C, dC])))
+def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> float:
+    """The cfi behind R, from one apply of R to [C, dC]."""
+    return _cfi_from_products(C, dC, *_applied(R, np.stack([C, dC])))[0]
 
 
 def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
@@ -442,7 +441,7 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
     level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, cfi=_cfi_value(C, dC, R)[0])
+    return _report(direction, cfi=_cfi_value(C, dC, R))
 
 
 def _information_from_amplitudes(
@@ -465,7 +464,7 @@ def information_report(
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, qfi=_qfi_value(C, dC), cfi=_cfi_value(C, dC, R)[0])
+    return _report(direction, qfi=_qfi_value(C, dC), cfi=_cfi_value(C, dC, R))
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +487,12 @@ class GeneratorMoments:
 
 
 def _collector_array(collectors) -> np.ndarray:
-    if isinstance(collectors, Scenario):
-        return collectors.collector_positions()
-    arr = np.asarray(
-        [[c.u, c.v] if isinstance(c, Collector) else (c[0], c[1]) for c in collectors],
-        dtype=float,
-    )
-    return arr
+    """The (u, v) of a sequence of Collectors as an N_C x 2 array."""
+    return np.asarray([[c.u, c.v] for c in collectors], dtype=float)
 
 
 def generator_moments(collectors, k: float, z0: float) -> GeneratorMoments:
-    """Sample moments of (g_x, g_y, g_z) over the collector set."""
+    """Sample moments of (g_x, g_y, g_z) over a sequence of Collectors."""
     uv = _collector_array(collectors)
     if uv.shape[0] < 1:
         raise ScenarioError("need at least one collector")
@@ -538,7 +532,7 @@ def _is_inversion_symmetric(uv: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def paraxial_qfi_matrix(collectors, k: float, z0: float, target: ParaxialTarget) -> np.ndarray:
-    """Closed-form 3x3 QFI matrix from generator moments (no finite differences).
+    """Closed-form 3x3 QFI matrix of a sequence of Collectors, from generator moments.
 
     single source: 4 * covariance; two-source separation: covariance;
     two-source centroid: 4 * covariance, valid only for inversion-symmetric
@@ -589,10 +583,6 @@ def _tangent_for(target: ParaxialTarget, axis: int) -> np.ndarray:
     return t
 
 
-def _fd_quadratic_form(scenario: Scenario, tangent: np.ndarray) -> float:
-    return qfi(scenario, GeneralizedCoordinate.from_tangent(tangent)).qfi
-
-
 def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> ConsistencyReport:
     """Compare the paraxial closed form against the general qfi engine.
 
@@ -609,9 +599,10 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
             f"scenario has {scenario.n_sources}"
         )
     closed = paraxial_qfi_matrix(scenario.collectors, scenario.k, scenario.z0, target)
-    fd = np.diag([_fd_quadratic_form(scenario, _tangent_for(target, a)) for a in range(3)])
+    tangents = [_tangent_for(target, a) for a in range(3)]
+    fd = np.diag([qfi(scenario, GeneralizedCoordinate.from_tangent(t)).qfi for t in tangents])
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        combo = _fd_quadratic_form(scenario, _tangent_for(target, a) + _tangent_for(target, b))
+        combo = qfi(scenario, GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b])).qfi
         fd[a, b] = fd[b, a] = 0.5 * (combo - fd[a, a] - fd[b, b])
     # Entries far below the dominant one are held to an absolute standard
     # of 1e-3 * scale so that exact zeros do not produce spurious relative

@@ -34,8 +34,6 @@ import yaml
 
 # Geometry ratios above this trigger a paraxial-validity warning.
 PARAXIAL_SCALE_WARN = 0.1
-# Per-column normalization tolerance used by the self checks.
-COLUMN_NORM_TOL = 1e-12
 # Scenario files go through libyaml when PyYAML was built with it.  The C
 # classes share the pure-Python SafeConstructor, resolver and representer,
 # so they read the same data and write the same text, only faster.

@@ -12,9 +12,9 @@ of a pair C(r), C(r').
 
 The paper's finite-pair construction from C(r) and C(r') is kept as the
 theorem check.  Alignment: the SVD V^dag M W = D of M = C^dag C' defines
-biorthogonal frames A = C V and B = C' W (A^dag B = D); an economic QR of
-A yields the N_S occupied output rows P with P A upper-triangular, which
-forces P B lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the
+biorthogonal frames A = C V and B = C' W (A^dag B = D); a column-pivoted
+QR of A yields the N_S occupied output rows P with P A upper-triangular,
+which forces P B lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the
 diagonals.  The other N_C - N_S output modes carry no light of either
 frame, so the check reads P alone.
 
@@ -304,12 +304,35 @@ def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
     return _householder_interferometer(reflectors, tau, G.conj().T @ Ur.conj().T)
 
 
+def _pivot_order(A: np.ndarray) -> np.ndarray:
+    """Column order of the rank-revealing QR of A (Businger & Golub, as in LAPACK geqp3).
+
+    Each step takes the remaining column with the largest residual norm,
+    the first in the current order on ties, and swaps it with the column at
+    the step's position.  The search runs on the N_S x N_S factor of one
+    unpivoted QR of A, whose columns have the residual norms of A's; each
+    chosen direction is projected out twice.
+    """
+    W = np.linalg.qr(A, mode="r")
+    piv = np.arange(W.shape[1])
+    for k in range(len(piv)):
+        j = k + int(np.argmax(np.linalg.norm(W[:, piv[k:]], axis=0)))
+        piv[[k, j]] = piv[[j, k]]
+        norm = np.linalg.norm(W[:, piv[k]])
+        if norm > 0.0:
+            q = W[:, piv[k]] / norm
+            for _ in range(2):
+                W -= np.outer(q, q.conj() @ W)
+    return piv
+
+
 def _align(C: np.ndarray, C_prime: np.ndarray):
     """Alignment stage of the pair construction (module docstring): (P, A, B, D, pivots).
 
     P holds the N_S occupied output rows (orthonormal, N_S x N_C).  The
     columns of A, B and D are in the pivot order of a rank-revealing QR
-    of A, and the diagonal of P A is real and nonnegative.
+    of A: at each step the remaining column of largest residual norm
+    (_pivot_order).  The diagonal of P A is real and nonnegative.
     """
     C, C_prime = (np.asarray(M, dtype=complex) for M in _same_shape(C, C_prime))
     nc, ns = C.shape
@@ -318,12 +341,10 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
     align = svd_alignment(C.conj().T @ C_prime)
     A = C @ align.V
     B = C_prime @ align.W
-    # Imported here: scipy is the slowest import of the package and this is its only use.
-    import scipy.linalg
-
-    # Rank-revealing QR; for a well-conditioned A the pivot order is the
-    # identity because the aligned columns already come norm-sorted.
-    Q, T, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    # For a well-conditioned A the pivot order is the identity because the
+    # aligned columns already come norm-sorted.
+    piv = _pivot_order(A)
+    Q, T = np.linalg.qr(A[:, piv])
     # Row phases that make the diagonal of P A = T real and nonnegative.
     d = np.diagonal(T)
     phases = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)

@@ -25,6 +25,7 @@ from emitterfisher import (
     SourcePoint,
     beam_splitter_with_phase,
     build_amplitude_matrix,
+    bundled_scenario_path,
     cfi,
     classical_fidelity,
     crb_sweep,
@@ -556,24 +557,33 @@ def test_fisher_does_not_import_interferometer():
     assert not any(name and name.endswith("interferometer") for name in imported)
 
 
-def _loaded_after_import(module: str) -> bool:
-    """Whether importing emitterfisher and its CLI loads ``module``, in a fresh interpreter."""
+def _loaded_after(module: str, statement: str = "pass") -> bool:
+    """Whether importing emitterfisher and its CLI, then ``statement``, loads ``module``.
+
+    Run in a fresh interpreter; the last line of its output is the answer.
+    """
     src = str(Path(emitterfisher.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, emitterfisher, emitterfisher.cli; print({module!r} in sys.modules)"
+    code = "\n".join(["import sys, emitterfisher, emitterfisher.cli", statement,
+                      f"print({module!r} in sys.modules)"])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    return out.stdout.strip() == "True"
+    return out.stdout.strip().splitlines()[-1] == "True"
 
 
 def test_import_does_not_load_mpmath():
     # mpmath is a test dependency: only the _precision oracle uses it.
-    assert not _loaded_after_import("mpmath")
+    assert not _loaded_after("mpmath")
 
 
-def test_import_does_not_load_scipy():
-    # scipy is the slowest import; only the theorem check's pivoted QR needs it.
-    assert not _loaded_after_import("scipy")
+def test_saturate_runs_without_scipy(tmp_path):
+    # The package depends on numpy and PyYAML only: the theorem check's
+    # pivoted QR included, saturate loads no scipy module.
+    path = bundled_scenario_path("four_collector.scn")
+    out = tmp_path / "saturate.json"
+    argv = ["saturate", "--scenario", str(path), "--direction", "separation-x", "--out", str(out)]
+    assert not _loaded_after("scipy", f"assert emitterfisher.cli.main({argv!r}) == 0")
+    assert out.exists()
 
 
 def test_information_report_equals_separate_values():

@@ -479,21 +479,22 @@ def test_theorem_check_matches_full_q_reference():
 
 
 def test_theorem_check_forms_no_square_q(monkeypatch):
-    # The QR of the theorem check returns the N_C x N_S occupied block only.
-    import scipy.linalg
+    # No QR of the theorem check returns an N_C x N_C factor: the pivot
+    # search reads the N_S x N_S triangle, and Q is the N_C x N_S occupied block.
+    qr = np.linalg.qr
+    calls = []
 
-    qr = scipy.linalg.qr
-    returned = []
-
-    def recording(*args, **kwargs):
-        out = qr(*args, **kwargs)
-        returned.append(out)
+    def recording(a, mode="reduced"):
+        out = qr(a, mode=mode)
+        calls.append((mode, out))
         return out
 
-    monkeypatch.setattr(scipy.linalg, "qr", recording)
+    monkeypatch.setattr(np.linalg, "qr", recording)
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
     verify_saturation(s, named_direction("separation-x", 2))
-    assert [out[0].shape for out in returned] == [(4, 2)]
+    assert "complete" not in [mode for mode, _ in calls]
+    assert [out.shape for mode, out in calls if mode == "r"] == [(2, 2)]
+    assert [out[0].shape for mode, out in calls if mode == "reduced"] == [(4, 2)]
 
 
 def test_each_optimal_measurement_does_one_householder_qr(monkeypatch):
@@ -515,7 +516,8 @@ def test_each_optimal_measurement_does_one_householder_qr(monkeypatch):
     optimal_interferometer(C, dC)
     assert modes == ["raw"]
     syn = synthesize_optimal_interferometer(C, C_prime)
-    assert modes == ["raw", "raw"]
+    # The theorem check's own QRs (_align) are the other calls.
+    assert modes.count("raw") == 2 and "complete" not in modes
     np.testing.assert_array_equal(syn.interferometer.matrix,
                                   optimal_interferometer(C, C_prime - C).matrix)
 
