@@ -4,12 +4,14 @@ Validates that the variance attainable by an actual estimator matches
 the Cramer-Rao prediction 1/(n * CFI) for photon counting behind a given
 interferometer.  Photon records are i.i.d. multinomial draws (weak
 sources: at most one photon per detection window, no losses or dark
-counts); the scalar parameter is estimated by a grid scan refined with
-golden-section search on the log-likelihood.  Detection probabilities
-are evaluated for a vector of thetas at once, one apply of the measurement
-to all their amplitudes; the trials of a sweep are refined together, one
-batched p(theta) per golden-section step, and a single estimate is the
-one-trial case of the same code.
+counts); the scalar parameter is estimated by a grid scan whose mode is
+refined to the root of the score, the derivative of the log-likelihood:
+Fisher scoring, then secant steps, safeguarded by bisection.  Detection
+probabilities, and with them their derivatives, are evaluated for a
+vector of thetas at once, one apply of the measurement to all their
+amplitudes; the trials of a sweep are refined together, one batched
+evaluation per step, and a single estimate is the one-trial case of the
+same code.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from .geometry import (
     finite_number,
 )
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Probability floor inside log-likelihoods.
 LOG_FLOOR = 1e-300
 # Grid resolution of the coarse likelihood scan.
 GRID_POINTS = 64
-# Relative tolerance of the golden-section refinement.
+# Refinement stops at a step within this fraction of the grid span.
 REFINE_TOL = 1e-8
 # Half-width of the default search interval in predicted standard deviations.
 SEARCH_SIGMAS = 10.0
@@ -86,15 +87,19 @@ class EstimationResult:
 
 
 def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *checked: float):
-    """p(theta) for the sources at r + a * parameter_scale * theta, with no Scenario per theta.
+    """p(theta), and p with its slope, for the sources at r + a * parameter_scale * theta.
 
-    The returned function maps T thetas to a (T, N_C) array of detection
-    probabilities, row t depending only on theta t.  The source positions
-    at the ``checked`` thetas are validated in one check; sources move
-    linearly in theta, so the ends of an interval cover all of it.  A
-    measurement R that is not an Interferometer is checked once, here.  Each
-    call applies R once, in its own form, to the (T, N_C, N_S) stack of
-    amplitudes (fisher._applied), and forms no N_C x N_C matrix.
+    Returns two functions of T thetas, built with no Scenario per theta.
+    The first gives the (T, N_C) detection probabilities; the second gives
+    them with dp/dtheta (T, N_C) and the CFI (T,), dark ports entering
+    through their 0/0 limit (fisher._port_information).  Row t depends only
+    on theta t.  The source positions at the ``checked`` thetas are
+    validated in one check; sources move linearly in theta, so the ends of
+    an interval cover all of it.  A measurement R that is not an
+    Interferometer is checked once, here.  Each call builds the amplitudes
+    of all T thetas in one call and applies R once, in its own form, to the
+    stack of them, or of them and their derivatives (fisher._applied): no
+    N_C x N_C matrix is formed.
     """
     R = fisher._measurement(R, scenario.n_collectors)
     scale = direction.parameter_scale
@@ -103,12 +108,18 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     steps = scale * np.array(checked, dtype=float)
     check_source_positions(xyz + a * steps[:, None, None], scenario.z0, scenario.mode)
 
-    def path(theta) -> np.ndarray:
+    def amplitudes(theta, along):
         moved = xyz + a * (scale * np.asarray(theta, dtype=float))[:, None, None]
-        C, _ = amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode)
-        return fisher._probabilities(fisher._applied(R, C))
+        return amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode, along)
 
-    return path
+    def path(theta) -> np.ndarray:
+        return fisher._probabilities(fisher._applied(R, amplitudes(theta, None)[0]))
+
+    def slopes(theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p, dp, terms = fisher._port_information(*fisher._applied(R, np.stack(amplitudes(theta, a))))
+        return p, scale * dp, scale**2 * terms.sum(axis=-1)
+
+    return path, slopes
 
 
 def _whole_number(value, what: str, least: int) -> int:
@@ -132,11 +143,10 @@ def _checked_counts(counts, n_collectors: int) -> np.ndarray:
     return counts
 
 
-def _draw(p: np.ndarray, n_photons: int, seed: int, theta_true: float) -> DetectionRecord:
-    """Multinomial draw of n photons from p, clipped at 0 and renormalized."""
+def _normalized(p: np.ndarray) -> np.ndarray:
+    """p clipped at 0 and renormalized: the cell probabilities of the multinomial draw."""
     p = np.clip(p, 0.0, None)
-    counts = np.random.default_rng(seed).multinomial(n_photons, p / p.sum())
-    return DetectionRecord(counts=counts, n_photons=n_photons, seed=seed, true_theta=theta_true)
+    return p / p.sum()
 
 
 def sample_detections(
@@ -149,8 +159,9 @@ def sample_detections(
 ) -> DetectionRecord:
     """Multinomial draw of n photons from p(. | theta_true); seed-reproducible."""
     n_photons = _whole_number(n_photons, "n_photons", 1)
-    p = _probability_path(scenario, direction, R, theta_true)([theta_true])[0]
-    return _draw(p, n_photons, seed, theta_true)
+    path, _ = _probability_path(scenario, direction, R, theta_true)
+    counts = np.random.default_rng(seed).multinomial(n_photons, _normalized(path([theta_true])[0]))
+    return DetectionRecord(counts=counts, n_photons=n_photons, seed=seed, true_theta=theta_true)
 
 
 def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -170,9 +181,9 @@ def mle_estimate(
     The counts must be a finite, non-negative vector of length N_C with a
     positive total.  A coarse grid locates the mode (and checks
     identifiability: flat detection probabilities raise
-    NonIdentifiableError); golden-section search refines it to REFINE_TOL
-    times the interval width.  This is the one-trial case of crb_sweep's
-    refinement.
+    NonIdentifiableError); a search for the root of the score refines it
+    until its step is within REFINE_TOL times the interval width (_refine).
+    This is the one-trial case of crb_sweep's refinement.
     """
     if isinstance(counts, DetectionRecord):
         counts = counts.counts
@@ -180,8 +191,8 @@ def mle_estimate(
     lo, hi = map(float, search_interval)
     if not lo < hi:
         raise ScenarioError(f"invalid search interval [{lo}, {hi}]")
-    path = _probability_path(scenario, direction, R, lo, hi)
-    theta_hat = float(_refine(counts[None], path, *_likelihood_grid(path, lo, hi))[0])
+    path, slopes = _probability_path(scenario, direction, R, lo, hi)
+    theta_hat = float(_refine(counts[None], slopes, *_likelihood_grid(path, lo, hi))[0])
     return EstimationResult(
         theta_hat=theta_hat,
         log_likelihood=float(_log_likelihood(counts, path([theta_hat])[0])),
@@ -202,33 +213,51 @@ def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return theta, np.log(np.maximum(probs, LOG_FLOOR))
 
 
-def _refine(counts: np.ndarray, path, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """Grid mode of each row of ``counts``, refined by golden-section search in lockstep.
+def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Grid mode of each row of ``counts``, refined to a root of the score in lockstep.
 
-    ``counts`` is (T, N_C); returns the T estimates.  Each step moves every
-    live trial's bracket and evaluates the new points of all of them with
-    one call of ``path``.  A trial whose bracket is within REFINE_TOL times
-    the grid span is frozen: its bracket, points and values stay fixed, so
-    each estimate is what the trial refined alone would give.
+    ``counts`` is (T, N_C); returns the T estimates.  Each trial starts at
+    its grid mode, bracketed by the mode's grid neighbours, and the sign of
+    the score l'(theta) = sum_q n_q dp_q / p_q at each point it reaches
+    narrows the bracket to that point.  The first step is Fisher scoring,
+    l' / (n CFI(theta)); later steps follow the secant of the last two
+    scores where it is concave, and score again where it is not.  A step
+    that would leave the bracket, or is longer than half the step before
+    last, bisects the bracket instead: between bisections the steps halve
+    every two, and each bisection halves the bracket, so the number of
+    steps is bounded.  Each step evaluates the scores of all live trials
+    with one call of ``slopes``.  A trial whose step is within REFINE_TOL
+    times the grid span is frozen at the point that step reaches, so each
+    estimate is what the trial refined alone would give.
     """
     best = np.argmax([(counts * row).sum(axis=-1) for row in log_p], axis=0)
     a = theta[np.maximum(best - 1, 0)]
     b = theta[np.minimum(best + 1, GRID_POINTS - 1)]
+    x = theta[best]
     tol = REFINE_TOL * (theta[-1] - theta[0])
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1 = _log_likelihood(counts, path(x1))
-    f2 = _log_likelihood(counts, path(x2))
-    while (live := np.flatnonzero((b - a) > tol)).size:
-        up = f1[live] < f2[live]
-        i, j = live[up], live[~up]
-        a[i], x1[i], f1[i] = x1[i], x2[i], f2[i]
-        b[j], x2[j], f2[j] = x2[j], x1[j], f1[j]
-        x2[i] = a[i] + GOLDEN * (b[i] - a[i])
-        x1[j] = b[j] - GOLDEN * (b[j] - a[j])
-        f = _log_likelihood(counts[live], path(np.where(up, x2[live], x1[live])))
-        f2[i], f1[j] = f[up], f[~up]
-    return 0.5 * (a + b)
+    n = counts.sum(axis=-1)
+    # Each trial's previous point and score, and the lengths of its last two steps.
+    x_prev, s_prev = np.full_like(x, np.nan), np.full_like(x, np.nan)
+    d1, d2 = np.full_like(x, np.inf), np.full_like(x, np.inf)
+    live = np.arange(len(x))
+    while live.size:
+        here = x[live]
+        p, dp, cfi = slopes(here)
+        s = (counts[live] * dp / np.maximum(p, LOG_FLOOR)).sum(axis=-1)
+        a[live] = np.where(s >= 0, here, a[live])
+        b[live] = np.where(s <= 0, here, b[live])
+        lo, hi = a[live], b[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            secant = (s - s_prev[live]) / (here - x_prev[live])
+            step = np.where(secant < 0, -s / secant, s / (n[live] * cfi))
+        to = here + step
+        bisect = ~((to > lo) & (to < hi)) | (np.abs(step) > 0.5 * d2[live])
+        to = np.where(bisect, 0.5 * (lo + hi), to)
+        length = np.abs(to - here)
+        x_prev[live], s_prev[live], x[live] = here, s, to
+        d2[live], d1[live] = d1[live], length
+        live = live[length > tol]
+    return x
 
 
 def default_search_interval(
@@ -265,14 +294,14 @@ def crb_sweep(
     at the truth comes from the source arrays, without a Scenario; the
     truth and both ends of the search interval are then checked in one
     call, so the paraxial-validity warning is emitted at most once.
-    p(theta_true) and the likelihood grid are computed once per sweep.
-    Per-trial seeds are spawned deterministically from the master seed;
-    every trial is drawn, then all are refined together, one batched
-    p(theta) per golden-section step.  Each estimate equals mle_estimate
-    of sample_detections(..., seed=record.seed) over
-    default_search_interval.  ``threads`` is ignored.  Returns the
-    aggregate (crb_ratio = empirical_variance * n * CFI) and per-trial
-    records.
+    p(theta_true), clipped and normalized, and the likelihood grid are
+    computed once per sweep.  Per-trial seeds are spawned deterministically
+    from the master seed; every trial is drawn, then all are refined
+    together, one batched evaluation of p(theta) and dp/dtheta per step
+    (_refine).  Each estimate equals mle_estimate of
+    sample_detections(..., seed=record.seed) over default_search_interval.
+    ``threads`` is ignored.  Returns the aggregate (crb_ratio =
+    empirical_variance * n * CFI) and per-trial records.
     """
     n_photons = _whole_number(n_photons, "n_photons", 1)
     trials = _whole_number(trials, "trials", 2)
@@ -289,12 +318,12 @@ def crb_sweep(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
         )
     lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
-    path = _probability_path(scenario, direction, R, theta_true, lo, hi)
+    path, slopes = _probability_path(scenario, direction, R, theta_true, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
-    p_true = path([theta_true])[0]
+    p_true = _normalized(path([theta_true])[0])
     trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-    draws = [_draw(p_true, n_photons, s, theta_true).counts for s in trial_seeds]
-    estimates = _refine(np.array(draws, dtype=float), path, theta, log_p)
+    draws = [np.random.default_rng(s).multinomial(n_photons, p_true) for s in trial_seeds]
+    estimates = _refine(np.array(draws, dtype=float), slopes, theta, log_p)
     records = [TrialRecord(i, s, float(t)) for i, (s, t) in enumerate(zip(trial_seeds, estimates))]
     empirical = float(np.var(estimates, ddof=1))
     predicted = 1.0 / (n_photons * cfi_value)

@@ -400,20 +400,29 @@ def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
     return _drop_rounding(4.0 * float(value), C, dC)
 
 
-def _cfi_from_products(
-    C: np.ndarray, dC: np.ndarray, RC: np.ndarray, RdC: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """sum_q (dp_q)^2 / p_q from R C and R dC, with dp = 2 Re sum_s conj(R C) (R dC), and p.
+def _port_information(RC: np.ndarray, RdC: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, dp = 2 Re sum_s conj(R C) (R dC) and each port's Fisher term (dp_q)^2 / p_q.
 
-    A dark port (p_q <= DARK_P) contributes the 0/0 limit
-    4 sum_s |(R dC)_{qs}|^2.  p equals detection_probabilities(C, R).
+    RC and RdC are R C and R dC, or stacks of such products.  A dark port
+    (p_q <= DARK_P) has the 0/0 limit 4 sum_s |(R dC)_{qs}|^2 as its term.
     """
     p = _probabilities(RC)
     dark = p <= DARK_P
-    dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=1)
+    dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=-1)
     terms = np.where(
-        dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=1), dp**2 / np.where(dark, 1.0, p)
+        dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=-1), dp**2 / np.where(dark, 1.0, p)
     )
+    return p, dp, terms
+
+
+def _cfi_from_products(
+    C: np.ndarray, dC: np.ndarray, RC: np.ndarray, RdC: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """sum_q (dp_q)^2 / p_q from R C and R dC (_port_information), and p.
+
+    p equals detection_probabilities(C, R).
+    """
+    p, _, terms = _port_information(RC, RdC)
     return _drop_rounding(float(terms.sum()), C, dC), p
 
 
