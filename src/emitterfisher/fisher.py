@@ -12,7 +12,10 @@ numbers the package reports: interferometer.verify_saturation takes the
 saturation ratio of its step-free optimal measurement, and the detection
 probabilities behind it of C and of a displaced C', from
 _information_from_amplitudes, which takes an already built (C, dC, C')
-and applies the measurement once, to [C, dC, C'].
+and the SVD of C, and applies the measurement once, to [C, dC, C'].
+qfi_matrix_consistency reports as ``finite_difference`` (a name kept for
+compatibility) the closed-form qfi along six tangents, from one
+amplitude build and one SVD of C.
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
@@ -43,6 +46,8 @@ from .geometry import (
     Scenario,
     ScenarioError,
     amplitude_and_derivative,
+    amplitude_arrays,
+    direction_rows,
 )
 
 # Unitarity tolerance for measurement matrices (Frobenius norm).
@@ -382,15 +387,16 @@ def support_svd(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :r], s[:r], Vh[:r].conj().T
 
 
-def _qfi_value(C: np.ndarray, dC: np.ndarray) -> float:
+def _qfi_value(C: np.ndarray, dC: np.ndarray, svd=None) -> float:
     """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd).
 
     With A = U_r^dag dC V_r the minimum is
     ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
     + sum_{i<j} |s_j A_ij + s_i conj(A_ji)|^2 / (s_i^2 + s_j^2); the last
     two sums are half the symmetric double sum over all i, j <= r below.
+    ``svd`` is support_svd(C) when the caller has it already.
     """
-    Ur, sr, Vr = support_svd(C)
+    Ur, sr, Vr = support_svd(C) if svd is None else svd
     UdC = Ur.conj().T @ dC
     kernel = dC - Ur @ UdC
     A = UdC @ Vr
@@ -454,17 +460,17 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
 
 
 def _information_from_amplitudes(
-    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R, C_prime: np.ndarray
+    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R, C_prime: np.ndarray, svd
 ) -> tuple[FisherReport, np.ndarray, np.ndarray]:
     """Joint qfi and cfi report, and the detection probabilities of C and of C' behind R.
 
-    C and dC are amplitude_and_derivative(scenario, direction), and C' the
-    amplitudes of another source configuration on the same collectors.  R
-    is applied once, to [C, dC, C'].
+    C and dC are amplitude_and_derivative(scenario, direction), ``svd`` is
+    support_svd(C), and C' the amplitudes of another source configuration
+    on the same collectors.  R is applied once, to [C, dC, C'].
     """
     RC, RdC, RC_prime = _applied(R, np.stack([C, dC, C_prime]))
     cfi_value, p = _cfi_from_products(C, dC, RC, RdC)
-    report = _report(direction, qfi=_qfi_value(C, dC), cfi=cfi_value)
+    report = _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value)
     return report, p, _probabilities(RC_prime)
 
 
@@ -595,9 +601,12 @@ def _tangent_for(target: ParaxialTarget, axis: int) -> np.ndarray:
 def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> ConsistencyReport:
     """Compare the paraxial closed form against the general qfi engine.
 
-    Diagonal entries come from single-direction qfi values (reported as
-    ``finite_difference`` for compatibility); the off-diagonal ones from
-    the polarization identity
+    ``finite_difference`` holds the closed-form qfi along six tangents,
+    from one amplitude build (C and the six dC in one amplitude_arrays
+    call) and one support_svd of C; the key keeps its name for
+    compatibility.  Diagonal entries are the qfi along the three axis
+    tangents t_a, each equal to qfi(scenario, from_tangent(t_a)); the
+    off-diagonal ones come from the polarization identity
     I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
     """
     target = ParaxialTarget(target)
@@ -609,9 +618,17 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
         )
     closed = paraxial_qfi_matrix(scenario.collectors, scenario.k, scenario.z0, target)
     tangents = [_tangent_for(target, a) for a in range(3)]
-    fd = np.diag([qfi(scenario, GeneralizedCoordinate.from_tangent(t)).qfi for t in tangents])
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        combo = qfi(scenario, GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b])).qfi
+    pairs = ((0, 1), (0, 2), (1, 2))
+    directions = [GeneralizedCoordinate.from_tangent(t) for t in tangents] + [
+        GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b]) for a, b in pairs
+    ]
+    rows = np.stack([direction_rows(d, scenario.n_sources) for d in directions])
+    C, dCs = amplitude_arrays(scenario.collector_positions(), scenario.source_positions(),
+                              scenario.weights(), scenario.k, scenario.z0, scenario.mode, rows)
+    svd = support_svd(C)
+    Q = [d.parameter_scale**2 * _qfi_value(C, dC, svd) for d, dC in zip(directions, dCs)]
+    fd = np.diag(Q[:3])
+    for (a, b), combo in zip(pairs, Q[3:]):
         fd[a, b] = fd[b, a] = 0.5 * (combo - fd[a, a] - fd[b, b])
     # Entries far below the dominant one are held to an absolute standard
     # of 1e-3 * scale so that exact zeros do not produce spurious relative

@@ -297,22 +297,27 @@ def _raw_amplitudes(
     """Unnormalized amplitudes gamma (..., N_C, N_S) and d gamma / d theta along ``a``.
 
     ``uv`` holds collector coordinates and ``xyz`` one (N_S, 3) set of
-    source coordinates or a stack (..., N_S, 3) of such sets; ``a`` is the
-    3 N_S direction (flat or one row per source), shared by every set, or
-    None (no derivative).  Paraxial gamma is exp(i phi) with unit modulus;
-    exact gamma is exp(i k d) / d.
+    source coordinates or a stack (..., N_S, 3) of such sets.  ``a`` is
+    None (no derivative), one 3 N_S direction (flat or one row per
+    source), shared by every set, or, with one set, a stack (m, N_S, 3) of
+    directions, giving d gamma of shape (m, N_C, N_S) whose slice i is, bit
+    for bit, what direction i alone gives.  Paraxial gamma is exp(i phi)
+    with unit modulus, the phase one matrix product of the N_C x 3 rows
+    [u, v, u^2 + v^2] with the scaled source coordinates
+    (-k x / z0, -k y / z0, -k z / (2 z0^2)), and d phi the same product
+    with the direction; exact gamma is exp(i k d) / d.
     """
-    u, v = uv[:, :1], uv[:, 1:]
-    x, y, z = (xyz[..., None, :, i] for i in range(3))
     if a is not None:
-        ax, ay, az = a.reshape(-1, 3).T
+        a = a.reshape(-1, 3) if a.ndim < 3 else a
     if mode is Mode.PARAXIAL:
-        rho2 = u**2 + v**2
-        gamma = np.exp(1j * (-k * (u * x + v * y) / z0 - k * z * rho2 / (2.0 * z0**2)))
+        rows = np.column_stack([uv, (uv**2).sum(axis=1)])
+        scale = np.array([-k / z0, -k / z0, -k / (2.0 * z0**2)])
+        gamma = np.exp(1j * (rows @ (xyz * scale).swapaxes(-1, -2)))
         if a is None:
             return gamma, None
-        dphi = -k * (u * ax + v * ay) / z0 - k * az * rho2 / (2.0 * z0**2)
-        return gamma, 1j * dphi * gamma
+        return gamma, 1j * (rows @ (a * scale).swapaxes(-1, -2)) * gamma
+    u, v = uv[:, :1], uv[:, 1:]
+    x, y, z = (xyz[..., None, :, i] for i in range(3))
     ex, ey, ez = x - u, y - v, z0 + z
     d = np.sqrt(ex**2 + ey**2 + ez**2)
     if not (d > 0.0).all():
@@ -323,6 +328,7 @@ def _raw_amplitudes(
     gamma = np.exp(1j * k * d) / d
     if a is None:
         return gamma, None
+    ax, ay, az = (a[..., None, :, i] for i in range(3))
     dd = (ex * ax + ey * ay + ez * az) / d
     return gamma, gamma * (1j * k - 1.0 / d) * dd
 
@@ -374,7 +380,10 @@ def amplitude_arrays(uv: np.ndarray, xyz: np.ndarray, weights: np.ndarray, k: fl
     ``xyz`` is one (N_S, 3) set of source positions, giving (N_C, N_S)
     arrays, or a stack (T, N_S, 3), giving (T, N_C, N_S) arrays whose slice
     t is, bit for bit, what set t alone gives.  Geometry errors are raised
-    once for the whole stack.
+    once for the whole stack.  With one set, ``a`` may be a stack
+    (m, N_S, 3) of directions: C is built once and dC has shape
+    (m, N_C, N_S), slice i equal bit for bit to what direction i alone
+    gives.
     """
     gamma, dgamma = _raw_amplitudes(uv, xyz, k, z0, mode, a)
     norms = np.linalg.norm(gamma, axis=-2)

@@ -297,7 +297,12 @@ def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
     C = np.asarray(C, dtype=complex)
     if C.shape != np.shape(dC):
         raise ScenarioError(f"amplitude and derivative shapes differ: {C.shape} vs {np.shape(dC)}")
-    Ur, s, Vr = support_svd(C)
+    return _optimal_interferometer(dC, support_svd(C))
+
+
+def _optimal_interferometer(dC: np.ndarray, svd) -> Interferometer:
+    """optimal_interferometer from dC and support_svd(C), which the caller has taken."""
+    Ur, s, Vr = svd
     A = Ur.conj().T @ dC @ Vr
     G = _sld_eigenbasis(s**2, A * s[None, :] + s[:, None] * A.conj().T)
     reflectors, tau = np.linalg.qr(Ur, mode="raw")
@@ -309,21 +314,31 @@ def _pivot_order(A: np.ndarray) -> np.ndarray:
 
     Each step takes the remaining column with the largest residual norm,
     the first in the current order on ties, and swaps it with the column at
-    the step's position.  The search runs on the N_S x N_S factor of one
-    unpivoted QR of A, whose columns have the residual norms of A's; each
-    chosen direction is projected out twice.
+    the step's position.  The search runs on the N_S x N_S triangular
+    factor B of one unpivoted QR of A, whose columns have the residual
+    norms of A's.  While the order stands, the residual norm of column j
+    after step i is ||B[i:, j]||: geqp3's downdate by |B_ij| at each step,
+    summed here from the bottom row up, so no cancellation arises and no
+    norm needs recomputing.  All steps are checked at once; at the first
+    step whose largest residual is not its own column, the two columns
+    swap and only the trailing block is factored again.
     """
-    W = np.linalg.qr(A, mode="r")
-    piv = np.arange(W.shape[1])
-    for k in range(len(piv)):
-        j = k + int(np.argmax(np.linalg.norm(W[:, piv[k:]], axis=0)))
-        piv[[k, j]] = piv[[j, k]]
-        norm = np.linalg.norm(W[:, piv[k]])
-        if norm > 0.0:
-            q = W[:, piv[k]] / norm
-            for _ in range(2):
-                W -= np.outer(q, q.conj() @ W)
-    return piv
+    B = np.linalg.qr(A, mode="r")
+    piv = np.arange(B.shape[1])
+    done = 0
+    while True:
+        m = B.shape[1]
+        residual = np.sqrt(np.cumsum((np.abs(B) ** 2)[::-1], axis=0)[::-1])
+        best = np.argmax(np.where(np.tri(m, k=-1, dtype=bool), -1.0, residual), axis=1)
+        swaps = np.flatnonzero(best != np.arange(m))
+        if not swaps.size:
+            return piv
+        i, j = int(swaps[0]), int(best[swaps[0]])
+        piv[[done + i, done + j]] = piv[[done + j, done + i]]
+        block = B[i:, i:].copy()
+        block[:, [0, j - i]] = block[:, [j - i, 0]]
+        B = np.linalg.qr(block, mode="r")[1:, 1:]
+        done += i + 1
 
 
 def _align(C: np.ndarray, C_prime: np.ndarray):
@@ -462,7 +477,8 @@ def verify_saturation(
     (the theorem check, at the requested step): R1 A upper-triangular,
     R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|, scalar products
     preserved.  A zero or non-finite ``delta_theta`` gives an identical
-    pair, which defines no alignment, and raises ScenarioError.  The
+    pair, which defines no alignment, and raises ScenarioError.  One
+    support_svd of C serves the measurement and the QFI, and the
     measurement is applied once, to [C, dC, C'], for the Fisher values,
     the probabilities and the classical fidelity.
     """
@@ -481,8 +497,9 @@ def verify_saturation(
     upper_resid = float(np.max(np.abs(np.triu(PB, 1))))
     diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
-    R = optimal_interferometer(C, dC)
-    info, p, p_prime = _information_from_amplitudes(direction, C, dC, R, C_prime)
+    svd = support_svd(C)
+    R = _optimal_interferometer(dC, svd)
+    info, p, p_prime = _information_from_amplitudes(direction, C, dC, R, C_prime, svd)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=float(D.sum()),

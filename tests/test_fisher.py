@@ -705,3 +705,70 @@ def test_consistency_four_collector_axial_entry():
     report = qfi(s, named_direction("separation-z", 2))
     closed = (5 * dx**2 * u1**2 / 36 + 4 * u1**4 / 81) / Z0**4
     assert report.qfi == pytest.approx(closed, rel=1e-3)
+
+
+def _count_calls(monkeypatch, targets) -> dict:
+    """Replace each (module, name) in ``targets`` by a wrapper counting its calls by name."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_qfi_matrix_check_builds_amplitudes_and_svd_once(monkeypatch):
+    # C and the six dC come from one amplitude build, and every qfi from one SVD.
+    import emitterfisher.fisher as fisher_mod
+    import emitterfisher.geometry as geometry_mod
+
+    s = emitterfisher.load_scenario(bundled_scenario_path("four_collector.scn"))
+    calls = _count_calls(monkeypatch, [(geometry_mod, "_raw_amplitudes"), (fisher_mod, "support_svd")])
+    qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
+    assert calls == {"_raw_amplitudes": 1, "support_svd": 1}
+
+
+def _six_qfi_matrix(scenario, tangents):
+    """The qfi matrix from one qfi call per axis and per pair of axes (polarization identity)."""
+    def Q(t):
+        return qfi(scenario, GeneralizedCoordinate.from_tangent(t)).qfi
+
+    m = np.diag([Q(t) for t in tangents])
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        m[a, b] = m[b, a] = 0.5 * (Q(tangents[a] + tangents[b]) - m[a, a] - m[b, b])
+    return m
+
+
+@pytest.mark.parametrize(
+    "name, target",
+    [
+        (name, target)
+        for name in ("two_collector.scn", "four_collector.scn", "disc_aperture_r1.scn")
+        for target in (ParaxialTarget.TWO_SOURCE_SEPARATION, ParaxialTarget.TWO_SOURCE_CENTROID)
+    ]
+    + [(None, ParaxialTarget.SINGLE_SOURCE)],
+)
+def test_qfi_matrix_check_equals_six_qfi_calls(name, target):
+    # The batched check reports the matrix that six separate qfi calls give.
+    if name is None:
+        rng = np.random.default_rng(32)
+        s = Scenario(sources=(SourcePoint(0.3, -0.2, 0.5),),
+                     collectors=tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(6)), k=K, z0=Z0)
+    else:
+        s = emitterfisher.load_scenario(bundled_scenario_path(name))
+    eye = np.eye(3)
+    tangents = {
+        ParaxialTarget.SINGLE_SOURCE: list(eye),
+        ParaxialTarget.TWO_SOURCE_SEPARATION: [np.concatenate([0.5 * e, -0.5 * e]) for e in eye],
+        ParaxialTarget.TWO_SOURCE_CENTROID: [np.concatenate([e, e]) for e in eye],
+    }[target]
+    reference = _six_qfi_matrix(s, tangents)
+    fd = qfi_matrix_consistency(s, target).finite_difference
+    diagonal = np.diagonal(reference)
+    assert np.all(np.abs(np.diagonal(fd) - diagonal) <= 1e-14 * np.abs(diagonal))
+    off = ~np.eye(3, dtype=bool)
+    assert np.all(np.abs(fd - reference)[off] <= 1e-14 * np.abs(reference).max())

@@ -171,6 +171,17 @@ def test_stacked_amplitude_arrays_match_one_call_per_set(mode):
                 assert dC is None and dC_t is None
             else:
                 np.testing.assert_array_equal(dC[t], dC_t)
+    # A stack of directions with one source set gives C once and, slice for
+    # slice, the dC that each direction alone gives, flat or one row per source.
+    xyz = s.source_positions()
+    directions = rng.normal(0, 1, (5, 2, 3))
+    C, dC = geometry.amplitude_arrays(*args[:1], xyz, *args[2:], directions)
+    assert C.shape == (9, 2) and dC.shape == (5, 9, 2)
+    for i, direction in enumerate(directions):
+        for form in (direction, direction.ravel()):
+            C_i, dC_i = geometry.amplitude_arrays(*args[:1], xyz, *args[2:], form)
+            np.testing.assert_array_equal(C, C_i)
+            np.testing.assert_array_equal(dC[i], dC_i)
 
 
 def test_stacked_amplitude_arrays_reject_a_source_on_a_collector():

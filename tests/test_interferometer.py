@@ -344,6 +344,22 @@ def test_verify_saturation_builds_amplitudes_once(monkeypatch):
         info.qfi, info.cfi, info.saturation_ratio)
 
 
+def test_verify_saturation_factors_amplitudes_once(monkeypatch):
+    # One support SVD of C serves the optimal measurement and the QFI.
+    svd = fisher_mod.support_svd
+    calls = []
+
+    def counted(C):
+        calls.append(C.shape)
+        return svd(C)
+
+    monkeypatch.setattr(fisher_mod, "support_svd", counted)
+    monkeypatch.setattr(itf_mod, "support_svd", counted)
+    s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    verify_saturation(s, named_direction("separation-x", 2))
+    assert calls == [(4, 2)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -476,6 +492,36 @@ def test_theorem_check_matches_full_q_reference():
             assert abs(getattr(report, name) - value) < 1e-14, (i, name)
         assert abs(report.quantum_fidelity - fq) < 1e-14
     assert verdicts == {True, False}
+
+
+def test_pivot_order_matches_lapack_pivoted_qr():
+    # The pivot search gives the column order of scipy's pivoted QR (LAPACK
+    # geqp3) on aligned frames over 1-6 sources, both modes, source spreads
+    # from 1e-7 to 1e-1 and a coincident pair in about a fifth of the cases.
+    import scipy.linalg
+
+    rng = np.random.default_rng(909)
+    permuted = 0
+    for i in range(480):
+        ns = 1 + i % 6
+        nc = int(rng.integers(max(ns, 2), 40))
+        mode = (Mode.PARAXIAL, Mode.EXACT)[(i // 6) % 2]
+        positions = rng.normal(0, 10 ** rng.uniform(-7, -1), (ns, 3))
+        if ns > 1 and rng.random() < 0.2:
+            positions[1] = positions[0]
+        s = Scenario(
+            tuple(SourcePoint(*p, weight=w) for p, w in zip(positions, rng.uniform(0.5, 1.5, ns))),
+            tuple(Collector(*rng.uniform(-1, 1, 2)) for _ in range(nc)),
+            k=2 * math.pi * rng.uniform(1, 5), z0=1.0, mode=mode,
+        )
+        d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+        C = build_amplitude_matrix(s)
+        C_prime = build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
+        A = C @ svd_alignment(C.conj().T @ C_prime).V
+        piv = scipy.linalg.qr(A, mode="r", pivoting=True)[1]
+        np.testing.assert_array_equal(itf_mod._pivot_order(A), piv, err_msg=f"case {i}")
+        permuted += bool(np.any(piv != np.arange(ns)))
+    assert permuted >= 10
 
 
 def test_theorem_check_forms_no_square_q(monkeypatch):
