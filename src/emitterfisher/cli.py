@@ -114,7 +114,6 @@ def cmd_qfimatrix(args, scenario, direction):
 
 def cmd_simulate(args, scenario, direction):
     measurement = _parse_interferometer(args.interferometer, scenario)
-    qfi_report = fisher.qfi(scenario, direction)
     aggregate, records = estimation.crb_sweep(
         scenario,
         direction,
@@ -124,6 +123,10 @@ def cmd_simulate(args, scenario, direction):
         trials=args.trials,
         seed=args.seed,
     )
+    # Both values at the truth the photons are drawn from, whose positions
+    # the sweep has checked.
+    C, dC = estimation._amplitudes_at(scenario, direction, args.theta_true)
+    truth = fisher._information(direction, C, dC, measurement)
     if args.out:
         estimation.write_trials_csv(Path(args.out).with_suffix(".csv"), records)
     if args.gnuplot_dat:
@@ -133,8 +136,8 @@ def cmd_simulate(args, scenario, direction):
         )
     return {
         "interferometer": measurement.provenance.value,
-        "qfi": qfi_report.qfi,
-        "cfi": 1.0 / (aggregate.fisher_predicted_variance * args.photons),
+        "qfi": truth.qfi,
+        "cfi": truth.cfi,
         **aggregate.to_dict(),
     }, True
 

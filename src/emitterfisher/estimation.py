@@ -103,14 +103,14 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     """
     R = fisher._measurement(R, scenario.n_collectors)
     scale = direction.parameter_scale
-    uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
+    xyz = scenario.source_positions()
     a = direction_rows(direction, scenario.n_sources)
     steps = scale * np.array(checked, dtype=float)
     check_source_positions(xyz + a * steps[:, None, None], scenario.z0, scenario.mode)
 
     def amplitudes(theta, along):
         moved = xyz + a * (scale * np.asarray(theta, dtype=float))[:, None, None]
-        return amplitude_arrays(uv, moved, weights, scenario.k, scenario.z0, scenario.mode, along)
+        return amplitude_arrays(scenario, moved, along)
 
     def path(theta) -> np.ndarray:
         return fisher._probabilities(fisher._applied(R, amplitudes(theta, None)[0]))
@@ -120,6 +120,16 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
         return p, scale * dp, scale**2 * terms.sum(axis=-1)
 
     return path, slopes
+
+
+def _amplitudes_at(scenario: Scenario, direction: GeneralizedCoordinate, theta: float):
+    """C and dC/dtheta for the sources at r + a * parameter_scale * theta, built with no Scenario.
+
+    The positions are not checked; the caller checks them, or has.
+    """
+    a = direction_rows(direction, scenario.n_sources)
+    moved = scenario.source_positions() + a * (direction.parameter_scale * theta)
+    return amplitude_arrays(scenario, moved, a)
 
 
 def _whole_number(value, what: str, least: int) -> int:
@@ -301,18 +311,17 @@ def crb_sweep(
     (_refine).  Each estimate equals mle_estimate of
     sample_detections(..., seed=record.seed) over default_search_interval.
     ``threads`` is ignored.  Returns the aggregate (crb_ratio =
-    empirical_variance * n * CFI) and per-trial records.
+    empirical_variance * n * CFI) and per-trial records.  crb_ratio tests
+    the asymptotic bound: it means little where the likelihood is far from
+    quadratic, as at a symmetric point with n * CFI near one, where it can
+    fall well below 1.
     """
     n_photons = _whole_number(n_photons, "n_photons", 1)
     trials = _whole_number(trials, "trials", 2)
     theta_true = finite_number(theta_true, "theta_true")
     R = fisher.as_interferometer(R)
-    scale = direction.parameter_scale
-    rows = direction_rows(direction, scenario.n_sources)
-    at_truth = scenario.source_positions() + rows * (scale * theta_true)
-    C, dC = amplitude_arrays(scenario.collector_positions(), at_truth, scenario.weights(),
-                             scenario.k, scenario.z0, scenario.mode, direction.a)
-    cfi_value = scale**2 * fisher._cfi_value(C, dC, R)
+    C, dC = _amplitudes_at(scenario, direction, theta_true)
+    cfi_value = direction.parameter_scale**2 * fisher._cfi_value(C, dC, R)
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
         raise NonIdentifiableError(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"

@@ -1,18 +1,18 @@
 """Quantum and classical Fisher information for emitter localization.
 
 Both quantities are closed forms in the amplitude matrix C(theta) and its
-analytic derivative dC/dtheta (geometry.amplitude_and_derivative).  The
-quantum Fisher information of rho = C C^dag is the purification form
+analytic derivative dC/dtheta, built by geometry.amplitude_arrays from the
+scenario, the source positions and the direction(s).  The quantum Fisher
+information of rho = C C^dag is the purification form
 4 min_K ||dC + C K||^2 over anti-Hermitian gauges K (Braunstein & Caves,
 PRL 72, 3439, 1994), evaluated on the thin SVD of C with an explicit rank
 rule.  The classical side evaluates photon counting statistics behind a
 fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
-numbers the package reports: interferometer.verify_saturation takes the
-saturation ratio of its step-free optimal measurement, and the detection
-probabilities behind it of C and of a displaced C', from
-_information_from_amplitudes, which takes an already built (C, dC, C')
-and the SVD of C, and applies the measurement once, to [C, dC, C'].
+numbers the package reports: interferometer.verify_saturation evaluates
+the same closed forms (_qfi_value, _cfi_from_products) for its step-free
+optimal measurement, from one amplitude build of C, dC and a displaced
+C' and one SVD of C, and applies the measurement once, to [C, dC, C'].
 qfi_matrix_consistency reports as ``finite_difference`` (a name kept for
 compatibility) the closed-form qfi along six tangents, from one
 amplitude build and one SVD of C.
@@ -42,6 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import (
+    _PRESET_TANGENTS,
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
@@ -266,16 +267,6 @@ class FisherReport:
             return 1.0 if self.cfi == 0.0 else math.inf
         return self.cfi / self.qfi
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": list(map(float, self.direction.a)),
-            "parameter_scale": self.direction.parameter_scale,
-            "qfi": self.qfi,
-            "cfi": self.cfi,
-            "saturation_ratio": self.saturation_ratio,
-            "converged": self.converged,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Fidelities
@@ -387,16 +378,16 @@ def support_svd(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :r], s[:r], Vh[:r].conj().T
 
 
-def _qfi_value(C: np.ndarray, dC: np.ndarray, svd=None) -> float:
+def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> float:
     """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd).
 
     With A = U_r^dag dC V_r the minimum is
     ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
     + sum_{i<j} |s_j A_ij + s_i conj(A_ji)|^2 / (s_i^2 + s_j^2); the last
     two sums are half the symmetric double sum over all i, j <= r below.
-    ``svd`` is support_svd(C) when the caller has it already.
+    ``svd`` is support_svd(C), which the caller takes and may share.
     """
-    Ur, sr, Vr = support_svd(C) if svd is None else svd
+    Ur, sr, Vr = svd
     UdC = Ur.conj().T @ dC
     kernel = dC - Ur @ UdC
     A = UdC @ Vr
@@ -446,7 +437,7 @@ def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
     rounding level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, qfi=_qfi_value(C, dC))
+    return _report(direction, qfi=_qfi_value(C, dC, support_svd(C)))
 
 
 def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
@@ -459,27 +450,18 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
     return _report(direction, cfi=_cfi_value(C, dC, R))
 
 
-def _information_from_amplitudes(
-    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R, C_prime: np.ndarray, svd
-) -> tuple[FisherReport, np.ndarray, np.ndarray]:
-    """Joint qfi and cfi report, and the detection probabilities of C and of C' behind R.
-
-    C and dC are amplitude_and_derivative(scenario, direction), ``svd`` is
-    support_svd(C), and C' the amplitudes of another source configuration
-    on the same collectors.  R is applied once, to [C, dC, C'].
-    """
-    RC, RdC, RC_prime = _applied(R, np.stack([C, dC, C_prime]))
-    cfi_value, p = _cfi_from_products(C, dC, RC, RdC)
-    report = _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value)
-    return report, p, _probabilities(RC_prime)
+def _information(
+    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R
+) -> FisherReport:
+    """Joint qfi and cfi report from C and dC along ``direction``."""
+    return _report(direction, qfi=_qfi_value(C, dC, support_svd(C)), cfi=_cfi_value(C, dC, R))
 
 
 def information_report(
     scenario: Scenario, direction: GeneralizedCoordinate, R
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
-    C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, qfi=_qfi_value(C, dC), cfi=_cfi_value(C, dC, R))
+    return _information(direction, *amplitude_and_derivative(scenario, direction), R)
 
 
 # ---------------------------------------------------------------------------
@@ -585,46 +567,38 @@ class ConsistencyReport:
         return float(np.nanmax(self.relative_errors))
 
 
-def _tangent_for(target: ParaxialTarget, axis: int) -> np.ndarray:
-    if target is ParaxialTarget.SINGLE_SOURCE:
-        t = np.zeros(3)
-        t[axis] = 1.0
-    elif target is ParaxialTarget.TWO_SOURCE_SEPARATION:
-        t = np.zeros(6)
-        t[axis], t[3 + axis] = 0.5, -0.5
-    else:
-        t = np.zeros(6)
-        t[axis], t[3 + axis] = 1.0, 1.0
-    return t
-
-
 def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> ConsistencyReport:
     """Compare the paraxial closed form against the general qfi engine.
 
     ``finite_difference`` holds the closed-form qfi along six tangents,
     from one amplitude build (C and the six dC in one amplitude_arrays
     call) and one support_svd of C; the key keeps its name for
-    compatibility.  Diagonal entries are the qfi along the three axis
-    tangents t_a, each equal to qfi(scenario, from_tangent(t_a)); the
-    off-diagonal ones come from the polarization identity
-    I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
+    compatibility.  The axis tangents t_a are the target's direction
+    presets (x/y/z, separation-* or centroid-*) from geometry's preset
+    table.  Diagonal entries are the qfi along them, each equal to
+    qfi(scenario, from_tangent(t_a)); the off-diagonal ones come from the
+    polarization identity I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
     """
     target = ParaxialTarget(target)
-    expected_ns = 1 if target is ParaxialTarget.SINGLE_SOURCE else 2
+    prefix = {
+        ParaxialTarget.SINGLE_SOURCE: "",
+        ParaxialTarget.TWO_SOURCE_SEPARATION: "separation-",
+        ParaxialTarget.TWO_SOURCE_CENTROID: "centroid-",
+    }[target]
+    tangents = [np.array(_PRESET_TANGENTS[prefix + axis]) for axis in "xyz"]
+    expected_ns = tangents[0].size // 3
     if scenario.n_sources != expected_ns:
         raise ScenarioError(
             f"{target.value} check requires {expected_ns} source(s), "
             f"scenario has {scenario.n_sources}"
         )
     closed = paraxial_qfi_matrix(scenario.collectors, scenario.k, scenario.z0, target)
-    tangents = [_tangent_for(target, a) for a in range(3)]
     pairs = ((0, 1), (0, 2), (1, 2))
     directions = [GeneralizedCoordinate.from_tangent(t) for t in tangents] + [
         GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b]) for a, b in pairs
     ]
     rows = np.stack([direction_rows(d, scenario.n_sources) for d in directions])
-    C, dCs = amplitude_arrays(scenario.collector_positions(), scenario.source_positions(),
-                              scenario.weights(), scenario.k, scenario.z0, scenario.mode, rows)
+    C, dCs = amplitude_arrays(scenario, None, rows)
     svd = support_svd(C)
     Q = [d.parameter_scale**2 * _qfi_value(C, dC, svd) for d, dC in zip(directions, dCs)]
     fd = np.diag(Q[:3])

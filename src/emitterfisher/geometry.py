@@ -232,11 +232,20 @@ class GeneralizedCoordinate:
         return cls(a=t / norm, parameter_scale=float(norm), name=name)
 
 
-def _axis_index(axis: str) -> int:
-    try:
-        return {"x": 0, "y": 1, "z": 2}[axis]
-    except KeyError:
-        raise ScenarioError(f"unknown axis {axis!r}") from None
+# Tangents d r / d(param) of the direction presets, one (x, y, z) triple per
+# source: single-source axes, the signed separation (source 1 minus source
+# 2) and the centroid (both sources together) of a pair.
+_PRESET_TANGENTS = {
+    "x": (1.0, 0.0, 0.0),
+    "y": (0.0, 1.0, 0.0),
+    "z": (0.0, 0.0, 1.0),
+    "separation-x": (0.5, 0.0, 0.0, -0.5, 0.0, 0.0),
+    "separation-y": (0.0, 0.5, 0.0, 0.0, -0.5, 0.0),
+    "separation-z": (0.0, 0.0, 0.5, 0.0, 0.0, -0.5),
+    "centroid-x": (1.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+    "centroid-y": (0.0, 1.0, 0.0, 0.0, 1.0, 0.0),
+    "centroid-z": (0.0, 0.0, 1.0, 0.0, 0.0, 1.0),
+}
 
 
 def named_direction(name: str, n_sources: int) -> GeneralizedCoordinate:
@@ -248,22 +257,12 @@ def named_direction(name: str, n_sources: int) -> GeneralizedCoordinate:
     both sources together.
     """
     name = name.strip().lower()
-    if name in ("x", "y", "z"):
-        if n_sources != 1:
-            raise ScenarioError(f"direction {name!r} requires exactly one source")
-        t = np.zeros(3)
-        t[_axis_index(name)] = 1.0
-        return GeneralizedCoordinate.from_tangent(t, name=name)
-    for prefix, pattern in (("separation-", (0.5, -0.5)), ("centroid-", (1.0, 1.0))):
-        if name.startswith(prefix):
-            if n_sources != 2:
-                raise ScenarioError(f"direction {name!r} requires exactly two sources")
-            axis = _axis_index(name[len(prefix):])
-            t = np.zeros(6)
-            t[axis] = pattern[0]
-            t[3 + axis] = pattern[1]
-            return GeneralizedCoordinate.from_tangent(t, name=name)
-    raise ScenarioError(f"unknown direction preset {name!r}")
+    if name not in _PRESET_TANGENTS:
+        raise ScenarioError(f"unknown direction preset {name!r}")
+    tangent = _PRESET_TANGENTS[name]
+    if n_sources != len(tangent) // 3:
+        raise ScenarioError(f"direction {name!r} requires exactly {len(tangent) // 3} source(s)")
+    return GeneralizedCoordinate.from_tangent(tangent, name=name)
 
 
 def direction_rows(direction: GeneralizedCoordinate | np.ndarray, n_sources: int) -> np.ndarray:
@@ -333,66 +332,39 @@ def _raw_amplitudes(
     return gamma, gamma * (1j * k - 1.0 / d) * dd
 
 
-def amplitude(
-    collector: Collector,
-    source: SourcePoint,
-    k: float,
-    z0: float,
-    mode: Mode,
-    n_collectors: int,
-) -> complex:
-    """Single-photon amplitude gamma at one collector for one source.
-
-    Exact mode returns the unnormalized 1/distance amplitude (column
-    normalization is applied when the full matrix is assembled); paraxial
-    mode returns the normalized 1/sqrt(N_C) entry directly.
-    """
-    mode = Mode(mode)
-    gamma, _ = _raw_amplitudes(
-        np.array([[collector.u, collector.v]]),
-        np.array([[source.x, source.y, source.z]]),
-        k, z0, mode, None,
-    )
-    value = complex(gamma[0, 0])
-    return value / np.sqrt(n_collectors) if mode is Mode.PARAXIAL else value
-
-
-def amplitude_and_derivative(
-    scenario: Scenario, direction: GeneralizedCoordinate | None
+def amplitude_arrays(
+    scenario: Scenario, positions: np.ndarray | None = None, a: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Amplitude matrix C and its closed-form derivative dC/dtheta along ``direction``.
+    """Amplitude matrix C and its closed-form derivative dC/dtheta along ``a``.
 
-    Column s of C is sqrt(w_s) n_s with n_s = gamma_s / ||gamma_s||.  The
-    derivative of the normalized column is
-    sqrt(w_s) (dgamma_s - n_s Re(n_s^dag dgamma_s)) / ||gamma_s||, which in
-    paraxial mode reduces to i dphi * C (the Re term vanishes).  With
-    ``direction`` None only C is computed.
-    """
-    a = None if direction is None else direction_rows(direction, scenario.n_sources)
-    uv, xyz, weights = scenario.collector_positions(), scenario.source_positions(), scenario.weights()
-    return amplitude_arrays(uv, xyz, weights, scenario.k, scenario.z0, scenario.mode, a)
+    The one routine that builds amplitudes from a Scenario: its collectors,
+    weights, k, z0 and mode, with the sources at ``positions`` (default:
+    the scenario's own).  Column s of C is sqrt(w_s) n_s with
+    n_s = gamma_s / ||gamma_s|| (_raw_amplitudes).  The derivative of the
+    normalized column is sqrt(w_s) (dgamma_s - n_s Re(n_s^dag dgamma_s)) /
+    ||gamma_s||, which in paraxial mode reduces to i dphi * C (the Re term
+    vanishes); with ``a`` None only C is computed.
 
-
-def amplitude_arrays(uv: np.ndarray, xyz: np.ndarray, weights: np.ndarray, k: float, z0: float,
-                     mode: Mode, a: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-    """C and dC/dtheta from the arrays of a valid Scenario whose sources may have moved.
-
-    ``xyz`` is one (N_S, 3) set of source positions, giving (N_C, N_S)
+    ``positions`` is one (N_S, 3) set of source positions, giving (N_C, N_S)
     arrays, or a stack (T, N_S, 3), giving (T, N_C, N_S) arrays whose slice
-    t is, bit for bit, what set t alone gives.  Geometry errors are raised
-    once for the whole stack.  With one set, ``a`` may be a stack
-    (m, N_S, 3) of directions: C is built once and dC has shape
-    (m, N_C, N_S), slice i equal bit for bit to what direction i alone
-    gives.
+    t is, bit for bit, what set t alone gives.  The positions are not
+    checked (check_source_positions); geometry errors are raised once for
+    the whole stack.  ``a`` is one 3 N_S direction, flat or one row per
+    source, or, with one set, a stack (m, N_S, 3) of directions: C is built
+    once and dC has shape (m, N_C, N_S), slice i equal bit for bit to what
+    direction i alone gives.
     """
-    gamma, dgamma = _raw_amplitudes(uv, xyz, k, z0, mode, a)
+    xyz = scenario.source_positions() if positions is None else positions
+    gamma, dgamma = _raw_amplitudes(
+        scenario.collector_positions(), xyz, scenario.k, scenario.z0, scenario.mode, a
+    )
     norms = np.linalg.norm(gamma, axis=-2)
     bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
         raise DegenerateGeometryError(
             f"zero-norm amplitude column for source {int(np.argwhere(bad)[0][-1])}"
         )
-    scale = (np.sqrt(weights) / norms)[..., None, :]
+    scale = (np.sqrt(scenario.weights()) / norms)[..., None, :]
     C = gamma * scale
     if dgamma is None:
         return C, None
@@ -401,9 +373,17 @@ def amplitude_arrays(uv: np.ndarray, xyz: np.ndarray, weights: np.ndarray, k: fl
     return C, (dgamma - n * radial[..., None, :]) * scale
 
 
+def amplitude_and_derivative(
+    scenario: Scenario, direction: GeneralizedCoordinate | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """amplitude_arrays of the scenario's sources along ``direction`` (None: C alone)."""
+    a = None if direction is None else direction_rows(direction, scenario.n_sources)
+    return amplitude_arrays(scenario, None, a)
+
+
 def build_amplitude_matrix(scenario: Scenario) -> np.ndarray:
     """(N_C, N_S) complex matrix with column s = sqrt(p_s) * normalized gamma(., s)."""
-    return amplitude_and_derivative(scenario, None)[0]
+    return amplitude_arrays(scenario)[0]
 
 
 # ---------------------------------------------------------------------------

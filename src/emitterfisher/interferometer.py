@@ -42,8 +42,12 @@ from .fisher import (
     Interferometer,
     NumericalError,
     Provenance,
+    _applied,
+    _cfi_from_products,
     _householder_interferometer,
-    _information_from_amplitudes,
+    _probabilities,
+    _qfi_value,
+    _report,
     _same_shape,
     cfi,
     support_svd,
@@ -52,7 +56,6 @@ from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
-    amplitude_and_derivative,
     amplitude_arrays,
     check_source_positions,
     direction_rows,
@@ -477,20 +480,22 @@ def verify_saturation(
     (the theorem check, at the requested step): R1 A upper-triangular,
     R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|, scalar products
     preserved.  A zero or non-finite ``delta_theta`` gives an identical
-    pair, which defines no alignment, and raises ScenarioError.  One
-    support_svd of C serves the measurement and the QFI, and the
-    measurement is applied once, to [C, dC, C'], for the Fisher values,
-    the probabilities and the classical fidelity.
+    pair, which defines no alignment, and raises ScenarioError.  C, dC
+    and C' come from one amplitude_arrays call on the stack of the base
+    and the displaced positions, one support_svd of C serves the
+    measurement and the QFI, and the measurement is applied once, to
+    [C, dC, C'], for the Fisher values, the probabilities and the
+    classical fidelity.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
     if delta_theta == 0.0 or not math.isfinite(delta_theta):
         raise ScenarioError(f"synthesis displacement must be finite and nonzero, got {delta_theta}")
-    C, dC = amplitude_and_derivative(scenario, direction)
-    moved = scenario.source_positions() + direction_rows(direction, scenario.n_sources) * delta_theta
+    a = direction_rows(direction, scenario.n_sources)
+    base = scenario.source_positions()
+    moved = base + a * delta_theta
     check_source_positions(moved, scenario.z0, scenario.mode)
-    C_prime, _ = amplitude_arrays(scenario.collector_positions(), moved, scenario.weights(),
-                                  scenario.k, scenario.z0, scenario.mode)
+    (C, C_prime), (dC, _) = amplitude_arrays(scenario, np.stack([base, moved]), a)
     P, A, B, D, piv = _align(C, C_prime)
     PA, PB = P @ A, P @ B
     lower_resid = float(np.max(np.abs(np.tril(PA, -1))))
@@ -499,11 +504,13 @@ def verify_saturation(
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
     svd = support_svd(C)
     R = _optimal_interferometer(dC, svd)
-    info, p, p_prime = _information_from_amplitudes(direction, C, dC, R, C_prime, svd)
+    RC, RdC, RC_prime = _applied(R, np.stack([C, dC, C_prime]))
+    cfi_value, p = _cfi_from_products(C, dC, RC, RdC)
+    info = _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=float(D.sum()),
-        classical_fidelity=float(np.sqrt(p * p_prime).sum()),
+        classical_fidelity=float(np.sqrt(p * _probabilities(RC_prime)).sum()),
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,40 @@ def test_simulate_command(two_collector, tmp_path):
     assert 0.7 <= doc["crb_ratio"] <= 1.3
     csv_lines = (tmp_path / "sim.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 61
+
+
+def test_simulate_reports_information_at_the_truth(tmp_path):
+    # qfi and cfi come from the amplitudes at --theta-true, where the photons
+    # are drawn: on four_collector in exact mode at theta_true = 2 they are
+    # information_report of the sources moved there, not of the base.
+    four = emitterfisher.load_scenario(bundled_scenario_path("four_collector.scn"))
+    s = emitterfisher.Scenario(four.sources, four.collectors, four.k, four.z0, "exact")
+    path = tmp_path / "four_exact.scn"
+    emitterfisher.save_scenario(s, path)
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", "--scenario", str(path), "--direction", "separation-x",
+                   "--interferometer", "qft", "--photons", "5000", "--trials", "20",
+                   "--seed", "3", "--theta-true", "2.0", "--out", str(out)) == EXIT_OK
+    doc = read_json(out)
+    d = emitterfisher.named_direction("separation-x", 2)
+    moved = emitterfisher.displace(s, d, 2.0 * d.parameter_scale)
+    truth = emitterfisher.information_report(moved, d, emitterfisher.qft_interferometer(4))
+    assert (doc["qfi"], doc["cfi"]) == (truth.qfi, truth.cfi)
+    assert doc["qfi"] == pytest.approx(4.99300e-4, rel=1e-5)
+    assert emitterfisher.qfi(s, d).qfi == pytest.approx(4.99479e-4, rel=1e-5)
+    assert doc["cfi"] == pytest.approx(1 / (doc["fisher_predicted_variance"] * 5000), rel=1e-12)
+
+
+def test_simulate_warns_once_outside_the_paraxial_regime(two_collector, tmp_path):
+    # The truth (offsets 12.5 > 0.1 z0) and the search interval are checked
+    # once, by the sweep; the values at the truth check nothing again.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
+                       "--interferometer", "bs_phase:0.0", "--photons", "2000", "--trials", "5",
+                       "--seed", "1", "--theta-true", "25.0",
+                       "--out", str(tmp_path / "sim.json")) == EXIT_OK
+    assert len([w for w in caught if "paraxial mode" in str(w.message)]) == 1
 
 
 SIMULATE_ARGS = ("--interferometer", "bs_phase:0.0", "--photons", "3000", "--trials", "6",
@@ -258,7 +293,7 @@ def test_design_document_embeds_the_serialized_interferometer(tmp_path):
 
 def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path):
     # The design document's probabilities come from verify_saturation's C:
-    # one build at the base point, one at the displaced point of the check.
+    # one amplitude build, of the stack [base, displaced] of the check.
     import emitterfisher.geometry as geometry_mod
 
     path = bundled_scenario_path("four_collector.scn")
@@ -267,14 +302,15 @@ def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path):
     raw = geometry_mod._raw_amplitudes
 
     def counted(uv, xyz, *args):
-        builds.append(np.array_equal(xyz, base))
+        builds.append(xyz)
         return raw(uv, xyz, *args)
 
     monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
     assert run_cli("design", "--scenario", str(path), "--direction", "separation-x",
                    "--out", str(tmp_path / "design.json")) == EXIT_OK
-    assert builds.count(True) == 1
-    assert len(builds) == 2
+    assert len(builds) == 1
+    assert builds[0].shape == (2, *base.shape)
+    np.testing.assert_array_equal(builds[0][0], base)
 
 
 def test_parser_built_once_per_process(two_collector, monkeypatch, tmp_path):

@@ -17,7 +17,6 @@ from emitterfisher import (
     Scenario,
     ScenarioError,
     SourcePoint,
-    amplitude,
     amplitude_and_derivative,
     build_amplitude_matrix,
     bundled_scenarios,
@@ -44,32 +43,45 @@ def make_scenario(sources, collectors, k=1.0, z0=100.0, mode=Mode.PARAXIAL):
 
 
 # ---------------------------------------------------------------------------
-# amplitude
+# amplitude entries
 # ---------------------------------------------------------------------------
+
+
+def _raw_entry(c, s, k, z0, mode):
+    """The unnormalized amplitude gamma of one source at one collector."""
+    gamma, _ = geometry._raw_amplitudes(
+        np.array([[c.u, c.v]]), np.array([[s.x, s.y, s.z]]), k, z0, mode, None
+    )
+    return complex(gamma[0, 0])
 
 
 def test_paraxial_on_axis_amplitude():
     # On-axis source: zero phase, modulus 1/sqrt(N_C).
-    gamma = amplitude(Collector(3.0, -2.0), SourcePoint(0, 0, 0), 1.0, 100.0, Mode.PARAXIAL, 2)
-    assert gamma == pytest.approx(1 / math.sqrt(2))
+    C = build_amplitude_matrix(make_scenario([(0, 0, 0)], [(3.0, -2.0), (-1.0, 4.0)]))
+    np.testing.assert_allclose(C, 1 / math.sqrt(2), rtol=1e-15)
 
 
 def test_paraxial_phase_linear_in_x():
     k, z0, u, x = 2.0, 50.0, 3.0, 0.4
-    gamma = amplitude(Collector(u, 0.0), SourcePoint(x, 0, 0), k, z0, Mode.PARAXIAL, 4)
+    s = make_scenario([(x, 0, 0)], [(u, 0.0), (-u, 0.0), (0.0, 1.0), (1.0, 0.0)], k=k, z0=z0)
+    gamma = build_amplitude_matrix(s)[0, 0]
     assert np.angle(gamma) == pytest.approx(-k * u * x / z0)
+    assert abs(gamma) == pytest.approx(0.5)
 
 
 def test_exact_unit_distance_phase():
-    # k = 1, distance 1 -> phase exactly 1 radian, modulus 1.
-    gamma = amplitude(Collector(0.0, 0.0), SourcePoint(0, 0, 0), 1.0, 1.0, Mode.EXACT, 1)
+    # k = 1, distance 1 -> phase exactly 1 radian, unnormalized modulus 1.
+    gamma = _raw_entry(Collector(0.0, 0.0), SourcePoint(0, 0, 0), 1.0, 1.0, Mode.EXACT)
     assert np.angle(gamma) == pytest.approx(1.0)
     assert abs(gamma) == pytest.approx(1.0)
 
 
 def test_exact_source_on_collector_is_degenerate():
+    s = make_scenario([(0, 0, -1.0)], [(0.0, 0.0)], z0=1.0, mode=Mode.EXACT)
     with pytest.raises(DegenerateGeometryError):
-        amplitude(Collector(0.0, 0.0), SourcePoint(0, 0, -1.0), 1.0, 1.0, Mode.EXACT, 1)
+        build_amplitude_matrix(s)
+    with pytest.raises(DegenerateGeometryError):
+        _raw_entry(Collector(0.0, 0.0), SourcePoint(0, 0, -1.0), 1.0, 1.0, Mode.EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +172,11 @@ def test_stacked_amplitude_arrays_match_one_call_per_set(mode):
     a = named_direction("separation-x", 2)
     rows = geometry.direction_rows(a, 2)
     stack = s.source_positions() + rows * rng.normal(0, 0.3, (7, 1, 1))
-    args = (s.collector_positions(), stack, s.weights(), s.k, s.z0, s.mode)
     for direction in (None, rows):
-        C, dC = geometry.amplitude_arrays(*args, direction)
+        C, dC = geometry.amplitude_arrays(s, stack, direction)
         assert C.shape == (7, 9, 2)
         for t, xyz in enumerate(stack):
-            C_t, dC_t = geometry.amplitude_arrays(*args[:1], xyz, *args[2:], direction)
+            C_t, dC_t = geometry.amplitude_arrays(s, xyz, direction)
             np.testing.assert_array_equal(C[t], C_t)
             if direction is None:
                 assert dC is None and dC_t is None
@@ -175,11 +186,11 @@ def test_stacked_amplitude_arrays_match_one_call_per_set(mode):
     # slice, the dC that each direction alone gives, flat or one row per source.
     xyz = s.source_positions()
     directions = rng.normal(0, 1, (5, 2, 3))
-    C, dC = geometry.amplitude_arrays(*args[:1], xyz, *args[2:], directions)
+    C, dC = geometry.amplitude_arrays(s, xyz, directions)
     assert C.shape == (9, 2) and dC.shape == (5, 9, 2)
     for i, direction in enumerate(directions):
         for form in (direction, direction.ravel()):
-            C_i, dC_i = geometry.amplitude_arrays(*args[:1], xyz, *args[2:], form)
+            C_i, dC_i = geometry.amplitude_arrays(s, xyz, form)
             np.testing.assert_array_equal(C, C_i)
             np.testing.assert_array_equal(dC[i], dC_i)
 
@@ -190,7 +201,7 @@ def test_stacked_amplitude_arrays_reject_a_source_on_a_collector():
     stack = np.repeat(s.source_positions()[None], 4, axis=0)
     stack[2, 1] = (-3.0, 0.0, -10.0)
     with pytest.raises(DegenerateGeometryError, match=r"with collector \(np.float64\(-3.0\)"):
-        geometry.amplitude_arrays(s.collector_positions(), stack, s.weights(), s.k, s.z0, s.mode)
+        geometry.amplitude_arrays(s, stack)
 
 
 def test_scenario_arrays_are_built_once_and_read_only():
@@ -227,7 +238,7 @@ def test_weights_default_equal_and_normalized():
 
 def _phase(c, s, k, z0, mode):
     if mode is Mode.PARAXIAL:
-        return np.angle(amplitude(c, s, k, z0, mode, 2))
+        return np.angle(_raw_entry(c, s, k, z0, mode))
     return k * math.sqrt((s.x - c.u) ** 2 + (s.y - c.v) ** 2 + (z0 + s.z) ** 2)
 
 

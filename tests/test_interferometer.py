@@ -322,22 +322,25 @@ def test_verify_saturation_builds_one_interferometer(monkeypatch):
 
 
 def test_verify_saturation_builds_amplitudes_once(monkeypatch):
-    # The Fisher values come from verify_saturation's own (C, dC) and equal,
-    # bit for bit, what information_report gives for the returned measurement.
-    import emitterfisher.fisher as fisher_mod
+    # C, dC and the displaced C' come from one amplitude build of the stack
+    # [base, displaced], and the Fisher values equal, bit for bit, what
+    # information_report gives for the returned measurement.
+    import emitterfisher.geometry as geometry_mod
 
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
     d = named_direction("separation-z", 2)
     builds = []
+    raw = geometry_mod._raw_amplitudes
 
-    def counted(scenario, direction):
-        builds.append(direction)
-        return amplitude_and_derivative(scenario, direction)
+    def counted(uv, xyz, *args):
+        builds.append(xyz)
+        return raw(uv, xyz, *args)
 
-    monkeypatch.setattr(fisher_mod, "amplitude_and_derivative", counted)
-    monkeypatch.setattr(itf_mod, "amplitude_and_derivative", counted)
+    monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
     report = verify_saturation(s, d)
     assert len(builds) == 1
+    assert builds[0].shape == (2, *s.source_positions().shape)
+    np.testing.assert_array_equal(builds[0][0], s.source_positions())
     monkeypatch.undo()
     info = information_report(s, d, report.interferometer)
     assert (report.qfi_estimate, report.cfi_estimate, report.saturation_ratio) == (
