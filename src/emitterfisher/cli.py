@@ -4,14 +4,16 @@ Commands operate on a scenario file and write a JSON result document;
 `simulate` additionally writes a per-trial CSV next to the JSON output.
 `main` runs one pipeline for every command: load the scenario, parse the
 direction, compute the command's body, apply `--angular`, emit.
-Exit status: 0 success, 2 validation error (bad file, bad flags), 3
-numerical failure (non-finite result, failed decomposition, saturation or
-cross check out of tolerance, non-identifiable parameter).
+Exit status: 0 success, 2 validation error (bad file, bad flags, an output
+path that cannot be written), 3 numerical failure (non-finite result,
+failed decomposition, saturation or cross check out of tolerance,
+non-identifiable parameter).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -62,7 +64,20 @@ def _parse_interferometer(spec: str, scenario: Scenario) -> fisher.Interferomete
     except ScenarioError:
         if not Path(spec).is_file():
             raise
-    return itf.interferometer_from_json(Path(spec).read_text(encoding="utf-8"))
+    try:
+        text = Path(spec).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot load interferometer file {spec}: {exc}") from exc
+    return itf.interferometer_from_json(text)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """A failed write of ``path`` (no such directory, no permission) as a validation error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_qfi(args, scenario, direction):
@@ -128,12 +143,15 @@ def cmd_simulate(args, scenario, direction):
     C, dC = estimation._amplitudes_at(scenario, direction, args.theta_true)
     truth = fisher._information(direction, C, dC, measurement)
     if args.out:
-        estimation.write_trials_csv(Path(args.out).with_suffix(".csv"), records)
+        csv_path = Path(args.out).with_suffix(".csv")
+        with _writing(csv_path):
+            estimation.write_trials_csv(csv_path, records)
     if args.gnuplot_dat:
         rows = [f"{float(r.trial)!r} {r.theta_hat!r}" for r in records]
-        Path(args.gnuplot_dat).write_text(
-            "\n".join(["# trial theta_hat", *rows]) + "\n", encoding="utf-8"
-        )
+        with _writing(args.gnuplot_dat):
+            Path(args.gnuplot_dat).write_text(
+                "\n".join(["# trial theta_hat", *rows]) + "\n", encoding="utf-8"
+            )
     return {
         "interferometer": measurement.provenance.value,
         "qfi": truth.qfi,
@@ -235,6 +253,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         document, ok = _document(args)
+        text = json.dumps(document, indent=2)
+        if args.out:
+            with _writing(args.out):
+                Path(args.out).write_text(text + "\n", encoding="utf-8")
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -244,10 +266,7 @@ def main(argv=None) -> int:
     except fisher.NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    text = json.dumps(document, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
+    if not args.out:
         print(text)
     return EXIT_OK if ok else EXIT_NUMERICAL
 

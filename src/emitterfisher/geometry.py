@@ -22,9 +22,12 @@ phase differences between collectors affect any derived quantity.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -446,16 +449,76 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+class _LoadedScenarios:
+    """Least-recently-used map from scenario file bytes to the Scenario they build.
+
+    Keyed on content, so an edited file is parsed again whatever its path or
+    mtime.  Bounded by the total size of the files held, since a held
+    Scenario takes 5 to 8 times its file's bytes (tracemalloc, bundled
+    files): with the keys, at most about 9 times ``max_bytes``.  A file
+    larger than the bound is not held, and evicts nothing.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict[bytes, Scenario] = OrderedDict()
+        self._bytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, content: bytes) -> Scenario | None:
+        with self._lock:
+            scenario = self._entries.get(content)
+            if scenario is not None:
+                self._entries.move_to_end(content)
+            return scenario
+
+    def put(self, content: bytes, scenario: Scenario) -> None:
+        with self._lock:
+            if content in self._entries or len(content) > self.max_bytes:
+                return
+            self._entries[content] = scenario
+            self._bytes += len(content)
+            while self._bytes > self.max_bytes:
+                evicted, _ = self._entries.popitem(last=False)
+                self._bytes -= len(evicted)
+
+
+# 1 MiB of scenario files: under 9 MB held, 36 files the size of the bundled
+# disc (N_C = 1257) or thousands of small arrays.
+_loaded = _LoadedScenarios(max_bytes=1 << 20)
+
+
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a YAML key-value file (.scn)."""
-    # PyYAML's constructors raise plain ValueError, LookupError or
-    # AttributeError for a tagged scalar they cannot read (``k: !!float``).
+    """Load a scenario from a YAML key-value file (.scn).
+
+    Loads are memoized by file content within the process: a file whose
+    bytes were loaded before gives back the same (immutable) Scenario
+    without parsing, and warns as the first load did.  A file that fails to
+    load is not remembered.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=SCENARIO_LOADER)
-    except (OSError, yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        with open(path, "rb") as fh:
+            name, content = fh.name, fh.read()
+    except OSError as exc:
         raise ScenarioError(f"cannot load scenario file {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    scenario = _loaded.get(content)
+    if scenario is not None:
+        check_source_positions(scenario.source_positions(), scenario.z0, scenario.mode)
+        return scenario
+    # The text stream open(path, "r", encoding="utf-8") gives, over the bytes
+    # read, so that YAML errors name the file.  PyYAML's constructors raise
+    # plain ValueError, LookupError or AttributeError for a tagged scalar they
+    # cannot read (``k: !!float``); bytes that are not UTF-8 raise
+    # UnicodeDecodeError, a ValueError.
+    buffer = io.BytesIO(content)
+    buffer.name = name
+    try:
+        data = yaml.load(io.TextIOWrapper(buffer, encoding="utf-8"), Loader=SCENARIO_LOADER)
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        raise ScenarioError(f"cannot load scenario file {path}: {exc}") from exc
+    scenario = scenario_from_dict(data)
+    _loaded.put(content, scenario)
+    return scenario
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -464,9 +527,17 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """Stable hex digest of the scenario contents (for result documents)."""
-    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """Stable hex digest of the scenario contents (for result documents).
+
+    Computed once per Scenario object and kept on it as a plain attribute,
+    outside the fields that equality, hashing and repr read.
+    """
+    digest = scenario.__dict__.get("_digest")
+    if digest is None:
+        canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True)
+        digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        object.__setattr__(scenario, "_digest", digest)
+    return digest
 
 
 def disc_collector_grid(spacing: float, radius: float = 1.0) -> tuple[Collector, ...]:

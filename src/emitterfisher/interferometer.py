@@ -197,6 +197,9 @@ def interferometer_from_json(text: str) -> Interferometer:
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"malformed interferometer document: {exc}") from exc
+    # json reads NaN, Infinity and out-of-range numbers such as 1e999.
+    if not np.isfinite(matrix).all():
+        raise ScenarioError("malformed interferometer document: non-finite matrix entry")
     return Interferometer(matrix, Provenance.USER_SUPPLIED, alpha=payload.get("alpha"))
 
 

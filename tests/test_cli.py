@@ -333,19 +333,54 @@ def test_parser_built_once_per_process(two_collector, monkeypatch, tmp_path):
         build_parser.cache_clear()
 
 
+def run_fresh_interpreter(*argv):
+    """`python -m emitterfisher.cli ARGV` in a new process, on this checkout's package."""
+    src = str(Path(emitterfisher.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "emitterfisher.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 def test_subprocess_document_matches_in_process(two_collector, capsys):
     # `python -m emitterfisher.cli` goes through a fresh interpreter's
     # imports, which in-process calls never see; its document is the same.
     argv = ["qfi", "--scenario", two_collector, "--direction", "separation-x"]
-    src = str(Path(emitterfisher.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    child = subprocess.run([sys.executable, "-m", "emitterfisher.cli", *argv], env=env,
-                           capture_output=True, text=True)
+    child = run_fresh_interpreter(*argv)
     assert child.returncode == EXIT_OK, child.stderr
     assert run_cli(*argv) == EXIT_OK
     in_process = capsys.readouterr().out
     assert child.stdout == in_process
     assert json.loads(child.stdout)["scenario_digest"] == json.loads(in_process)["scenario_digest"]
+
+
+DOCUMENT_ARGV = {
+    "qfi": ["--direction", "separation-z"],
+    "cfi": ["--direction", "separation-z", "--interferometer", "qft"],
+    "design": ["--direction", "separation-z"],
+    "saturate": ["--direction", "separation-x"],
+    "qfimatrix": [],
+}
+
+
+def test_documents_identical_on_reload_and_in_a_fresh_interpreter(tmp_path):
+    # A copy of four_collector no earlier load has seen: the first call in
+    # this process parses it, the second is served from memory, and a fresh
+    # interpreter parses it again; all three write the same bytes.
+    scenario = tmp_path / "four.scn"
+    scenario.write_bytes(bundled_scenario_path("four_collector.scn").read_bytes()
+                         + f"# {tmp_path}\n".encode())
+    for command, extra in DOCUMENT_ARGV.items():
+        argv = [command, "--scenario", str(scenario), *extra]
+        documents = []
+        for run in ("miss", "hit", "fresh"):
+            out = tmp_path / f"{command}-{run}.json"
+            if run == "fresh":
+                child = run_fresh_interpreter(*argv, "--out", str(out))
+                assert child.returncode == EXIT_OK, child.stderr
+            else:
+                assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+            documents.append(out.read_bytes())
+        assert documents[0] == documents[1] == documents[2], command
 
 
 def test_bad_direction_exits_2(two_collector, capsys):
@@ -379,6 +414,38 @@ def test_wrong_size_interferometer_exits_2(two_collector, tmp_path, capsys):
     code = run_cli("cfi", "--scenario", two_collector, "--direction", "separation-x",
                    "--interferometer", str(path))
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe",
+    b'{"matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    b'{"matrix": [[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]}',
+    b'{"matrix": [[[1e999, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+], ids=["not-utf8", "nan", "infinity", "overflow"])
+def test_unreadable_interferometer_file_exits_2(content, two_collector, tmp_path, capsys):
+    # Bytes that are not UTF-8, and entries json reads as non-finite, are a
+    # malformed document, not a numerical failure.
+    path = tmp_path / "R.json"
+    path.write_bytes(content)
+    code = run_cli("cfi", "--scenario", two_collector, "--direction", "separation-x",
+                   "--interferometer", str(path))
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, unwritable", [
+    (["qfi", "--out", "{missing}/doc.json"], "{missing}/doc.json"),
+    (["simulate", *SIMULATE_ARGS, "--out", "{missing}/doc.json"], "{missing}/doc.csv"),
+    (["simulate", *SIMULATE_ARGS, "--gnuplot-dat", "{missing}/trials.dat"],
+     "{missing}/trials.dat"),
+], ids=["out", "simulate-csv", "gnuplot-dat"])
+def test_unwritable_output_path_exits_2(argv, unwritable, two_collector, tmp_path, capsys):
+    missing = tmp_path / "no-such-directory"
+    argv = [a.format(missing=missing) for a in argv]
+    code = run_cli(argv[0], "--scenario", two_collector, "--direction", "separation-x", *argv[1:])
+    assert code == EXIT_VALIDATION
+    expected = f"error: cannot write {unwritable.format(missing=missing)}"
+    assert capsys.readouterr().err.startswith(expected)
 
 
 def test_nonconvergence_exits_3(two_collector, monkeypatch, tmp_path):

@@ -455,7 +455,10 @@ def test_scenario_file_pure_python_fallback(monkeypatch, tmp_path):
     expected = load_scenario(path)
     monkeypatch.setattr(geometry, "SCENARIO_LOADER", yaml.SafeLoader)
     monkeypatch.setattr(geometry, "SCENARIO_DUMPER", yaml.SafeDumper)
-    assert load_scenario(path) == expected
+    # Bytes no earlier load has seen, so that the pure-Python loader parses them.
+    unseen = tmp_path / "unseen.scn"
+    unseen.write_bytes(path.read_bytes() + f"# {tmp_path}\n".encode())
+    assert load_scenario(unseen) == expected
     save_scenario(expected, tmp_path / "fallback.scn")
     assert load_scenario(tmp_path / "fallback.scn") == expected
 
@@ -526,3 +529,96 @@ def test_scenario_weight_optional(tmp_path):
     s = load_scenario(path)
     np.testing.assert_allclose(s.weights(), [0.25, 0.75])
     assert s.mode is Mode.EXACT
+
+
+# ---------------------------------------------------------------------------
+# scenario loads memoized by file content
+# ---------------------------------------------------------------------------
+
+_PAIR_TEXT = (
+    "mode: paraxial\nk: 1.0\nz0: 100.0\n"
+    "sources:\n  - {{x: {x}, y: 0, z: 0}}\n  - {{x: -0.1, y: 0, z: 0}}\n"
+    "collectors:\n  - {{u: 5, v: 0}}\n  - {{u: -5, v: 0}}\n"
+    "# {tag}\n"
+)
+
+
+def _pair_file(path, x):
+    """A two-source file whose bytes no other test writes (``path`` is in them)."""
+    path.write_text(_PAIR_TEXT.format(x=x, tag=path), encoding="utf-8")
+    return path
+
+
+def test_reload_of_unchanged_file_does_not_parse(monkeypatch, tmp_path):
+    path = _pair_file(tmp_path / "pair.scn", 0.1)
+    first = load_scenario(path)
+    parses = []
+    parse = yaml.load
+
+    def counted(*args, **kwargs):
+        parses.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(yaml, "load", counted)
+    assert load_scenario(path) is first
+    assert load_scenario(str(path)) is first
+    assert parses == []
+
+
+def test_rewritten_file_is_loaded_again(tmp_path):
+    path = _pair_file(tmp_path / "pair.scn", 0.1)
+    assert load_scenario(path).sources[0].x == 0.1
+    _pair_file(path, 0.3)
+    assert load_scenario(path).sources[0].x == 0.3
+
+
+def test_failed_load_is_not_remembered(tmp_path):
+    path = tmp_path / "pair.scn"
+    path.write_text(_PAIR_TEXT.format(x="[0.1", tag=path), encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="cannot load scenario file"):
+            load_scenario(path)
+    path.write_text(_PAIR_TEXT.format(x="abc", tag=path), encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="must be a number"):
+            load_scenario(path)
+    assert load_scenario(_pair_file(path, 0.1)).sources[0].x == 0.1
+
+
+def test_every_load_warns_outside_the_paraxial_regime(tmp_path):
+    path = _pair_file(tmp_path / "wide.scn", 12.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first = load_scenario(path)
+        assert load_scenario(path) is first
+    assert [type(w.message) for w in caught] == [UserWarning, UserWarning]
+    assert str(caught[0].message) == str(caught[1].message)
+    assert "offsets 12.5 " in str(caught[1].message)
+
+
+def test_digest_of_a_loaded_scenario(monkeypatch, tmp_path):
+    path = _pair_file(tmp_path / "pair.scn", 0.1)
+    loaded = load_scenario(path)
+    fresh = make_scenario([(0.1, 0, 0), (-0.1, 0, 0)], [(5, 0), (-5, 0)])
+    assert scenario_digest(load_scenario(path)) == scenario_digest(fresh)
+    # Computed once per object; equality, hashing and repr are unchanged by it.
+    dumps = []
+    monkeypatch.setattr(geometry, "scenario_to_dict", lambda s: dumps.append(s))
+    assert scenario_digest(loaded) == scenario_digest(fresh)
+    assert dumps == []
+    assert loaded == fresh and hash(loaded) == hash(fresh) and repr(loaded) == repr(fresh)
+
+
+def test_loaded_scenarios_bounded_by_bytes():
+    held = geometry._LoadedScenarios(max_bytes=10)
+    a, b, c = (make_scenario([(x, 0, 0)], [(1, 0)]) for x in (0.1, 0.2, 0.3))
+    held.put(b"aaaa", a)
+    held.put(b"bbbb", b)
+    assert held.get(b"aaaa") is a
+    held.put(b"cccc", c)
+    # Least recently used first: b goes, a (read after b was put) stays.
+    assert held.get(b"bbbb") is None
+    assert held.get(b"aaaa") is a and held.get(b"cccc") is c
+    held.put(b"x" * 11, b)
+    assert held.get(b"x" * 11) is None
+    assert held.get(b"aaaa") is a and held.get(b"cccc") is c
