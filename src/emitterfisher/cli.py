@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -129,6 +130,12 @@ def cmd_qfimatrix(args, scenario, direction):
 
 def cmd_simulate(args, scenario, direction):
     measurement = _parse_interferometer(args.interferometer, scenario)
+    # The output directories are checked before the sweep, so a bad path costs no trials.
+    csv_path = Path(args.out).with_suffix(".csv") if args.out else None
+    for path in filter(None, (csv_path, args.gnuplot_dat)):
+        directory = Path(path).parent
+        if not (directory.is_dir() and os.access(directory, os.W_OK)):
+            raise ScenarioError(f"cannot write {path}: {directory} is not a writable directory")
     aggregate, records = estimation.crb_sweep(
         scenario,
         direction,
@@ -142,8 +149,7 @@ def cmd_simulate(args, scenario, direction):
     # the sweep has checked.
     C, dC = estimation._amplitudes_at(scenario, direction, args.theta_true)
     truth = fisher._information(direction, C, dC, measurement)
-    if args.out:
-        csv_path = Path(args.out).with_suffix(".csv")
+    if csv_path:
         with _writing(csv_path):
             estimation.write_trials_csv(csv_path, records)
     if args.gnuplot_dat:

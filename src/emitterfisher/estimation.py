@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class NonIdentifiableError(ValueError):
     """The detection probabilities do not depend on the parameter."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionRecord:
     """Photon counts per detector for one experiment."""
 
@@ -76,14 +76,7 @@ class EstimationResult:
     crb_ratio: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "log_likelihood": self.log_likelihood,
-            "fisher_predicted_variance": self.fisher_predicted_variance,
-            "empirical_variance": self.empirical_variance,
-            "trials": self.trials,
-            "crb_ratio": self.crb_ratio,
-        }
+        return asdict(self)
 
 
 def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *checked: float):
@@ -319,7 +312,7 @@ def crb_sweep(
     n_photons = _whole_number(n_photons, "n_photons", 1)
     trials = _whole_number(trials, "trials", 2)
     theta_true = finite_number(theta_true, "theta_true")
-    R = fisher.as_interferometer(R)
+    R = fisher._measurement(R, scenario.n_collectors)
     C, dC = _amplitudes_at(scenario, direction, theta_true)
     cfi_value = direction.parameter_scale**2 * fisher._cfi_value(C, dC, R)
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):

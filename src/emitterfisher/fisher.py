@@ -238,12 +238,7 @@ def _householder_interferometer(
     return measurement
 
 
-def as_interferometer(R) -> Interferometer:
-    """R itself if it is an Interferometer, else Interferometer(R), which checks it."""
-    return R if isinstance(R, Interferometer) else Interferometer(R)
-
-
-@dataclass
+@dataclass(eq=False)
 class FisherReport:
     """Result of a Fisher-information evaluation for one coordinate.
 
@@ -302,8 +297,9 @@ def quantum_fidelity(M: np.ndarray) -> float:
 
 
 def _measurement(R, n_collectors: int) -> Interferometer:
-    """R as an Interferometer, which must act on n_collectors modes."""
-    R = as_interferometer(R)
+    """R, or Interferometer(R) for anything else, which checks it; it must act on n_collectors modes."""
+    if not isinstance(R, Interferometer):
+        R = Interferometer(R)
     if R.n_modes != n_collectors:
         raise ScenarioError(
             f"interferometer size {R.n_modes} != collector count {n_collectors}"
@@ -469,7 +465,7 @@ def information_report(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMoments:
     """First and second moments of the displacement generators.
 
@@ -555,7 +551,7 @@ def paraxial_qfi_matrix(collectors, k: float, z0: float, target: ParaxialTarget)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ConsistencyReport:
     target: ParaxialTarget
     closed_form: np.ndarray

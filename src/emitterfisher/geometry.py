@@ -25,6 +25,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import sys
 import threading
 import warnings
 from collections import OrderedDict
@@ -42,6 +44,9 @@ PARAXIAL_SCALE_WARN = 0.1
 # so they read the same data and write the same text, only faster.
 SCENARIO_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 SCENARIO_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
+# File names of the package's own code: its modules, and the code it has
+# the standard library generate (a dataclass __init__ is from "<string>").
+_INSIDE = (os.path.dirname(__file__) + os.sep, "<string>")
 
 
 class ScenarioError(ValueError):
@@ -76,7 +81,7 @@ def check_source_positions(positions, z0: float, mode: Mode) -> None:
     ``positions`` is one (N_S, 3) set of source coordinates or a stack of
     such sets.  The paraxial-validity warning names the largest offset of
     the first set that exceeds PARAXIAL_SCALE_WARN * z0, and is attributed
-    to the caller of the function that runs the check.
+    to the first frame outside the package (_INSIDE).
     """
     # The largest offset of each set; NaN and inf propagate through max.
     scales = np.abs(np.asarray(positions, dtype=float)).max(axis=(-2, -1)).reshape(-1).tolist()
@@ -87,8 +92,16 @@ def check_source_positions(positions, z0: float, mode: Mode) -> None:
         warnings.warn(
             f"paraxial mode with source offsets {over[0]:g} exceeding "
             f"{PARAXIAL_SCALE_WARN:g} * z0; results may be inaccurate",
-            stacklevel=3,
+            stacklevel=_outside_stacklevel(),
         )
+
+
+def _outside_stacklevel() -> int:
+    """The warnings.warn stacklevel, for the caller, of the first frame outside _INSIDE."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_INSIDE):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)
@@ -191,7 +204,7 @@ class Scenario:
         return self._collector_positions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralizedCoordinate:
     """A scalar coordinate theta = a . r of the collective source coordinates.
 
@@ -220,10 +233,6 @@ class GeneralizedCoordinate:
         object.__setattr__(self, "a", a)
         if not (np.isfinite(self.parameter_scale) and self.parameter_scale > 0):
             raise ScenarioError("parameter_scale must be positive")
-
-    @property
-    def n_sources(self) -> int:
-        return self.a.size // 3
 
     @classmethod
     def from_tangent(cls, tangent: Sequence[float], name: str = "") -> "GeneralizedCoordinate":
@@ -290,7 +299,7 @@ def displace(
         return scenario
     positions = scenario.source_positions() + a * delta_theta
     sources = tuple(SourcePoint(*p, weight=s.weight) for p, s in zip(positions, scenario.sources))
-    return replace(scenario, sources=sources)
+    return Scenario(sources, scenario.collectors, scenario.k, scenario.z0, scenario.mode)
 
 
 def _raw_amplitudes(

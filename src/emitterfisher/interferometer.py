@@ -8,7 +8,8 @@ and the coherence response of rho; its remaining rows span the kernel of
 C^dag, dark ports that capture the response leaking out of the support.
 It is the one builder of the optimal measurement:
 synthesize_optimal_interferometer feeds it the finite difference C' - C
-of a pair C(r), C(r').
+of a pair C(r), C(r'), and returns it with whether the pair's alignment
+pivoted.
 
 The paper's finite-pair construction from C(r) and C(r') is kept as the
 theorem check.  Alignment: the SVD V^dag M W = D of M = C^dag C' defines
@@ -27,13 +28,17 @@ in O(N_C N_S m); qft_interferometer is applied by FFT and, unitary by
 construction, is not checked; identity, bs_phase and every matrix read
 from outside are dense and go through the O(N_C^3) constructor check.
 Each builds its N_C x N_C matrix only when ``matrix`` is read.
+
+Result records compare and hash by identity, as measurements do.
+svd_alignment, SvdAlignment and SynthesisResult are imported from here,
+not from the package.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -208,7 +213,7 @@ def interferometer_from_json(text: str) -> Interferometer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdAlignment:
     """Unitaries V, W and nonnegative diagonal D with V^dag M W = diag(D)."""
 
@@ -238,22 +243,17 @@ def svd_alignment(M: np.ndarray) -> SvdAlignment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SynthesisResult:
     """Outcome of synthesize_optimal_interferometer.
 
-    ``interferometer`` is optimal_interferometer(C, C' - C).  The other
-    fields are the alignment stage of the theorem check: the aligned
-    frames A = C V and B = C' W and the singular values D, in the column
-    order ``pivots`` of the rank-revealing QR (identity order for
-    well-conditioned frames), and whether that order was permuted.
+    ``interferometer`` is optimal_interferometer(C, C' - C); ``pivoted``
+    says whether the rank-revealing QR of the pair's alignment (module
+    docstring) permuted its columns, which it leaves in order for
+    well-conditioned frames.
     """
 
     interferometer: Interferometer
-    aligned_source_frame: np.ndarray
-    aligned_displaced_frame: np.ndarray
-    singular_values: np.ndarray
-    pivots: np.ndarray
     pivoted: bool
 
 
@@ -347,6 +347,11 @@ def _pivot_order(A: np.ndarray) -> np.ndarray:
         done += i + 1
 
 
+def _pivoted(piv: np.ndarray) -> bool:
+    """Whether the QR column order ``piv`` differs from the identity order."""
+    return bool(np.any(piv != np.arange(piv.size)))
+
+
 def _align(C: np.ndarray, C_prime: np.ndarray):
     """Alignment stage of the pair construction (module docstring): (P, A, B, D, pivots).
 
@@ -373,24 +378,19 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
 
 
 def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> SynthesisResult:
-    """The optimal measurement for the pair (C, C'), with its aligned frames.
+    """The optimal measurement for the pair (C, C'), and whether its alignment pivoted.
 
     The measurement is optimal_interferometer fed the finite difference
     C' - C; the symmetric logarithmic derivative is linear in dC, so the
     step size does not rescale it.  The alignment of the pair (module
-    docstring) supplies the other fields.  Requires at least as many
+    docstring) gives the pivot order, and requires at least as many
     collectors as sources.  Rank-deficient aligned frames (coincident
-    sources) are handled by the column pivoting of the QR factorization;
-    the pivot order is recorded.
+    sources) are handled by the column pivoting of the QR factorization.
     """
-    _, A, B, D, piv = _align(C, C_prime)
+    piv = _align(C, C_prime)[4]
     return SynthesisResult(
         interferometer=optimal_interferometer(C, np.asarray(C_prime) - np.asarray(C)),
-        aligned_source_frame=A,
-        aligned_displaced_frame=B,
-        singular_values=D,
-        pivots=np.asarray(piv),
-        pivoted=bool(np.any(piv != np.arange(A.shape[1]))),
+        pivoted=_pivoted(piv),
     )
 
 
@@ -399,7 +399,7 @@ def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> Syn
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SaturationReport:
     """The optimal measurement for one direction and the theorem check.
 
@@ -415,7 +415,8 @@ class SaturationReport:
     the sum of the alignment's singular values) and its classical fidelity
     behind ``interferometer`` are double-precision diagnostics.
     ``probabilities`` are the detection probabilities behind
-    ``interferometer`` at the base point; they stay out of ``to_dict``.
+    ``interferometer`` at the base point.  ``to_dict`` holds every field
+    but ``pivots``, ``interferometer`` and ``probabilities``, in field order.
     """
 
     delta_theta: float
@@ -444,27 +445,14 @@ class SaturationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "delta_theta": self.delta_theta,
-            "quantum_fidelity": self.quantum_fidelity,
-            "classical_fidelity": self.classical_fidelity,
-            "qfi_estimate": self.qfi_estimate,
-            "cfi_estimate": self.cfi_estimate,
-            "saturation_ratio": self.saturation_ratio,
-            "unitarity_residual": self.unitarity_residual,
-            "lower_triangular_residual": self.lower_triangular_residual,
-            "upper_triangular_residual": self.upper_triangular_residual,
-            "diagonal_product_residual": self.diagonal_product_residual,
-            "scalar_product_residual": self.scalar_product_residual,
-            "pivoted": self.pivoted,
-            "structure_ok": self.structure_ok,
-        }
+        unreported = ("pivots", "interferometer", "probabilities")
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in unreported}
 
 
 def natural_displacement_scale(scenario: Scenario) -> float:
     """Displacement over which collector phases change by about one radian."""
     uv = scenario.collector_positions()
-    u_char = float(np.max(np.abs(uv))) if uv.size else 0.0
+    u_char = float(np.max(np.abs(uv)))
     if u_char <= 0.0:
         u_char = 1.0
     return scenario.z0 / (scenario.k * u_char)
@@ -522,7 +510,7 @@ def verify_saturation(
         upper_triangular_residual=upper_resid,
         diagonal_product_residual=diag_resid,
         scalar_product_residual=scalar_resid,
-        pivoted=bool(np.any(piv != np.arange(scenario.n_sources))),
+        pivoted=_pivoted(piv),
         pivots=np.asarray(piv),
         interferometer=R,
         probabilities=p,

@@ -448,6 +448,26 @@ def test_unwritable_output_path_exits_2(argv, unwritable, two_collector, tmp_pat
     assert capsys.readouterr().err.startswith(expected)
 
 
+@pytest.mark.parametrize("argv, unwritable", [
+    (["--out", "{missing}/doc.json"], "{missing}/doc.csv"),
+    (["--gnuplot-dat", "{missing}/trials.dat"], "{missing}/trials.dat"),
+], ids=["simulate-csv", "gnuplot-dat"])
+def test_simulate_checks_output_paths_before_the_sweep(argv, unwritable, two_collector,
+                                                       monkeypatch, tmp_path, capsys):
+    import emitterfisher.cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("crb_sweep ran before the output paths were checked")
+
+    monkeypatch.setattr(cli_mod.estimation, "crb_sweep", no_sweep)
+    missing = tmp_path / "no-such-directory"
+    code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
+                   *SIMULATE_ARGS, *[a.format(missing=missing) for a in argv])
+    assert code == EXIT_VALIDATION
+    expected = f"error: cannot write {unwritable.format(missing=missing)}"
+    assert capsys.readouterr().err.startswith(expected)
+
+
 def test_nonconvergence_exits_3(two_collector, monkeypatch, tmp_path):
     import emitterfisher.cli as cli_mod
     from emitterfisher.fisher import FisherReport

@@ -18,13 +18,20 @@ from emitterfisher import (
     ScenarioError,
     SourcePoint,
     amplitude_and_derivative,
+    beam_splitter_with_phase,
     build_amplitude_matrix,
     bundled_scenarios,
+    crb_sweep,
+    disc_collector_grid,
     displace,
     load_scenario,
+    mle_estimate,
     named_direction,
+    optimal_interferometer,
+    sample_detections,
     save_scenario,
     scenario_digest,
+    verify_saturation,
 )
 from emitterfisher import geometry
 from emitterfisher.geometry import scenario_from_dict
@@ -390,6 +397,34 @@ def test_source_position_check_on_a_stack():
         geometry.check_source_positions(stack, 100.0, Mode.EXACT)
 
 
+_SCENARIO_DATA = {"k": 1.0, "z0": 100.0, "sources": [{"x": 0, "y": 0, "z": 0}],
+                  "collectors": [{"u": 1, "v": 0}]}
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GeneralizedCoordinate(np.ones((1, 3)) / math.sqrt(3)), "flat 3\\*N_S vector"),
+    (lambda: GeneralizedCoordinate(np.zeros(3)), "nonzero and finite"),
+    (lambda: GeneralizedCoordinate(np.array([math.nan, 0.0, 0.0])), "nonzero and finite"),
+    (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=0.0), "parameter_scale"),
+    (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=-1.0), "parameter_scale"),
+    (lambda: GeneralizedCoordinate.from_tangent([0.0, 0.0, 0.0]), "tangent must be nonzero"),
+    (lambda: geometry.direction_rows(np.ones(6), 1), "direction length 6 != 3 \\* 1 sources"),
+    (lambda: scenario_from_dict({**_SCENARIO_DATA, "sources": {"x": 0, "y": 0, "z": 0}}),
+     "'sources' must be a non-empty list"),
+    (lambda: scenario_from_dict({**_SCENARIO_DATA, "collectors": [[1, 0]]}),
+     "collector #0 must be a mapping"),
+    (lambda: scenario_from_dict([_SCENARIO_DATA]), "mapping at top level"),
+    (lambda: disc_collector_grid(0), "spacing and radius must be positive"),
+    (lambda: optimal_interferometer(np.ones((4, 2)), np.ones((4, 1))),
+     "amplitude and derivative shapes differ"),
+], ids=["non-flat-a", "zero-a", "nan-a", "zero-scale", "negative-scale", "zero-tangent",
+        "direction-length", "sources-not-list", "item-not-mapping", "top-not-mapping",
+        "zero-spacing", "derivative-shape"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ScenarioError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("value", [None, "abc", [1, 2], math.inf])
 def test_non_numeric_coordinates_rejected(value):
     with pytest.raises(ScenarioError):
@@ -594,6 +629,34 @@ def test_every_load_warns_outside_the_paraxial_regime(tmp_path):
     assert [type(w.message) for w in caught] == [UserWarning, UserWarning]
     assert str(caught[0].message) == str(caught[1].message)
     assert "offsets 12.5 " in str(caught[1].message)
+
+
+_SEP = named_direction("separation-x", 2)
+_BS = beam_splitter_with_phase(0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pair, path: Scenario((SourcePoint(12.5, 0, 0),), pair.collectors, 1.0, 100.0),
+    lambda pair, path: displace(pair, _SEP, 25.0),
+    lambda pair, path: (load_scenario(path), load_scenario(path)),
+    lambda pair, path: verify_saturation(pair, _SEP, delta_theta=25.0),
+    lambda pair, path: crb_sweep(pair, _SEP, _BS, theta_true=25.0, n_photons=2000, trials=5,
+                                 seed=1),
+    lambda pair, path: sample_detections(pair, _SEP, 25.0, _BS, 2000, seed=3),
+    lambda pair, path: mle_estimate(np.array([900, 1100]), pair, _SEP, _BS, (-30.0, 30.0)),
+], ids=["Scenario", "displace", "load-miss-and-hit", "verify_saturation", "crb_sweep",
+        "sample_detections", "mle_estimate"])
+def test_paraxial_warning_names_the_calling_line(call, tmp_path):
+    # Whichever entry point runs the check, the warning names the line that
+    # called into the package: here the lambda's, for a load miss and a
+    # load hit alike.
+    pair = make_scenario([(0.1, 0, 0), (-0.1, 0, 0)], [(5, 0), (-5, 0)])
+    path = _pair_file(tmp_path / "wide.scn", 12.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(pair, path)
+    assert caught and all("paraxial mode" in str(w.message) for w in caught)
+    assert {(w.filename, w.lineno) for w in caught} == {(__file__, caught[0].lineno)}
 
 
 def test_digest_of_a_loaded_scenario(monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 """Built-in interferometers, SVD alignment, synthesis and saturation tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,12 +40,12 @@ from emitterfisher import (
     overlap_matrix,
     qft_interferometer,
     quantum_fidelity,
-    svd_alignment,
     synthesize_optimal_interferometer,
     verify_saturation,
 )
 import emitterfisher.fisher as fisher_mod
 import emitterfisher.interferometer as itf_mod
+from emitterfisher.interferometer import svd_alignment
 from emitterfisher._precision import (
     one_minus_classical_fidelity,
     one_minus_trace_norm_fidelity,
@@ -238,6 +239,15 @@ def test_synthesis_requires_enough_collectors():
     C = build_amplitude_matrix(s)
     with pytest.raises(ScenarioError):
         synthesize_optimal_interferometer(C, C)
+
+
+def test_synthesis_result_holds_the_measurement_and_pivot_flag():
+    s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    d = named_direction("separation-x", 2)
+    syn = synthesize_optimal_interferometer(build_amplitude_matrix(s),
+                                            build_amplitude_matrix(displace(s, d, 1e-4)))
+    assert [f.name for f in dataclasses.fields(syn)] == ["interferometer", "pivoted"]
+    assert syn.pivoted is False
 
 
 def test_synthesized_classical_fidelity_matches_trace_norm():
