@@ -1,121 +1,20 @@
 """Fisher information and optimal linear interferometry for localizing weak
 incoherent point emitters observed through an array of light collectors."""
 
-from .estimation import (
-    DetectionRecord,
-    EstimationResult,
-    NonIdentifiableError,
-    crb_sweep,
-    default_search_interval,
-    mle_estimate,
-    sample_detections,
-)
-from .fisher import (
-    ConsistencyReport,
-    FisherReport,
-    GeneratorMoments,
-    Interferometer,
-    NumericalError,
-    ParaxialTarget,
-    Provenance,
-    cfi,
-    classical_fidelity,
-    detection_probabilities,
-    generator_moments,
-    information_report,
-    overlap_matrix,
-    paraxial_qfi_matrix,
-    qfi,
-    qfi_matrix_consistency,
-    quantum_fidelity,
-)
-from .geometry import (
-    Collector,
-    DegenerateGeometryError,
-    GeneralizedCoordinate,
-    Mode,
-    Scenario,
-    ScenarioError,
-    SourcePoint,
-    amplitude_and_derivative,
-    build_amplitude_matrix,
-    disc_collector_grid,
-    displace,
-    load_scenario,
-    named_direction,
-    save_scenario,
-    scenario_digest,
-)
-from .interferometer import (
-    SaturationReport,
-    beam_splitter_with_phase,
-    builtin_interferometer,
-    identity_interferometer,
-    interferometer_from_json,
-    interferometer_to_json,
-    natural_displacement_scale,
-    optimal_axial_phase,
-    optimal_interferometer,
-    qft_interferometer,
-    synthesize_optimal_interferometer,
-    verify_saturation,
-)
-from .scenarios import bundled_scenario_path, bundled_scenarios
+from . import estimation, fisher, geometry, interferometer, scenarios
+from .estimation import *
+from .fisher import *
+from .geometry import *
+from .interferometer import *
+from .scenarios import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Collector",
-    "ConsistencyReport",
-    "DegenerateGeometryError",
-    "DetectionRecord",
-    "EstimationResult",
-    "FisherReport",
-    "GeneralizedCoordinate",
-    "GeneratorMoments",
-    "Interferometer",
-    "Mode",
-    "NonIdentifiableError",
-    "NumericalError",
-    "ParaxialTarget",
-    "Provenance",
-    "SaturationReport",
-    "Scenario",
-    "ScenarioError",
-    "SourcePoint",
-    "amplitude_and_derivative",
-    "beam_splitter_with_phase",
-    "build_amplitude_matrix",
-    "builtin_interferometer",
-    "bundled_scenario_path",
-    "bundled_scenarios",
-    "cfi",
-    "classical_fidelity",
-    "crb_sweep",
-    "default_search_interval",
-    "detection_probabilities",
-    "disc_collector_grid",
-    "displace",
-    "generator_moments",
-    "identity_interferometer",
-    "information_report",
-    "interferometer_from_json",
-    "interferometer_to_json",
-    "load_scenario",
-    "mle_estimate",
-    "named_direction",
-    "natural_displacement_scale",
-    "optimal_axial_phase",
-    "optimal_interferometer",
-    "overlap_matrix",
-    "paraxial_qfi_matrix",
-    "qfi",
-    "qfi_matrix_consistency",
-    "qft_interferometer",
-    "quantum_fidelity",
-    "sample_detections",
-    "save_scenario",
-    "scenario_digest",
-    "synthesize_optimal_interferometer",
-    "verify_saturation",
-]
+# Each module's __all__ names the public names it defines; the package
+# exports their union.
+__all__ = []
+__all__ += estimation.__all__
+__all__ += fisher.__all__
+__all__ += geometry.__all__
+__all__ += interferometer.__all__
+__all__ += scenarios.__all__

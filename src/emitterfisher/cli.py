@@ -6,8 +6,9 @@ Commands operate on a scenario file and write a JSON result document;
 direction, compute the command's body, apply `--angular`, emit.
 Exit status: 0 success, 2 validation error (bad file, bad flags, an output
 path that cannot be written), 3 numerical failure (non-finite result,
-failed decomposition, saturation or cross check out of tolerance,
-non-identifiable parameter).
+which writes no document, failed decomposition, saturation or cross check
+out of tolerance, non-identifiable parameter).  Documents are strict JSON:
+no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -259,7 +260,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         document, ok = _document(args)
-        text = json.dumps(document, indent=2)
+        try:
+            text = json.dumps(document, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise fisher.NumericalError("the result document holds a non-finite value") from exc
         if args.out:
             with _writing(args.out):
                 Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -33,6 +33,11 @@ from .geometry import (
     finite_number,
 )
 
+__all__ = [
+    "DetectionRecord", "EstimationResult", "NonIdentifiableError", "crb_sweep",
+    "default_search_interval", "mle_estimate", "sample_detections",
+]
+
 # Probability floor inside log-likelihoods.
 LOG_FLOOR = 1e-300
 # Grid resolution of the coarse likelihood scan.
@@ -66,10 +71,13 @@ class DetectionRecord:
 
 @dataclass
 class EstimationResult:
-    """Point estimate or trial aggregate with the Cramer-Rao prediction."""
+    """Point estimate or trial aggregate with the Cramer-Rao prediction.
+
+    An aggregate has no one likelihood: its ``log_likelihood`` is None.
+    """
 
     theta_hat: float
-    log_likelihood: float
+    log_likelihood: float | None
     fisher_predicted_variance: float
     empirical_variance: float
     trials: int
@@ -331,7 +339,7 @@ def crb_sweep(
     predicted = 1.0 / (n_photons * cfi_value)
     aggregate = EstimationResult(
         theta_hat=float(estimates.mean()),
-        log_likelihood=math.nan,
+        log_likelihood=None,
         fisher_predicted_variance=predicted,
         empirical_variance=empirical,
         trials=trials,

@@ -51,6 +51,13 @@ from .geometry import (
     direction_rows,
 )
 
+__all__ = [
+    "ConsistencyReport", "FisherReport", "GeneratorMoments", "Interferometer",
+    "NumericalError", "ParaxialTarget", "Provenance", "cfi", "classical_fidelity",
+    "detection_probabilities", "generator_moments", "information_report", "overlap_matrix",
+    "paraxial_qfi_matrix", "qfi", "qfi_matrix_consistency", "quantum_fidelity",
+]
+
 # Unitarity tolerance for measurement matrices (Frobenius norm).
 UNITARITY_TOL = 1e-10
 # Output ports with probability at or below this are dark: their Fisher
@@ -506,6 +513,16 @@ class ParaxialTarget(str, Enum):
     TWO_SOURCE_CENTROID = "two_source_centroid"
 
 
+# Each target's direction presets (their prefix in geometry's preset table)
+# and the factor on the generator covariance in its closed form
+# (arXiv:1909.09581).
+_PARAXIAL_FORMS = {
+    ParaxialTarget.SINGLE_SOURCE: ("", 4.0),
+    ParaxialTarget.TWO_SOURCE_SEPARATION: ("separation-", 1.0),
+    ParaxialTarget.TWO_SOURCE_CENTROID: ("centroid-", 4.0),
+}
+
+
 def _is_inversion_symmetric(uv: np.ndarray, tol: float = 1e-9) -> bool:
     remaining = list(range(len(uv)))
     while remaining:
@@ -527,23 +544,17 @@ def _is_inversion_symmetric(uv: np.ndarray, tol: float = 1e-9) -> bool:
 def paraxial_qfi_matrix(collectors, k: float, z0: float, target: ParaxialTarget) -> np.ndarray:
     """Closed-form 3x3 QFI matrix of a sequence of Collectors, from generator moments.
 
-    single source: 4 * covariance; two-source separation: covariance;
-    two-source centroid: 4 * covariance, valid only for inversion-symmetric
+    The target's factor (_PARAXIAL_FORMS) times the generator covariance.
+    The two-source centroid form is valid only for inversion-symmetric
     collector sets (validated), where the transverse entries reduce to the
     raw second moments.
     """
     target = ParaxialTarget(target)
-    moments = generator_moments(collectors, k, z0)
-    if target is ParaxialTarget.TWO_SOURCE_CENTROID:
-        uv = _collector_array(collectors)
-        if not _is_inversion_symmetric(uv):
-            raise ScenarioError(
-                "centroid closed form requires an inversion-symmetric collector set"
-            )
-        return 4.0 * moments.covariance
-    if target is ParaxialTarget.TWO_SOURCE_SEPARATION:
-        return moments.covariance.copy()
-    return 4.0 * moments.covariance
+    if target is ParaxialTarget.TWO_SOURCE_CENTROID and not _is_inversion_symmetric(
+        _collector_array(collectors)
+    ):
+        raise ScenarioError("centroid closed form requires an inversion-symmetric collector set")
+    return _PARAXIAL_FORMS[target][1] * generator_moments(collectors, k, z0).covariance
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +580,14 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
     ``finite_difference`` holds the closed-form qfi along six tangents,
     from one amplitude build (C and the six dC in one amplitude_arrays
     call) and one support_svd of C; the key keeps its name for
-    compatibility.  The axis tangents t_a are the target's direction
-    presets (x/y/z, separation-* or centroid-*) from geometry's preset
-    table.  Diagonal entries are the qfi along them, each equal to
+    compatibility.  The axis tangents t_a are the target's x, y and z
+    direction presets (_PARAXIAL_FORMS) from geometry's preset table.
+    Diagonal entries are the qfi along them, each equal to
     qfi(scenario, from_tangent(t_a)); the off-diagonal ones come from the
     polarization identity I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
     """
     target = ParaxialTarget(target)
-    prefix = {
-        ParaxialTarget.SINGLE_SOURCE: "",
-        ParaxialTarget.TWO_SOURCE_SEPARATION: "separation-",
-        ParaxialTarget.TWO_SOURCE_CENTROID: "centroid-",
-    }[target]
+    prefix = _PARAXIAL_FORMS[target][0]
     tangents = [np.array(_PRESET_TANGENTS[prefix + axis]) for axis in "xyz"]
     expected_ns = tangents[0].size // 3
     if scenario.n_sources != expected_ns:

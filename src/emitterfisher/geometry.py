@@ -37,6 +37,13 @@ from typing import Sequence
 import numpy as np
 import yaml
 
+__all__ = [
+    "Collector", "DegenerateGeometryError", "GeneralizedCoordinate", "Mode", "Scenario",
+    "ScenarioError", "SourcePoint", "amplitude_and_derivative", "build_amplitude_matrix",
+    "disc_collector_grid", "displace", "load_scenario", "named_direction", "save_scenario",
+    "scenario_digest",
+]
+
 # Geometry ratios above this trigger a paraxial-validity warning.
 PARAXIAL_SCALE_WARN = 0.1
 # Scenario files go through libyaml when PyYAML was built with it.  The C
@@ -44,9 +51,10 @@ PARAXIAL_SCALE_WARN = 0.1
 # so they read the same data and write the same text, only faster.
 SCENARIO_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 SCENARIO_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
-# File names of the package's own code: its modules, and the code it has
-# the standard library generate (a dataclass __init__ is from "<string>").
-_INSIDE = (os.path.dirname(__file__) + os.sep, "<string>")
+# File names of the package's own code: its modules, the code it has the
+# standard library generate (a dataclass __init__ is from "<string>"), and
+# the dataclasses module, whose replace() runs that __init__ for a caller.
+_INSIDE = (os.path.dirname(__file__) + os.sep, "<string>", replace.__code__.co_filename)
 
 
 class ScenarioError(ValueError):

@@ -68,6 +68,13 @@ from .geometry import (
     named_direction,
 )
 
+__all__ = [
+    "SaturationReport", "beam_splitter_with_phase", "builtin_interferometer",
+    "identity_interferometer", "interferometer_from_json", "interferometer_to_json",
+    "natural_displacement_scale", "optimal_axial_phase", "optimal_interferometer",
+    "qft_interferometer", "synthesize_optimal_interferometer", "verify_saturation",
+]
+
 # Default displacement of the theorem check's pair, as a fraction of the
 # natural scale z0 / (k * max collector offset) over which phases change
 # by ~1 radian.
@@ -463,16 +470,18 @@ def verify_saturation(
     direction: GeneralizedCoordinate,
     delta_theta: float | None = None,
 ) -> SaturationReport:
-    """The optimal measurement for ``direction`` and its checks.
+    """The optimal measurement for ``direction`` and its checks, reported, not asserted.
 
-    Asserting information: the closed-form CFI of optimal_interferometer
-    over the QFI (fisher.information_report, with 0/0 defined as 1) lies
-    in [1 - 1e-5, 1 + 1e-6] for well-posed scenarios.  Asserting structure
-    (the theorem check, at the requested step): R1 A upper-triangular,
-    R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|, scalar products
-    preserved.  A zero or non-finite ``delta_theta`` gives an identical
-    pair, which defines no alignment, and raises ScenarioError.  C, dC
-    and C' come from one amplitude_arrays call on the stack of the base
+    The report holds the closed-form QFI and the CFI of
+    optimal_interferometer, with their ratio (fisher.information_report's
+    values, 0/0 defined as 1), which nothing here judges.  It also holds
+    the residuals of the theorem check at the requested step: R1 A
+    upper-triangular, R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)| and
+    scalar products preserved.  ``structure_ok`` compares the unitarity,
+    triangular and diagonal-product residuals with their tolerances
+    (SaturationReport).  A zero or non-finite ``delta_theta`` gives an
+    identical pair, which defines no alignment, and raises ScenarioError.
+    C, dC and C' come from one amplitude_arrays call on the stack of the base
     and the displaced positions, one support_svd of C serves the
     measurement and the QFI, and the measurement is applied once, to
     [C, dC, C'], for the Fisher values, the probabilities and the

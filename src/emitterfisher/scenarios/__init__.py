@@ -3,6 +3,8 @@
 from importlib import resources
 from pathlib import Path
 
+__all__ = ["bundled_scenario_path", "bundled_scenarios"]
+
 _NAMES = ("two_collector.scn", "four_collector.scn", "disc_aperture_r1.scn")
 
 

@@ -27,8 +27,13 @@ def two_collector():
     return str(bundled_scenario_path("two_collector.scn"))
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def read_json(path):
-    return json.loads(path.read_text())
+    """A document, parsed as strict JSON: NaN and Infinity are rejected."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
 
 
 def test_bundled_scenarios_present():
@@ -480,6 +485,20 @@ def test_nonconvergence_exits_3(two_collector, monkeypatch, tmp_path):
     code = run_cli("qfi", "--scenario", two_collector, "--direction", "separation-x",
                    "--out", str(tmp_path / "x.json"))
     assert code == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_value_exits_3_without_a_document(value, two_collector, monkeypatch, capsys):
+    import emitterfisher.cli as cli_mod
+    from emitterfisher.fisher import FisherReport
+
+    monkeypatch.setattr(cli_mod.fisher, "qfi", lambda scenario, direction: FisherReport(
+        direction=direction, qfi=value, converged=False))
+    code = run_cli("qfi", "--scenario", two_collector, "--direction", "separation-x")
+    assert code == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert "NaN" not in out + err and "Infinity" not in out + err
+    assert out == "" and err.startswith("numerical error: ")
 
 
 def test_gnuplot_dat_output(two_collector, tmp_path):

@@ -1,5 +1,6 @@
 """Geometry, amplitude model and scenario-file tests."""
 
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from emitterfisher import (
     amplitude_and_derivative,
     beam_splitter_with_phase,
     build_amplitude_matrix,
+    bundled_scenario_path,
     bundled_scenarios,
     crb_sweep,
     disc_collector_grid,
@@ -638,13 +640,14 @@ _BS = beam_splitter_with_phase(0.0)
 @pytest.mark.parametrize("call", [
     lambda pair, path: Scenario((SourcePoint(12.5, 0, 0),), pair.collectors, 1.0, 100.0),
     lambda pair, path: displace(pair, _SEP, 25.0),
+    lambda pair, path: dataclasses.replace(pair, sources=(SourcePoint(12.5, 0, 0),)),
     lambda pair, path: (load_scenario(path), load_scenario(path)),
     lambda pair, path: verify_saturation(pair, _SEP, delta_theta=25.0),
     lambda pair, path: crb_sweep(pair, _SEP, _BS, theta_true=25.0, n_photons=2000, trials=5,
                                  seed=1),
     lambda pair, path: sample_detections(pair, _SEP, 25.0, _BS, 2000, seed=3),
     lambda pair, path: mle_estimate(np.array([900, 1100]), pair, _SEP, _BS, (-30.0, 30.0)),
-], ids=["Scenario", "displace", "load-miss-and-hit", "verify_saturation", "crb_sweep",
+], ids=["Scenario", "displace", "dataclasses.replace", "load-miss-and-hit", "verify_saturation", "crb_sweep",
         "sample_detections", "mle_estimate"])
 def test_paraxial_warning_names_the_calling_line(call, tmp_path):
     # Whichever entry point runs the check, the warning names the line that
@@ -670,6 +673,17 @@ def test_digest_of_a_loaded_scenario(monkeypatch, tmp_path):
     assert scenario_digest(loaded) == scenario_digest(fresh)
     assert dumps == []
     assert loaded == fresh and hash(loaded) == hash(fresh) and repr(loaded) == repr(fresh)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("two_collector.scn", "0c656f6011e537f0"),
+    ("four_collector.scn", "3f54a8c15c38bc0e"),
+    ("disc_aperture_r1.scn", "fafb4b1ca12d3a96"),
+])
+def test_bundled_scenario_digests(name, digest):
+    # Every document carries the digest, so a change to scenario_to_dict's
+    # keys, their order or the number format shows here first.
+    assert scenario_digest(load_scenario(bundled_scenario_path(name))) == digest
 
 
 def test_loaded_scenarios_bounded_by_bytes():

@@ -1,11 +1,16 @@
-"""The package namespace and its ``__all__``, and how result records compare."""
+"""The package namespace and its ``__all__``, the source's grammar floor, and how
+result records compare."""
 
+import ast
+import re
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import emitterfisher
+from emitterfisher import estimation, fisher, geometry, interferometer, scenarios
 from emitterfisher import (
     ParaxialTarget,
     build_amplitude_matrix,
@@ -24,10 +29,13 @@ from emitterfisher import (
 from emitterfisher.interferometer import svd_alignment
 
 
+PACKAGE = Path(emitterfisher.__file__).parent
+MODULES = (estimation, fisher, geometry, interferometer, scenarios)
+
+
 def test_public_names_match_all():
-    # A name retired from the imports but not from __all__ (or the reverse)
-    # fails here: every listed name resolves, and every public non-module
-    # name bound in the package is listed.
+    # Every listed name resolves, and every public non-module name bound in
+    # the package is listed.
     listed = emitterfisher.__all__
     assert len(set(listed)) == len(listed)
     assert [name for name in listed if not hasattr(emitterfisher, name)] == []
@@ -36,6 +44,37 @@ def test_public_names_match_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(bound - set(listed)) == []
+
+
+def test_each_public_name_is_defined_by_one_module():
+    # The package's __all__ is the union of its modules' lists, each name in
+    # exactly one of them, and the package binds the module's own object.
+    assert sorted(emitterfisher.__all__) == sorted(n for m in MODULES for n in m.__all__)
+    for name in emitterfisher.__all__:
+        (module,) = [m for m in MODULES if name in m.__all__]
+        assert getattr(emitterfisher, name) is getattr(module, name)
+
+
+def test_package_init_lists_no_name():
+    # __init__.py re-exports by star import and builds __all__ from the
+    # modules' lists, so no public name is written in it.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            assert [alias.name for alias in node.names] == ["*"]
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert strings & set(emitterfisher.__all__) == set()
+
+
+def test_source_parses_at_the_oldest_supported_python():
+    # requires-python is read with a pattern, not tomllib, which is 3.11+.
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject, re.M)
+    version = (int(floor[1]), int(floor[2]))
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
 
 
 def _pair():
