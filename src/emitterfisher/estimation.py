@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -73,13 +74,15 @@ class DetectionRecord:
 class EstimationResult:
     """Point estimate or trial aggregate with the Cramer-Rao prediction.
 
-    An aggregate has no one likelihood: its ``log_likelihood`` is None.
+    A value a result does not have is None, so ``to_dict`` is strict JSON:
+    an aggregate has no one likelihood, and a single estimate has neither a
+    predicted nor an empirical variance.
     """
 
     theta_hat: float
     log_likelihood: float | None
-    fisher_predicted_variance: float
-    empirical_variance: float
+    fisher_predicted_variance: float | None
+    empirical_variance: float | None
     trials: int
     crb_ratio: float | None = None
 
@@ -141,6 +144,20 @@ def _whole_number(value, what: str, least: int) -> int:
     return int(number)
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as a non-negative int of any size; ScenarioError otherwise.
+
+    Not through finite_number: its float would round seeds above 2**53.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _checked_counts(counts, n_collectors: int) -> np.ndarray:
     """Photon counts as a float vector of length N_C: finite, non-negative, not all zero."""
     counts = np.asarray(counts, dtype=float)
@@ -168,7 +185,11 @@ def sample_detections(
     n_photons: int,
     seed: int,
 ) -> DetectionRecord:
-    """Multinomial draw of n photons from p(. | theta_true); seed-reproducible."""
+    """Multinomial draw of n photons from p(. | theta_true) by default_rng(seed).
+
+    ``seed`` must be a non-negative integer.
+    """
+    seed = _checked_seed(seed)
     n_photons = _whole_number(n_photons, "n_photons", 1)
     path, _ = _probability_path(scenario, direction, R, theta_true)
     counts = np.random.default_rng(seed).multinomial(n_photons, _normalized(path([theta_true])[0]))
@@ -207,8 +228,8 @@ def mle_estimate(
     return EstimationResult(
         theta_hat=theta_hat,
         log_likelihood=float(_log_likelihood(counts, path([theta_hat])[0])),
-        fisher_predicted_variance=math.nan,
-        empirical_variance=math.nan,
+        fisher_predicted_variance=None,
+        empirical_variance=None,
         trials=1,
     )
 
@@ -281,6 +302,90 @@ def default_search_interval(
     return prior_center - SEARCH_SIGMAS * sigma, prior_center + SEARCH_SIGMAS * sigma
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its two hash chains,
+# its mix multipliers and its pool of 4 uint32 words.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+
+
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j = 0..n: the constants of n hashmix steps."""
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix: column j of ``value`` hashed with chain[j] and chain[j + 1]."""
+    value = (value ^ chain[:-1]) * chain[1:]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ mixed >> 16
+
+
+def _seed_pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's (T, 4) pool from T rows of uint32 entropy, zero-padded to the pool size.
+
+    numpy's loops over source and destination words, with all destinations
+    of one source and all T rows in one uint32 array operation; uint32
+    arrays wrap on overflow as numpy's C code does.
+    """
+    n_rows, width = entropy.shape
+    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * max(width, _POOL))
+    pool = np.zeros((n_rows, _POOL), dtype=np.uint32)
+    pool[:, :width] = entropy[:, :_POOL]
+    pool = _hashmix(pool, chain[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], chain[k:k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, width):
+        pool = _mix(pool, _hashmix(entropy[:, [src]], chain[k:k + _POOL + 1]))
+        k += _POOL
+    return pool
+
+
+def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence.generate_state(n_words) of each row of ``pool``: (T, n_words) uint32."""
+    return _hashmix(pool[:, np.arange(n_words) % _POOL], _hash_chain(_INIT_B, _MULT_B, n_words))
+
+
+def _trial_generators(seed: int, trials: int) -> tuple[list[int], list]:
+    """Each trial's seed and a Generator equal to default_rng(that seed), for all trials in one pass.
+
+    Trial i's seed is generate_state(1)[0] of SeedSequence(seed).spawn(trials)[i];
+    default_rng(s) seeds PCG64 with SeedSequence(s).generate_state(4, uint64).
+    Both stages run on all trials at once, and PCG64 reads the words from a
+    sequence that returns them; the words must be C-contiguous, since PCG64
+    reads their raw buffer.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    # The seed's little-endian uint32 words, padded to the pool, then the spawn key.
+    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.empty((trials, max(len(words), _POOL) + 1), dtype=np.uint32)
+    entropy[:, :-1] = words + [0] * (_POOL - len(words))
+    entropy[:, -1] = np.arange(trials, dtype=np.uint32)
+    seeds = _generate_state(_seed_pool(entropy), 1)
+    state = _generate_state(_seed_pool(seeds), 2 * _POOL)
+    pcg_words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
+    return seeds[:, 0].tolist(), [Generator(PCG64(Words(w))) for w in pcg_words]
+
+
 @dataclass
 class TrialRecord:
     trial: int
@@ -301,22 +406,27 @@ def crb_sweep(
 ) -> tuple[EstimationResult, list[TrialRecord]]:
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
-    ``n_photons`` and ``trials`` (at least two) must be integers.  The CFI
-    at the truth comes from the source arrays, without a Scenario; the
-    truth and both ends of the search interval are then checked in one
-    call, so the paraxial-validity warning is emitted at most once.
-    p(theta_true), clipped and normalized, and the likelihood grid are
-    computed once per sweep.  Per-trial seeds are spawned deterministically
-    from the master seed; every trial is drawn, then all are refined
-    together, one batched evaluation of p(theta) and dp/dtheta per step
-    (_refine).  Each estimate equals mle_estimate of
-    sample_detections(..., seed=record.seed) over default_search_interval.
+    ``n_photons`` and ``trials`` (at least two) must be integers, and
+    ``seed`` a non-negative integer of any size.  The CFI at the truth
+    comes from the source arrays, without a Scenario; the truth and both
+    ends of the search interval are then checked in one call, so the
+    paraxial-validity warning is emitted at most once.  p(theta_true),
+    clipped and normalized, and the likelihood grid are computed once per
+    sweep.  Trial i's seed, record.seed, is the first uint32 word of
+    numpy's SeedSequence(seed).spawn(trials)[i], and its photons are drawn
+    by default_rng(record.seed); both are derived for all trials in one
+    batch (_trial_generators), with numpy's results bit for bit.  Every
+    trial is drawn, then all are refined together, one batched evaluation
+    of p(theta) and dp/dtheta per step (_refine).  Each estimate equals
+    mle_estimate of sample_detections(..., seed=record.seed) over
+    default_search_interval.
     ``threads`` is ignored.  Returns the aggregate (crb_ratio =
     empirical_variance * n * CFI) and per-trial records.  crb_ratio tests
     the asymptotic bound: it means little where the likelihood is far from
     quadratic, as at a symmetric point with n * CFI near one, where it can
     fall well below 1.
     """
+    seed = _checked_seed(seed)
     n_photons = _whole_number(n_photons, "n_photons", 1)
     trials = _whole_number(trials, "trials", 2)
     theta_true = finite_number(theta_true, "theta_true")
@@ -331,8 +441,8 @@ def crb_sweep(
     path, slopes = _probability_path(scenario, direction, R, theta_true, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
     p_true = _normalized(path([theta_true])[0])
-    trial_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(trials)]
-    draws = [np.random.default_rng(s).multinomial(n_photons, p_true) for s in trial_seeds]
+    trial_seeds, generators = _trial_generators(seed, trials)
+    draws = [g.multinomial(n_photons, p_true) for g in generators]
     estimates = _refine(np.array(draws, dtype=float), slopes, theta, log_p)
     records = [TrialRecord(i, s, float(t)) for i, (s, t) in enumerate(zip(trial_seeds, estimates))]
     empirical = float(np.var(estimates, ddof=1))

@@ -393,6 +393,15 @@ def test_bad_direction_exits_2(two_collector, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_negative_seed_exits_2_without_a_traceback(two_collector):
+    child = run_fresh_interpreter("simulate", "--scenario", two_collector, "--direction",
+                                  "separation-x", *SIMULATE_ARGS, "--seed", "-1")
+    assert child.returncode == EXIT_VALIDATION
+    assert child.stderr.startswith("error: seed must be a non-negative integer")
+    assert "Traceback" not in child.stderr
+    assert child.stdout == ""
+
+
 @pytest.mark.parametrize("spec", ["bs_phase:abc", "bs_phase:nan", "qft:3", "identity:x"])
 def test_bad_interferometer_argument_exits_2(spec, two_collector, capsys):
     code = run_cli("cfi", "--scenario", two_collector, "--direction", "separation-x",

@@ -1,11 +1,14 @@
 """Photon sampling, maximum-likelihood estimation and Cramer-Rao attainment."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emitterfisher import (
     Collector,
@@ -24,7 +27,7 @@ from emitterfisher import (
     qfi,
     sample_detections,
 )
-from emitterfisher.estimation import write_trials_csv
+from emitterfisher.estimation import _trial_generators, write_trials_csv
 
 
 def two_collector_scenario(dx=0.2, u=5.0):
@@ -78,6 +81,72 @@ def test_seed_determinism():
     np.testing.assert_array_equal(a.counts, b.counts)
 
 
+def _spawned_seeds(seed, trials):
+    """numpy's own derivation of a sweep's trial seeds: the reference for _trial_generators."""
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(trials)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200), trials=st.integers(2, 80))
+def test_trial_generators_match_numpy_on_random_seeds(seed, trials):
+    # The seeds, each generator's whole PCG64 state and its draws equal what
+    # default_rng gives at that seed.  The draws are compared too: PCG64 reads
+    # the raw buffer of its seed words, and words in the wrong memory order
+    # still print as the right words.
+    seeds, generators = _trial_generators(seed, trials)
+    assert seeds == _spawned_seeds(seed, trials)
+    assert all(type(s) is int for s in seeds)
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    for s, g in zip(seeds, generators):
+        reference = np.random.default_rng(s)
+        assert g.bit_generator.state == reference.bit_generator.state
+        np.testing.assert_array_equal(g.multinomial(100000, p), reference.multinomial(100000, p))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 12345])
+def test_crb_trial_seeds_and_draws_are_numpys(seed, monkeypatch):
+    # A sweep's record seeds are the first words of SeedSequence(seed).spawn(T),
+    # and the counts it refines are default_rng(record.seed)'s draws, which
+    # sample_detections makes.
+    from emitterfisher import estimation
+
+    refined, real_refine = [], estimation._refine
+
+    def spy(counts, *args):
+        refined.append(counts)
+        return real_refine(counts, *args)
+
+    monkeypatch.setattr(estimation, "_refine", spy)
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    for trials in (2, 3, 50, 500):
+        _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials,
+                               seed=seed)
+        assert [r.seed for r in records] == _spawned_seeds(seed, trials)
+        draws = [sample_detections(s, SEP_X, 2.0, bs, 5000, seed=r.seed).counts for r in records]
+        np.testing.assert_array_equal(refined[-1], draws)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None, np.float64(4.0)])
+def test_invalid_seed_rejected(seed):
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    with pytest.raises(ScenarioError, match="seed must be a non-negative integer"):
+        sample_detections(s, SEP_X, 2.0, bs, 1000, seed=seed)
+    with pytest.raises(ScenarioError, match="seed must be a non-negative integer"):
+        crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3, seed=seed)
+
+
+def test_seeds_of_any_integer_type_and_size_accepted():
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    big = 2**200 + 3
+    assert sample_detections(s, SEP_X, 2.0, bs, 1000, seed=big).seed == big
+    _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3,
+                           seed=np.uint64(2**64 - 1))
+    assert [r.seed for r in records] == _spawned_seeds(2**64 - 1, 3)
+
+
 # ---------------------------------------------------------------------------
 # MLE
 # ---------------------------------------------------------------------------
@@ -94,6 +163,16 @@ def test_zero_noise_counts_recover_truth():
     counts = 10**6 * p  # noiseless fractional counts
     est = mle_estimate(counts, s, SEP_X, bs, (0.9, 1.7))
     assert est.theta_hat == pytest.approx(theta_true, abs=1e-6)
+
+
+def test_mle_estimate_result_is_strict_json():
+    # A single estimate has no predicted or empirical variance: they are None, not NaN.
+    s = two_collector_scenario()
+    est = mle_estimate(np.array([900.0, 1100.0]), s, SEP_X, beam_splitter_with_phase(0.0),
+                       (-0.5, 0.5))
+    assert est.fisher_predicted_variance is None and est.empirical_variance is None
+    doc = json.loads(json.dumps(est.to_dict(), allow_nan=False))
+    assert doc["theta_hat"] == est.theta_hat and doc["trials"] == 1
 
 
 def test_mle_concentration():

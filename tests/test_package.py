@@ -1,8 +1,11 @@
-"""The package namespace and its ``__all__``, the source's grammar floor, and how
-result records compare."""
+"""The package namespace and its ``__all__``, what its import loads, the source's
+grammar floor, and how result records compare."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -75,6 +78,16 @@ def test_source_parses_at_the_oldest_supported_python():
     assert modules
     for path in modules:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random is loaded when a sweep or a draw first runs, not by the import:
+    # perfbench times the import as setup_s.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, emitterfisher; assert 'numpy.random' not in sys.modules, 'loaded'"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
 
 
 def _pair():
