@@ -149,7 +149,7 @@ def cmd_simulate(args, scenario, direction):
     # Both values at the truth the photons are drawn from, whose positions
     # the sweep has checked.
     C, dC = estimation._amplitudes_at(scenario, direction, args.theta_true)
-    truth = fisher._information(direction, C, dC, measurement)
+    truth = fisher._information(direction, C, dC, fisher.support_svd(C), measurement)
     if csv_path:
         with _writing(csv_path):
             estimation.write_trials_csv(csv_path, records)

@@ -136,12 +136,28 @@ def _amplitudes_at(scenario: Scenario, direction: GeneralizedCoordinate, theta: 
     return amplitude_arrays(scenario, moved, a)
 
 
+# The multinomial draw takes its number of photons as a numpy int64.
+_COUNT_LIMIT = 2**63
+
+
 def _whole_number(value, what: str, least: int) -> int:
-    """``value`` as an int no smaller than ``least``; ScenarioError otherwise."""
-    number = finite_number(value, what)
-    if not number.is_integer() or number < least:
+    """``value`` as an int in [least, 2**63); ScenarioError otherwise.
+
+    An integer is taken exactly (operator.index); anything else, such as
+    the float 2.0, must be a finite number with an integral value.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = finite_number(value, what)
+        if not number.is_integer():
+            raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}") from None
+        number = int(number)
+    if number < least:
         raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(number)
+    if number >= _COUNT_LIMIT:
+        raise ScenarioError(f"{what} must be below 2**63, got {value!r}")
+    return number
 
 
 def _checked_seed(seed) -> int:

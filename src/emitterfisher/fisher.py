@@ -11,11 +11,14 @@ fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
 numbers the package reports: interferometer.verify_saturation evaluates
 the same closed forms (_qfi_value, _cfi_from_products) for its step-free
-optimal measurement, from one amplitude build of C, dC and a displaced
-C' and one SVD of C, and applies the measurement once, to [C, dC, C'].
+optimal measurement, from C, dC and the SVD of C and one build of a
+displaced C', and applies the measurement once, to [C, dC, C'].
 qfi_matrix_consistency reports as ``finite_difference`` (a name kept for
 compatibility) the closed-form qfi along six tangents, from one
-amplitude build and one SVD of C.
+amplitude build and one SVD of C.  C, dC and the support SVD of C at a
+Scenario's own positions are built once and kept on it
+(geometry.amplitude_arrays, _scenario_svd), so every entry point here
+reads them.
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
@@ -27,8 +30,9 @@ else passed as a measurement goes through that constructor first.  The
 package's own optimal measurement stays in Householder form: the factors
 of a QR plus its support rows, checked from them in O(N_C r^2) with the
 same tolerance and the same ``unitarity_residual``, and applied in
-O(N_C r m) (_householder_interferometer).  qft_interferometer is in
-Fourier form, applied by FFT.  Every value here and estimation's p(theta)
+O(N_C r m) (_householder_interferometer).  qft_interferometer, applied
+by FFT, and identity_interferometer, applied as a copy, are unitary by
+construction and not checked.  Every value here and estimation's p(theta)
 apply R once, to a stack of amplitude matrices, in _applied, and form no
 N_C x N_C matrix for the factored forms; ``matrix`` builds it when read.
 """
@@ -46,6 +50,7 @@ from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
+    _kept,
     amplitude_and_derivative,
     amplitude_arrays,
     direction_rows,
@@ -108,13 +113,14 @@ class Interferometer:
     - Householder: the package's optimal measurement, kept as the factors
       of a QR plus its support rows (_householder_interferometer), checked
       from them in O(N_C r^2) and applied in O(N_C r m);
-    - Fourier: interferometer.qft_interferometer, applied as an
-      orthonormal inverse FFT along the modes.  It is unitary by
-      construction, so nothing is checked at construction;
-      ``unitarity_residual`` is computed from ``matrix``, with the dense
-      form's formula, when first read.
+    - unitary by construction: interferometer.qft_interferometer, applied
+      as an orthonormal inverse FFT along the modes, and
+      interferometer.identity_interferometer, applied as a copy of the
+      block.  Nothing is checked at construction; the identity's
+      ``unitarity_residual`` is 0.0, and the Fourier form's is computed
+      from ``matrix``, with the dense form's formula, when first read.
 
-    ``matrix`` is read-only; the Householder and Fourier forms build it
+    ``matrix`` is read-only; every form but the dense one builds it
     (``_form``) on first access.  Equality and hashing are by identity, so
     comparing two measurements never forms or compares a matrix.
     """
@@ -381,6 +387,11 @@ def support_svd(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U[:, :r], s[:r], Vh[:r].conj().T
 
 
+def _scenario_svd(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """support_svd of the scenario's own C, kept on the scenario, read-only (geometry._kept)."""
+    return _kept(scenario, "_svd", lambda: support_svd(amplitude_arrays(scenario)[0]))
+
+
 def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> float:
     """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd).
 
@@ -440,7 +451,7 @@ def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
     rounding level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, qfi=_qfi_value(C, dC, support_svd(C)))
+    return _report(direction, qfi=_qfi_value(C, dC, _scenario_svd(scenario)))
 
 
 def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
@@ -454,17 +465,18 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
 
 
 def _information(
-    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, R
+    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, svd, R
 ) -> FisherReport:
-    """Joint qfi and cfi report from C and dC along ``direction``."""
-    return _report(direction, qfi=_qfi_value(C, dC, support_svd(C)), cfi=_cfi_value(C, dC, R))
+    """Joint qfi and cfi report from C, dC along ``direction`` and support_svd(C)."""
+    return _report(direction, qfi=_qfi_value(C, dC, svd), cfi=_cfi_value(C, dC, R))
 
 
 def information_report(
     scenario: Scenario, direction: GeneralizedCoordinate, R
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
-    return _information(direction, *amplitude_and_derivative(scenario, direction), R)
+    C, dC = amplitude_and_derivative(scenario, direction)
+    return _information(direction, C, dC, _scenario_svd(scenario), R)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +614,7 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
     ]
     rows = np.stack([direction_rows(d, scenario.n_sources) for d in directions])
     C, dCs = amplitude_arrays(scenario, None, rows)
-    svd = support_svd(C)
+    svd = _scenario_svd(scenario)
     Q = [d.parameter_scale**2 * _qfi_value(C, dC, svd) for d, dC in zip(directions, dCs)]
     fd = np.diag(Q[:3])
     for (a, b), combo in zip(pairs, Q[3:]):

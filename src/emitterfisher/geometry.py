@@ -310,39 +310,66 @@ def displace(
     return Scenario(sources, scenario.collectors, scenario.k, scenario.z0, scenario.mode)
 
 
+def _kept(scenario: Scenario, name: str, build, key=None):
+    """The value of ``build()`` kept on ``scenario`` as attribute ``name``, built on first use.
+
+    Every value derived from a Scenario alone (its digest, amplitude
+    matrix, support SVD and phase rows), or from it and one direction, is
+    kept this way: one slot per name, holding ``key`` with the value, so a
+    call with another key builds again and replaces it.  Arrays in the
+    value are made read-only, since every later reader shares them.  The
+    slot is a plain attribute, not a field, so equality, hashing and repr
+    see only the records, and it is freed with the scenario; a build that
+    raises keeps nothing.
+    """
+    held = scenario.__dict__.get(name)
+    if held is not None and held[0] == key:
+        return held[1]
+    value = build()
+    for array in value if isinstance(value, tuple) else (value,):
+        if isinstance(array, np.ndarray):
+            array.setflags(write=False)
+    object.__setattr__(scenario, name, (key, value))
+    return value
+
+
+def _phase_rows(uv: np.ndarray) -> np.ndarray:
+    """The N_C x 3 collector rows [u, v, u^2 + v^2] of (N_C, 2) collector coordinates."""
+    return np.column_stack([uv, (uv**2).sum(axis=1)])
+
+
 def _raw_amplitudes(
-    uv: np.ndarray, xyz: np.ndarray, k: float, z0: float, mode: Mode, a: np.ndarray | None
+    rows: np.ndarray, xyz: np.ndarray, k: float, z0: float, mode: Mode, a: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Unnormalized amplitudes gamma (..., N_C, N_S) and d gamma / d theta along ``a``.
 
-    ``uv`` holds collector coordinates and ``xyz`` one (N_S, 3) set of
-    source coordinates or a stack (..., N_S, 3) of such sets.  ``a`` is
-    None (no derivative), one 3 N_S direction (flat or one row per
-    source), shared by every set, or, with one set, a stack (m, N_S, 3) of
-    directions, giving d gamma of shape (m, N_C, N_S) whose slice i is, bit
-    for bit, what direction i alone gives.  Paraxial gamma is exp(i phi)
-    with unit modulus, the phase one matrix product of the N_C x 3 rows
-    [u, v, u^2 + v^2] with the scaled source coordinates
-    (-k x / z0, -k y / z0, -k z / (2 z0^2)), and d phi the same product
-    with the direction; exact gamma is exp(i k d) / d.
+    ``rows`` holds the collector rows [u, v, u^2 + v^2] (_phase_rows) and
+    ``xyz`` one (N_S, 3) set of source coordinates or a stack (..., N_S, 3)
+    of such sets.  ``a`` is None (no derivative), one 3 N_S direction (flat
+    or one row per source), shared by every set, or, with one set, a stack
+    (m, N_S, 3) of directions, giving d gamma of shape (m, N_C, N_S) whose
+    slice i is, bit for bit, what direction i alone gives.  Paraxial gamma
+    is exp(i phi) with unit modulus, the phase one matrix product of the
+    rows with the scaled source coordinates (-k x / z0, -k y / z0,
+    -k z / (2 z0^2)), and d phi the same product with the direction; exact
+    gamma is exp(i k d) / d.
     """
     if a is not None:
         a = a.reshape(-1, 3) if a.ndim < 3 else a
     if mode is Mode.PARAXIAL:
-        rows = np.column_stack([uv, (uv**2).sum(axis=1)])
         scale = np.array([-k / z0, -k / z0, -k / (2.0 * z0**2)])
         gamma = np.exp(1j * (rows @ (xyz * scale).swapaxes(-1, -2)))
         if a is None:
             return gamma, None
         return gamma, 1j * (rows @ (a * scale).swapaxes(-1, -2)) * gamma
-    u, v = uv[:, :1], uv[:, 1:]
+    u, v = rows[:, :1], rows[:, 1:2]
     x, y, z = (xyz[..., None, :, i] for i in range(3))
     ex, ey, ez = x - u, y - v, z0 + z
     d = np.sqrt(ex**2 + ey**2 + ez**2)
     if not (d > 0.0).all():
         *stack, q, s = np.argwhere(~(d > 0.0))[0]
         raise DegenerateGeometryError(
-            f"source {tuple(xyz[(*stack, s)])} coincides with collector {tuple(uv[q])}"
+            f"source {tuple(xyz[(*stack, s)])} coincides with collector {tuple(rows[q, :2])}"
         )
     gamma = np.exp(1j * k * d) / d
     if a is None:
@@ -350,6 +377,27 @@ def _raw_amplitudes(
     ax, ay, az = (a[..., None, :, i] for i in range(3))
     dd = (ex * ax + ey * ay + ez * az) / d
     return gamma, gamma * (1j * k - 1.0 / d) * dd
+
+
+def _built(
+    scenario: Scenario, xyz: np.ndarray, a: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """C and dC for the sources at ``xyz`` (amplitude_arrays), built, not kept."""
+    rows = _kept(scenario, "_phase_rows", lambda: _phase_rows(scenario.collector_positions()))
+    gamma, dgamma = _raw_amplitudes(rows, xyz, scenario.k, scenario.z0, scenario.mode, a)
+    norms = np.linalg.norm(gamma, axis=-2)
+    bad = ~(np.isfinite(norms) & (norms > 0.0))
+    if bad.any():
+        raise DegenerateGeometryError(
+            f"zero-norm amplitude column for source {int(np.argwhere(bad)[0][-1])}"
+        )
+    scale = (np.sqrt(scenario.weights()) / norms)[..., None, :]
+    C = gamma * scale
+    if dgamma is None:
+        return C, None
+    n = gamma / norms[..., None, :]
+    radial = np.real(np.sum(n.conj() * dgamma, axis=-2))
+    return C, (dgamma - n * radial[..., None, :]) * scale
 
 
 def amplitude_arrays(
@@ -373,36 +421,37 @@ def amplitude_arrays(
     source, or, with one set, a stack (m, N_S, 3) of directions: C is built
     once and dC has shape (m, N_C, N_S), slice i equal bit for bit to what
     direction i alone gives.
+
+    At the scenario's own positions the arrays are kept on it (_kept),
+    read-only: C, and dC for the most recent direction or direction stack,
+    matched by the shape and bytes of ``a``, so a call along a new
+    direction builds dC (and C with it, the same bits) once more and
+    replaces the old dC.  The collector rows of the phase are kept too.
     """
-    xyz = scenario.source_positions() if positions is None else positions
-    gamma, dgamma = _raw_amplitudes(
-        scenario.collector_positions(), xyz, scenario.k, scenario.z0, scenario.mode, a
-    )
-    norms = np.linalg.norm(gamma, axis=-2)
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
-    if bad.any():
-        raise DegenerateGeometryError(
-            f"zero-norm amplitude column for source {int(np.argwhere(bad)[0][-1])}"
-        )
-    scale = (np.sqrt(scenario.weights()) / norms)[..., None, :]
-    C = gamma * scale
-    if dgamma is None:
-        return C, None
-    n = gamma / norms[..., None, :]
-    radial = np.real(np.sum(n.conj() * dgamma, axis=-2))
-    return C, (dgamma - n * radial[..., None, :]) * scale
+    if positions is not None:
+        return _built(scenario, positions, a)
+    xyz = scenario.source_positions()
+    if a is None:
+        return _kept(scenario, "_amplitudes", lambda: _built(scenario, xyz, None)[0]), None
+    a = np.asarray(a, dtype=float)
+
+    def with_derivative():
+        C, dC = _built(scenario, xyz, a)
+        return _kept(scenario, "_amplitudes", lambda: C), dC
+
+    return _kept(scenario, "_derivative", with_derivative, key=(a.shape, a.tobytes()))
 
 
 def amplitude_and_derivative(
     scenario: Scenario, direction: GeneralizedCoordinate | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """amplitude_arrays of the scenario's sources along ``direction`` (None: C alone)."""
+    """amplitude_arrays of the scenario's sources along ``direction`` (None: C alone), read-only."""
     a = None if direction is None else direction_rows(direction, scenario.n_sources)
     return amplitude_arrays(scenario, None, a)
 
 
 def build_amplitude_matrix(scenario: Scenario) -> np.ndarray:
-    """(N_C, N_S) complex matrix with column s = sqrt(p_s) * normalized gamma(., s)."""
+    """Read-only (N_C, N_S) complex matrix with column s = sqrt(p_s) * normalized gamma(., s)."""
     return amplitude_arrays(scenario)[0]
 
 
@@ -470,10 +519,15 @@ class _LoadedScenarios:
     """Least-recently-used map from scenario file bytes to the Scenario they build.
 
     Keyed on content, so an edited file is parsed again whatever its path or
-    mtime.  Bounded by the total size of the files held, since a held
-    Scenario takes 5 to 8 times its file's bytes (tracemalloc, bundled
-    files): with the keys, at most about 9 times ``max_bytes``.  A file
-    larger than the bound is not held, and evicts nothing.
+    mtime.  Bounded by the total size of the files held.  A new Scenario
+    takes 5 to 7 times its file's bytes; use adds the arrays kept on it
+    (_kept), about 48 N_C N_S + 24 N_C bytes, and 16 N_C N_S more per
+    extra direction of a stacked dC.  After a qfi, cfi and
+    verify_saturation round a bundled file's Scenario takes 10 to 15 times
+    the file's bytes (tracemalloc), so with the keys a memo of such files
+    holds at most about 16 times ``max_bytes``.  C grows as N_C N_S and a
+    file as N_C + N_S, so many sources on many collectors take more.  A
+    file larger than the bound is not held, and evicts nothing.
     """
 
     def __init__(self, max_bytes: int):
@@ -500,8 +554,8 @@ class _LoadedScenarios:
                 self._bytes -= len(evicted)
 
 
-# 1 MiB of scenario files: under 9 MB held, 36 files the size of the bundled
-# disc (N_C = 1257) or thousands of small arrays.
+# 1 MiB of scenario files: under 17 MB held once used, 36 files the size of
+# the bundled disc (N_C = 1257) or thousands of small arrays.
 _loaded = _LoadedScenarios(max_bytes=1 << 20)
 
 
@@ -544,17 +598,13 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def scenario_digest(scenario: Scenario) -> str:
-    """Stable hex digest of the scenario contents (for result documents).
+    """Stable hex digest of the scenario contents (for result documents), kept on it (_kept)."""
 
-    Computed once per Scenario object and kept on it as a plain attribute,
-    outside the fields that equality, hashing and repr read.
-    """
-    digest = scenario.__dict__.get("_digest")
-    if digest is None:
+    def digest():
         canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True)
-        digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-        object.__setattr__(scenario, "_digest", digest)
-    return digest
+        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+    return _kept(scenario, "_digest", digest)
 
 
 def disc_collector_grid(spacing: float, radius: float = 1.0) -> tuple[Collector, ...]:

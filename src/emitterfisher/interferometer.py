@@ -24,10 +24,11 @@ imports nothing from this module; they are re-exported here.  A
 measurement is applied to a block of amplitudes in one of three forms.
 The optimal measurement keeps the Householder factors of its dark ports
 and its support rows, is checked from them in O(N_C N_S^2) and applied
-in O(N_C N_S m); qft_interferometer is applied by FFT and, unitary by
-construction, is not checked; identity, bs_phase and every matrix read
-from outside are dense and go through the O(N_C^3) constructor check.
-Each builds its N_C x N_C matrix only when ``matrix`` is read.
+in O(N_C N_S m); qft_interferometer, applied by FFT, and
+identity_interferometer, applied as a copy, are unitary by construction
+and not checked; bs_phase and every matrix read from outside are dense
+and go through the O(N_C^3) constructor check.  The factored forms build
+their N_C x N_C matrix only when ``matrix`` is read.
 
 Result records compare and hash by identity, as measurements do.
 svd_alignment, SvdAlignment and SynthesisResult are imported from here,
@@ -54,6 +55,7 @@ from .fisher import (
     _qfi_value,
     _report,
     _same_shape,
+    _scenario_svd,
     cfi,
     support_svd,
 )
@@ -87,8 +89,27 @@ DIAGONAL_PRODUCT_TOL = 1e-9
 AXIAL_PHASE_GRID = 181
 
 
+class _IdentityInterferometer(Interferometer):
+    """Identity form: applied as a copy of the block, unitary by construction."""
+
+    def __init__(self, n_modes: int):
+        self._init_factored(n_modes, Provenance.IDENTITY)
+        self._residual = 0.0
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return X.astype(complex)
+
+    def _form(self) -> np.ndarray:
+        return np.eye(self._n_modes, dtype=complex)
+
+
 def identity_interferometer(n_modes: int) -> Interferometer:
-    return Interferometer(np.eye(n_modes, dtype=complex), Provenance.IDENTITY)
+    """The identity on n_modes modes: ``apply`` returns a complex copy of the block.
+
+    Nothing is checked, and ``unitarity_residual`` is exactly 0.0, the full
+    check's value for np.eye; the matrix is built only when read.
+    """
+    return _IdentityInterferometer(n_modes)
 
 
 def beam_splitter_with_phase(alpha: float = 0.0) -> Interferometer:
@@ -481,28 +502,28 @@ def verify_saturation(
     triangular and diagonal-product residuals with their tolerances
     (SaturationReport).  A zero or non-finite ``delta_theta`` gives an
     identical pair, which defines no alignment, and raises ScenarioError.
-    C, dC and C' come from one amplitude_arrays call on the stack of the base
-    and the displaced positions, one support_svd of C serves the
-    measurement and the QFI, and the measurement is applied once, to
-    [C, dC, C'], for the Fisher values, the probabilities and the
-    classical fidelity.
+    C and dC, and the one support_svd of C that serves the measurement
+    and the QFI, are the scenario's own, kept on it (amplitude_arrays,
+    fisher._scenario_svd); only C' is built, at the displaced positions,
+    with no derivative.  The measurement is applied once, to [C, dC, C'],
+    for the Fisher values, the probabilities and the classical fidelity.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
     if delta_theta == 0.0 or not math.isfinite(delta_theta):
         raise ScenarioError(f"synthesis displacement must be finite and nonzero, got {delta_theta}")
     a = direction_rows(direction, scenario.n_sources)
-    base = scenario.source_positions()
-    moved = base + a * delta_theta
+    moved = scenario.source_positions() + a * delta_theta
     check_source_positions(moved, scenario.z0, scenario.mode)
-    (C, C_prime), (dC, _) = amplitude_arrays(scenario, np.stack([base, moved]), a)
+    C, dC = amplitude_arrays(scenario, None, a)
+    C_prime, _ = amplitude_arrays(scenario, moved)
     P, A, B, D, piv = _align(C, C_prime)
     PA, PB = P @ A, P @ B
     lower_resid = float(np.max(np.abs(np.tril(PA, -1))))
     upper_resid = float(np.max(np.abs(np.triu(PB, 1))))
     diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
-    svd = support_svd(C)
+    svd = _scenario_svd(scenario)
     R = _optimal_interferometer(dC, svd)
     RC, RdC, RC_prime = _applied(R, np.stack([C, dC, C_prime]))
     cfi_value, p = _cfi_from_products(C, dC, RC, RdC)

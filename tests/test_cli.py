@@ -296,26 +296,64 @@ def test_design_document_embeds_the_serialized_interferometer(tmp_path):
     assert read_json(out)["interferometer"] == json.loads(interferometer_to_json(R))
 
 
-def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path):
-    # The design document's probabilities come from verify_saturation's C:
-    # one amplitude build, of the stack [base, displaced] of the check.
+def test_simulate_takes_photon_counts_exactly(two_collector, tmp_path, capsys):
+    # --photons 2**53 + 1 draws that many photons, not 2**53; 2**63, more
+    # than the multinomial draw takes, is a validation error.
+    n = 2**53 + 1
+    args = ("simulate", "--scenario", two_collector, "--direction", "separation-x",
+            "--interferometer", "bs_phase:0", "--trials", "3", "--seed", "1", "--theta-true", "2.0")
+    out = tmp_path / "sim.json"
+    assert run_cli(*args, "--photons", str(n), "--out", str(out)) == EXIT_OK
+    scenario = emitterfisher.load_scenario(two_collector)
+    d = emitterfisher.named_direction("separation-x", 2)
+    bs = emitterfisher.beam_splitter_with_phase(0.0)
+    exact, _ = emitterfisher.crb_sweep(scenario, d, bs, theta_true=2.0, n_photons=n, trials=3, seed=1)
+    rounded, _ = emitterfisher.crb_sweep(scenario, d, bs, theta_true=2.0, n_photons=n - 1, trials=3,
+                                         seed=1)
+    assert read_json(out)["theta_hat"] == exact.theta_hat != rounded.theta_hat
+    capsys.readouterr()
+    assert run_cli(*args, "--photons", str(2**63), "--out", str(out)) == EXIT_VALIDATION
+    assert "n_photons must be below 2**63" in capsys.readouterr().err
+
+
+def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path, cold_loads):
+    # The design document's probabilities come from verify_saturation's C.
+    # On a cold scenario C and dC are built once, at the base positions,
+    # and C' once, at the displaced ones, with no derivative; C, dC and the
+    # support SVD stay on the loaded scenario, so a second design builds
+    # only C' again and takes no SVD.
+    import emitterfisher.fisher as fisher_mod
     import emitterfisher.geometry as geometry_mod
 
     path = bundled_scenario_path("four_collector.scn")
     base = emitterfisher.load_scenario(path).source_positions()
-    builds = []
-    raw = geometry_mod._raw_amplitudes
+    builds, svds = [], []
+    raw, svd = geometry_mod._raw_amplitudes, fisher_mod.support_svd
 
-    def counted(uv, xyz, *args):
-        builds.append(xyz)
-        return raw(uv, xyz, *args)
+    def counted(rows, xyz, *args):
+        builds.append((xyz, args[-1] is not None))
+        return raw(rows, xyz, *args)
+
+    def counted_svd(C):
+        svds.append(C.shape)
+        return svd(C)
 
     monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
-    assert run_cli("design", "--scenario", str(path), "--direction", "separation-x",
-                   "--out", str(tmp_path / "design.json")) == EXIT_OK
-    assert len(builds) == 1
-    assert builds[0].shape == (2, *base.shape)
+    monkeypatch.setattr(fisher_mod, "support_svd", counted_svd)
+    argv = ("design", "--scenario", str(path), "--direction", "separation-x",
+            "--out", str(tmp_path / "design.json"))
+    assert run_cli(*argv) == EXIT_OK
+    assert [derivative for _, derivative in builds] == [True, False]
     np.testing.assert_array_equal(builds[0][0], base)
+    moved = builds[1][0]
+    assert moved.shape == base.shape and not np.array_equal(moved, base)
+    assert svds == [(4, 2)]
+    builds.clear()
+    svds.clear()
+    assert run_cli(*argv) == EXIT_OK
+    assert len(builds) == 1 and not builds[0][1]
+    np.testing.assert_array_equal(builds[0][0], moved)
+    assert svds == []
 
 
 def test_parser_built_once_per_process(two_collector, monkeypatch, tmp_path):

@@ -593,3 +593,24 @@ def test_non_integer_photon_and_trial_counts_rejected():
             crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=1, seed=1)
     # An integral float is a whole number.
     assert sample_detections(s, SEP_X, 2.0, bs, 1000.0, seed=1).counts.sum() == 1000
+
+
+def test_photon_counts_taken_exactly():
+    # Integers are taken as they are, not through a float, which would draw
+    # 2**53 photons for 2**53 + 1; the multinomial draw's int64 bounds them.
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    for n in (2**53 + 1, 2**63 - 1):
+        record = sample_detections(s, SEP_X, 2.0, bs, n, seed=1)
+        assert record.n_photons == n and int(record.counts.sum()) == n
+    assert sample_detections(s, SEP_X, 2.0, bs, np.int64(1000), seed=1).n_photons == 1000
+    for n in (2**63, 2**70, float(2**63)):
+        with pytest.raises(ScenarioError, match=r"n_photons must be below 2\*\*63"):
+            sample_detections(s, SEP_X, 2.0, bs, n, seed=1)
+        with pytest.raises(ScenarioError, match=r"n_photons must be below 2\*\*63"):
+            crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=n, trials=3, seed=1)
+    with pytest.raises(ScenarioError, match=r"trials must be below 2\*\*63"):
+        crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=2**63, seed=1)
+    exact, _ = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=2**53 + 1, trials=3, seed=1)
+    rounded, _ = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=2**53, trials=3, seed=1)
+    assert exact.theta_hat != rounded.theta_hat

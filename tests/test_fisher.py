@@ -721,15 +721,20 @@ def _count_calls(monkeypatch, targets) -> dict:
     return calls
 
 
-def test_qfi_matrix_check_builds_amplitudes_and_svd_once(monkeypatch):
-    # C and the six dC come from one amplitude build, and every qfi from one SVD.
+def test_qfi_matrix_check_builds_amplitudes_and_svd_once(monkeypatch, cold_loads):
+    # C and the six dC come from one amplitude build, and every qfi from one
+    # SVD; both stay on the scenario, so a second check builds and factors
+    # nothing.
     import emitterfisher.fisher as fisher_mod
     import emitterfisher.geometry as geometry_mod
 
     s = emitterfisher.load_scenario(bundled_scenario_path("four_collector.scn"))
     calls = _count_calls(monkeypatch, [(geometry_mod, "_raw_amplitudes"), (fisher_mod, "support_svd")])
-    qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
+    first = qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
     assert calls == {"_raw_amplitudes": 1, "support_svd": 1}
+    second = qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
+    assert calls == {"_raw_amplitudes": 1, "support_svd": 1}
+    assert second.finite_difference.tobytes() == first.finite_difference.tobytes()
 
 
 def _six_qfi_matrix(scenario, tangents):

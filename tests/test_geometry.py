@@ -59,7 +59,7 @@ def make_scenario(sources, collectors, k=1.0, z0=100.0, mode=Mode.PARAXIAL):
 def _raw_entry(c, s, k, z0, mode):
     """The unnormalized amplitude gamma of one source at one collector."""
     gamma, _ = geometry._raw_amplitudes(
-        np.array([[c.u, c.v]]), np.array([[s.x, s.y, s.z]]), k, z0, mode, None
+        geometry._phase_rows(np.array([[c.u, c.v]])), np.array([[s.x, s.y, s.z]]), k, z0, mode, None
     )
     return complex(gamma[0, 0])
 

@@ -1,7 +1,9 @@
 """Built-in interferometers, SVD alignment, synthesis and saturation tests."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from emitterfisher import (
     Collector,
+    DegenerateGeometryError,
     GeneralizedCoordinate,
     Interferometer,
     Mode,
@@ -36,8 +39,11 @@ from emitterfisher import (
     interferometer_to_json,
     load_scenario,
     named_direction,
+    ParaxialTarget,
     optimal_interferometer,
     overlap_matrix,
+    qfi,
+    qfi_matrix_consistency,
     qft_interferometer,
     quantum_fidelity,
     synthesize_optimal_interferometer,
@@ -331,10 +337,12 @@ def test_verify_saturation_builds_one_interferometer(monkeypatch):
     assert report.unitarity_residual == report.interferometer.unitarity_residual
 
 
-def test_verify_saturation_builds_amplitudes_once(monkeypatch):
-    # C, dC and the displaced C' come from one amplitude build of the stack
-    # [base, displaced], and the Fisher values equal, bit for bit, what
-    # information_report gives for the returned measurement.
+def test_verify_saturation_builds_amplitudes_once(monkeypatch, cold_loads):
+    # On a cold scenario C and dC come from one amplitude build at the base
+    # positions, and the displaced C' from one build without a derivative.
+    # A second call reads C and dC from the scenario and builds only C'.
+    # The Fisher values equal, bit for bit, what information_report gives
+    # for the returned measurement.
     import emitterfisher.geometry as geometry_mod
 
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
@@ -342,23 +350,30 @@ def test_verify_saturation_builds_amplitudes_once(monkeypatch):
     builds = []
     raw = geometry_mod._raw_amplitudes
 
-    def counted(uv, xyz, *args):
-        builds.append(xyz)
-        return raw(uv, xyz, *args)
+    def counted(rows, xyz, *args):
+        builds.append((xyz, args[-1] is not None))
+        return raw(rows, xyz, *args)
 
     monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
     report = verify_saturation(s, d)
-    assert len(builds) == 1
-    assert builds[0].shape == (2, *s.source_positions().shape)
+    assert [derivative for _, derivative in builds] == [True, False]
     np.testing.assert_array_equal(builds[0][0], s.source_positions())
+    moved = s.source_positions() + geometry_mod.direction_rows(d, 2) * report.delta_theta
+    np.testing.assert_array_equal(builds[1][0], moved)
+    builds.clear()
+    again = verify_saturation(s, d)
+    assert len(builds) == 1 and not builds[0][1]
+    np.testing.assert_array_equal(builds[0][0], moved)
+    assert again.to_dict() == report.to_dict()
     monkeypatch.undo()
     info = information_report(s, d, report.interferometer)
     assert (report.qfi_estimate, report.cfi_estimate, report.saturation_ratio) == (
         info.qfi, info.cfi, info.saturation_ratio)
 
 
-def test_verify_saturation_factors_amplitudes_once(monkeypatch):
-    # One support SVD of C serves the optimal measurement and the QFI.
+def test_verify_saturation_factors_amplitudes_once(monkeypatch, cold_loads):
+    # One support SVD of C serves the optimal measurement and the QFI, and
+    # it stays on the scenario: a second call takes none.
     svd = fisher_mod.support_svd
     calls = []
 
@@ -369,6 +384,8 @@ def test_verify_saturation_factors_amplitudes_once(monkeypatch):
     monkeypatch.setattr(fisher_mod, "support_svd", counted)
     monkeypatch.setattr(itf_mod, "support_svd", counted)
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
+    verify_saturation(s, named_direction("separation-x", 2))
+    assert calls == [(4, 2)]
     verify_saturation(s, named_direction("separation-x", 2))
     assert calls == [(4, 2)]
 
@@ -851,3 +868,138 @@ def test_saturation_sweep_smoke():
         report = verify_saturation(s, d)
         assert report.structure_ok, report.to_dict()
         assert RATIO_LO <= report.saturation_ratio <= RATIO_HI, report.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Data kept on a Scenario
+# ---------------------------------------------------------------------------
+
+
+def _saturation_values(report) -> tuple:
+    return (*report.to_dict().values(), report.probabilities.tobytes(), report.pivots.tobytes(),
+            report.interferometer.matrix.tobytes())
+
+
+def _consistency_values(scenario) -> tuple:
+    target = (ParaxialTarget.SINGLE_SOURCE, ParaxialTarget.TWO_SOURCE_SEPARATION)[scenario.n_sources - 1]
+    report = qfi_matrix_consistency(scenario, target)
+    return report.finite_difference.tobytes(), report.relative_errors.tobytes()
+
+
+# Each scenario entry point, as (scenario, direction, measurement) -> its
+# values, whose repr holds every bit of them.
+_KEPT_CALLS = {
+    "qfi": lambda s, d, R: qfi(s, d),
+    "cfi": lambda s, d, R: cfi(s, d, R),
+    "report": lambda s, d, R: information_report(s, d, R),
+    "saturate": lambda s, d, R: _saturation_values(verify_saturation(s, d)),
+    "consistency": lambda s, d, R: _consistency_values(s),
+}
+
+
+def _held_arrays(value):
+    """The numpy arrays in a kept value or slot, however nested in tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [array for item in value for array in _held_arrays(item)]
+    return []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 4),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+    calls=st.lists(st.tuples(st.sampled_from(sorted(_KEPT_CALLS)), st.integers(0, 1)),
+                   min_size=1, max_size=8),
+)
+def test_kept_values_equal_cold_values(seed, ns, mode, calls):
+    # Calls interleaved over two directions and qfi_matrix_consistency's
+    # direction stack, which take turns in the one dC slot, give, bit for
+    # bit, what a cold copy of the scenario (nothing kept) gives.  Each
+    # call parses its direction anew, as the CLI does.
+    rng = np.random.default_rng(seed)
+    nc = int(rng.integers(ns, 9))
+    s = Scenario(
+        tuple(SourcePoint(*rng.normal(0, 0.5, 3), weight=w) for w in rng.uniform(0.5, 1.5, ns)),
+        tuple(Collector(*rng.normal(0, 5, 2)) for _ in range(nc)), k=1.0, z0=100.0, mode=mode,
+    )
+    tangents = rng.normal(size=(2, 3 * ns))
+    R = qft_interferometer(nc)
+    for name, i in calls:
+        if name == "consistency" and ns > 2:
+            continue
+        d = GeneralizedCoordinate.from_tangent(tangents[i])
+        cold = dataclasses.replace(s)
+        assert cold == s and not set(vars(cold)) & {"_amplitudes", "_derivative", "_svd"}
+        assert repr(_KEPT_CALLS[name](s, d, R)) == repr(_KEPT_CALLS[name](cold, d, R))
+
+
+def test_kept_arrays_are_read_only():
+    # A caller's in-place edit would change every later result of the
+    # scenario, so every array it holds refuses writes.
+    s = symmetric_pair(0.2)
+    d = named_direction("separation-x", 2)
+    C, dC = amplitude_and_derivative(s, d)
+    verify_saturation(s, d)
+    qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
+    held = _held_arrays(tuple(vars(s).values()))
+    assert len(held) >= 9  # positions, weights, collectors, rows, C, dC stack, U_r, s_r, V_r
+    for array in (C, dC, build_amplitude_matrix(s), *held):
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_degenerate_build_keeps_nothing():
+    # A source on a collector (exact mode) fails every call alike: nothing
+    # is kept from the failed build.
+    s = Scenario((SourcePoint(3.0, 0.0, -10.0), SourcePoint(-1.0, 0.0, 0.0)),
+                 (Collector(3.0, 0.0), Collector(-3.0, 0.0)), k=1.0, z0=10.0, mode=Mode.EXACT)
+    d = named_direction("separation-x", 2)
+    for call in (lambda: qfi(s, d), lambda: verify_saturation(s, d), lambda: build_amplitude_matrix(s)):
+        for _ in range(2):
+            with pytest.raises(DegenerateGeometryError, match="coincides with collector"):
+                call()
+    assert not set(vars(s)) & {"_amplitudes", "_derivative", "_svd"}
+
+
+def test_kept_arrays_are_freed_with_their_scenario():
+    s = symmetric_pair(0.2)
+    d = named_direction("separation-x", 2)
+    verify_saturation(s, d)
+    refs = [weakref.ref(array) for array in (
+        build_amplitude_matrix(s), amplitude_and_derivative(s, d)[1], *fisher_mod._scenario_svd(s))]
+    assert all(ref() is not None for ref in refs)
+    del s
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+# ---------------------------------------------------------------------------
+# identity measurement
+# ---------------------------------------------------------------------------
+
+
+def test_identity_measurement_is_factored(monkeypatch):
+    # No O(N_C^3) check and no matrix until it is read; every value behind
+    # it equals, bit for bit, the value behind a dense np.eye measurement.
+    def full_check(m):
+        raise AssertionError("identity ran the full unitarity check")
+
+    s = Scenario(symmetric_pair(0.2).sources, disc_collector_grid(0.2), k=1.0, z0=100.0)
+    n = s.n_collectors
+    d = named_direction("separation-x", 2)
+    dense = Interferometer(np.eye(n), Provenance.IDENTITY)
+    monkeypatch.setattr(fisher_mod, "_full_unitarity_residual", full_check)
+    R = identity_interferometer(n)
+    assert R._matrix is None and R.unitarity_residual == 0.0 == dense.unitarity_residual
+    assert R.provenance is Provenance.IDENTITY and R.n_modes == n and R.alpha is None
+    C = build_amplitude_matrix(s)
+    assert cfi(s, d, R).cfi == cfi(s, d, dense).cfi
+    report, dense_report = information_report(s, d, R), information_report(s, d, dense)
+    assert (report.qfi, report.cfi) == (dense_report.qfi, dense_report.cfi)
+    assert detection_probabilities(C, R).tobytes() == detection_probabilities(C, dense).tobytes()
+    assert R._matrix is None
+    assert R.matrix.tobytes() == dense.matrix.tobytes() and not R.matrix.flags.writeable
+    assert interferometer_to_json(R) == interferometer_to_json(dense)
