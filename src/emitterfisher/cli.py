@@ -146,10 +146,6 @@ def cmd_simulate(args, scenario, direction):
         trials=args.trials,
         seed=args.seed,
     )
-    # Both values at the truth the photons are drawn from, whose positions
-    # the sweep has checked.
-    C, dC = estimation._amplitudes_at(scenario, direction, args.theta_true)
-    truth = fisher._information(direction, C, dC, fisher.support_svd(C), measurement)
     if csv_path:
         with _writing(csv_path):
             estimation.write_trials_csv(csv_path, records)
@@ -159,12 +155,7 @@ def cmd_simulate(args, scenario, direction):
             Path(args.gnuplot_dat).write_text(
                 "\n".join(["# trial theta_hat", *rows]) + "\n", encoding="utf-8"
             )
-    return {
-        "interferometer": measurement.provenance.value,
-        "qfi": truth.qfi,
-        "cfi": truth.cfi,
-        **aggregate.to_dict(),
-    }, True
+    return {"interferometer": measurement.provenance.value, **aggregate.to_dict()}, True
 
 
 class Command(NamedTuple):

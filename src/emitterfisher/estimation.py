@@ -11,7 +11,7 @@ probabilities, and with them their derivatives, are evaluated for a
 vector of thetas at once, one apply of the measurement to all their
 amplitudes; the trials of a sweep are refined together, one batched
 evaluation per step, and a single estimate is the one-trial case of the
-same code.
+same code.  A sweep's aggregate also holds the QFI and CFI at its truth.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -74,11 +74,14 @@ class DetectionRecord:
 class EstimationResult:
     """Point estimate or trial aggregate with the Cramer-Rao prediction.
 
-    A value a result does not have is None, so ``to_dict`` is strict JSON:
-    an aggregate has no one likelihood, and a single estimate has neither a
-    predicted nor an empirical variance.
+    A value a result does not have is None, so ``to_dict`` is strict JSON.
+    An aggregate has no one likelihood; its ``qfi`` and ``cfi`` are
+    fisher.information_report's at the truth its photons are drawn from,
+    which a single estimate lacks, as it lacks a predicted and empirical variance.
     """
 
+    qfi: float | None = field(default=None, kw_only=True)
+    cfi: float | None = field(default=None, kw_only=True)
     theta_hat: float
     log_likelihood: float | None
     fisher_predicted_variance: float | None
@@ -124,16 +127,6 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
         return p, scale * dp, scale**2 * terms.sum(axis=-1)
 
     return path, slopes
-
-
-def _amplitudes_at(scenario: Scenario, direction: GeneralizedCoordinate, theta: float):
-    """C and dC/dtheta for the sources at r + a * parameter_scale * theta, built with no Scenario.
-
-    The positions are not checked; the caller checks them, or has.
-    """
-    a = direction_rows(direction, scenario.n_sources)
-    moved = scenario.source_positions() + a * (direction.parameter_scale * theta)
-    return amplitude_arrays(scenario, moved, a)
 
 
 # The multinomial draw takes its number of photons as a numpy int64.
@@ -311,9 +304,12 @@ def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) ->
 def default_search_interval(
     prior_center: float, n_photons: int, cfi_value: float
 ) -> tuple[float, float]:
-    """prior_center +- SEARCH_SIGMAS predicted standard deviations."""
-    if n_photons < 1 or cfi_value <= 0:
-        raise ScenarioError("n_photons and the CFI must be positive to size the search interval")
+    """prior_center +- SEARCH_SIGMAS predicted standard deviations; finite inputs, n and CFI > 0."""
+    prior_center = finite_number(prior_center, "prior_center")
+    n_photons = _whole_number(n_photons, "n_photons", 1)
+    cfi_value = finite_number(cfi_value, "the CFI")
+    if cfi_value <= 0:
+        raise ScenarioError("the CFI must be positive to size the search interval")
     sigma = math.sqrt(1.0 / (n_photons * cfi_value))
     return prior_center - SEARCH_SIGMAS * sigma, prior_center + SEARCH_SIGMAS * sigma
 
@@ -423,32 +419,34 @@ def crb_sweep(
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
     ``n_photons`` and ``trials`` (at least two) must be integers, and
-    ``seed`` a non-negative integer of any size.  The CFI at the truth
-    comes from the source arrays, without a Scenario; the truth and both
-    ends of the search interval are then checked in one call, so the
-    paraxial-validity warning is emitted at most once.  p(theta_true),
-    clipped and normalized, and the likelihood grid are computed once per
-    sweep.  Trial i's seed, record.seed, is the first uint32 word of
-    numpy's SeedSequence(seed).spawn(trials)[i], and its photons are drawn
-    by default_rng(record.seed); both are derived for all trials in one
-    batch (_trial_generators), with numpy's results bit for bit.  Every
-    trial is drawn, then all are refined together, one batched evaluation
-    of p(theta) and dp/dtheta per step (_refine).  Each estimate equals
-    mle_estimate of sample_detections(..., seed=record.seed) over
-    default_search_interval.
-    ``threads`` is ignored.  Returns the aggregate (crb_ratio =
-    empirical_variance * n * CFI) and per-trial records.  crb_ratio tests
-    the asymptotic bound: it means little where the likelihood is far from
-    quadratic, as at a symmetric point with n * CFI near one, where it can
-    fall well below 1.
+    ``seed`` a non-negative integer of any size.  C and dC at the truth
+    are built once, from the source arrays, without a Scenario; they give
+    the CFI behind R, the QFI (one support_svd of C) and p(theta_true) (R
+    applied to C alone).  A CFI that is not positive raises
+    NonIdentifiableError; the truth and both ends of the search interval
+    are then checked in one call, so the paraxial-validity warning is
+    emitted at most once.  Trial i's seed, record.seed, is the first
+    uint32 word of numpy's SeedSequence(seed).spawn(trials)[i], and its
+    photons are drawn by default_rng(record.seed); both are derived for
+    all trials in one batch (_trial_generators), with numpy's results bit
+    for bit.  Every trial is drawn, then all are refined together, one
+    batched evaluation of p(theta) and dp/dtheta per step (_refine).  Each
+    estimate equals mle_estimate of sample_detections(..., seed=record.seed)
+    over default_search_interval.  ``threads`` is ignored.  Returns the
+    aggregate (qfi and cfi at the truth, crb_ratio = empirical_variance *
+    n * CFI) and per-trial records.  crb_ratio tests the asymptotic bound:
+    it means little where the likelihood is far from quadratic, as at a
+    symmetric point with n * CFI near one, where it can fall well below 1.
     """
     seed = _checked_seed(seed)
     n_photons = _whole_number(n_photons, "n_photons", 1)
     trials = _whole_number(trials, "trials", 2)
     theta_true = finite_number(theta_true, "theta_true")
     R = fisher._measurement(R, scenario.n_collectors)
-    C, dC = _amplitudes_at(scenario, direction, theta_true)
-    cfi_value = direction.parameter_scale**2 * fisher._cfi_value(C, dC, R)
+    scale = direction.parameter_scale
+    a = direction_rows(direction, scenario.n_sources)
+    C, dC = amplitude_arrays(scenario, scenario.source_positions() + a * (scale * theta_true), a)
+    cfi_value = scale**2 * fisher._cfi_value(C, dC, R)
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
         raise NonIdentifiableError(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
@@ -456,7 +454,7 @@ def crb_sweep(
     lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
     path, slopes = _probability_path(scenario, direction, R, theta_true, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
-    p_true = _normalized(path([theta_true])[0])
+    p_true = _normalized(fisher.detection_probabilities(C, R))
     trial_seeds, generators = _trial_generators(seed, trials)
     draws = [g.multinomial(n_photons, p_true) for g in generators]
     estimates = _refine(np.array(draws, dtype=float), slopes, theta, log_p)
@@ -464,6 +462,8 @@ def crb_sweep(
     empirical = float(np.var(estimates, ddof=1))
     predicted = 1.0 / (n_photons * cfi_value)
     aggregate = EstimationResult(
+        qfi=scale**2 * fisher._qfi_value(C, dC, fisher.support_svd(C)),
+        cfi=cfi_value,
         theta_hat=float(estimates.mean()),
         log_likelihood=None,
         fisher_predicted_variance=predicted,

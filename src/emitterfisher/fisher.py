@@ -464,19 +464,13 @@ def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport
     return _report(direction, cfi=_cfi_value(C, dC, R))
 
 
-def _information(
-    direction: GeneralizedCoordinate, C: np.ndarray, dC: np.ndarray, svd, R
-) -> FisherReport:
-    """Joint qfi and cfi report from C, dC along ``direction`` and support_svd(C)."""
-    return _report(direction, qfi=_qfi_value(C, dC, svd), cfi=_cfi_value(C, dC, R))
-
-
 def information_report(
     scenario: Scenario, direction: GeneralizedCoordinate, R
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _information(direction, C, dC, _scenario_svd(scenario), R)
+    qfi_value = _qfi_value(C, dC, _scenario_svd(scenario))
+    return _report(direction, qfi=qfi_value, cfi=_cfi_value(C, dC, R))
 
 
 # ---------------------------------------------------------------------------

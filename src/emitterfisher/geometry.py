@@ -515,19 +515,32 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+_SOURCE_BYTES, _COLLECTOR_BYTES, _ENTRY_BYTES = 384, 256, 8192
+
+
+def _held_bytes(content: bytes, scenario: Scenario) -> int:
+    """Upper bound of the bytes a memo entry holds once its Scenario is used.
+
+    The key; _ENTRY_BYTES for the Scenario, its slots, array headers and
+    digest; per source and per collector, its record, floats, array rows
+    and singular value or phase row (Python 3.11 takes 248 and 185); and
+    the complex arrays kept on it (_kept): C, the support SVD's U_r and V_r
+    (r <= N_S), and one dC, or qfi_matrix_consistency's six for N_S <= 2.
+    """
+    n_c, n_s = scenario.n_collectors, scenario.n_sources
+    complex_entries = n_c * n_s * (2 + (6 if n_s <= 2 else 1)) + n_s * n_s
+    records = _SOURCE_BYTES * n_s + _COLLECTOR_BYTES * n_c
+    return len(content) + _ENTRY_BYTES + records + 16 * complex_entries
+
+
 class _LoadedScenarios:
     """Least-recently-used map from scenario file bytes to the Scenario they build.
 
     Keyed on content, so an edited file is parsed again whatever its path or
-    mtime.  Bounded by the total size of the files held.  A new Scenario
-    takes 5 to 7 times its file's bytes; use adds the arrays kept on it
-    (_kept), about 48 N_C N_S + 24 N_C bytes, and 16 N_C N_S more per
-    extra direction of a stacked dC.  After a qfi, cfi and
-    verify_saturation round a bundled file's Scenario takes 10 to 15 times
-    the file's bytes (tracemalloc), so with the keys a memo of such files
-    holds at most about 16 times ``max_bytes``.  C grows as N_C N_S and a
-    file as N_C + N_S, so many sources on many collectors take more.  A
-    file larger than the bound is not held, and evicts nothing.
+    mtime.  Each entry is charged up front with what it holds once its
+    Scenario is used (_held_bytes), and the charges are bounded by
+    ``max_bytes``.  An entry charged more than the bound is not held, and
+    evicts nothing.
     """
 
     def __init__(self, max_bytes: int):
@@ -544,19 +557,19 @@ class _LoadedScenarios:
             return scenario
 
     def put(self, content: bytes, scenario: Scenario) -> None:
+        charge = _held_bytes(content, scenario)
         with self._lock:
-            if content in self._entries or len(content) > self.max_bytes:
+            if content in self._entries or charge > self.max_bytes:
                 return
             self._entries[content] = scenario
-            self._bytes += len(content)
+            self._bytes += charge
             while self._bytes > self.max_bytes:
-                evicted, _ = self._entries.popitem(last=False)
-                self._bytes -= len(evicted)
+                self._bytes -= _held_bytes(*self._entries.popitem(last=False))
 
 
-# 1 MiB of scenario files: under 17 MB held once used, 36 files the size of
-# the bundled disc (N_C = 1257) or thousands of small arrays.
-_loaded = _LoadedScenarios(max_bytes=1 << 20)
+# 16 MiB once used: 23 scenarios the size of the bundled disc (N_C = 1257),
+# over 1000 small arrays, or three files of 100 sources on 1000 collectors.
+_loaded = _LoadedScenarios(max_bytes=16 << 20)
 
 
 def load_scenario(path) -> Scenario:
@@ -615,6 +628,7 @@ def disc_collector_grid(spacing: float, radius: float = 1.0) -> tuple[Collector,
     inversion symmetric and its second moment converges to radius**2/4
     from above as the spacing shrinks.
     """
+    spacing, radius = finite_number(spacing, "spacing"), finite_number(radius, "radius")
     if spacing <= 0 or radius <= 0:
         raise ScenarioError("spacing and radius must be positive")
     n = int(np.ceil(radius / spacing)) + 1

@@ -356,6 +356,40 @@ def test_design_builds_base_amplitudes_once(monkeypatch, tmp_path, cold_loads):
     assert svds == []
 
 
+def test_simulate_builds_the_truth_once(monkeypatch, tmp_path):
+    # The sweep builds C and dC at --theta-true once, and takes its CFI,
+    # its QFI (the one support SVD) and the draw probabilities from that
+    # build; the likelihood grid and four refinement steps build the rest.
+    # The CLI only formats the sweep's result.
+    import emitterfisher.fisher as fisher_mod
+    import emitterfisher.geometry as geometry_mod
+
+    four = emitterfisher.load_scenario(bundled_scenario_path("four_collector.scn"))
+    d = emitterfisher.named_direction("separation-x", 2)
+    truth = four.source_positions() + d.a.reshape(2, 3) * (d.parameter_scale * 0.5)
+    builds, svd_callers = [], []
+    raw, svd = geometry_mod._raw_amplitudes, fisher_mod.support_svd
+
+    def counted(rows, xyz, *args):
+        builds.append((xyz, args[-1] is not None))
+        return raw(rows, xyz, *args)
+
+    def counted_svd(C):
+        svd_callers.append(sys._getframe(1).f_globals["__name__"])
+        return svd(C)
+
+    monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
+    monkeypatch.setattr(fisher_mod, "support_svd", counted_svd)
+    assert run_cli("simulate", "--scenario", str(bundled_scenario_path("four_collector.scn")),
+                   "--direction", "separation-x", "--interferometer", "qft", "--trials", "20",
+                   "--theta-true", "0.5", "--out", str(tmp_path / "sim.json")) == EXIT_OK
+    assert len(builds) == 6
+    at_truth = [derivative for xyz, derivative in builds
+                if xyz.shape == truth.shape and np.array_equal(xyz, truth)]
+    assert at_truth == [True]
+    assert svd_callers == ["emitterfisher.estimation"]
+
+
 def test_parser_built_once_per_process(two_collector, monkeypatch, tmp_path):
     constructed = []
     init = argparse.ArgumentParser.__init__

@@ -171,8 +171,10 @@ def test_mle_estimate_result_is_strict_json():
     est = mle_estimate(np.array([900.0, 1100.0]), s, SEP_X, beam_splitter_with_phase(0.0),
                        (-0.5, 0.5))
     assert est.fisher_predicted_variance is None and est.empirical_variance is None
+    assert est.qfi is None and est.cfi is None
     doc = json.loads(json.dumps(est.to_dict(), allow_nan=False))
     assert doc["theta_hat"] == est.theta_hat and doc["trials"] == 1
+    assert doc["qfi"] is None and doc["cfi"] is None
 
 
 def test_mle_concentration():
@@ -426,6 +428,36 @@ def test_refinement_reaches_the_score_root():
         assert (gain >= 0.0).all()
 
 
+@pytest.mark.parametrize("name", ["two_collector.scn", "four_collector.scn",
+                                  "disc_aperture_r1.scn"])
+@pytest.mark.parametrize("mode", ["paraxial", "exact"])
+def test_crb_sweep_reports_information_at_the_truth(name, mode):
+    # The aggregate's qfi and cfi are, bit for bit, information_report of
+    # the sources moved to the truth, behind the sweep's measurement; cfi
+    # sizes the predicted variance.
+    from emitterfisher import (amplitude_and_derivative, bundled_scenario_path, information_report,
+                               load_scenario, optimal_interferometer, qft_interferometer)
+
+    base = load_scenario(bundled_scenario_path(name))
+    s = Scenario(base.sources, base.collectors, base.k, base.z0, mode)
+    n = 20000
+    measurements = [qft_interferometer(s.n_collectors),
+                    optimal_interferometer(*amplitude_and_derivative(s, SEP_X))]
+    if s.n_collectors == 2:
+        measurements.append(beam_splitter_with_phase(0.3))
+    for R in measurements:
+        for theta_true in (0.5, -1.3, 2.0):
+            aggregate, _ = crb_sweep(s, SEP_X, R, theta_true=theta_true, n_photons=n, trials=2,
+                                     seed=1)
+            moved = displace(s, SEP_X, SEP_X.parameter_scale * theta_true)
+            truth = information_report(moved, SEP_X, R)
+            assert (aggregate.qfi, aggregate.cfi) == (truth.qfi, truth.cfi)
+            assert 0.0 < aggregate.cfi <= aggregate.qfi * (1 + 1e-9)
+            assert aggregate.fisher_predicted_variance == 1.0 / (n * aggregate.cfi)
+            doc = json.loads(json.dumps(aggregate.to_dict(), allow_nan=False))
+            assert list(doc)[:3] == ["qfi", "cfi", "theta_hat"]
+
+
 def test_crb_amplitude_calls_do_not_depend_on_trials(monkeypatch):
     # All trials are refined in lockstep: each step evaluates the score of
     # every trial still refining in one amplitude call, and a handful of
@@ -574,6 +606,24 @@ def test_mle_estimate_rejects_bad_counts(counts, match):
     bs = beam_splitter_with_phase(0.0)
     with pytest.raises(ScenarioError, match=match):
         mle_estimate(np.array(counts, dtype=float), s, SEP_X, bs, (1.5, 2.5))
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((0.0, math.nan, 1.0), "n_photons must be finite"),
+        ((0.0, 1.5, 1.0), "n_photons must be an integer"),
+        ((0.0, 0, 1.0), "n_photons must be an integer >= 1"),
+        ((math.nan, 100, 1.0), "prior_center must be finite"),
+        ((0.0, 100, math.inf), "the CFI must be finite"),
+        ((0.0, 100, 0.0), "the CFI must be positive"),
+    ],
+    ids=["nan-photons", "fractional-photons", "no-photons", "nan-center", "infinite-cfi",
+         "zero-cfi"],
+)
+def test_search_interval_input_checks_raise(args, match):
+    with pytest.raises(ScenarioError, match=match):
+        default_search_interval(*args)
 
 
 def test_non_integer_photon_and_trial_counts_rejected():

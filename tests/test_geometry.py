@@ -417,11 +417,13 @@ _SCENARIO_DATA = {"k": 1.0, "z0": 100.0, "sources": [{"x": 0, "y": 0, "z": 0}],
      "collector #0 must be a mapping"),
     (lambda: scenario_from_dict([_SCENARIO_DATA]), "mapping at top level"),
     (lambda: disc_collector_grid(0), "spacing and radius must be positive"),
+    (lambda: disc_collector_grid(math.nan), "spacing must be finite"),
+    (lambda: disc_collector_grid(0.1, math.nan), "radius must be finite"),
     (lambda: optimal_interferometer(np.ones((4, 2)), np.ones((4, 1))),
      "amplitude and derivative shapes differ"),
 ], ids=["non-flat-a", "zero-a", "nan-a", "zero-scale", "negative-scale", "zero-tangent",
         "direction-length", "sources-not-list", "item-not-mapping", "top-not-mapping",
-        "zero-spacing", "derivative-shape"])
+        "zero-spacing", "nan-spacing", "nan-radius", "derivative-shape"])
 def test_input_checks_raise(call, message):
     with pytest.raises(ScenarioError, match=message):
         call()
@@ -687,8 +689,11 @@ def test_bundled_scenario_digests(name, digest):
 
 
 def test_loaded_scenarios_bounded_by_bytes():
-    held = geometry._LoadedScenarios(max_bytes=10)
+    # Each entry is charged what it holds once used, not its file's bytes;
+    # the bound here admits two of these entries.
     a, b, c = (make_scenario([(x, 0, 0)], [(1, 0)]) for x in (0.1, 0.2, 0.3))
+    charge = geometry._held_bytes(b"aaaa", a)
+    held = geometry._LoadedScenarios(max_bytes=2 * charge + 1)
     held.put(b"aaaa", a)
     held.put(b"bbbb", b)
     assert held.get(b"aaaa") is a
@@ -696,6 +701,72 @@ def test_loaded_scenarios_bounded_by_bytes():
     # Least recently used first: b goes, a (read after b was put) stays.
     assert held.get(b"bbbb") is None
     assert held.get(b"aaaa") is a and held.get(b"cccc") is c
-    held.put(b"x" * 11, b)
-    assert held.get(b"x" * 11) is None
+    # An entry charged more than the bound is not held and evicts nothing.
+    held.put(b"x" * 2 * charge, b)
+    assert held.get(b"x" * 2 * charge) is None
     assert held.get(b"aaaa") is a and held.get(b"cccc") is c
+
+
+def test_loaded_scenarios_large_files_evict_each_other():
+    # 100 sources on 2000 collectors: a short file whose Scenario holds
+    # about 10 MB once used, so two do not fit in the memo's 16 MiB; small
+    # arrays stay held beside one of them.
+    sources = [(0.01 * i, 0, 0) for i in range(100)]
+    collectors = [(0.01 * q, 0) for q in range(2000)]
+    big, other = (make_scenario(sources, collectors, z0=z0) for z0 in (100.0, 200.0))
+    held = geometry._LoadedScenarios(geometry._loaded.max_bytes)
+    assert held.max_bytes == 16 << 20
+    assert held.max_bytes / 2 < geometry._held_bytes(b"big", big) < held.max_bytes
+    small = load_scenario(bundled_scenario_path("four_collector.scn"))
+    held.put(b"small", small)
+    held.put(b"big", big)
+    assert held.get(b"big") is big and held.get(b"small") is small
+    held.put(b"other", other)
+    assert held.get(b"big") is None
+    assert held.get(b"other") is other and held.get(b"small") is small
+
+
+def test_memo_charge_bounds_what_a_used_scenario_holds(monkeypatch, tmp_path):
+    # tracemalloc of a load and a qfi, cfi, verify_saturation (and, for one
+    # or two sources, qfimatrix) round stays under the entry's charge, for
+    # the bundled files and for many sources on many collectors.
+    import gc
+    import tracemalloc
+
+    from emitterfisher import (ParaxialTarget, cfi, qfi, qfi_matrix_consistency,
+                               qft_interferometer)
+
+    rng = np.random.default_rng(3)
+    wide = make_scenario(rng.normal(0, 0.1, (100, 3)), rng.normal(0, 5, (1000, 2)))
+    save_scenario(wide, tmp_path / "wide.scn")
+    paths = [bundled_scenario_path(n) for n in ("two_collector.scn", "four_collector.scn",
+                                                  "disc_aperture_r1.scn")]
+
+    def load_and_use(path):
+        s = load_scenario(path)
+        d = GeneralizedCoordinate.from_tangent(np.eye(3 * s.n_sources)[0])
+        qfi(s, d)
+        cfi(s, d, qft_interferometer(s.n_collectors))
+        verify_saturation(s, d)
+        scenario_digest(s)
+        if s.n_sources == 2:
+            qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
+        return s
+
+    # A first round warms the process-wide caches that no entry holds.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        load_and_use(_pair_file(tmp_path / "warm.scn", 0.1))
+        for path in [*paths, tmp_path / "wide.scn"]:
+            monkeypatch.setattr(geometry, "_loaded",
+                                geometry._LoadedScenarios(geometry._loaded.max_bytes))
+            content = path.read_bytes()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                s = load_and_use(path)
+                gc.collect()
+                used = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert used <= geometry._held_bytes(content, s), path.name
