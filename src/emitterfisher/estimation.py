@@ -11,7 +11,8 @@ probabilities, and with them their derivatives, are evaluated for a
 vector of thetas at once, one apply of the measurement to all their
 amplitudes; the trials of a sweep are refined together, one batched
 evaluation per step, and a single estimate is the one-trial case of the
-same code.  A sweep's aggregate also holds the QFI and CFI at its truth.
+same code.  A sweep draws all its trials from one generator in one call,
+and its aggregate holds the QFI and CFI at its truth.
 """
 
 from __future__ import annotations
@@ -220,7 +221,8 @@ def mle_estimate(
     """Maximize the counting log-likelihood over the search interval.
 
     The counts must be a finite, non-negative vector of length N_C with a
-    positive total.  A coarse grid locates the mode (and checks
+    positive total, and the interval must resolve GRID_POINTS grid values
+    (_checked_interval).  A coarse grid locates the mode (and checks
     identifiability: flat detection probabilities raise
     NonIdentifiableError); a search for the root of the score refines it
     until its step is within REFINE_TOL times the interval width (_refine).
@@ -229,9 +231,7 @@ def mle_estimate(
     if isinstance(counts, DetectionRecord):
         counts = counts.counts
     counts = _checked_counts(counts, scenario.n_collectors)
-    lo, hi = map(float, search_interval)
-    if not lo < hi:
-        raise ScenarioError(f"invalid search interval [{lo}, {hi}]")
+    lo, hi = _checked_interval(*search_interval)
     path, slopes = _probability_path(scenario, direction, R, lo, hi)
     theta_hat = float(_refine(counts[None], slopes, *_likelihood_grid(path, lo, hi))[0])
     return EstimationResult(
@@ -304,98 +304,28 @@ def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) ->
 def default_search_interval(
     prior_center: float, n_photons: int, cfi_value: float
 ) -> tuple[float, float]:
-    """prior_center +- SEARCH_SIGMAS predicted standard deviations; finite inputs, n and CFI > 0."""
+    """prior_center +- SEARCH_SIGMAS sigmas (_checked_interval); finite inputs, n and CFI > 0."""
     prior_center = finite_number(prior_center, "prior_center")
     n_photons = _whole_number(n_photons, "n_photons", 1)
     cfi_value = finite_number(cfi_value, "the CFI")
     if cfi_value <= 0:
         raise ScenarioError("the CFI must be positive to size the search interval")
     sigma = math.sqrt(1.0 / (n_photons * cfi_value))
-    return prior_center - SEARCH_SIGMAS * sigma, prior_center + SEARCH_SIGMAS * sigma
+    return _checked_interval(prior_center - SEARCH_SIGMAS * sigma,
+                             prior_center + SEARCH_SIGMAS * sigma)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): its two hash chains,
-# its mix multipliers and its pool of 4 uint32 words.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL = 4
-
-
-def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
-    """init * mult**j mod 2**32 for j = 0..n: the constants of n hashmix steps."""
-    chain = [init]
-    for _ in range(n):
-        chain.append(chain[-1] * mult & 0xFFFFFFFF)
-    return np.array(chain, dtype=np.uint32)
-
-
-def _hashmix(value: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix: column j of ``value`` hashed with chain[j] and chain[j + 1]."""
-    value = (value ^ chain[:-1]) * chain[1:]
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_L * x - _MIX_R * y
-    return mixed ^ mixed >> 16
-
-
-def _seed_pool(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence's (T, 4) pool from T rows of uint32 entropy, zero-padded to the pool size.
-
-    numpy's loops over source and destination words, with all destinations
-    of one source and all T rows in one uint32 array operation; uint32
-    arrays wrap on overflow as numpy's C code does.
-    """
-    n_rows, width = entropy.shape
-    chain = _hash_chain(_INIT_A, _MULT_A, _POOL * max(width, _POOL))
-    pool = np.zeros((n_rows, _POOL), dtype=np.uint32)
-    pool[:, :width] = entropy[:, :_POOL]
-    pool = _hashmix(pool, chain[:_POOL + 1])
-    k = _POOL
-    for src in range(_POOL):
-        dst = [d for d in range(_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, [src]], chain[k:k + _POOL]))
-        k += _POOL - 1
-    for src in range(_POOL, width):
-        pool = _mix(pool, _hashmix(entropy[:, [src]], chain[k:k + _POOL + 1]))
-        k += _POOL
-    return pool
-
-
-def _generate_state(pool: np.ndarray, n_words: int) -> np.ndarray:
-    """SeedSequence.generate_state(n_words) of each row of ``pool``: (T, n_words) uint32."""
-    return _hashmix(pool[:, np.arange(n_words) % _POOL], _hash_chain(_INIT_B, _MULT_B, n_words))
-
-
-def _trial_generators(seed: int, trials: int) -> tuple[list[int], list]:
-    """Each trial's seed and a Generator equal to default_rng(that seed), for all trials in one pass.
-
-    Trial i's seed is generate_state(1)[0] of SeedSequence(seed).spawn(trials)[i];
-    default_rng(s) seeds PCG64 with SeedSequence(s).generate_state(4, uint64).
-    Both stages run on all trials at once, and PCG64 reads the words from a
-    sequence that returns them; the words must be C-contiguous, since PCG64
-    reads their raw buffer.
-    """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Words(ISeedSequence):
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    # The seed's little-endian uint32 words, padded to the pool, then the spawn key.
-    words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.empty((trials, max(len(words), _POOL) + 1), dtype=np.uint32)
-    entropy[:, :-1] = words + [0] * (_POOL - len(words))
-    entropy[:, -1] = np.arange(trials, dtype=np.uint32)
-    seeds = _generate_state(_seed_pool(entropy), 1)
-    state = _generate_state(_seed_pool(seeds), 2 * _POOL)
-    pcg_words = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64)
-    return seeds[:, 0].tolist(), [Generator(PCG64(Words(w))) for w in pcg_words]
+def _checked_interval(lo, hi) -> tuple[float, float]:
+    """Finite [lo, hi] whose GRID_POINTS grid values are distinct doubles; ScenarioError otherwise."""
+    lo, hi = (finite_number(end, "a search interval end") for end in (lo, hi))
+    if lo > hi:
+        raise ScenarioError(f"invalid search interval [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise ScenarioError(f"search interval [{lo}, {hi}] is too wide: its width overflows")
+    if not (np.diff(np.linspace(lo, hi, GRID_POINTS)) > 0).all():
+        raise ScenarioError(f"search interval [{lo}, {hi}] has no resolution: its {GRID_POINTS} "
+                            "grid points are not distinct doubles")
+    return lo, hi
 
 
 @dataclass
@@ -425,14 +355,14 @@ def crb_sweep(
     applied to C alone).  A CFI that is not positive raises
     NonIdentifiableError; the truth and both ends of the search interval
     are then checked in one call, so the paraxial-validity warning is
-    emitted at most once.  Trial i's seed, record.seed, is the first
-    uint32 word of numpy's SeedSequence(seed).spawn(trials)[i], and its
-    photons are drawn by default_rng(record.seed); both are derived for
-    all trials in one batch (_trial_generators), with numpy's results bit
-    for bit.  Every trial is drawn, then all are refined together, one
-    batched evaluation of p(theta) and dp/dtheta per step (_refine).  Each
-    estimate equals mle_estimate of sample_detections(..., seed=record.seed)
-    over default_search_interval.  ``threads`` is ignored.  Returns the
+    emitted at most once.  All trials are drawn in one call,
+    default_rng(seed).multinomial(n_photons, p(theta_true), size=trials):
+    trial i's photons are row i, so (seed, i) identifies them, record.seed
+    is the sweep seed, a sweep's trials are the first of any longer sweep
+    with its seed, and trial 0's are sample_detections(..., seed).counts.
+    All are then refined together, one batched evaluation of p(theta) and
+    dp/dtheta per step (_refine), each to mle_estimate of its row over
+    default_search_interval.  ``threads`` is ignored.  Returns the
     aggregate (qfi and cfi at the truth, crb_ratio = empirical_variance *
     n * CFI) and per-trial records.  crb_ratio tests the asymptotic bound:
     it means little where the likelihood is far from quadratic, as at a
@@ -455,23 +385,20 @@ def crb_sweep(
     path, slopes = _probability_path(scenario, direction, R, theta_true, lo, hi)
     theta, log_p = _likelihood_grid(path, lo, hi)
     p_true = _normalized(fisher.detection_probabilities(C, R))
-    trial_seeds, generators = _trial_generators(seed, trials)
-    draws = [g.multinomial(n_photons, p_true) for g in generators]
-    estimates = _refine(np.array(draws, dtype=float), slopes, theta, log_p)
-    records = [TrialRecord(i, s, float(t)) for i, (s, t) in enumerate(zip(trial_seeds, estimates))]
+    draws = np.random.default_rng(seed).multinomial(n_photons, p_true, size=trials)
+    estimates = _refine(draws.astype(float), slopes, theta, log_p)
+    records = [TrialRecord(i, seed, float(t)) for i, t in enumerate(estimates)]
     empirical = float(np.var(estimates, ddof=1))
-    predicted = 1.0 / (n_photons * cfi_value)
-    aggregate = EstimationResult(
+    return EstimationResult(
         qfi=scale**2 * fisher._qfi_value(C, dC, fisher.support_svd(C)),
         cfi=cfi_value,
         theta_hat=float(estimates.mean()),
         log_likelihood=None,
-        fisher_predicted_variance=predicted,
+        fisher_predicted_variance=1.0 / (n_photons * cfi_value),
         empirical_variance=empirical,
         trials=trials,
         crb_ratio=empirical * n_photons * cfi_value,
-    )
-    return aggregate, records
+    ), records
 
 
 def write_trials_csv(path, records: list[TrialRecord]) -> None:

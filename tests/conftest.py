@@ -1,8 +1,10 @@
 """Helpers shared by the test modules."""
 
+import numpy as np
 import pytest
 
 import emitterfisher.geometry as geometry
+from emitterfisher import estimation
 
 
 @pytest.fixture
@@ -16,3 +18,36 @@ def cold_loads(monkeypatch):
     included, share that one.
     """
     monkeypatch.setattr(geometry, "_loaded", geometry._LoadedScenarios(geometry._loaded.max_bytes))
+
+
+def crb_ratio_interval(trials, false_failure=1e-6):
+    """Interval that an efficient sweep's crb_ratio leaves with probability ``false_failure``.
+
+    For ``trials`` independent normal estimates of variance 1/(n CFI),
+    crb_ratio = sample variance * n * CFI is distributed as
+    chi2(trials - 1) / (trials - 1).  A test's fixed band must contain this
+    interval at its trial count, or a correct program fails it too often.
+    """
+    from scipy.stats import chi2
+
+    dof = trials - 1
+    return chi2.ppf(false_failure / 2, dof) / dof, chi2.isf(false_failure / 2, dof) / dof
+
+
+def sweep_draws(scenario, direction, R, theta_true, n_photons, trials, seed):
+    """The photons of crb_sweep's trials: default_rng(seed)'s one draw of ``trials`` rows."""
+    path, _ = estimation._probability_path(scenario, direction, R, theta_true)
+    p_true = estimation._normalized(path([theta_true])[0])
+    return np.random.default_rng(seed).multinomial(n_photons, p_true, size=trials)
+
+
+def spy_refine(monkeypatch):
+    """A list of the counts that each later call of estimation._refine refines, in call order."""
+    refined, real_refine = [], estimation._refine
+
+    def spy(counts, *args):
+        refined.append(counts)
+        return real_refine(counts, *args)
+
+    monkeypatch.setattr(estimation, "_refine", spy)
+    return refined

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import emitterfisher
+from conftest import crb_ratio_interval, spy_refine, sweep_draws
 from emitterfisher import bundled_scenario_path, bundled_scenarios, identity_interferometer
 from emitterfisher import interferometer_to_json
 from emitterfisher.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
@@ -122,16 +123,20 @@ def test_qfimatrix_does_not_need_direction(two_collector, capsys):
 
 
 def test_simulate_command(two_collector, tmp_path):
+    trials = 640
+    lo, hi = crb_ratio_interval(trials)
+    assert 0.7 <= lo and hi <= 1.3
     out = tmp_path / "sim.json"
     code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
                    "--interferometer", "bs_phase:0.0", "--photons", "5000",
-                   "--trials", "60", "--seed", "3", "--theta-true", "2.0",
+                   "--trials", str(trials), "--seed", "3", "--theta-true", "2.0",
                    "--out", str(out))
     assert code == EXIT_OK
     doc = read_json(out)
     assert 0.7 <= doc["crb_ratio"] <= 1.3
     csv_lines = (tmp_path / "sim.csv").read_text().strip().splitlines()
-    assert len(csv_lines) == 61
+    assert csv_lines[0] == "trial,seed,theta_hat" and len(csv_lines) == trials + 1
+    assert all(line.split(",")[:2] == [str(i), "3"] for i, line in enumerate(csv_lines[1:]))
 
 
 def test_simulate_reports_information_at_the_truth(tmp_path):
@@ -296,21 +301,25 @@ def test_design_document_embeds_the_serialized_interferometer(tmp_path):
     assert read_json(out)["interferometer"] == json.loads(interferometer_to_json(R))
 
 
-def test_simulate_takes_photon_counts_exactly(two_collector, tmp_path, capsys):
-    # --photons 2**53 + 1 draws that many photons, not 2**53; 2**63, more
-    # than the multinomial draw takes, is a validation error.
+def test_simulate_takes_photon_counts_exactly(two_collector, tmp_path, capsys, monkeypatch):
+    # --photons 2**53 + 1 draws that many photons, not 2**53 (the two draws
+    # differ by one photon); 2**63, more than the multinomial draw takes, is
+    # a validation error.
     n = 2**53 + 1
     args = ("simulate", "--scenario", two_collector, "--direction", "separation-x",
             "--interferometer", "bs_phase:0", "--trials", "3", "--seed", "1", "--theta-true", "2.0")
     out = tmp_path / "sim.json"
+    refined = spy_refine(monkeypatch)
     assert run_cli(*args, "--photons", str(n), "--out", str(out)) == EXIT_OK
     scenario = emitterfisher.load_scenario(two_collector)
     d = emitterfisher.named_direction("separation-x", 2)
     bs = emitterfisher.beam_splitter_with_phase(0.0)
-    exact, _ = emitterfisher.crb_sweep(scenario, d, bs, theta_true=2.0, n_photons=n, trials=3, seed=1)
-    rounded, _ = emitterfisher.crb_sweep(scenario, d, bs, theta_true=2.0, n_photons=n - 1, trials=3,
-                                         seed=1)
-    assert read_json(out)["theta_hat"] == exact.theta_hat != rounded.theta_hat
+    exact, rounded = (sweep_draws(scenario, d, bs, 2.0, m, 3, seed=1) for m in (n, n - 1))
+    assert (exact != rounded).any()
+    np.testing.assert_array_equal(refined[0], exact)
+    aggregate, _ = emitterfisher.crb_sweep(scenario, d, bs, theta_true=2.0, n_photons=n, trials=3,
+                                           seed=1)
+    assert read_json(out)["theta_hat"] == aggregate.theta_hat
     capsys.readouterr()
     assert run_cli(*args, "--photons", str(2**63), "--out", str(out)) == EXIT_VALIDATION
     assert "n_photons must be below 2**63" in capsys.readouterr().err
@@ -472,6 +481,17 @@ def test_negative_seed_exits_2_without_a_traceback(two_collector):
     assert child.stderr.startswith("error: seed must be a non-negative integer")
     assert "Traceback" not in child.stderr
     assert child.stdout == ""
+
+
+def test_truth_beyond_the_interval_resolution_exits_2(two_collector, tmp_path, capsys):
+    # At 1e17 the search interval (+- 0.6) rounds to one double: a validation
+    # error naming the lost resolution, not a non-identifiable parameter.
+    code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
+                   "--interferometer", "bs_phase:0", "--photons", "100000", "--trials", "3",
+                   "--seed", "1", "--theta-true", "1e17", "--out", str(tmp_path / "sim.json"))
+    assert code == EXIT_VALIDATION
+    assert "has no resolution" in capsys.readouterr().err
+    assert not (tmp_path / "sim.json").exists()
 
 
 @pytest.mark.parametrize("spec", ["bs_phase:abc", "bs_phase:nan", "qft:3", "identity:x"])
