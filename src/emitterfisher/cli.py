@@ -100,11 +100,11 @@ def cmd_cfi(args, scenario, direction):
 
 
 def cmd_design(args, scenario, direction):
-    saturation = itf.verify_saturation(scenario, direction)
+    measurement, report, probabilities = itf._design(scenario, direction)
     return {
-        "interferometer": itf._interferometer_payload(saturation.interferometer),
-        "probabilities": saturation.probabilities.tolist(),
-        "saturation_ratio": saturation.saturation_ratio,
+        "interferometer": itf._interferometer_payload(measurement),
+        "probabilities": probabilities.tolist(),
+        "saturation_ratio": report.saturation_ratio,
     }, True
 
 

@@ -9,10 +9,11 @@ refined to the root of the score, the derivative of the log-likelihood:
 Fisher scoring, then secant steps, safeguarded by bisection.  Detection
 probabilities, and with them their derivatives, are evaluated for a
 vector of thetas at once, one apply of the measurement to all their
-amplitudes; the trials of a sweep are refined together, one batched
-evaluation per step, and a single estimate is the one-trial case of the
-same code.  A sweep draws all its trials from one generator in one call,
-and its aggregate holds the QFI and CFI at its truth.
+amplitudes; the trials of a sweep are scanned in blocks of bounded
+memory and refined together, one batched evaluation per step, and a
+single estimate is the one-trial case of the same code.  A sweep draws
+all its trials from one generator in one call, and its aggregate holds
+the QFI and CFI at its truth.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
 LOG_FLOOR = 1e-300
 # Grid resolution of the coarse likelihood scan.
 GRID_POINTS = 64
+# Most entries of one block's (trials, GRID_POINTS, N_C) product in the grid scan (8 MB).
+GRID_BLOCK = 1 << 20
 # Refinement stops at a step within this fraction of the grid span.
 REFINE_TOL = 1e-8
 # Half-width of the default search interval in predicted standard deviations.
@@ -254,51 +257,73 @@ def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return theta, np.log(np.maximum(probs, LOG_FLOOR))
 
 
+def _grid_modes(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """Index of the grid row of largest log-likelihood for each row of ``counts``, the first on ties.
+
+    Blocks of trials are scored against all rows of ``log_p`` in one
+    broadcast product each, of at most GRID_BLOCK entries (one trial at
+    least), so the temporary stays near 8 MB whatever T and N_C.  Each
+    score is the sum over the last axis of counts times one row, as a
+    trial scored alone against that row would take it.
+    """
+    rows = max(1, GRID_BLOCK // log_p.size)
+    return np.concatenate([
+        np.argmax((counts[i:i + rows, None, :] * log_p).sum(axis=-1), axis=1)
+        for i in range(0, len(counts), rows)
+    ])
+
+
 def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Grid mode of each row of ``counts``, refined to a root of the score in lockstep.
 
     ``counts`` is (T, N_C); returns the T estimates.  Each trial starts at
-    its grid mode, bracketed by the mode's grid neighbours, and the sign of
-    the score l'(theta) = sum_q n_q dp_q / p_q at each point it reaches
-    narrows the bracket to that point.  The first step is Fisher scoring,
+    its grid mode (_grid_modes, scored in blocks of bounded memory),
+    bracketed by the mode's grid neighbours, and the sign of the score
+    l'(theta) = sum_q n_q dp_q / p_q at each point it reaches narrows the
+    bracket to that point.  The first step is Fisher scoring,
     l' / (n CFI(theta)); later steps follow the secant of the last two
     scores where it is concave, and score again where it is not.  A step
     that would leave the bracket, or is longer than half the step before
     last, bisects the bracket instead: between bisections the steps halve
     every two, and each bisection halves the bracket, so the number of
     steps is bounded.  Each step evaluates the scores of all live trials
-    with one call of ``slopes``.  A trial whose step is within REFINE_TOL
-    times the grid span is frozen at the point that step reaches, so each
-    estimate is what the trial refined alone would give.
+    with one call of ``slopes``.  The state (point, bracket, previous
+    point and score, last two step lengths, counts, n and trial index) is
+    held for the live trials only; each step writes its points to the
+    output, and a trial whose step is within REFINE_TOL times the grid
+    span is frozen at the point that step reaches and dropped from the
+    state, so each estimate is what the trial refined alone would give.
     """
-    best = np.argmax([(counts * row).sum(axis=-1) for row in log_p], axis=0)
+    best = _grid_modes(counts, log_p)
     a = theta[np.maximum(best - 1, 0)]
     b = theta[np.minimum(best + 1, GRID_POINTS - 1)]
     x = theta[best]
+    out = x.copy()
     tol = REFINE_TOL * (theta[-1] - theta[0])
     n = counts.sum(axis=-1)
+    index = np.arange(len(x))
     # Each trial's previous point and score, and the lengths of its last two steps.
     x_prev, s_prev = np.full_like(x, np.nan), np.full_like(x, np.nan)
     d1, d2 = np.full_like(x, np.inf), np.full_like(x, np.inf)
-    live = np.arange(len(x))
-    while live.size:
-        here = x[live]
-        p, dp, cfi = slopes(here)
-        s = (counts[live] * dp / np.maximum(p, LOG_FLOOR)).sum(axis=-1)
-        a[live] = np.where(s >= 0, here, a[live])
-        b[live] = np.where(s <= 0, here, b[live])
-        lo, hi = a[live], b[live]
+    while x.size:
+        p, dp, cfi = slopes(x)
+        s = (counts * dp / np.maximum(p, LOG_FLOOR)).sum(axis=-1)
+        a = np.where(s >= 0, x, a)
+        b = np.where(s <= 0, x, b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            secant = (s - s_prev[live]) / (here - x_prev[live])
-            step = np.where(secant < 0, -s / secant, s / (n[live] * cfi))
-        to = here + step
-        bisect = ~((to > lo) & (to < hi)) | (np.abs(step) > 0.5 * d2[live])
-        to = np.where(bisect, 0.5 * (lo + hi), to)
-        length = np.abs(to - here)
-        x_prev[live], s_prev[live], x[live] = here, s, to
-        d2[live], d1[live] = d1[live], length
-        live = live[length > tol]
-    return x
+            secant = (s - s_prev) / (x - x_prev)
+            step = np.where(secant < 0, -s / secant, s / (n * cfi))
+        to = x + step
+        bisect = ~((to > a) & (to < b)) | (np.abs(step) > 0.5 * d2)
+        to = np.where(bisect, 0.5 * (a + b), to)
+        length = np.abs(to - x)
+        out[index] = to
+        x_prev, s_prev, x, d2, d1 = x, s, to, d1, length
+        live = length > tol
+        if not live.all():
+            x, a, b, x_prev, s_prev, d1, d2, counts, n, index = (
+                v[live] for v in (x, a, b, x_prev, s_prev, d1, d2, counts, n, index))
+    return out
 
 
 def default_search_interval(
@@ -360,13 +385,16 @@ def crb_sweep(
     trial i's photons are row i, so (seed, i) identifies them, record.seed
     is the sweep seed, a sweep's trials are the first of any longer sweep
     with its seed, and trial 0's are sample_detections(..., seed).counts.
-    All are then refined together, one batched evaluation of p(theta) and
-    dp/dtheta per step (_refine), each to mle_estimate of its row over
-    default_search_interval.  ``threads`` is ignored.  Returns the
-    aggregate (qfi and cfi at the truth, crb_ratio = empirical_variance *
-    n * CFI) and per-trial records.  crb_ratio tests the asymptotic bound:
-    it means little where the likelihood is far from quadratic, as at a
-    symmetric point with n * CFI near one, where it can fall well below 1.
+    All are then scored against the likelihood grid in blocks of at most
+    GRID_BLOCK entries, which bounds the scan's memory whatever
+    ``trials``, and refined together, one batched evaluation of p(theta)
+    and dp/dtheta per step over the live trials only (_refine), each to
+    mle_estimate of its row over default_search_interval.  ``threads`` is
+    ignored.  Returns the aggregate (qfi and cfi at the truth, crb_ratio =
+    empirical_variance * n * CFI) and per-trial records.  crb_ratio tests
+    the asymptotic bound: it means little where the likelihood is far from
+    quadratic, as at a symmetric point with n * CFI near one, where it can
+    fall well below 1.
     """
     seed = _checked_seed(seed)
     n_photons = _whole_number(n_photons, "n_photons", 1)
@@ -387,7 +415,7 @@ def crb_sweep(
     p_true = _normalized(fisher.detection_probabilities(C, R))
     draws = np.random.default_rng(seed).multinomial(n_photons, p_true, size=trials)
     estimates = _refine(draws.astype(float), slopes, theta, log_p)
-    records = [TrialRecord(i, seed, float(t)) for i, t in enumerate(estimates)]
+    records = [TrialRecord(i, seed, t) for i, t in enumerate(estimates.tolist())]
     empirical = float(np.var(estimates, ddof=1))
     return EstimationResult(
         qfi=scale**2 * fisher._qfi_value(C, dC, fisher.support_svd(C)),

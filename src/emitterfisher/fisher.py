@@ -431,7 +431,8 @@ def _cfi_from_products(
 ) -> tuple[float, np.ndarray]:
     """sum_q (dp_q)^2 / p_q from R C and R dC (_port_information), and p.
 
-    p equals detection_probabilities(C, R).
+    p equals detection_probabilities(C, R) to rounding, not bit for bit:
+    the callers apply R to [C, dC] as one block.
     """
     p, _, terms = _port_information(RC, RdC)
     return _drop_rounding(float(terms.sum()), C, dC), p

@@ -12,12 +12,16 @@ of a pair C(r), C(r'), and returns it with whether the pair's alignment
 pivoted.
 
 The paper's finite-pair construction from C(r) and C(r') is kept as the
-theorem check.  Alignment: the SVD V^dag M W = D of M = C^dag C' defines
-biorthogonal frames A = C V and B = C' W (A^dag B = D); a column-pivoted
-QR of A yields the N_S occupied output rows P with P A upper-triangular,
-which forces P B lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the
-diagonals.  The other N_C - N_S output modes carry no light of either
-frame, so the check reads P alone.
+theorem check, which only verify_saturation runs: the design of a
+measurement (the CLI's ``design``) builds no pair, and verify_saturation
+applies the measurement to C' on its own, apart from the [C, dC] product
+that gives fisher.information_report's values bit for bit.  Alignment:
+the SVD V^dag M W = D of M = C^dag C' defines biorthogonal frames
+A = C V and B = C' W (A^dag B = D); a column-pivoted QR of A yields the
+N_S occupied output rows P with P A upper-triangular, which forces P B
+lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the diagonals.
+The other N_C - N_S output modes carry no light of either frame, so the
+check reads P alone.
 
 The Interferometer type and its unitarity checks live in fisher, which
 imports nothing from this module; they are re-exported here.  A
@@ -45,6 +49,7 @@ import numpy as np
 
 from .fisher import (
     UNITARITY_TOL,
+    FisherReport,
     Interferometer,
     NumericalError,
     Provenance,
@@ -56,25 +61,24 @@ from .fisher import (
     _report,
     _same_shape,
     _scenario_svd,
-    cfi,
     support_svd,
 )
 from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
+    amplitude_and_derivative,
     amplitude_arrays,
     check_source_positions,
     direction_rows,
     finite_number,
-    named_direction,
 )
 
 __all__ = [
     "SaturationReport", "beam_splitter_with_phase", "builtin_interferometer",
     "identity_interferometer", "interferometer_from_json", "interferometer_to_json",
-    "natural_displacement_scale", "optimal_axial_phase", "optimal_interferometer",
-    "qft_interferometer", "synthesize_optimal_interferometer", "verify_saturation",
+    "natural_displacement_scale", "optimal_interferometer", "qft_interferometer",
+    "synthesize_optimal_interferometer", "verify_saturation",
 ]
 
 # Default displacement of the theorem check's pair, as a fraction of the
@@ -85,8 +89,6 @@ SYNTH_STEP_FRACTION = 1e-4
 LOWER_TRIANGULAR_TOL = 1e-10
 UPPER_TRIANGULAR_TOL = 1e-9
 DIAGONAL_PRODUCT_TOL = 1e-9
-# Phase grid of the optimal_axial_phase scan over [-pi, pi).
-AXIAL_PHASE_GRID = 181
 
 
 class _IdentityInterferometer(Interferometer):
@@ -167,37 +169,6 @@ def builtin_interferometer(
     return builders[kind](n_modes)
 
 
-def optimal_axial_phase(
-    scenario: Scenario, direction: GeneralizedCoordinate | None = None
-) -> float:
-    """Splitter phase maximizing the CFI of a direction on a two-collector pair.
-
-    The single tuning phase of the phase-plus-splitter measurement must be
-    retuned per parameter: zero is best for the transverse separation, but
-    the axial separation (the default direction here) generally wants a
-    different setting.  A coarse grid of AXIAL_PHASE_GRID phases is scanned
-    and the best point refined parabolically.
-    """
-    if scenario.n_collectors != 2:
-        raise ScenarioError("phase tuning applies to two-collector scenarios")
-    if direction is None:
-        direction = named_direction("separation-z", scenario.n_sources)
-
-    def value(alpha: float) -> float:
-        return cfi(scenario, direction, beam_splitter_with_phase(alpha)).cfi
-
-    grid = np.linspace(-math.pi, math.pi, AXIAL_PHASE_GRID, endpoint=False)
-    values = [value(a) for a in grid]
-    best = int(np.argmax(values))
-    step = grid[1] - grid[0]
-    a, b, c = grid[best] - step, grid[best], grid[best] + step
-    fa, fb, fc = value(a), values[best], value(c)
-    denom = (fa - 2 * fb + fc)
-    if denom < 0:  # concave: parabolic vertex
-        return float(b + 0.5 * step * (fa - fc) / denom)
-    return float(b)
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -205,10 +176,11 @@ def optimal_axial_phase(
 
 def _interferometer_payload(interferometer: Interferometer) -> dict:
     """The serialized document as a dict: row-major [re, im] pairs and a provenance tag."""
+    m = interferometer.matrix
     payload = {
         "provenance": interferometer.provenance.value,
         "n_modes": interferometer.n_modes,
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in interferometer.matrix],
+        "matrix": np.stack([m.real, m.imag], -1).tolist(),
     }
     if interferometer.alpha is not None:
         payload["alpha"] = interferometer.alpha
@@ -434,8 +406,8 @@ class SaturationReport:
     ``interferometer`` is optimal_interferometer of (C, dC) at the base
     point, independent of ``delta_theta``.  ``qfi_estimate``,
     ``cfi_estimate`` and ``saturation_ratio`` are the closed-form values
-    of fisher.information_report for it, so ``cfi`` of ``interferometer``
-    reports the same numbers to rounding, and ``unitarity_residual`` is its
+    of fisher.information_report for it, bit for bit, as are those of
+    ``cfi`` of ``interferometer``, and ``unitarity_residual`` is its
     unitarity check, made from its Householder factors.  The theorem check
     runs the alignment stage of the pair construction on
     (r, r + a delta_theta): the triangularity, diagonal-product and
@@ -486,6 +458,26 @@ def natural_displacement_scale(scenario: Scenario) -> float:
     return scenario.z0 / (scenario.k * u_char)
 
 
+def _design(
+    scenario: Scenario, direction: GeneralizedCoordinate
+) -> tuple[Interferometer, FisherReport, np.ndarray]:
+    """optimal_interferometer for ``direction``, its FisherReport and its detection probabilities.
+
+    C, dC and the one support_svd of C that serves the measurement and the
+    QFI are the scenario's own, kept on it (amplitude_and_derivative,
+    fisher._scenario_svd).  The measurement is applied once, to [C, dC],
+    as fisher.information_report applies it, so the report equals
+    information_report(scenario, direction, R) bit for bit; the
+    probabilities are that product's, detection_probabilities(C, R) to
+    rounding.  No pair is built.
+    """
+    C, dC = amplitude_and_derivative(scenario, direction)
+    svd = _scenario_svd(scenario)
+    R = _optimal_interferometer(dC, svd)
+    cfi_value, p = _cfi_from_products(C, dC, *_applied(R, np.stack([C, dC])))
+    return R, _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value), p
+
+
 def verify_saturation(
     scenario: Scenario,
     direction: GeneralizedCoordinate,
@@ -495,18 +487,18 @@ def verify_saturation(
 
     The report holds the closed-form QFI and the CFI of
     optimal_interferometer, with their ratio (fisher.information_report's
-    values, 0/0 defined as 1), which nothing here judges.  It also holds
-    the residuals of the theorem check at the requested step: R1 A
-    upper-triangular, R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)| and
-    scalar products preserved.  ``structure_ok`` compares the unitarity,
-    triangular and diagonal-product residuals with their tolerances
-    (SaturationReport).  A zero or non-finite ``delta_theta`` gives an
-    identical pair, which defines no alignment, and raises ScenarioError.
-    C and dC, and the one support_svd of C that serves the measurement
-    and the QFI, are the scenario's own, kept on it (amplitude_arrays,
-    fisher._scenario_svd); only C' is built, at the displaced positions,
-    with no derivative.  The measurement is applied once, to [C, dC, C'],
-    for the Fisher values, the probabilities and the classical fidelity.
+    values bit for bit, 0/0 defined as 1), which nothing here judges.  It
+    also holds the residuals of the theorem check at the requested step:
+    R1 A upper-triangular, R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|
+    and scalar products preserved.  ``structure_ok`` compares the
+    unitarity, triangular and diagonal-product residuals with their
+    tolerances (SaturationReport).  A zero or non-finite ``delta_theta``
+    gives an identical pair, which defines no alignment, and raises
+    ScenarioError.  The measurement, its Fisher values and its
+    probabilities are _design's, from the C, dC and support SVD kept on
+    the scenario; only C' is built, at the displaced positions, with no
+    derivative, and the measurement is applied to it on its own for the
+    classical fidelity.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
@@ -515,23 +507,18 @@ def verify_saturation(
     a = direction_rows(direction, scenario.n_sources)
     moved = scenario.source_positions() + a * delta_theta
     check_source_positions(moved, scenario.z0, scenario.mode)
-    C, dC = amplitude_arrays(scenario, None, a)
+    R, info, p = _design(scenario, direction)
     C_prime, _ = amplitude_arrays(scenario, moved)
-    P, A, B, D, piv = _align(C, C_prime)
+    P, A, B, D, piv = _align(amplitude_arrays(scenario)[0], C_prime)
     PA, PB = P @ A, P @ B
     lower_resid = float(np.max(np.abs(np.tril(PA, -1))))
     upper_resid = float(np.max(np.abs(np.triu(PB, 1))))
     diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
     scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
-    svd = _scenario_svd(scenario)
-    R = _optimal_interferometer(dC, svd)
-    RC, RdC, RC_prime = _applied(R, np.stack([C, dC, C_prime]))
-    cfi_value, p = _cfi_from_products(C, dC, RC, RdC)
-    info = _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value)
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=float(D.sum()),
-        classical_fidelity=float(np.sqrt(p * _probabilities(RC_prime)).sum()),
+        classical_fidelity=float(np.sqrt(p * _probabilities(_applied(R, C_prime))).sum()),
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,

@@ -3,7 +3,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -351,6 +351,81 @@ def test_lockstep_refinement_matches_one_trial_search():
     expected = [_scalar_refine(c, slopes, theta, log_p) for c in counts]
     assert min(expected) == 1.5 and max(expected) == 2.5
     assert estimation._refine(counts, slopes, theta, log_p).tolist() == expected
+
+
+def _row_by_row_modes(counts, log_p):
+    """The grid scan one log_p row at a time over all trials: the reference for _grid_modes."""
+    return np.argmax([(counts * row).sum(axis=-1) for row in log_p], axis=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trials=st.integers(1, 120), n_collectors=st.integers(2, 16), ties=st.integers(0, 40),
+       block_rows=st.one_of(st.none(), st.integers(1, 130)), seed=st.integers(0, 2**32))
+def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, block_rows, seed):
+    # The blocked broadcast scan must pick, bit for bit, the grid row the
+    # row-by-row scan picks, in one block or in many (block_rows trials
+    # each), past numpy's eight-term pairwise block of the sum, on exact
+    # ties, forced by repeating log_p rows and trials, where both take the
+    # first row, and on near ties, rows a few ulps from another, where the
+    # pick depends on the order in which each score is summed.
+    from unittest import mock
+
+    from emitterfisher import estimation
+
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n_collectors), estimation.GRID_POINTS)
+    log_p = np.log(np.maximum(p, estimation.LOG_FLOOR))
+    for _ in range(ties):
+        i, j = rng.integers(estimation.GRID_POINTS, size=2)
+        ulps = rng.integers(-2, 3, n_collectors) * rng.integers(2)
+        log_p[max(i, j)] = log_p[min(i, j)] * (1 + ulps * np.finfo(float).eps)
+    counts = rng.multinomial(int(rng.integers(1, 10**6)), p[rng.integers(estimation.GRID_POINTS)],
+                             size=trials).astype(float)
+    counts[rng.random(trials) < 0.2] = counts[0]
+    block = estimation.GRID_BLOCK if block_rows is None else block_rows * log_p.size
+    with mock.patch.object(estimation, "GRID_BLOCK", block):
+        modes = estimation._grid_modes(counts, log_p)
+    np.testing.assert_array_equal(modes, _row_by_row_modes(counts, log_p))
+
+
+def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
+    # A 40-trial sweep on four collectors scored in blocks of 7 trials, or
+    # of one, gives the records of the sweep scored in one block.
+    from emitterfisher import bundled_scenario_path, estimation, load_scenario, qft_interferometer
+
+    four = load_scenario(bundled_scenario_path("four_collector.scn"))
+
+    def sweep():
+        return crb_sweep(four, SEP_X, qft_interferometer(4), theta_true=2.0, n_photons=20000,
+                         trials=40, seed=9)
+
+    aggregate, records = sweep()
+    grid_size = estimation.GRID_POINTS * four.n_collectors
+    assert 40 * grid_size <= estimation.GRID_BLOCK
+    for block in (7 * grid_size, 1):
+        monkeypatch.setattr(estimation, "GRID_BLOCK", block)
+        blocked_aggregate, blocked_records = sweep()
+        assert blocked_aggregate.to_dict() == aggregate.to_dict()
+        assert [asdict(r) for r in blocked_records] == [asdict(r) for r in records]
+
+
+def test_disc_sweep_memory_is_bounded():
+    # On the bundled disc (N_C = 1257) a 500-trial sweep's unblocked grid
+    # product alone would hold 500 x 64 x 1257 doubles, 322 MB; scored in
+    # blocks of GRID_BLOCK entries the sweep peaks near 142 MB.
+    import tracemalloc
+
+    from emitterfisher import bundled_scenario_path, load_scenario, qft_interferometer
+
+    disc = load_scenario(bundled_scenario_path("disc_aperture_r1.scn"))
+    R = qft_interferometer(disc.n_collectors)
+    tracemalloc.start()
+    try:
+        crb_sweep(disc, SEP_X, R, theta_true=2.0, n_photons=10**7, trials=500, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6, f"crb_sweep peaked at {peak / 1e6:.1f} MB"
 
 
 def _golden_section(counts, path, theta, log_p):

@@ -662,22 +662,6 @@ def test_paraxial_matrix_centroid_requires_symmetry():
         )
 
 
-def test_optimal_axial_phase_beats_grid():
-    # Asymmetric two-collector pair: the tuned phase reaches the axial QFI.
-    from emitterfisher import optimal_axial_phase
-
-    s = symmetric_pair(5.0, collectors=((7.0, 0.0), (-3.0, 0.0)))
-    dz = named_direction("separation-z", 2)
-    alpha = optimal_axial_phase(s)
-    tuned = cfi(s, dz, beam_splitter_with_phase(alpha)).cfi
-    q = qfi(s, dz).qfi
-    assert tuned == pytest.approx(q, rel=1e-4)
-    # transverse separation is read out at zero phase instead
-    dx_cfi_0 = cfi(s, named_direction("separation-x", 2), beam_splitter_with_phase(0.0)).cfi
-    qx = qfi(s, named_direction("separation-x", 2)).qfi
-    assert dx_cfi_0 == pytest.approx(qx, rel=1e-4)
-
-
 # ---------------------------------------------------------------------------
 # closed form vs finite differences
 # ---------------------------------------------------------------------------
