@@ -2,8 +2,13 @@
 
 Commands operate on a scenario file and write a JSON result document;
 `simulate` additionally writes a per-trial CSV next to the JSON output.
-`main` runs one pipeline for every command: load the scenario, parse the
-direction, compute the command's body, apply `--angular`, emit.
+`main` runs one pipeline for every command: parse the arguments, load the
+scenario, parse the direction, compute the command's body, apply
+`--angular`, emit.  A command's arguments are parsed once, by its own
+subparser (`_parse_args`), with the same usage, help and error text as
+`build_parser().parse_args`.  Each document is encoded in one pass by
+`_json`, which returns `json.dumps(document, indent=2, allow_nan=False)`
+byte for byte; `interferometer.interferometer_to_json` uses it too.
 Exit status: 0 success, 2 validation error (bad file, bad flags, an output
 path that cannot be written), 3 numerical failure (non-finite result,
 which writes no document, failed decomposition, saturation or cross check
@@ -17,6 +22,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -226,7 +232,81 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report angular-separation information (multiply by z0^2)")
         for flags, options in command.options:
             p.add_argument(*flags, **options)
+    # The subparser of each command, by name, for _parse_args.
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a command's arguments parsed once.
+
+    The top-level parser would hand everything after the command name to
+    that command's subparser; _parse_args calls the subparser directly, and
+    reports leftovers through the top-level parser as parse_args does.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in parser.commands:
+        return parser.parse_args(argv)
+    namespace = argparse.Namespace(command=argv[0])
+    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:], namespace)
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)``, built in one pass.
+
+    json's indented encoder is a pure-Python generator; this builds the same
+    text by recursion and str.join, with json's type order, string escaping
+    and int/float reprs, and its ValueError (non-finite float) and TypeError.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # A finite float, most entries of a document, skips the type checks
+        # and the call (x - x is 0.0 exactly when x is finite).
+        items = [float.__repr__(item) if type(item) is float and item - item == 0.0
+                 else _json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_key(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: str, float, bool, None and int keys become strings."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if key is None or isinstance(key, (float, int)):
+        return _encode_str(_json(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _document(args) -> tuple[dict, bool]:
@@ -248,11 +328,11 @@ def _document(args) -> tuple[dict, bool]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         document, ok = _document(args)
         try:
-            text = json.dumps(document, indent=2, allow_nan=False)
+            text = _json(document)
         except ValueError as exc:
             raise fisher.NumericalError("the result document holds a non-finite value") from exc
         if args.out:

@@ -494,12 +494,14 @@ class GeneratorMoments:
 
 
 def _collector_array(collectors) -> np.ndarray:
-    """The (u, v) of a sequence of Collectors as an N_C x 2 array."""
+    """The (u, v) of a sequence of Collectors, or an (N_C, 2) float array as given."""
+    if isinstance(collectors, np.ndarray):
+        return collectors.astype(float, copy=False)
     return np.asarray([[c.u, c.v] for c in collectors], dtype=float)
 
 
 def generator_moments(collectors, k: float, z0: float) -> GeneratorMoments:
-    """Sample moments of (g_x, g_y, g_z) over a sequence of Collectors."""
+    """Sample moments of (g_x, g_y, g_z) over Collectors or an (N_C, 2) (u, v) array."""
     uv = _collector_array(collectors)
     if uv.shape[0] < 1:
         raise ScenarioError("need at least one collector")
@@ -549,7 +551,7 @@ def _is_inversion_symmetric(uv: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def paraxial_qfi_matrix(collectors, k: float, z0: float, target: ParaxialTarget) -> np.ndarray:
-    """Closed-form 3x3 QFI matrix of a sequence of Collectors, from generator moments.
+    """Closed-form 3x3 QFI matrix of Collectors or an (N_C, 2) array, from generator moments.
 
     The target's factor (_PARAXIAL_FORMS) times the generator covariance.
     The two-source centroid form is valid only for inversion-symmetric
@@ -602,7 +604,7 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
             f"{target.value} check requires {expected_ns} source(s), "
             f"scenario has {scenario.n_sources}"
         )
-    closed = paraxial_qfi_matrix(scenario.collectors, scenario.k, scenario.z0, target)
+    closed = paraxial_qfi_matrix(scenario.collector_positions(), scenario.k, scenario.z0, target)
     pairs = ((0, 1), (0, 2), (1, 2))
     directions = [GeneralizedCoordinate.from_tangent(t) for t in tangents] + [
         GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b]) for a, b in pairs

@@ -188,8 +188,14 @@ def _interferometer_payload(interferometer: Interferometer) -> dict:
 
 
 def interferometer_to_json(interferometer: Interferometer) -> str:
-    """Row-major [re, im] pair encoding with a provenance tag."""
-    return json.dumps(_interferometer_payload(interferometer), indent=2)
+    """Row-major [re, im] pair encoding with a provenance tag, as strict JSON.
+
+    Written by the encoder of the command-line documents, imported here
+    because cli imports this module.
+    """
+    from .cli import _json
+
+    return _json(_interferometer_payload(interferometer))
 
 
 def interferometer_from_json(text: str) -> Interferometer:

@@ -11,12 +11,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emitterfisher
 from conftest import crb_ratio_interval, spy_refine, sweep_draws
 from emitterfisher import bundled_scenario_path, bundled_scenarios, identity_interferometer
 from emitterfisher import interferometer_to_json
 from emitterfisher.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from emitterfisher.cli import _json, _parse_args
 
 
 def run_cli(*argv):
@@ -654,3 +657,119 @@ def test_design_interferometer_round_trip_dark_ports(tmp_path):
     result = read_json(out)
     assert result["qfi"] == pytest.approx(4e-8, rel=1e-3)
     assert 1 - 1e-5 <= result["saturation_ratio"] <= 1 + 1e-6
+
+
+def stdlib_json(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+_json_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, 0.1])
+_json_strings = st.text() | st.sampled_from(
+    ["", "\x00\x1f\x7f\n\t\"\\/", "é ünïcødé \u2028 \U0001f642", "\ud800"])
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+                | _json_floats | _json_strings)
+_json_keys = _json_strings | st.integers() | _json_floats | st.booleans() | st.none()
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(_json_keys, children, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values)
+def test_document_encoder_matches_json_dumps(value):
+    assert _json(value) == stdlib_json(value)
+
+
+def test_document_encoder_writes_numpy_floats_as_json_does():
+    value = {"a": np.float64(0.1), "b": [np.float64(-0.0), np.float64(5e-324), 1e16],
+             np.float64(2.5): (np.float64(1e-7), [np.float64(1e300)])}
+    assert _json(value) == stdlib_json(value)
+
+
+@pytest.mark.parametrize("value, error", [
+    (math.nan, ValueError),
+    (math.inf, ValueError),
+    ([1.0, -math.inf], ValueError),
+    ({"a": [np.float64(math.nan)]}, ValueError),
+    ({math.nan: 1}, ValueError),
+    (np.int64(3), TypeError),
+    ([1, np.int64(3)], TypeError),
+    ({(1, 2): 3}, TypeError),
+    ({"a": {1, 2}}, TypeError),
+], ids=["nan", "inf", "-inf-in-list", "np-nan", "nan-key", "np.int64", "np.int64-in-list",
+        "tuple-key", "set"])
+def test_document_encoder_raises_as_json_dumps_does(value, error):
+    with pytest.raises(error) as expected:
+        stdlib_json(value)
+    with pytest.raises(error) as raised:
+        _json(value)
+    assert str(raised.value) == str(expected.value)
+
+
+def parse_outcome(parse, argv, capsys):
+    """What parsing argv does: the parsed arguments or the exit code, and the text written."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["frobnicate", "--scenario", "s.scn"],
+    ["qfi"],
+    ["qfi", "--direction", "x"],
+    ["qfi", "--scenario", "s.scn", "--direction", "x", "--bogus"],
+    ["qfi", "extra", "--scenario", "s.scn", "--bogus", "-q"],
+    ["simulate", "--scenario", "s.scn", "--direction", "x", "--interferometer", "qft",
+     "--trials", "abc"],
+    ["qfi", "-h"],
+    ["simulate", "--scenario", "s.scn", "--help"],
+    ["qfi", "--scen", "s.scn", "--dir", "separation-x"],
+    ["cfi", "--scen=s.scn", "--dir", "x", "--inter", "qft", "--ang", "--o", "doc.json"],
+    ["qfimatrix", "--scenario", "s.scn", "--", "x"],
+    ["--scenario", "s.scn", "qfi"],
+], ids=["no-arguments", "help", "unknown-command", "qfi-without-scenario",
+        "qfi-without-scenario-with-direction", "unrecognized-option", "unrecognized-several",
+        "trials-abc", "qfi-help", "simulate-help", "prefix-options", "prefix-options-equals",
+        "double-dash", "option-before-command"])
+def test_command_parsed_as_the_top_level_parser_parses_it(argv, capsys):
+    expected = parse_outcome(build_parser().parse_args, argv, capsys)
+    assert parse_outcome(_parse_args, argv, capsys) == expected
+
+
+@pytest.mark.parametrize("angular", [False, True], ids=["linear", "angular"])
+@pytest.mark.parametrize("name", ["two_collector.scn", "four_collector.scn"])
+def test_every_document_is_json_dumps_of_itself(name, angular, tmp_path):
+    # Each document is the stdlib's indented text of its own content.
+    scenario = str(bundled_scenario_path(name))
+    design = tmp_path / "design.json"
+    assert run_cli("design", "--scenario", scenario, "--direction", "separation-z",
+                   "--out", str(design)) == EXIT_OK
+    matrix = tmp_path / "R.json"
+    matrix.write_text(json.dumps(read_json(design)["interferometer"]))
+    runs = {
+        "qfi": ["qfi", "--direction", "separation-x"],
+        "cfi-qft": ["cfi", "--direction", "separation-z", "--interferometer", "qft"],
+        "cfi-identity": ["cfi", "--direction", "separation-x", "--interferometer", "identity"],
+        "cfi-design": ["cfi", "--direction", "separation-z", "--interferometer", str(matrix)],
+        "design": ["design", "--direction", "separation-z"],
+        "saturate": ["saturate", "--direction", "separation-x"],
+        "qfimatrix": ["qfimatrix"],
+        "simulate": ["simulate", "--direction", "separation-x", "--interferometer", "qft",
+                     "--photons", "3000", "--trials", "6", "--theta-true", "0.5"],
+    }
+    for run, argv in runs.items():
+        out = tmp_path / f"{run}.json"
+        code = run_cli(*argv, "--scenario", scenario, *(["--angular"] if angular else []),
+                       "--out", str(out))
+        assert code == EXIT_OK, run
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", run

@@ -655,6 +655,17 @@ def test_paraxial_matrix_centroid_symmetric():
     assert mat[0, 0] == pytest.approx(4 * K**2 * 25 / Z0**2)
 
 
+@pytest.mark.parametrize("target", list(ParaxialTarget))
+@pytest.mark.parametrize("name", ["two_collector.scn", "four_collector.scn", "disc_aperture_r1.scn"])
+def test_paraxial_matrix_takes_collectors_or_their_positions(name, target):
+    # qfi_matrix_consistency passes the Scenario's kept (N_C, 2) array; a
+    # sequence of Collectors gives the same matrix bit for bit.
+    s = emitterfisher.load_scenario(bundled_scenario_path(name))
+    from_records = paraxial_qfi_matrix(s.collectors, s.k, s.z0, target)
+    from_array = paraxial_qfi_matrix(s.collector_positions(), s.k, s.z0, target)
+    assert np.array_equal(from_array, from_records)
+
+
 def test_paraxial_matrix_centroid_requires_symmetry():
     with pytest.raises(ScenarioError):
         paraxial_qfi_matrix(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import json
 import math
 import weakref
 
@@ -143,6 +144,16 @@ def test_serialization_round_trip():
     np.testing.assert_allclose(loaded.matrix, original.matrix, atol=1e-15)
     assert loaded.provenance is Provenance.USER_SUPPLIED
     assert loaded.alpha == pytest.approx(1.25)
+
+
+def test_serialization_is_strict_json():
+    # The CLI's document encoder writes it: json.dumps(indent=2) byte for
+    # byte, and a non-finite alpha raises instead of writing NaN.
+    original = beam_splitter_with_phase(1.25)
+    doc = interferometer_to_json(original)
+    assert doc == json.dumps(json.loads(doc), indent=2)
+    with pytest.raises(ValueError):
+        interferometer_to_json(Interferometer(original.matrix, alpha=math.nan))
 
 
 def test_non_unitary_rejected_on_load():
