@@ -404,7 +404,7 @@ def crb_sweep(
     scale = direction.parameter_scale
     a = direction_rows(direction, scenario.n_sources)
     C, dC = amplitude_arrays(scenario, scenario.source_positions() + a * (scale * theta_true), a)
-    cfi_value = scale**2 * fisher._cfi_value(C, dC, R)
+    cfi_value = scale**2 * fisher._cfi(C, dC, R)[0]
     if not (cfi_value and math.isfinite(cfi_value) and cfi_value > 0):
         raise NonIdentifiableError(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"

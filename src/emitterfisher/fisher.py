@@ -10,9 +10,8 @@ rule.  The classical side evaluates photon counting statistics behind a
 fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
 limit at dark output ports.  These two values are the only Fisher
 numbers the package reports: interferometer.verify_saturation evaluates
-the same closed forms (_qfi_value, _cfi_from_products) for its step-free
-optimal measurement, from C, dC and the SVD of C and one build of a
-displaced C', and applies the measurement once, to [C, dC, C'].
+the same closed forms (_qfi_value, _cfi) for its step-free optimal
+measurement, from C, dC and the SVD of C, as information_report does.
 qfi_matrix_consistency reports as ``finite_difference`` (a name kept for
 compatibility) the closed-form qfi along six tangents, from one
 amplitude build and one SVD of C.  C, dC and the support SVD of C at a
@@ -40,7 +39,8 @@ N_C x N_C matrix for the factored forms; ``matrix`` builds it when read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -54,6 +54,7 @@ from .geometry import (
     amplitude_and_derivative,
     amplitude_arrays,
     direction_rows,
+    finite_number,
 )
 
 __all__ = [
@@ -132,7 +133,12 @@ class Interferometer:
         self.__post_init__()
 
     def __post_init__(self):
-        """The dense form's check: a square matrix, unitary through the full product."""
+        """The dense form's check: alpha None or a finite number, and a square unitary matrix."""
+        if self._alpha is not None:
+            # finite_number's float() would take a bool or a numeric string.
+            if isinstance(self._alpha, bool) or not isinstance(self._alpha, numbers.Real):
+                raise ScenarioError(f"interferometer alpha must be a number, got {self._alpha!r}")
+            finite_number(self._alpha, "interferometer alpha")
         m = np.array(self._matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
@@ -257,15 +263,19 @@ class FisherReport:
 
     Values are reported for the physical parameter attached to the
     coordinate (see GeneralizedCoordinate.parameter_scale).  Values come
-    from closed forms, so ``step_sequence`` (finite-difference steps) is
-    always empty and ``converged`` is false only for a non-finite value.
+    from closed forms, so ``converged`` is read from them and
+    ``step_sequence`` (finite-difference steps) is always empty.
     """
 
     direction: GeneralizedCoordinate
     qfi: float | None = None
     cfi: float | None = None
-    step_sequence: list[tuple[float, float]] = field(default_factory=list)
-    converged: bool = True
+    step_sequence = ()
+
+    @property
+    def converged(self) -> bool:
+        """Whether every reported value (qfi, cfi; None is not reported) is finite."""
+        return all(math.isfinite(v) for v in (self.qfi, self.cfi) if v is not None)
 
     @property
     def saturation_ratio(self) -> float | None:
@@ -323,7 +333,7 @@ def _measurement(R, n_collectors: int) -> Interferometer:
 def _applied(R, X: np.ndarray) -> np.ndarray:
     """R times every (N_C, m) slice of X (..., N_C, m), by one apply to its slices side by side.
 
-    So a stack [C, dC, C'] is applied as the N_C x 3m block [C | dC | C'].
+    So a stack [C, dC] is applied as the N_C x 2m block [C | dC].
     """
     R = _measurement(R, X.shape[-2])
     swapped = X.swapaxes(0, -2)
@@ -372,9 +382,7 @@ def _drop_rounding(value: float, C: np.ndarray, dC: np.ndarray) -> float:
 def _report(direction: GeneralizedCoordinate, **values: float) -> FisherReport:
     """Report for the physical parameter: coordinate values times parameter_scale^2."""
     scale2 = direction.parameter_scale**2
-    scaled = {name: scale2 * value for name, value in values.items()}
-    converged = all(math.isfinite(v) for v in scaled.values())
-    return FisherReport(direction=direction, converged=converged, **scaled)
+    return FisherReport(direction, **{name: scale2 * value for name, value in values.items()})
 
 
 def support_svd(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,21 +434,14 @@ def _port_information(RC: np.ndarray, RdC: np.ndarray) -> tuple[np.ndarray, np.n
     return p, dp, terms
 
 
-def _cfi_from_products(
-    C: np.ndarray, dC: np.ndarray, RC: np.ndarray, RdC: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """sum_q (dp_q)^2 / p_q from R C and R dC (_port_information), and p.
+def _cfi(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
+    """sum_q (dp_q)^2 / p_q behind R (_port_information), and p, from one apply of R to [C, dC].
 
     p equals detection_probabilities(C, R) to rounding, not bit for bit:
-    the callers apply R to [C, dC] as one block.
+    R is applied to [C, dC] as one block.
     """
-    p, _, terms = _port_information(RC, RdC)
+    p, _, terms = _port_information(*_applied(R, np.stack([C, dC])))
     return _drop_rounding(float(terms.sum()), C, dC), p
-
-
-def _cfi_value(C: np.ndarray, dC: np.ndarray, R) -> float:
-    """The cfi behind R, from one apply of R to [C, dC]."""
-    return _cfi_from_products(C, dC, *_applied(R, np.stack([C, dC])))[0]
 
 
 def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
@@ -458,11 +459,11 @@ def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
 def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
     """Classical Fisher information of photon counting behind interferometer R.
 
-    Closed form in R C and R dC (see _cfi_value).  A value at the rounding
+    Closed form in R C and R dC (see _cfi).  A value at the rounding
     level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, cfi=_cfi_value(C, dC, R))
+    return _report(direction, cfi=_cfi(C, dC, R)[0])
 
 
 def information_report(
@@ -471,7 +472,7 @@ def information_report(
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
     qfi_value = _qfi_value(C, dC, _scenario_svd(scenario))
-    return _report(direction, qfi=qfi_value, cfi=_cfi_value(C, dC, R))
+    return _report(direction, qfi=qfi_value, cfi=_cfi(C, dC, R)[0])
 
 
 # ---------------------------------------------------------------------------

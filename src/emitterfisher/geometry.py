@@ -76,6 +76,8 @@ def finite_number(value, what: str) -> float:
     """``value`` as a finite float; ScenarioError naming ``what`` otherwise."""
     try:
         number = float(value)
+    except OverflowError:
+        raise ScenarioError(f"{what} must be finite, got {value!r}") from None
     except (TypeError, ValueError):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
     if not math.isfinite(number):

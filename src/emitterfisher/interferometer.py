@@ -54,7 +54,7 @@ from .fisher import (
     NumericalError,
     Provenance,
     _applied,
-    _cfi_from_products,
+    _cfi,
     _householder_interferometer,
     _probabilities,
     _qfi_value,
@@ -199,7 +199,7 @@ def interferometer_to_json(interferometer: Interferometer) -> str:
 
 
 def interferometer_from_json(text: str) -> Interferometer:
-    """Parse a serialized interferometer; unitarity is re-validated."""
+    """Parse a serialized interferometer; the constructor checks alpha and re-checks unitarity."""
     try:
         payload = json.loads(text)
         rows = payload["matrix"]
@@ -211,6 +211,12 @@ def interferometer_from_json(text: str) -> Interferometer:
     # json reads NaN, Infinity and out-of-range numbers such as 1e999.
     if not np.isfinite(matrix).all():
         raise ScenarioError("malformed interferometer document: non-finite matrix entry")
+    n_modes = payload.get("n_modes", len(matrix))
+    if type(n_modes) is not int or n_modes != len(matrix):
+        raise ScenarioError(
+            f"malformed interferometer document: n_modes is {n_modes!r}, "
+            f"the matrix has {len(matrix)} rows"
+        )
     return Interferometer(matrix, Provenance.USER_SUPPLIED, alpha=payload.get("alpha"))
 
 
@@ -324,33 +330,24 @@ def _optimal_interferometer(dC: np.ndarray, svd) -> Interferometer:
 def _pivot_order(A: np.ndarray) -> np.ndarray:
     """Column order of the rank-revealing QR of A (Businger & Golub, as in LAPACK geqp3).
 
-    Each step takes the remaining column with the largest residual norm,
-    the first in the current order on ties, and swaps it with the column at
-    the step's position.  The search runs on the N_S x N_S triangular
-    factor B of one unpivoted QR of A, whose columns have the residual
-    norms of A's.  While the order stands, the residual norm of column j
-    after step i is ||B[i:, j]||: geqp3's downdate by |B_ij| at each step,
-    summed here from the bottom row up, so no cancellation arises and no
-    norm needs recomputing.  All steps are checked at once; at the first
-    step whose largest residual is not its own column, the two columns
-    swap and only the trailing block is factored again.
+    Each step i takes the remaining column with the largest residual norm,
+    the first in the current order on ties, and swaps it with column i.
+    The search runs on the N_S x N_S triangular factor B of one unpivoted
+    QR of A, whose columns have the residual norms of A's: at step i the
+    residual norm of column j >= i is ||B[i:, j]||, summed from the bottom
+    row up (no downdate, so no cancellation) and compared after the square
+    root, as geqp3 compares norms.  A swap breaks the triangle below row
+    i, so B[i:, i:] is factored again.  The last column has no rival.
     """
     B = np.linalg.qr(A, mode="r")
     piv = np.arange(B.shape[1])
-    done = 0
-    while True:
-        m = B.shape[1]
-        residual = np.sqrt(np.cumsum((np.abs(B) ** 2)[::-1], axis=0)[::-1])
-        best = np.argmax(np.where(np.tri(m, k=-1, dtype=bool), -1.0, residual), axis=1)
-        swaps = np.flatnonzero(best != np.arange(m))
-        if not swaps.size:
-            return piv
-        i, j = int(swaps[0]), int(best[swaps[0]])
-        piv[[done + i, done + j]] = piv[[done + j, done + i]]
-        block = B[i:, i:].copy()
-        block[:, [0, j - i]] = block[:, [j - i, 0]]
-        B = np.linalg.qr(block, mode="r")[1:, 1:]
-        done += i + 1
+    for i in range(B.shape[1] - 1):
+        j = i + int(np.argmax(np.sqrt(np.cumsum((np.abs(B[i:, i:]) ** 2)[::-1], axis=0)[-1])))
+        if j != i:
+            piv[[i, j]] = piv[[j, i]]
+            B[:, [i, j]] = B[:, [j, i]]
+            B[i:, i:] = np.linalg.qr(B[i:, i:], mode="r")
+    return piv
 
 
 def _pivoted(piv: np.ndarray) -> bool:
@@ -471,16 +468,15 @@ def _design(
 
     C, dC and the one support_svd of C that serves the measurement and the
     QFI are the scenario's own, kept on it (amplitude_and_derivative,
-    fisher._scenario_svd).  The measurement is applied once, to [C, dC],
-    as fisher.information_report applies it, so the report equals
-    information_report(scenario, direction, R) bit for bit; the
-    probabilities are that product's, detection_probabilities(C, R) to
+    fisher._scenario_svd).  The CFI and probabilities are fisher._cfi's,
+    so the report equals information_report(scenario, direction, R) bit
+    for bit, and the probabilities detection_probabilities(C, R) to
     rounding.  No pair is built.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
     svd = _scenario_svd(scenario)
     R = _optimal_interferometer(dC, svd)
-    cfi_value, p = _cfi_from_products(C, dC, *_applied(R, np.stack([C, dC])))
+    cfi_value, p = _cfi(C, dC, R)
     return R, _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value), p
 
 

@@ -269,6 +269,8 @@ def test_unreadable_tagged_value_exits_2(value, tmp_path, capsys):
     ("{x: 0, y: 0, z: 0}", "abc"),
     ("{x: null, y: 0, z: 0}", "1.0"),
     ("{x: 0, y: 0, z: 0}", "[1, 2]"),
+    # An integer too large for a float.
+    pytest.param("{x: 0, y: 0, z: 0}", "1" + "0" * 400, id="huge-int"),
 ])
 def test_non_numeric_value_exits_2(source, k, tmp_path, capsys):
     bad = tmp_path / "bad.scn"
@@ -546,16 +548,20 @@ def test_wrong_size_interferometer_exits_2(two_collector, tmp_path, capsys):
     b'{"matrix": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     b'{"matrix": [[[1, 0], [0, 0]], [[0, 0], [Infinity, 0]]]}',
     b'{"matrix": [[[1e999, 0], [0, 0]], [[0, 0], [1, 0]]]}',
-], ids=["not-utf8", "nan", "infinity", "overflow"])
+    b'{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "alpha": NaN}',
+    b'{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "n_modes": 5}',
+], ids=["not-utf8", "nan", "infinity", "overflow", "nan-alpha", "n-modes"])
 def test_unreadable_interferometer_file_exits_2(content, two_collector, tmp_path, capsys):
-    # Bytes that are not UTF-8, and entries json reads as non-finite, are a
+    # Bytes that are not UTF-8, entries json reads as non-finite, a
+    # non-finite alpha and an n_modes that is not the matrix size are a
     # malformed document, not a numerical failure.
     path = tmp_path / "R.json"
     path.write_bytes(content)
     code = run_cli("cfi", "--scenario", two_collector, "--direction", "separation-x",
                    "--interferometer", str(path))
     assert code == EXIT_VALIDATION
-    assert capsys.readouterr().err.startswith("error:")
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv, unwritable", [
@@ -593,27 +599,13 @@ def test_simulate_checks_output_paths_before_the_sweep(argv, unwritable, two_col
     assert capsys.readouterr().err.startswith(expected)
 
 
-def test_nonconvergence_exits_3(two_collector, monkeypatch, tmp_path):
-    import emitterfisher.cli as cli_mod
-    from emitterfisher.fisher import FisherReport
-
-    def fake_qfi(scenario, direction, **kwargs):
-        return FisherReport(direction=direction, qfi=1.0, converged=False,
-                            step_sequence=[(1e-3, 1.0)])
-
-    monkeypatch.setattr(cli_mod.fisher, "qfi", fake_qfi)
-    code = run_cli("qfi", "--scenario", two_collector, "--direction", "separation-x",
-                   "--out", str(tmp_path / "x.json"))
-    assert code == EXIT_NUMERICAL
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_value_exits_3_without_a_document(value, two_collector, monkeypatch, capsys):
     import emitterfisher.cli as cli_mod
     from emitterfisher.fisher import FisherReport
 
     monkeypatch.setattr(cli_mod.fisher, "qfi", lambda scenario, direction: FisherReport(
-        direction=direction, qfi=value, converged=False))
+        direction=direction, qfi=value))
     code = run_cli("qfi", "--scenario", two_collector, "--direction", "separation-x")
     assert code == EXIT_NUMERICAL
     out, err = capsys.readouterr()

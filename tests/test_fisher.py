@@ -167,6 +167,24 @@ def test_qfi_zero_information_direction():
     assert report.converged
 
 
+@pytest.mark.parametrize("qfi_value, cfi_value, converged", [
+    (1.0, None, True), (None, 0.5, True), (0.0, 0.5, True), (None, None, True),
+    (math.nan, None, False), (None, math.inf, False), (1.0, -math.inf, False),
+    (math.nan, 0.5, False),
+])
+def test_converged_is_read_from_the_values(qfi_value, cfi_value, converged):
+    # A report is converged when every value it holds (None is not held) is
+    # finite; neither flag nor steps are constructor arguments.
+    from emitterfisher.fisher import FisherReport
+
+    direction = named_direction("separation-x", 2)
+    report = FisherReport(direction, qfi=qfi_value, cfi=cfi_value)
+    assert report.converged is converged
+    assert report.step_sequence == ()
+    with pytest.raises(TypeError):
+        FisherReport(direction, qfi=qfi_value, converged=converged)
+
+
 def test_qfi_nonnegative_random():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -148,12 +148,36 @@ def test_serialization_round_trip():
 
 def test_serialization_is_strict_json():
     # The CLI's document encoder writes it: json.dumps(indent=2) byte for
-    # byte, and a non-finite alpha raises instead of writing NaN.
+    # byte.  A non-finite alpha is refused by the constructor, so none
+    # reaches the encoder.
     original = beam_splitter_with_phase(1.25)
     doc = interferometer_to_json(original)
     assert doc == json.dumps(json.loads(doc), indent=2)
-    with pytest.raises(ValueError):
-        interferometer_to_json(Interferometer(original.matrix, alpha=math.nan))
+    with pytest.raises(ScenarioError, match="alpha"):
+        Interferometer(original.matrix, alpha=math.nan)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, -math.inf, 10**400, "abc", "1.5", True, [1.0]],
+                         ids=["nan", "-inf", "huge-int", "text", "numeric-text", "bool", "list"])
+def test_alpha_must_be_a_finite_number(alpha):
+    # Checked by the constructor, and so on load: json reads NaN, a huge
+    # integer, a string or a bool as given.
+    matrix = beam_splitter_with_phase(0.0).matrix
+    with pytest.raises(ScenarioError, match="alpha"):
+        Interferometer(matrix, alpha=alpha)
+    doc = json.loads(interferometer_to_json(Interferometer(matrix)))
+    with pytest.raises(ScenarioError, match="alpha"):
+        interferometer_from_json(json.dumps({**doc, "alpha": alpha}))
+
+
+@pytest.mark.parametrize("n_modes", [5, 1, 2.0, "2", None, True])
+def test_n_modes_must_match_the_matrix(n_modes):
+    doc = json.loads(interferometer_to_json(identity_interferometer(2)))
+    with pytest.raises(ScenarioError, match="n_modes"):
+        interferometer_from_json(json.dumps({**doc, "n_modes": n_modes}))
+    # The key is optional.
+    del doc["n_modes"]
+    assert interferometer_from_json(json.dumps(doc)).n_modes == 2
 
 
 def test_non_unitary_rejected_on_load():
@@ -537,19 +561,23 @@ def test_theorem_check_matches_full_q_reference():
 
 def test_pivot_order_matches_lapack_pivoted_qr():
     # The pivot search gives the column order of scipy's pivoted QR (LAPACK
-    # geqp3) on aligned frames over 1-6 sources, both modes, source spreads
-    # from 1e-7 to 1e-1 and a coincident pair in about a fifth of the cases.
+    # geqp3) on aligned frames over 1-8 sources (the theorem check's range),
+    # both modes, source spreads from 1e-8 to 1, a coincident pair in about
+    # a fifth of the cases and, from four sources, a second one in about a
+    # third, so that swaps cascade through re-factored trailing blocks.
     import scipy.linalg
 
     rng = np.random.default_rng(909)
     permuted = 0
     for i in range(480):
-        ns = 1 + i % 6
+        ns = 1 + i % 8
         nc = int(rng.integers(max(ns, 2), 40))
-        mode = (Mode.PARAXIAL, Mode.EXACT)[(i // 6) % 2]
-        positions = rng.normal(0, 10 ** rng.uniform(-7, -1), (ns, 3))
+        mode = (Mode.PARAXIAL, Mode.EXACT)[(i // 8) % 2]
+        positions = rng.normal(0, 10 ** rng.uniform(-8, 0), (ns, 3))
         if ns > 1 and rng.random() < 0.2:
             positions[1] = positions[0]
+        if ns > 3 and rng.random() < 0.3:
+            positions[3] = positions[2]
         s = Scenario(
             tuple(SourcePoint(*p, weight=w) for p, w in zip(positions, rng.uniform(0.5, 1.5, ns))),
             tuple(Collector(*rng.uniform(-1, 1, 2)) for _ in range(nc)),
