@@ -6,6 +6,7 @@ interferometer.  Photon records are i.i.d. multinomial draws (weak
 sources: at most one photon per detection window, no losses or dark
 counts); the scalar parameter is estimated by a grid scan whose mode is
 refined to the root of the score, the derivative of the log-likelihood:
+from the vertex of the parabola through the grid scores around the mode,
 Fisher scoring, then secant steps, safeguarded by bisection.  Detection
 probabilities, and with them their derivatives, are evaluated for a
 vector of thetas at once, one apply of the measurement to all their
@@ -59,7 +60,13 @@ class NonIdentifiableError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DetectionRecord:
-    """Photon counts per detector for one experiment."""
+    """Photon counts per detector for one experiment.
+
+    The counts must be a vector of whole numbers >= 0 that sum to
+    ``n_photons``, an integer >= 1; ``seed`` a non-negative integer and
+    ``true_theta`` a finite number.  Anything else raises ScenarioError.
+    The counts are kept as a read-only int64 vector.
+    """
 
     counts: np.ndarray
     n_photons: int
@@ -67,11 +74,22 @@ class DetectionRecord:
     true_theta: float
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        if counts.sum() != self.n_photons:
+        try:
+            counts = np.asarray(self.counts)
+        except ValueError:
+            counts = None
+        if counts is None or counts.ndim != 1:
+            raise ScenarioError(f"counts must be a vector of detector counts, got {self.counts!r}")
+        values = [_whole_number(c, "counts", 0) for c in counts.tolist()]
+        n_photons = _whole_number(self.n_photons, "n_photons", 1)
+        if sum(values) != n_photons:
             raise ScenarioError("counts do not sum to n_photons")
+        counts = np.array(values, dtype=np.int64)
+        counts.setflags(write=False)
+        for name, value in (("counts", counts), ("n_photons", n_photons),
+                            ("seed", _checked_seed(self.seed)),
+                            ("true_theta", finite_number(self.true_theta, "true_theta"))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -227,9 +245,11 @@ def mle_estimate(
     positive total, and the interval must resolve GRID_POINTS grid values
     (_checked_interval).  A coarse grid locates the mode (and checks
     identifiability: flat detection probabilities raise
-    NonIdentifiableError); a search for the root of the score refines it
-    until its step is within REFINE_TOL times the interval width (_refine).
-    This is the one-trial case of crb_sweep's refinement.
+    NonIdentifiableError); a search for the root of the score, started at
+    the vertex of the parabola through the grid scores around the mode and
+    kept inside the mode's grid neighbours, refines it until its step is
+    within REFINE_TOL times the interval width (_refine).  This is the
+    one-trial case of crb_sweep's refinement.
     """
     if isinstance(counts, DetectionRecord):
         counts = counts.counts
@@ -257,30 +277,41 @@ def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     return theta, np.log(np.maximum(probs, LOG_FLOOR))
 
 
-def _grid_modes(counts: np.ndarray, log_p: np.ndarray) -> np.ndarray:
-    """Index of the grid row of largest log-likelihood for each row of ``counts``, the first on ties.
+def _grid_modes(counts: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Grid mode of each row of ``counts`` and its scores around it.
 
-    Blocks of trials are scored against all rows of ``log_p`` in one
-    broadcast product each, of at most GRID_BLOCK entries (one trial at
-    least), so the temporary stays near 8 MB whatever T and N_C.  Each
-    score is the sum over the last axis of counts times one row, as a
-    trial scored alone against that row would take it.
+    Returns the index of the grid row of largest log-likelihood, the first
+    on ties, and the (T, 3) log-likelihoods at rows c - 1, c, c + 1, where
+    c is the mode clipped to [1, GRID_POINTS - 2].  Blocks of trials are
+    scored against all rows of ``log_p`` in one broadcast product each, of
+    at most GRID_BLOCK entries (one trial at least), so the temporary stays
+    near 8 MB whatever T and N_C; the three scores are read from the same
+    product.  Each score is the sum over the last axis of counts times one
+    row, as a trial scored alone against that row would take it.
     """
     rows = max(1, GRID_BLOCK // log_p.size)
-    return np.concatenate([
-        np.argmax((counts[i:i + rows, None, :] * log_p).sum(axis=-1), axis=1)
-        for i in range(0, len(counts), rows)
-    ])
+    modes, around = [], []
+    for i in range(0, len(counts), rows):
+        scores = (counts[i:i + rows, None, :] * log_p).sum(axis=-1)
+        best = np.argmax(scores, axis=1)
+        c = np.clip(best, 1, GRID_POINTS - 2)
+        modes.append(best)
+        around.append(np.take_along_axis(scores, c[:, None] + np.arange(-1, 2), axis=1))
+    return np.concatenate(modes), np.concatenate(around)
 
 
 def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Grid mode of each row of ``counts``, refined to a root of the score in lockstep.
 
-    ``counts`` is (T, N_C); returns the T estimates.  Each trial starts at
-    its grid mode (_grid_modes, scored in blocks of bounded memory),
-    bracketed by the mode's grid neighbours, and the sign of the score
-    l'(theta) = sum_q n_q dp_q / p_q at each point it reaches narrows the
-    bracket to that point.  The first step is Fisher scoring,
+    ``counts`` is (T, N_C); returns the T estimates.  Each trial is
+    bracketed by its grid mode's neighbours (_grid_modes, scored in blocks
+    of bounded memory) and starts at the vertex of the parabola through
+    its three grid scores around the mode, x0 = theta_c + h (f0 - f2) /
+    (2 (f0 - 2 f1 + f2)) for grid spacing h, clipped to the bracket; where
+    that curvature is not negative, as for a flat or convex triple at an
+    end of the grid, it starts at the mode.  The sign of
+    the score l'(theta) = sum_q n_q dp_q / p_q at each point it reaches
+    narrows the bracket to that point.  The first step is Fisher scoring,
     l' / (n CFI(theta)); later steps follow the secant of the last two
     scores where it is concave, and score again where it is not.  A step
     that would leave the bracket, or is longer than half the step before
@@ -294,10 +325,15 @@ def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) ->
     span is frozen at the point that step reaches and dropped from the
     state, so each estimate is what the trial refined alone would give.
     """
-    best = _grid_modes(counts, log_p)
+    best, around = _grid_modes(counts, log_p)
+    f0, f1, f2 = around.T
     a = theta[np.maximum(best - 1, 0)]
     b = theta[np.minimum(best + 1, GRID_POINTS - 1)]
-    x = theta[best]
+    curvature = f0 - 2.0 * f1 + f2
+    h = (theta[-1] - theta[0]) / (GRID_POINTS - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = theta[np.clip(best, 1, GRID_POINTS - 2)] + h * (f0 - f2) / (2.0 * curvature)
+    x = np.where(curvature < 0, np.clip(vertex, a, b), theta[best])
     out = x.copy()
     tol = REFINE_TOL * (theta[-1] - theta[0])
     n = counts.sum(axis=-1)

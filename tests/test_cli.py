@@ -389,7 +389,8 @@ def test_design_and_saturate_report_one_ratio(name, direction, tmp_path):
 def test_simulate_builds_the_truth_once(monkeypatch, tmp_path):
     # The sweep builds C and dC at --theta-true once, and takes its CFI,
     # its QFI (the one support SVD) and the draw probabilities from that
-    # build; the likelihood grid and four refinement steps build the rest.
+    # build; the likelihood grid and three refinement steps, the first at
+    # the vertex of each trial's grid parabola, build the rest.
     # The CLI only formats the sweep's result.
     import emitterfisher.fisher as fisher_mod
     import emitterfisher.geometry as geometry_mod
@@ -413,7 +414,7 @@ def test_simulate_builds_the_truth_once(monkeypatch, tmp_path):
     assert run_cli("simulate", "--scenario", str(bundled_scenario_path("four_collector.scn")),
                    "--direction", "separation-x", "--interferometer", "qft", "--trials", "20",
                    "--theta-true", "0.5", "--out", str(tmp_path / "sim.json")) == EXIT_OK
-    assert len(builds) == 6
+    assert len(builds) == 5
     at_truth = [derivative for xyz, derivative in builds
                 if xyz.shape == truth.shape and np.array_equal(xyz, truth)]
     assert at_truth == [True]

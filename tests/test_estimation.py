@@ -28,7 +28,7 @@ from emitterfisher import (
     qfi,
     sample_detections,
 )
-from emitterfisher.estimation import write_trials_csv
+from emitterfisher.estimation import DetectionRecord, write_trials_csv
 
 
 def two_collector_scenario(dx=0.2, u=5.0):
@@ -135,6 +135,46 @@ def test_seeds_of_any_integer_type_and_size_accepted():
         _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3, seed=seed)
         assert [r.seed for r in records] == [int(seed)] * 3
         assert all(type(r.seed) is int for r in records)
+
+
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"counts": [1.5, 1.5]}, "counts must be an integer >= 0, got 1.5"),
+        ({"counts": [-1, 3]}, "counts must be an integer >= 0, got -1"),
+        ({"counts": [math.nan, 2]}, "counts must be finite"),
+        ({"counts": ["one", 1]}, "counts must be a number"),
+        ({"counts": [[1, 1]]}, "counts must be a vector"),
+        ({"counts": [[1], [1, 0]]}, "counts must be a vector"),
+        ({"counts": 2}, "counts must be a vector"),
+        ({"counts": [1, 2]}, "counts do not sum to n_photons"),
+        ({"counts": [2**63, 0]}, r"counts must be below 2\*\*63"),
+        ({"n_photons": 2.5}, "n_photons must be an integer"),
+        ({"counts": [0, 0], "n_photons": 0}, "n_photons must be an integer >= 1"),
+        ({"seed": -5}, "seed must be a non-negative integer"),
+        ({"seed": 1.0}, "seed must be a non-negative integer"),
+        ({"true_theta": math.nan}, "true_theta must be finite"),
+        ({"true_theta": "abc"}, "true_theta must be a number"),
+    ],
+)
+def test_detection_record_rejects_invalid_fields(fields, match):
+    valid = {"counts": [1, 1], "n_photons": 2, "seed": 0, "true_theta": 0.0}
+    with pytest.raises(ScenarioError, match=match):
+        DetectionRecord(**{**valid, **fields})
+
+
+def test_detection_record_keeps_valid_fields():
+    # Integral float counts are whole numbers, kept as a read-only int64
+    # vector; sample_detections builds its records from its own draw, unchanged.
+    record = DetectionRecord(counts=np.array([1.0, 2.0]), n_photons=3, seed=2**70, true_theta=1)
+    assert record.counts.dtype == np.int64 and record.counts.tolist() == [1, 2]
+    assert not record.counts.flags.writeable
+    assert (record.n_photons, record.seed, record.true_theta) == (3, 2**70, 1.0)
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    record = sample_detections(s, SEP_X, 0.3, bs, 1000, seed=42)
+    np.testing.assert_array_equal(record.counts, sweep_draws(s, SEP_X, bs, 0.3, 1000, 1, 42)[0])
+    assert (record.n_photons, record.seed, record.true_theta) == (1000, 42, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +344,17 @@ def _scalar_refine(counts, slopes, theta, log_p):
 
     mask = counts > 0
     n = counts.sum()
-    best = int(np.argmax((counts[mask] * log_p[:, mask]).sum(axis=1)))
+    scores = (counts[mask] * log_p[:, mask]).sum(axis=1)
+    best = int(np.argmax(scores))
     a, b = theta[max(best - 1, 0)], theta[min(best + 1, len(theta) - 1)]
+    # The vertex of the parabola through the scores around the mode, kept
+    # off the end rows; the mode itself where that triple is not concave.
+    c = min(max(best, 1), len(theta) - 2)
+    f0, f1, f2 = (float(f) for f in scores[c - 1:c + 2])
+    h = (theta[-1] - theta[0]) / (len(theta) - 1)
     x = theta[best]
+    if f0 - 2.0 * f1 + f2 < 0:
+        x = min(max(theta[c] + h * (f0 - f2) / (2.0 * (f0 - 2.0 * f1 + f2)), a), b)
     tol = REFINE_TOL * (theta[-1] - theta[0])
     x_prev = s_prev = None
     steps = [math.inf, math.inf]
@@ -353,9 +401,102 @@ def test_lockstep_refinement_matches_one_trial_search():
     assert estimation._refine(counts, slopes, theta, log_p).tolist() == expected
 
 
+class _Started(Exception):
+    """Raised by a stand-in for slopes at the first point _refine evaluates."""
+
+
+def _first_point(scores, theta):
+    """The point at which _refine starts one trial whose grid scores are ``scores``."""
+    from emitterfisher import estimation
+
+    started = []
+
+    def slopes(x):
+        started.append(float(x[0]))
+        raise _Started
+
+    # One photon at one collector: each grid score is that row of log_p, exactly.
+    with pytest.raises(_Started):
+        estimation._refine(np.ones((1, 1)), slopes, theta, np.asarray(scores)[:, None])
+    return started[0]
+
+
+_GRID = 64
+_END_ROWS = st.sampled_from([0, 1, 2, _GRID - 3, _GRID - 2, _GRID - 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(at=st.one_of(_END_ROWS, st.integers(0, _GRID - 1)),
+       triple=st.one_of(st.tuples(*[st.integers(-3, 3)] * 3),
+                        st.tuples(*[st.floats(-1e3, 1e3)] * 3)),
+       offset=st.sampled_from([0.0, -1e5, 1e9]))
+def test_refinement_starts_inside_the_mode_bracket(at, triple, offset):
+    # Concave, flat and convex triples of grid scores, with the mode at,
+    # next to and away from both ends of the grid: the start lies in the
+    # mode's bracket, and is the mode itself wherever the triple around it
+    # is not concave.
+    from emitterfisher import estimation
+
+    assert estimation.GRID_POINTS == _GRID
+    theta = np.linspace(-1.0, 2.0, _GRID)
+    scores = np.full(_GRID, offset - 1e4)
+    start = min(max(at - 1, 0), _GRID - 3)
+    scores[start:start + 3] = offset + np.array(triple, dtype=float)
+    best = int(np.argmax(scores))
+    c = min(max(best, 1), _GRID - 2)
+    x = _first_point(scores, theta)
+    assert theta[max(best - 1, 0)] <= x <= theta[min(best + 1, _GRID - 1)]
+    if scores[c - 1] - 2.0 * scores[c] + scores[c + 1] >= 0:
+        assert x == theta[best]
+
+
+def test_refinement_starts_at_the_vertex_of_a_parabola():
+    # Grid scores on an exact parabola: the start is its vertex, wherever
+    # that falls inside the bracket of the grid mode.
+    theta = np.linspace(-1.0, 2.0, 64)
+    h = theta[1] - theta[0]
+    for peak in (-1.0, -1.0 + 0.3 * h, 0.123, 1.7, 2.0 - 0.4 * h, 2.0):
+        assert _first_point(-3e4 * (theta - peak) ** 2, theta) == pytest.approx(peak, abs=1e-9 * h)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_workload_sweeps_evaluate_the_score_twice(seed, monkeypatch):
+    # Started at the vertex of its grid parabola, every trial of the 50-trial
+    # sweeps of perfbench's crb-montecarlo workload on two collectors behind
+    # bs_phase(0) and four behind qft freezes after its second evaluation:
+    # slopes is called twice per sweep, not four times.
+    from emitterfisher import bundled_scenario_path, estimation, load_scenario, qft_interferometer
+
+    calls, real_path = [], estimation._probability_path
+
+    def counted_path(*args):
+        path, slopes = real_path(*args)
+
+        def counted(theta):
+            calls.append(len(theta))
+            return slopes(theta)
+
+        return path, counted
+
+    monkeypatch.setattr(estimation, "_probability_path", counted_path)
+    for name, R in (("two_collector.scn", beam_splitter_with_phase(0.0)),
+                    ("four_collector.scn", qft_interferometer(4))):
+        calls.clear()
+        crb_sweep(load_scenario(bundled_scenario_path(name)), SEP_X, R, theta_true=2.0,
+                  n_photons=100_000, trials=50, seed=seed)
+        assert calls == [50, 50], name
+
+
 def _row_by_row_modes(counts, log_p):
-    """The grid scan one log_p row at a time over all trials: the reference for _grid_modes."""
-    return np.argmax([(counts * row).sum(axis=-1) for row in log_p], axis=0)
+    """The grid scan one log_p row at a time over all trials: the reference for _grid_modes.
+
+    Returns each trial's mode and its scores at rows c - 1, c, c + 1, c the
+    mode kept off the end rows.
+    """
+    scores = np.array([(counts * row).sum(axis=-1) for row in log_p]).T
+    modes = np.argmax(scores, axis=1)
+    c = np.clip(modes, 1, len(log_p) - 2)
+    return modes, np.array([row[i - 1:i + 2] for row, i in zip(scores, c, strict=True)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -363,11 +504,12 @@ def _row_by_row_modes(counts, log_p):
        block_rows=st.one_of(st.none(), st.integers(1, 130)), seed=st.integers(0, 2**32))
 def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, block_rows, seed):
     # The blocked broadcast scan must pick, bit for bit, the grid row the
-    # row-by-row scan picks, in one block or in many (block_rows trials
-    # each), past numpy's eight-term pairwise block of the sum, on exact
-    # ties, forced by repeating log_p rows and trials, where both take the
-    # first row, and on near ties, rows a few ulps from another, where the
-    # pick depends on the order in which each score is summed.
+    # row-by-row scan picks, and return the same three scores around it, in
+    # one block or in many (block_rows trials each), past numpy's eight-term
+    # pairwise block of the sum, on exact ties, forced by repeating log_p
+    # rows and trials, where both take the first row, and on near ties, rows
+    # a few ulps from another, where the pick depends on the order in which
+    # each score is summed.
     from unittest import mock
 
     from emitterfisher import estimation
@@ -384,8 +526,11 @@ def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, b
     counts[rng.random(trials) < 0.2] = counts[0]
     block = estimation.GRID_BLOCK if block_rows is None else block_rows * log_p.size
     with mock.patch.object(estimation, "GRID_BLOCK", block):
-        modes = estimation._grid_modes(counts, log_p)
-    np.testing.assert_array_equal(modes, _row_by_row_modes(counts, log_p))
+        modes, around = estimation._grid_modes(counts, log_p)
+    row_modes, row_around = _row_by_row_modes(counts, log_p)
+    np.testing.assert_array_equal(modes, row_modes)
+    assert around.shape == (trials, 3)
+    assert around.tobytes() == row_around.tobytes()
 
 
 def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
@@ -465,7 +610,10 @@ def test_refinement_reaches_the_score_root():
     # likely as golden section's.  The root is bisected on the score; the
     # log-likelihood gain over golden section's estimate is integrated from
     # the score by Simpson's rule, which is exact for a cubic l(theta) and
-    # does not carry the rounding of l itself.
+    # does not carry the rounding of l itself.  The fourth case is
+    # simulate's default, the bundled disc behind qft at theta_true = 0,
+    # where the first evaluation, at the vertex of the grid parabola,
+    # already freezes almost every trial.
     from emitterfisher import Mode, bundled_scenario_path, estimation, load_scenario, qft_interferometer
 
     rng = np.random.default_rng(3)
@@ -474,19 +622,21 @@ def test_refinement_reaches_the_score_root():
         tuple(Collector(u + rng.normal(0, 0.1), rng.normal(0, 0.1)) for u in (3.0, 1.0, -1.0, -3.0)),
         1.0, 100.0, Mode.EXACT,
     )
+    disc = load_scenario(bundled_scenario_path("disc_aperture_r1.scn"))
     cases = (
-        (load_scenario(bundled_scenario_path("two_collector.scn")), beam_splitter_with_phase(0.0)),
-        (load_scenario(bundled_scenario_path("four_collector.scn")), qft_interferometer(4)),
-        (exact, qft_interferometer(4)),
+        (load_scenario(bundled_scenario_path("two_collector.scn")), beam_splitter_with_phase(0.0), 2.0),
+        (load_scenario(bundled_scenario_path("four_collector.scn")), qft_interferometer(4), 2.0),
+        (exact, qft_interferometer(4), 2.0),
+        (disc, qft_interferometer(disc.n_collectors), 0.0),
     )
     n = 100_000
-    for s, R in cases:
-        aggregate, records = crb_sweep(s, SEP_X, R, theta_true=2.0, n_photons=n, trials=50, seed=7)
+    for s, R, truth in cases:
+        aggregate, records = crb_sweep(s, SEP_X, R, theta_true=truth, n_photons=n, trials=50, seed=7)
         sigma = math.sqrt(aggregate.fisher_predicted_variance)
-        lo, hi = default_search_interval(2.0, n, 1.0 / (n * aggregate.fisher_predicted_variance))
+        lo, hi = default_search_interval(truth, n, 1.0 / (n * aggregate.fisher_predicted_variance))
         path, slopes = estimation._probability_path(s, SEP_X, R, lo, hi)
         theta, log_p = estimation._likelihood_grid(path, lo, hi)
-        counts = sweep_draws(s, SEP_X, R, 2.0, n, len(records), seed=7).astype(float)
+        counts = sweep_draws(s, SEP_X, R, truth, n, len(records), seed=7).astype(float)
 
         def score(t):
             p, dp, _ = slopes(t)
