@@ -145,7 +145,7 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
         return fisher._probabilities(fisher._applied(R, amplitudes(theta, None)[0]))
 
     def slopes(theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        p, dp, terms = fisher._port_information(*fisher._applied(R, np.stack(amplitudes(theta, a))))
+        p, dp, terms = fisher._port_information(fisher._applied(R, np.stack(amplitudes(theta, a))))
         return p, scale * dp, scale**2 * terms.sum(axis=-1)
 
     return path, slopes
@@ -453,8 +453,9 @@ def crb_sweep(
     estimates = _refine(draws.astype(float), slopes, theta, log_p)
     records = [TrialRecord(i, seed, t) for i, t in enumerate(estimates.tolist())]
     empirical = float(np.var(estimates, ddof=1))
+    (qfi_value,), _ = fisher._qfi_value(C, dC, fisher.support_svd(C))
     return EstimationResult(
-        qfi=scale**2 * fisher._qfi_value(C, dC, fisher.support_svd(C)),
+        qfi=scale**2 * qfi_value,
         cfi=cfi_value,
         theta_hat=float(estimates.mean()),
         log_likelihood=None,

@@ -14,10 +14,10 @@ the same closed forms (_qfi_value, _cfi) for its step-free optimal
 measurement, from C, dC and the SVD of C, as information_report does.
 qfi_matrix_consistency reports as ``finite_difference`` (a name kept for
 compatibility) the closed-form qfi along six tangents, from one
-amplitude build and one SVD of C.  C, dC and the support SVD of C at a
-Scenario's own positions are built once and kept on it
-(geometry.amplitude_arrays, _scenario_svd), so every entry point here
-reads them.
+amplitude build, one SVD of C and one _qfi_value pass over the stack of
+six dC.  C, dC and the support SVD of C at a Scenario's own positions
+are built once and kept on it (geometry.amplitude_arrays,
+_scenario_svd), so every entry point here reads them.
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
@@ -32,14 +32,17 @@ same tolerance and the same ``unitarity_residual``, and applied in
 O(N_C r m) (_householder_interferometer).  qft_interferometer, applied
 by FFT, and identity_interferometer, applied as a copy, are unitary by
 construction and not checked.  Every value here and estimation's p(theta)
-apply R once, to a stack of amplitude matrices, in _applied, and form no
-N_C x N_C matrix for the factored forms; ``matrix`` builds it when read.
+apply R once, to one block of amplitude matrices side by side ([C | dC]
+in _cfi, a stack in _applied), and form no N_C x N_C matrix for the
+factored forms; ``matrix`` builds it when read.  Sums over sources add
+whole columns (_source_sum), so that each N_C-sized block is read once
+per sum rather than once per port.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,7 +57,7 @@ from .geometry import (
     amplitude_and_derivative,
     amplitude_arrays,
     direction_rows,
-    finite_number,
+    finite_real,
 )
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
 
 # Unitarity tolerance for measurement matrices (Frobenius norm).
 UNITARITY_TOL = 1e-10
+_EPS = np.finfo(float).eps
 # Output ports with probability at or below this are dark: their Fisher
 # term is the 0/0 limit 4 sum_s |(R dC)_{qs}|^2 of (dp_q)^2 / p_q.  The
 # dark ports of synthesized measurements sit at 1e-31 or below (rounding
@@ -135,10 +139,7 @@ class Interferometer:
     def __post_init__(self):
         """The dense form's check: alpha None or a finite number, and a square unitary matrix."""
         if self._alpha is not None:
-            # finite_number's float() would take a bool or a numeric string.
-            if isinstance(self._alpha, bool) or not isinstance(self._alpha, numbers.Real):
-                raise ScenarioError(f"interferometer alpha must be a number, got {self._alpha!r}")
-            finite_number(self._alpha, "interferometer alpha")
+            finite_real(self._alpha, "interferometer alpha")
         m = np.array(self._matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ScenarioError(f"interferometer matrix must be square, got {m.shape}")
@@ -194,12 +195,13 @@ class Interferometer:
 class _HouseholderInterferometer(Interferometer):
     """Householder form: R = Q^dag = I - V T^dag V^dag with its first r rows replaced by S."""
 
-    def __init__(self, V: np.ndarray, Th: np.ndarray, support_rows: np.ndarray):
+    def __init__(self, V: np.ndarray, Vh: np.ndarray, Th: np.ndarray, support_rows: np.ndarray):
         self._init_factored(V.shape[0], Provenance.SYNTHESIZED)
-        self._V, self._Vh, self._Th, self._S = V, V.conj().T, Th, support_rows
+        self._V, self._Vh, self._Th, self._S = V, Vh, Th, support_rows
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        RX = X - self._V @ (self._Th @ (self._Vh @ X))
+        RX = self._V @ (self._Th @ (self._Vh @ X))
+        np.subtract(X, RX, out=RX)
         RX[: self._S.shape[0]] = self._S @ X
         return RX
 
@@ -236,13 +238,15 @@ def _householder_interferometer(
     for i in range(r):
         V[i, i] = 1.0
         V[i, i + 1 :] = 0.0
-    W = V.conj().T @ V
-    G = V[r:].conj().T @ V[r:]
+    Vh = V.conj().T
+    W = Vh @ V
+    G = Vh[:, r:] @ V[r:]
     T = np.diag(tau)
+    minus_tau = -tau
     for i in range(1, r):
-        T[:i, i] = -tau[i] * (T[:i, :i] @ W[:i, i])
+        T[:i, i] = minus_tau[i] * (T[:i, :i] @ W[:i, i])
     Th = T.conj().T
-    measurement = _HouseholderInterferometer(V, Th, support_rows)
+    measurement = _HouseholderInterferometer(V, Vh, Th, support_rows)
     # R S^dag is [S S^dag; K S^dag]; minus the identity on its first rows.
     RS = measurement.apply(support_rows.conj().T)
     KS = RS[r:]
@@ -340,9 +344,26 @@ def _applied(R, X: np.ndarray) -> np.ndarray:
     return R.apply(swapped.reshape(X.shape[-2], -1)).reshape(swapped.shape).swapaxes(0, -2)
 
 
+def _source_sum(X: np.ndarray) -> np.ndarray:
+    """X summed over its last (source) axis, one column at a time, in X's memory order.
+
+    numpy's ``sum(axis=-1)`` runs one reduction of N_S numbers per port;
+    this adds whole columns instead.  The total starts as 0.0 plus the
+    first column, as numpy's sum starts from 0.0, and keeps the memory
+    order of X, so a (T, N_C) result from the strided stacks of _applied
+    stays N_C-major for estimation's sums over ports.  Below 8 sources
+    numpy's sum is the same sequential one, bit for bit; from 8 on it
+    sums pairwise and the last bit may differ.
+    """
+    total = X[..., 0] + 0.0
+    for s in range(1, X.shape[-1]):
+        total += X[..., s]
+    return total
+
+
 def _probabilities(RC: np.ndarray) -> np.ndarray:
     """Detection probabilities p_q = sum_s |(R C)_{qs}|^2 from R C or a stack of such products."""
-    return (np.abs(RC) ** 2).sum(axis=-1)
+    return _source_sum(np.abs(RC) ** 2)
 
 
 def detection_probabilities(C: np.ndarray, R) -> np.ndarray:
@@ -366,7 +387,7 @@ def classical_fidelity(C: np.ndarray, C_prime: np.ndarray, R) -> float:
 
 def _rounding_tol(C: np.ndarray) -> float:
     """Relative rounding level of quantities computed from C."""
-    return max(C.shape) * np.finfo(float).eps
+    return max(C.shape) * _EPS
 
 
 def _drop_rounding(value: float, C: np.ndarray, dC: np.ndarray) -> float:
@@ -375,7 +396,7 @@ def _drop_rounding(value: float, C: np.ndarray, dC: np.ndarray) -> float:
     Projections of dC carry errors of a few tol ||dC|| per entry, so a
     zero-information direction leaves a residue well below the floor.
     """
-    floor = 4.0 * (8.0 * _rounding_tol(C) * np.linalg.norm(dC)) ** 2
+    floor = 4.0 * (8.0 * _rounding_tol(C)) ** 2 * np.vdot(dC, dC).real
     return 0.0 if value <= floor else value
 
 
@@ -400,47 +421,68 @@ def _scenario_svd(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _kept(scenario, "_svd", lambda: support_svd(amplitude_arrays(scenario)[0]))
 
 
-def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> float:
-    """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd).
+def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> tuple[list[float], np.ndarray]:
+    """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd), and d rho.
 
-    With A = U_r^dag dC V_r the minimum is
-    ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
-    + sum_{i<j} |s_j A_ij + s_i conj(A_ji)|^2 / (s_i^2 + s_j^2); the last
-    two sums are half the symmetric double sum over all i, j <= r below.
-    ``svd`` is support_svd(C), which the caller takes and may share.
+    With A = U_r^dag dC V_r, d rho on the support in the eigenbasis of
+    rho = C C^dag is drho_ij = s_j A_ij + s_i conj(A_ji), and the minimum
+    is ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
+    + sum_{i<j} |drho_ij|^2 / (s_i^2 + s_j^2); the last two sums are half
+    the symmetric double sum over all i, j <= r below.  ``svd`` is
+    support_svd(C), which the caller takes and may share.
+
+    dC is one derivative (N_C, N_S) or a stack (..., N_C, N_S) of them,
+    taken in one pass of batched products; the values are a list, one per
+    derivative in C order, each equal bit for bit to what that derivative
+    alone gives.  drho, of shape (..., r, r), is returned for the
+    symmetric logarithmic derivative of the optimal measurement.
     """
     Ur, sr, Vr = svd
     UdC = Ur.conj().T @ dC
-    kernel = dC - Ur @ UdC
+    kernel = Ur @ UdC
+    np.subtract(dC, kernel, out=kernel)
     A = UdC @ Vr
-    si, sj = sr[:, None], sr[None, :]
-    support = np.abs(sj * A + si * A.conj().T) ** 2 / (si**2 + sj**2)
-    value = np.vdot(kernel, kernel).real + 0.5 * support.sum()
-    return _drop_rounding(4.0 * float(value), C, dC)
+    drho = sr * A + sr[:, None] * A.conj().swapaxes(-1, -2)
+    halves = 0.5 * (np.abs(drho) ** 2 / np.add.outer(sr**2, sr**2)).sum(axis=(-2, -1))
+    shape = (-1, *dC.shape[-2:])
+    values = [
+        _drop_rounding(4.0 * float(np.vdot(k, k).real + h), C, d)
+        for k, h, d in zip(kernel.reshape(shape), halves.reshape(-1), dC.reshape(shape))
+    ]
+    return values, drho
 
 
-def _port_information(RC: np.ndarray, RdC: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _port_information(RX: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """p, dp = 2 Re sum_s conj(R C) (R dC) and each port's Fisher term (dp_q)^2 / p_q.
 
-    RC and RdC are R C and R dC, or stacks of such products.  A dark port
-    (p_q <= DARK_P) has the 0/0 limit 4 sum_s |(R dC)_{qs}|^2 as its term.
+    RX stacks R C and R dC along its first axis, each an (N_C, N_S) product
+    or a stack of them, as any view of one applied block; the squared
+    moduli of both are taken, and summed over sources, in one pass over
+    it.  A dark port (p_q <= DARK_P) has the 0/0 limit
+    4 sum_s |(R dC)_{qs}|^2 as its term.
     """
-    p = _probabilities(RC)
+    squared = np.abs(RX)
+    p, dark_term = _source_sum(np.square(squared, out=squared))
     dark = p <= DARK_P
-    dp = 2.0 * np.real(RC.conj() * RdC).sum(axis=-1)
-    terms = np.where(
-        dark, 4.0 * (np.abs(RdC) ** 2).sum(axis=-1), dp**2 / np.where(dark, 1.0, p)
-    )
+    product = RX[0].conj()
+    product *= RX[1]
+    dp = _source_sum(product.real)
+    dp *= 2.0
+    terms = 4.0 * dark_term
+    np.divide(np.square(dp), p, out=terms, where=~dark)
     return p, dp, terms
 
 
 def _cfi(C: np.ndarray, dC: np.ndarray, R) -> tuple[float, np.ndarray]:
-    """sum_q (dp_q)^2 / p_q behind R (_port_information), and p, from one apply of R to [C, dC].
+    """sum_q (dp_q)^2 / p_q behind R (_port_information), and p, from one apply of R to [C | dC].
 
-    p equals detection_probabilities(C, R) to rounding, not bit for bit:
-    R is applied to [C, dC] as one block.
+    The block [C | dC] is one np.concatenate, the layout _applied gives
+    a stack [C, dC].  p equals detection_probabilities(C, R) to rounding,
+    not bit for bit: R is applied to [C | dC] as one block.
     """
-    p, _, terms = _port_information(*_applied(R, np.stack([C, dC])))
+    n_c, n_s = C.shape
+    RX = _measurement(R, n_c).apply(np.concatenate([C, dC], axis=-1))
+    p, _, terms = _port_information(RX.reshape(n_c, 2, n_s).swapaxes(0, 1))
     return _drop_rounding(float(terms.sum()), C, dC), p
 
 
@@ -453,7 +495,8 @@ def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
     rounding level of ||dC||^2 is reported as exactly 0.0.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
-    return _report(direction, qfi=_qfi_value(C, dC, _scenario_svd(scenario)))
+    (value,), _ = _qfi_value(C, dC, _scenario_svd(scenario))
+    return _report(direction, qfi=value)
 
 
 def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
@@ -471,7 +514,7 @@ def information_report(
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
-    qfi_value = _qfi_value(C, dC, _scenario_svd(scenario))
+    (qfi_value,), _ = _qfi_value(C, dC, _scenario_svd(scenario))
     return _report(direction, qfi=qfi_value, cfi=_cfi(C, dC, R)[0])
 
 
@@ -584,6 +627,30 @@ class ConsistencyReport:
         return float(np.nanmax(self.relative_errors))
 
 
+_AXIS_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+@functools.cache
+def _consistency_directions(
+    target: ParaxialTarget,
+) -> tuple[tuple[GeneralizedCoordinate, ...], np.ndarray]:
+    """qfi_matrix_consistency's six directions for ``target`` and their (6, N_S, 3) rows, read-only.
+
+    The axis tangents t_a are the target's x, y and z direction presets
+    (_PARAXIAL_FORMS) from geometry's preset table, followed by t_a + t_b
+    for the pairs a < b.  They depend on the target alone, so they are
+    built once.
+    """
+    prefix = _PARAXIAL_FORMS[target][0]
+    tangents = [np.array(_PRESET_TANGENTS[prefix + axis]) for axis in "xyz"]
+    directions = tuple(GeneralizedCoordinate.from_tangent(t) for t in tangents) + tuple(
+        GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b]) for a, b in _AXIS_PAIRS
+    )
+    rows = np.stack([direction_rows(d, tangents[0].size // 3) for d in directions])
+    rows.setflags(write=False)
+    return directions, rows
+
+
 def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> ConsistencyReport:
     """Compare the paraxial closed form against the general qfi engine.
 
@@ -591,31 +658,26 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
     from one amplitude build (C and the six dC in one amplitude_arrays
     call) and one support_svd of C; the key keeps its name for
     compatibility.  The axis tangents t_a are the target's x, y and z
-    direction presets (_PARAXIAL_FORMS) from geometry's preset table.
-    Diagonal entries are the qfi along them, each equal to
-    qfi(scenario, from_tangent(t_a)); the off-diagonal ones come from the
-    polarization identity I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
+    direction presets (_consistency_directions), and the six dC are
+    taken in one stacked _qfi_value pass.  Diagonal entries are the qfi
+    along them, each equal to qfi(scenario, from_tangent(t_a)); the
+    off-diagonal ones come from the polarization identity
+    I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
     """
     target = ParaxialTarget(target)
-    prefix = _PARAXIAL_FORMS[target][0]
-    tangents = [np.array(_PRESET_TANGENTS[prefix + axis]) for axis in "xyz"]
-    expected_ns = tangents[0].size // 3
+    directions, rows = _consistency_directions(target)
+    expected_ns = rows.shape[1]
     if scenario.n_sources != expected_ns:
         raise ScenarioError(
             f"{target.value} check requires {expected_ns} source(s), "
             f"scenario has {scenario.n_sources}"
         )
     closed = paraxial_qfi_matrix(scenario.collector_positions(), scenario.k, scenario.z0, target)
-    pairs = ((0, 1), (0, 2), (1, 2))
-    directions = [GeneralizedCoordinate.from_tangent(t) for t in tangents] + [
-        GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b]) for a, b in pairs
-    ]
-    rows = np.stack([direction_rows(d, scenario.n_sources) for d in directions])
     C, dCs = amplitude_arrays(scenario, None, rows)
-    svd = _scenario_svd(scenario)
-    Q = [d.parameter_scale**2 * _qfi_value(C, dC, svd) for d, dC in zip(directions, dCs)]
+    values, _ = _qfi_value(C, dCs, _scenario_svd(scenario))
+    Q = [d.parameter_scale**2 * value for d, value in zip(directions, values)]
     fd = np.diag(Q[:3])
-    for (a, b), combo in zip(pairs, Q[3:]):
+    for (a, b), combo in zip(_AXIS_PAIRS, Q[3:]):
         fd[a, b] = fd[b, a] = 0.5 * (combo - fd[a, a] - fd[b, b])
     # Entries far below the dominant one are held to an absolute standard
     # of 1e-3 * scale so that exact zeros do not produce spurious relative

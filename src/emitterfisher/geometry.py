@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import threading
@@ -83,6 +84,13 @@ def finite_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise ScenarioError(f"{what} must be finite, got {value!r}")
     return number
+
+
+def finite_real(value, what: str) -> float:
+    """finite_number of a real number: ScenarioError for a bool or text, which float() would take."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
+    return finite_number(value, what)
 
 
 def check_source_positions(positions, z0: float, mode: Mode) -> None:

@@ -20,6 +20,8 @@ the SVD V^dag M W = D of M = C^dag C' defines biorthogonal frames
 A = C V and B = C' W (A^dag B = D); a column-pivoted QR of A yields the
 N_S occupied output rows P with P A upper-triangular, which forces P B
 lower-triangular and puts D_s = |a'(s,s)| |b'(s,s)| on the diagonals.
+The check takes one reduced QR of A, whose triangle the pivot search
+reads; the permuted A is factored again only when the search permuted.
 The other N_C - N_S output modes carry no light of either frame, so the
 check reads P alone.
 
@@ -53,7 +55,6 @@ from .fisher import (
     Interferometer,
     NumericalError,
     Provenance,
-    _applied,
     _cfi,
     _householder_interferometer,
     _probabilities,
@@ -72,6 +73,7 @@ from .geometry import (
     check_source_positions,
     direction_rows,
     finite_number,
+    finite_real,
 )
 
 __all__ = [
@@ -237,15 +239,18 @@ class SvdAlignment:
 def svd_alignment(M: np.ndarray) -> SvdAlignment:
     """Singular value decomposition of the overlap matrix, descending order."""
     M = np.asarray(M, dtype=complex)
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NumericalError("overlap matrix contains non-finite entries")
     try:
         u, s, vh = np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed for matrix of shape {M.shape}") from exc
     align = SvdAlignment(V=u, W=vh.conj().T, D=s)
-    resid = np.linalg.norm(align.V.conj().T @ M @ align.W - np.diag(s))
-    if resid > 1e-10 * max(np.linalg.norm(M), 1e-300):
+    # Frobenius norms of V^dag M W - diag(s) and of M.
+    aligned = u.conj().T @ M @ align.W
+    aligned.flat[:: s.size + 1] -= s
+    resid = math.sqrt(np.vdot(aligned, aligned).real)
+    if resid > 1e-10 * max(math.sqrt(np.vdot(M, M).real), 1e-300):
         raise NumericalError(f"SVD reconstruction residual too large: {resid:.3e}")
     return align
 
@@ -279,12 +284,15 @@ def _sld_eigenbasis(lam: np.ndarray, drho: np.ndarray) -> np.ndarray:
     correction for an already-diagonal L).
     """
     den = lam[:, None] + lam[None, :]
-    L = np.divide(2.0 * drho, den, out=np.zeros_like(drho), where=den > 1e-300)
+    L = np.divide(2.0 * drho, den, out=np.zeros(drho.shape, complex), where=den > 1e-300)
     _, U = np.linalg.eigh(0.5 * (L + L.conj().T))
     n = U.shape[0]
+    # The moduli are hypot, as abs of a Python complex or a numpy scalar
+    # gives them; numpy's array abs may differ in the last bit.
+    magnitudes = [[abs(z) for z in row] for row in U.tolist()]
     order: list[int] = []
-    for i in range(n):
-        order.append(max((c for c in range(n) if c not in order), key=lambda c: abs(U[i, c])))
+    for row in magnitudes:
+        order.append(max((c for c in range(n) if c not in order), key=row.__getitem__))
     U = U[:, order]
     for i in range(n):
         if abs(U[i, i]) > 1e-300:
@@ -315,44 +323,55 @@ def optimal_interferometer(C: np.ndarray, dC: np.ndarray) -> Interferometer:
     C = np.asarray(C, dtype=complex)
     if C.shape != np.shape(dC):
         raise ScenarioError(f"amplitude and derivative shapes differ: {C.shape} vs {np.shape(dC)}")
-    return _optimal_interferometer(dC, support_svd(C))
+    svd = support_svd(C)
+    return _optimal_interferometer(_qfi_value(C, np.asarray(dC), svd)[1], svd)
 
 
-def _optimal_interferometer(dC: np.ndarray, svd) -> Interferometer:
-    """optimal_interferometer from dC and support_svd(C), which the caller has taken."""
-    Ur, s, Vr = svd
-    A = Ur.conj().T @ dC @ Vr
-    G = _sld_eigenbasis(s**2, A * s[None, :] + s[:, None] * A.conj().T)
+def _optimal_interferometer(drho: np.ndarray, svd) -> Interferometer:
+    """optimal_interferometer from U_r^dag d rho U_r (fisher._qfi_value) and support_svd(C)."""
+    Ur, s, _ = svd
+    G = _sld_eigenbasis(s**2, drho)
     reflectors, tau = np.linalg.qr(Ur, mode="raw")
     return _householder_interferometer(reflectors, tau, G.conj().T @ Ur.conj().T)
 
 
-def _pivot_order(A: np.ndarray) -> np.ndarray:
+def _residual_norms(B: np.ndarray) -> np.ndarray:
+    """N[i, j] = ||B[i:, j]||, each sum of squares taken from the bottom row up."""
+    return np.sqrt(np.cumsum((np.abs(B) ** 2)[::-1], axis=0)[::-1])
+
+
+def _pivot_order(B: np.ndarray) -> np.ndarray:
     """Column order of the rank-revealing QR of A (Businger & Golub, as in LAPACK geqp3).
 
-    Each step i takes the remaining column with the largest residual norm,
-    the first in the current order on ties, and swaps it with column i.
-    The search runs on the N_S x N_S triangular factor B of one unpivoted
-    QR of A, whose columns have the residual norms of A's: at step i the
+    B is the N_S x N_S triangular factor of one unpivoted QR of A, whose
+    columns have the residual norms of A's.  Each step i takes the
+    remaining column with the largest residual norm, the first in the
+    current order on ties, and swaps it with column i.  At step i the
     residual norm of column j >= i is ||B[i:, j]||, summed from the bottom
     row up (no downdate, so no cancellation) and compared after the square
-    root, as geqp3 compares norms.  A swap breaks the triangle below row
-    i, so B[i:, i:] is factored again.  The last column has no rival.
+    root, as geqp3 compares norms; one cumulative sum gives them for every
+    step until a swap.  A swap breaks the triangle below row i, so
+    B[i:, i:] is factored again, in a copy, unless no step is left to
+    read it.  The last column has no rival.
     """
-    B = np.linalg.qr(A, mode="r")
-    piv = np.arange(B.shape[1])
-    for i in range(B.shape[1] - 1):
-        j = i + int(np.argmax(np.sqrt(np.cumsum((np.abs(B[i:, i:]) ** 2)[::-1], axis=0)[-1])))
+    n = B.shape[1]
+    piv = np.arange(n)
+    norms = _residual_norms(B)
+    for i in range(n - 1):
+        j = i + int(np.argmax(norms[i, i:]))
         if j != i:
             piv[[i, j]] = piv[[j, i]]
-            B[:, [i, j]] = B[:, [j, i]]
-            B[i:, i:] = np.linalg.qr(B[i:, i:], mode="r")
+            if i < n - 2:
+                B = B.copy()
+                B[:, [i, j]] = B[:, [j, i]]
+                B[i:, i:] = np.linalg.qr(B[i:, i:], mode="r")
+                norms = _residual_norms(B)
     return piv
 
 
 def _pivoted(piv: np.ndarray) -> bool:
     """Whether the QR column order ``piv`` differs from the identity order."""
-    return bool(np.any(piv != np.arange(piv.size)))
+    return piv.tolist() != list(range(piv.size))
 
 
 def _align(C: np.ndarray, C_prime: np.ndarray):
@@ -371,13 +390,18 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
     A = C @ align.V
     B = C_prime @ align.W
     # For a well-conditioned A the pivot order is the identity because the
-    # aligned columns already come norm-sorted.
-    piv = _pivot_order(A)
-    Q, T = np.linalg.qr(A[:, piv])
+    # aligned columns already come norm-sorted, and the QR of A is the
+    # pivoted one; only a permuted order is factored again.
+    Q, T = np.linalg.qr(A)
+    piv = _pivot_order(T)
+    if _pivoted(piv):
+        A, B = A[:, piv], B[:, piv]
+        Q, T = np.linalg.qr(A)
     # Row phases that make the diagonal of P A = T real and nonnegative.
-    d = np.diagonal(T)
-    phases = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)
-    return phases[:, None] * Q.conj().T, A[:, piv], B[:, piv], align.D[piv], piv
+    d = T.diagonal()
+    modulus = np.abs(d)
+    phases = np.where(modulus > 1e-300, d.conj() / np.maximum(modulus, 1e-300), 1.0)
+    return phases[:, None] * Q.conj().T, A, B, align.D[piv], piv
 
 
 def synthesize_optimal_interferometer(C: np.ndarray, C_prime: np.ndarray) -> SynthesisResult:
@@ -455,7 +479,7 @@ class SaturationReport:
 def natural_displacement_scale(scenario: Scenario) -> float:
     """Displacement over which collector phases change by about one radian."""
     uv = scenario.collector_positions()
-    u_char = float(np.max(np.abs(uv)))
+    u_char = float(np.abs(uv).max())
     if u_char <= 0.0:
         u_char = 1.0
     return scenario.z0 / (scenario.k * u_char)
@@ -468,16 +492,20 @@ def _design(
 
     C, dC and the one support_svd of C that serves the measurement and the
     QFI are the scenario's own, kept on it (amplitude_and_derivative,
-    fisher._scenario_svd).  The CFI and probabilities are fisher._cfi's,
-    so the report equals information_report(scenario, direction, R) bit
-    for bit, and the probabilities detection_probabilities(C, R) to
-    rounding.  No pair is built.
+    fisher._scenario_svd).  U_r^dag dC is formed once: fisher._qfi_value
+    returns the d rho it builds from it, from which the measurement's
+    symmetric logarithmic derivative is taken.  The CFI and probabilities
+    are fisher._cfi's, so the report equals
+    information_report(scenario, direction, R) bit for bit, and the
+    probabilities detection_probabilities(C, R) to rounding.  No pair is
+    built.
     """
     C, dC = amplitude_and_derivative(scenario, direction)
     svd = _scenario_svd(scenario)
-    R = _optimal_interferometer(dC, svd)
+    (qfi_value,), drho = _qfi_value(C, dC, svd)
+    R = _optimal_interferometer(drho, svd)
     cfi_value, p = _cfi(C, dC, R)
-    return R, _report(direction, qfi=_qfi_value(C, dC, svd), cfi=cfi_value), p
+    return R, _report(direction, qfi=qfi_value, cfi=cfi_value), p
 
 
 def verify_saturation(
@@ -494,9 +522,10 @@ def verify_saturation(
     R1 A upper-triangular, R1 B lower-triangular, D_s = |a'(s,s)| |b'(s,s)|
     and scalar products preserved.  ``structure_ok`` compares the
     unitarity, triangular and diagonal-product residuals with their
-    tolerances (SaturationReport).  A zero or non-finite ``delta_theta``
-    gives an identical pair, which defines no alignment, and raises
-    ScenarioError.  The measurement, its Fisher values and its
+    tolerances (SaturationReport).  ``delta_theta`` goes through
+    geometry.finite_real: a bool, text or a non-finite value raises
+    ScenarioError, as does zero, which gives an identical pair and so
+    defines no alignment.  The measurement, its Fisher values and its
     probabilities are _design's, from the C, dC and support SVD kept on
     the scenario; only C' is built, at the displaced positions, with no
     derivative, and the measurement is applied to it on its own for the
@@ -504,7 +533,8 @@ def verify_saturation(
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
-    if delta_theta == 0.0 or not math.isfinite(delta_theta):
+    delta_theta = finite_real(delta_theta, "synthesis displacement")
+    if delta_theta == 0.0:
         raise ScenarioError(f"synthesis displacement must be finite and nonzero, got {delta_theta}")
     a = direction_rows(direction, scenario.n_sources)
     moved = scenario.source_positions() + a * delta_theta
@@ -513,14 +543,19 @@ def verify_saturation(
     C_prime, _ = amplitude_arrays(scenario, moved)
     P, A, B, D, piv = _align(amplitude_arrays(scenario)[0], C_prime)
     PA, PB = P @ A, P @ B
-    lower_resid = float(np.max(np.abs(np.tril(PA, -1))))
-    upper_resid = float(np.max(np.abs(np.triu(PB, 1))))
-    diag_resid = float(np.max(np.abs(np.abs(np.diagonal(PA) * np.diagonal(PB)) - D)))
-    scalar_resid = float(np.max(np.abs(A.conj().T @ B - np.diag(D))))
+    index = np.arange(D.size)
+    below = index[:, None] > index
+    # The largest modulus below and above the diagonal; 0.0 for one source.
+    lower_resid = float(np.abs(PA[below]).max(initial=0.0))
+    upper_resid = float(np.abs(PB[below.T]).max(initial=0.0))
+    diag_resid = float(np.abs(np.abs(PA.diagonal() * PB.diagonal()) - D).max())
+    AB = A.conj().T @ B
+    AB[index, index] -= D
+    scalar_resid = float(np.abs(AB).max())
     return SaturationReport(
         delta_theta=delta_theta,
         quantum_fidelity=float(D.sum()),
-        classical_fidelity=float(np.sqrt(p * _probabilities(_applied(R, C_prime))).sum()),
+        classical_fidelity=float(np.sqrt(p * _probabilities(R.apply(C_prime))).sum()),
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,

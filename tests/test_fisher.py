@@ -618,6 +618,51 @@ def test_information_report_equals_separate_values():
             assert rep.converged
 
 
+def _stride_order(strides) -> list[int]:
+    """Axes from the one with the smallest stride to the largest."""
+    return np.argsort(strides, kind="stable").tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 9),
+    nc=st.integers(2, 40),
+    trials=st.integers(2, 6),
+    layout=st.sampled_from(["block", "stack", "applied"]),
+)
+def test_source_sum_matches_numpy_sum_in_memory_order(seed, ns, nc, trials, layout):
+    # The column-by-column sum over sources equals numpy's sum(axis=-1)
+    # bit for bit below 8 sources, signed zeros included, and to rounding
+    # from 8 on, where numpy sums pairwise.  It keeps the memory order of
+    # its input: on the strided stacks that _applied returns, a (T, N_C)
+    # result stays N_C-major, as estimation's sums over ports need.
+    import emitterfisher.fisher as fisher_mod
+
+    rng = np.random.default_rng(seed)
+    if layout == "block":
+        X = rng.normal(size=(nc, ns))
+    elif layout == "stack":
+        X = rng.normal(size=(trials, nc, ns))
+    else:
+        stack = rng.normal(size=(2, trials, nc, ns)) + 1j * rng.normal(size=(2, trials, nc, ns))
+        RX = fisher_mod._applied(qft_interferometer(nc), stack)
+        X = np.abs(RX) ** 2
+        p = fisher_mod._probabilities(RX[0])
+        assert p.strides[1] > p.strides[0]
+        assert p.tobytes() == fisher_mod._source_sum(X[0]).tobytes()
+    X[rng.random(X.shape) < 0.2] = -0.0
+    total = fisher_mod._source_sum(X)
+    reference = X.sum(axis=-1)
+    assert total.shape == reference.shape
+    assert _stride_order(total.strides) == _stride_order(X.strides[:-1])
+    if ns < 8:
+        assert total.tobytes() == reference.tobytes()
+    else:
+        bound = 8 * np.finfo(float).eps * np.abs(X).sum(axis=-1)
+        assert np.all(np.abs(total - reference) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # generator moments and closed forms
 # ---------------------------------------------------------------------------

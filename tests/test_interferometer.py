@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emitterfisher import (
@@ -492,6 +492,26 @@ def test_saturation_zero_displacement():
             verify_saturation(s, named_direction("separation-x", 2), delta_theta=step)
 
 
+@pytest.mark.parametrize(
+    "step", [True, False, "abc", "1e-3", 10**400, -math.inf, 1e-3j, [1e-3]]
+)
+def test_saturation_step_must_be_a_finite_real_number(step):
+    # A bool, text, a complex or a sequence is not a step, and an integer
+    # beyond the float range is not finite: each is a ScenarioError, not
+    # a TypeError or an OverflowError, and none is reported as a step.
+    s = symmetric_pair(0.2)
+    with pytest.raises(ScenarioError):
+        verify_saturation(s, named_direction("separation-x", 2), delta_theta=step)
+
+
+@pytest.mark.parametrize("step", [np.float64(2e-3), np.float32(2e-3), 2e-3, 1])
+def test_saturation_step_is_reported_as_a_float(step):
+    # Real numbers of any type are taken, and reported as the float checked.
+    s = symmetric_pair(0.2)
+    report = verify_saturation(s, named_direction("separation-x", 2), delta_theta=step)
+    assert type(report.delta_theta) is float and report.delta_theta == float(step)
+
+
 def _full_q_theorem_check(C, C_prime, unitarity_residual):
     """Reference: the theorem check through the full N_C x N_C Q of the QR.
 
@@ -559,57 +579,119 @@ def test_theorem_check_matches_full_q_reference():
     assert verdicts == {True, False}
 
 
+def _pivot_case(rng, i):
+    """(scenario, direction) of case i of the pivot search's generator.
+
+    1-8 sources (the theorem check's range), both modes, source spreads
+    from 1e-8 to 1, a coincident pair in about a fifth of the cases and,
+    from four sources, a second one in about a third.
+    """
+    ns = 1 + i % 8
+    nc = int(rng.integers(max(ns, 2), 40))
+    mode = (Mode.PARAXIAL, Mode.EXACT)[(i // 8) % 2]
+    positions = rng.normal(0, 10 ** rng.uniform(-8, 0), (ns, 3))
+    if ns > 1 and rng.random() < 0.2:
+        positions[1] = positions[0]
+    if ns > 3 and rng.random() < 0.3:
+        positions[3] = positions[2]
+    s = Scenario(
+        tuple(SourcePoint(*p, weight=w) for p, w in zip(positions, rng.uniform(0.5, 1.5, ns))),
+        tuple(Collector(*rng.uniform(-1, 1, 2)) for _ in range(nc)),
+        k=2 * math.pi * rng.uniform(1, 5), z0=1.0, mode=mode,
+    )
+    return s, GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
+
+
+def _pivot_pair(s, d):
+    """(C, C') of the theorem check's pair at the default step."""
+    C = build_amplitude_matrix(s)
+    return C, build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
+
+
+def _two_qr_alignment(C, C_prime):
+    """Reference alignment: the pivot search on a mode="r" QR of A, then a QR of A[:, piv]."""
+    align = svd_alignment(C.conj().T @ C_prime)
+    A, B = C @ align.V, C_prime @ align.W
+    piv = itf_mod._pivot_order(np.linalg.qr(A, mode="r"))
+    Q, T = np.linalg.qr(A[:, piv])
+    d = np.diagonal(T)
+    phases = np.where(np.abs(d) > 1e-300, d.conj() / np.maximum(np.abs(d), 1e-300), 1.0)
+    return phases[:, None] * Q.conj().T, A[:, piv], B[:, piv], align.D[piv], piv
+
+
 def test_pivot_order_matches_lapack_pivoted_qr():
     # The pivot search gives the column order of scipy's pivoted QR (LAPACK
-    # geqp3) on aligned frames over 1-8 sources (the theorem check's range),
-    # both modes, source spreads from 1e-8 to 1, a coincident pair in about
-    # a fifth of the cases and, from four sources, a second one in about a
-    # third, so that swaps cascade through re-factored trailing blocks.
+    # geqp3) on aligned frames (_pivot_case), where the coincident pairs
+    # make swaps cascade through re-factored trailing blocks.  On each
+    # frame the one-QR alignment equals the two-QR reference bit for bit.
     import scipy.linalg
 
     rng = np.random.default_rng(909)
     permuted = 0
     for i in range(480):
-        ns = 1 + i % 8
-        nc = int(rng.integers(max(ns, 2), 40))
-        mode = (Mode.PARAXIAL, Mode.EXACT)[(i // 8) % 2]
-        positions = rng.normal(0, 10 ** rng.uniform(-8, 0), (ns, 3))
-        if ns > 1 and rng.random() < 0.2:
-            positions[1] = positions[0]
-        if ns > 3 and rng.random() < 0.3:
-            positions[3] = positions[2]
-        s = Scenario(
-            tuple(SourcePoint(*p, weight=w) for p, w in zip(positions, rng.uniform(0.5, 1.5, ns))),
-            tuple(Collector(*rng.uniform(-1, 1, 2)) for _ in range(nc)),
-            k=2 * math.pi * rng.uniform(1, 5), z0=1.0, mode=mode,
-        )
-        d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
-        C = build_amplitude_matrix(s)
-        C_prime = build_amplitude_matrix(displace(s, d, 1e-4 * itf_mod.natural_displacement_scale(s)))
+        C, C_prime = _pivot_pair(*_pivot_case(rng, i))
         A = C @ svd_alignment(C.conj().T @ C_prime).V
         piv = scipy.linalg.qr(A, mode="r", pivoting=True)[1]
-        np.testing.assert_array_equal(itf_mod._pivot_order(A), piv, err_msg=f"case {i}")
-        permuted += bool(np.any(piv != np.arange(ns)))
+        B = np.linalg.qr(A, mode="r")
+        np.testing.assert_array_equal(itf_mod._pivot_order(B), piv, err_msg=f"case {i}")
+        for got, want in zip(itf_mod._align(C, C_prime), _two_qr_alignment(C, C_prime)):
+            assert got.tobytes() == want.tobytes(), f"case {i}"
+        permuted += bool(np.any(piv != np.arange(C.shape[1])))
     assert permuted >= 10
 
 
-def test_theorem_check_forms_no_square_q(monkeypatch):
-    # No QR of the theorem check returns an N_C x N_C factor: the pivot
-    # search reads the N_S x N_S triangle, and Q is the N_C x N_S occupied block.
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=st.integers(0, 15))
+# Cases whose search permutes, so that both branches always run.
+@example(seed=6, case=3)
+@example(seed=0, case=5)
+@example(seed=2, case=7)
+def test_one_qr_alignment_equals_two_qr_reference(seed, case):
+    # _align takes one reduced QR of A and reads the pivot search from its
+    # triangle, with a second QR only when the search permuted: P, A, B, D
+    # and the pivots equal, bit for bit, those of a separate mode="r" QR
+    # for the search followed by a QR of A[:, piv].
+    C, C_prime = _pivot_pair(*_pivot_case(np.random.default_rng(seed), case))
+    for got, want in zip(itf_mod._align(C, C_prime), _two_qr_alignment(C, C_prime)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _recorded_qrs(monkeypatch):
+    """A list that records (mode, input shape, output) of every np.linalg.qr call."""
     qr = np.linalg.qr
     calls = []
 
     def recording(a, mode="reduced"):
         out = qr(a, mode=mode)
-        calls.append((mode, out))
+        calls.append((mode, np.shape(a), out))
         return out
 
     monkeypatch.setattr(np.linalg, "qr", recording)
+    return calls
+
+
+def test_theorem_check_forms_no_square_q(monkeypatch):
+    # No QR of the theorem check returns an N_C x N_C factor.  The check
+    # takes one reduced QR of the N_C x N_S frame A, whose triangle the
+    # pivot search reads; a second one, of the permuted A, only when the
+    # search permuted.  The optimal measurement's Householder QR is raw.
+    calls = _recorded_qrs(monkeypatch)
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
-    verify_saturation(s, named_direction("separation-x", 2))
-    assert "complete" not in [mode for mode, _ in calls]
-    assert [out.shape for mode, out in calls if mode == "r"] == [(2, 2)]
-    assert [out[0].shape for mode, out in calls if mode == "reduced"] == [(4, 2)]
+    report = verify_saturation(s, named_direction("separation-x", 2))
+    assert not report.pivoted
+    assert "complete" not in [mode for mode, _, _ in calls]
+    assert [mode for mode, _, _ in calls] == ["raw", "reduced"]
+    assert [out[0].shape for mode, _, out in calls if mode == "reduced"] == [(4, 2)]
+
+    # Coincident sources: the search permutes, and its swaps re-factor the
+    # trailing N_S x N_S triangle before the second reduced QR.
+    calls.clear()
+    s, d = _pivot_case(np.random.default_rng(6), 3)
+    report = verify_saturation(s, d)
+    assert report.pivoted and (s.n_sources, s.n_collectors) == (4, 20)
+    assert [mode for mode, _, _ in calls if mode != "r"] == ["raw", "reduced", "reduced"]
+    assert [out[0].shape for mode, _, out in calls if mode == "reduced"] == [(20, 4)] * 2
+    assert all(shape[0] <= 4 for mode, shape, _ in calls if mode == "r")
 
 
 def test_each_optimal_measurement_does_one_householder_qr(monkeypatch):
