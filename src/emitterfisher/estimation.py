@@ -46,7 +46,7 @@ __all__ = [
 LOG_FLOOR = 1e-300
 # Grid resolution of the coarse likelihood scan.
 GRID_POINTS = 64
-# Most entries of one block's (trials, GRID_POINTS, N_C) product in the grid scan (8 MB).
+# Most entries of one block's (trials, GRID_POINTS) score array in the grid scan (8 MB).
 GRID_BLOCK = 1 << 20
 # Refinement stops at a step within this fraction of the grid span.
 REFINE_TOL = 1e-8
@@ -158,9 +158,11 @@ _COUNT_LIMIT = 2**63
 def _whole_number(value, what: str, least: int) -> int:
     """``value`` as an int in [least, 2**63); ScenarioError otherwise.
 
-    An integer is taken exactly (operator.index); anything else, such as
-    the float 2.0, must be a finite number with an integral value.
+    An integer, not a bool, is taken exactly (operator.index); anything
+    else, such as 2.0, must be a finite number with an integral value.
     """
+    if isinstance(value, bool):
+        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
     try:
         number = operator.index(value)
     except TypeError:
@@ -180,6 +182,8 @@ def _checked_seed(seed) -> int:
 
     Not through finite_number: its float would round seeds above 2**53.
     """
+    if isinstance(seed, bool):
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed!r}")
     try:
         seed = operator.index(seed)
     except TypeError:
@@ -204,7 +208,7 @@ def _checked_counts(counts, n_collectors: int) -> np.ndarray:
 
 def _normalized(p: np.ndarray) -> np.ndarray:
     """p clipped at 0 and renormalized: the cell probabilities of the multinomial draw."""
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     return p / p.sum()
 
 
@@ -254,9 +258,9 @@ def mle_estimate(
     if isinstance(counts, DetectionRecord):
         counts = counts.counts
     counts = _checked_counts(counts, scenario.n_collectors)
-    lo, hi = _checked_interval(*search_interval)
-    path, slopes = _probability_path(scenario, direction, R, lo, hi)
-    theta_hat = float(_refine(counts[None], slopes, *_likelihood_grid(path, lo, hi))[0])
+    theta = _checked_interval(*search_interval)
+    path, slopes = _probability_path(scenario, direction, R, theta[0], theta[-1])
+    theta_hat = float(_refine(counts[None], slopes, theta, _likelihood_grid(path, theta))[0])
     return EstimationResult(
         theta_hat=theta_hat,
         log_likelihood=float(_log_likelihood(counts, path([theta_hat])[0])),
@@ -266,15 +270,14 @@ def mle_estimate(
     )
 
 
-def _likelihood_grid(path, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """GRID_POINTS thetas spanning [lo, hi] and log p at each; flat p is not identifiable."""
-    theta = np.linspace(lo, hi, GRID_POINTS)
+def _likelihood_grid(path, theta: np.ndarray) -> np.ndarray:
+    """log p at each grid theta (_checked_interval); flat p is not identifiable."""
     probs = path(theta)
-    if np.max(np.abs(probs - probs[0])) < 1e-12:
+    if np.abs(probs - probs[0]).max() < 1e-12:
         raise NonIdentifiableError(
             "detection probabilities are constant over the search interval"
         )
-    return theta, np.log(np.maximum(probs, LOG_FLOOR))
+    return np.log(np.maximum(probs, LOG_FLOOR))
 
 
 def _grid_modes(counts: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,21 +286,21 @@ def _grid_modes(counts: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.n
     Returns the index of the grid row of largest log-likelihood, the first
     on ties, and the (T, 3) log-likelihoods at rows c - 1, c, c + 1, where
     c is the mode clipped to [1, GRID_POINTS - 2].  Blocks of trials are
-    scored against all rows of ``log_p`` in one broadcast product each, of
-    at most GRID_BLOCK entries (one trial at least), so the temporary stays
-    near 8 MB whatever T and N_C; the three scores are read from the same
-    product.  Each score is the sum over the last axis of counts times one
-    row, as a trial scored alone against that row would take it.
+    scored against all rows of ``log_p`` by one einsum 'tq,gq->tg' each,
+    into a score array of at most GRID_BLOCK entries (one trial at least),
+    8 MB whatever T and N_C.  numpy's own einsum loop (optimize=False, no
+    BLAS) sums each score in one order whatever the block and the trial's
+    place in it: bit for bit, the one-trial einsum 'q,gq->g' of that trial.
     """
-    rows = max(1, GRID_BLOCK // log_p.size)
-    modes, around = [], []
+    rows = max(1, GRID_BLOCK // GRID_POINTS)
+    modes, around = np.empty(len(counts), dtype=np.intp), np.empty((len(counts), 3))
     for i in range(0, len(counts), rows):
-        scores = (counts[i:i + rows, None, :] * log_p).sum(axis=-1)
-        best = np.argmax(scores, axis=1)
-        c = np.clip(best, 1, GRID_POINTS - 2)
-        modes.append(best)
-        around.append(np.take_along_axis(scores, c[:, None] + np.arange(-1, 2), axis=1))
-    return np.concatenate(modes), np.concatenate(around)
+        scores = np.einsum("tq,gq->tg", counts[i:i + rows], log_p)
+        best = scores.argmax(axis=1)
+        modes[i:i + rows] = best
+        c = np.minimum(np.maximum(best, 1), GRID_POINTS - 2)[:, None] + np.arange(-1, 2)
+        around[i:i + rows] = scores[np.arange(len(scores))[:, None], c]
+    return modes, around
 
 
 def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
@@ -331,41 +334,48 @@ def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) ->
     b = theta[np.minimum(best + 1, GRID_POINTS - 1)]
     curvature = f0 - 2.0 * f1 + f2
     h = (theta[-1] - theta[0]) / (GRID_POINTS - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = theta[np.clip(best, 1, GRID_POINTS - 2)] + h * (f0 - f2) / (2.0 * curvature)
-    x = np.where(curvature < 0, np.clip(vertex, a, b), theta[best])
-    out = x.copy()
     tol = REFINE_TOL * (theta[-1] - theta[0])
     n = counts.sum(axis=-1)
-    index = np.arange(len(x))
-    # Each trial's previous point and score, and the lengths of its last two steps.
-    x_prev, s_prev = np.full_like(x, np.nan), np.full_like(x, np.nan)
-    d1, d2 = np.full_like(x, np.inf), np.full_like(x, np.inf)
-    while x.size:
-        p, dp, cfi = slopes(x)
-        s = (counts * dp / np.maximum(p, LOG_FLOOR)).sum(axis=-1)
-        a = np.where(s >= 0, x, a)
-        b = np.where(s <= 0, x, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            secant = (s - s_prev) / (x - x_prev)
-            step = np.where(secant < 0, -s / secant, s / (n * cfi))
-        to = x + step
-        bisect = ~((to > a) & (to < b)) | (np.abs(step) > 0.5 * d2)
-        to = np.where(bisect, 0.5 * (a + b), to)
-        length = np.abs(to - x)
-        out[index] = to
-        x_prev, s_prev, x, d2, d1 = x, s, to, d1, length
-        live = length > tol
-        if not live.all():
-            x, a, b, x_prev, s_prev, d1, d2, counts, n, index = (
-                v[live] for v in (x, a, b, x_prev, s_prev, d1, d2, counts, n, index))
+    index = np.arange(len(best))
+    # Each trial's last two step lengths, and from step two on its previous point and score.
+    d1, d2 = np.full(len(best), np.inf), np.full(len(best), np.inf)
+    x_prev = s_prev = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.minimum(np.maximum(best, 1), GRID_POINTS - 2)
+        vertex = theta[c] + h * (f0 - f2) / (2.0 * curvature)
+        x = np.where(curvature < 0, np.minimum(np.maximum(vertex, a), b), theta[best])
+        out = x.copy()
+        while x.size:
+            p, dp, cfi = slopes(x)
+            s = (counts * dp / np.maximum(p, LOG_FLOOR)).sum(axis=-1)
+            a = np.where(s >= 0, x, a)
+            b = np.where(s <= 0, x, b)
+            step = s / (n * cfi)
+            if x_prev is not None:
+                secant = (s - s_prev) / (x - x_prev)
+                step = np.where(secant < 0, -s / secant, step)
+            to = x + step
+            bisect = ~((to > a) & (to < b)) | (np.abs(step) > 0.5 * d2)
+            to = np.where(bisect, 0.5 * (a + b), to)
+            length = np.abs(to - x)
+            out[index] = to
+            x_prev, s_prev, x, d2, d1 = x, s, to, d1, length
+            live = length > tol
+            if not live.all():
+                x, a, b, x_prev, s_prev, d1, d2, counts, n, index = (
+                    v[live] for v in (x, a, b, x_prev, s_prev, d1, d2, counts, n, index))
     return out
 
 
 def default_search_interval(
     prior_center: float, n_photons: int, cfi_value: float
 ) -> tuple[float, float]:
-    """prior_center +- SEARCH_SIGMAS sigmas (_checked_interval); finite inputs, n and CFI > 0."""
+    """prior_center +- SEARCH_SIGMAS sigmas: the ends of _search_grid."""
+    return tuple(_search_grid(prior_center, n_photons, cfi_value)[[0, -1]].tolist())
+
+
+def _search_grid(prior_center, n_photons, cfi_value) -> np.ndarray:
+    """The grid (_checked_interval) of prior_center +- SEARCH_SIGMAS sigmas; n and CFI > 0."""
     prior_center = finite_number(prior_center, "prior_center")
     n_photons = _whole_number(n_photons, "n_photons", 1)
     cfi_value = finite_number(cfi_value, "the CFI")
@@ -376,17 +386,18 @@ def default_search_interval(
                              prior_center + SEARCH_SIGMAS * sigma)
 
 
-def _checked_interval(lo, hi) -> tuple[float, float]:
-    """Finite [lo, hi] whose GRID_POINTS grid values are distinct doubles; ScenarioError otherwise."""
+def _checked_interval(lo, hi) -> np.ndarray:
+    """GRID_POINTS thetas from lo to hi; ScenarioError unless finite, distinct doubles."""
     lo, hi = (finite_number(end, "a search interval end") for end in (lo, hi))
     if lo > hi:
         raise ScenarioError(f"invalid search interval [{lo}, {hi}]")
     if not math.isfinite(hi - lo):
         raise ScenarioError(f"search interval [{lo}, {hi}] is too wide: its width overflows")
-    if not (np.diff(np.linspace(lo, hi, GRID_POINTS)) > 0).all():
+    theta = np.linspace(lo, hi, GRID_POINTS)
+    if not (np.diff(theta) > 0).all():
         raise ScenarioError(f"search interval [{lo}, {hi}] has no resolution: its {GRID_POINTS} "
                             "grid points are not distinct doubles")
-    return lo, hi
+    return theta
 
 
 @dataclass
@@ -445,9 +456,9 @@ def crb_sweep(
         raise NonIdentifiableError(
             f"CFI is {cfi_value}; the parameter cannot be estimated with this measurement"
         )
-    lo, hi = default_search_interval(theta_true, n_photons, cfi_value)
-    path, slopes = _probability_path(scenario, direction, R, theta_true, lo, hi)
-    theta, log_p = _likelihood_grid(path, lo, hi)
+    theta = _search_grid(theta_true, n_photons, cfi_value)
+    path, slopes = _probability_path(scenario, direction, R, theta_true, theta[0], theta[-1])
+    log_p = _likelihood_grid(path, theta)
     p_true = _normalized(fisher.detection_probabilities(C, R))
     draws = np.random.default_rng(seed).multinomial(n_photons, p_true, size=trials)
     estimates = _refine(draws.astype(float), slopes, theta, log_p)

@@ -13,7 +13,7 @@ Two amplitude models are supported:
                   renormalized per source.
 * ``paraxial`` -- phase linear in the source coordinates,
                   phi = -k (u x + v y)/z0 - k z (u^2 + v^2)/(2 z0^2),
-                  modulus 1/sqrt(N_C).
+                  modulus exactly 1/sqrt(N_C), so no norm is taken.
 
 Phase convention: the phase is +k times the optical path length.  Only
 phase differences between collectors affect any derived quantity.
@@ -74,7 +74,9 @@ class Mode(str, Enum):
 
 
 def finite_number(value, what: str) -> float:
-    """``value`` as a finite float; ScenarioError naming ``what`` otherwise."""
+    """``value`` as a finite float; ScenarioError naming ``what`` otherwise, and for a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
@@ -87,8 +89,8 @@ def finite_number(value, what: str) -> float:
 
 
 def finite_real(value, what: str) -> float:
-    """finite_number of a real number: ScenarioError for a bool or text, which float() would take."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """finite_number of a real number: ScenarioError for text, which float() would take."""
+    if not isinstance(value, numbers.Real):
         raise ScenarioError(f"{what} must be a number, got {value!r}")
     return finite_number(value, what)
 
@@ -349,29 +351,35 @@ def _phase_rows(uv: np.ndarray) -> np.ndarray:
 
 
 def _raw_amplitudes(
-    rows: np.ndarray, xyz: np.ndarray, k: float, z0: float, mode: Mode, a: np.ndarray | None
+    rows: np.ndarray, xyz: np.ndarray, k: float, z0: float, mode: Mode, weights: np.ndarray,
+    a: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Unnormalized amplitudes gamma (..., N_C, N_S) and d gamma / d theta along ``a``.
+    """C (..., N_C, N_S), column s sqrt(w_s) gamma_s / ||gamma_s||, and dC along ``a``.
 
     ``rows`` holds the collector rows [u, v, u^2 + v^2] (_phase_rows) and
     ``xyz`` one (N_S, 3) set of source coordinates or a stack (..., N_S, 3)
     of such sets.  ``a`` is None (no derivative), one 3 N_S direction (flat
     or one row per source), shared by every set, or, with one set, a stack
-    (m, N_S, 3) of directions, giving d gamma of shape (m, N_C, N_S) whose
-    slice i is, bit for bit, what direction i alone gives.  Paraxial gamma
-    is exp(i phi) with unit modulus, the phase one matrix product of the
-    rows with the scaled source coordinates (-k x / z0, -k y / z0,
-    -k z / (2 z0^2)), and d phi the same product with the direction; exact
-    gamma is exp(i k d) / d.
+    (m, N_S, 3) of directions, giving dC of shape (m, N_C, N_S) whose slice
+    i is, bit for bit, what direction i alone gives.  Both are closed
+    forms.  Paraxial gamma is exp(i phi), the phase one matrix product of
+    the rows with the scaled source coordinates (-k x / z0, -k y / z0,
+    -k z / (2 z0^2)): ||gamma_s||^2 = N_C and dC = i dphi C.  Exact gamma
+    is exp(i k d) / d: ||gamma_s||^2 = sum_q d_q^-2, and the radial term
+    Re(n_s^dag dgamma_s) / ||gamma_s|| = -sum_q dd_q / d_q^3 / ||gamma_s||^2
+    is a real sum, so dC = C (i k dd - dd / d - that term).
     """
     if a is not None:
         a = a.reshape(-1, 3) if a.ndim < 3 else a
     if mode is Mode.PARAXIAL:
         scale = np.array([-k / z0, -k / z0, -k / (2.0 * z0**2)])
-        gamma = np.exp(1j * (rows @ (xyz * scale).swapaxes(-1, -2)))
+        phase = rows @ (xyz * scale).swapaxes(-1, -2)
+        if not np.isfinite(phase).all():
+            raise _column_error(phase, len(rows))
+        C = np.exp(1j * phase) * np.sqrt(weights / len(rows))
         if a is None:
-            return gamma, None
-        return gamma, 1j * (rows @ (a * scale).swapaxes(-1, -2)) * gamma
+            return C, None
+        return C, 1j * (rows @ (a * scale).swapaxes(-1, -2)) * C
     u, v = rows[:, :1], rows[:, 1:2]
     x, y, z = (xyz[..., None, :, i] for i in range(3))
     ex, ey, ez = x - u, y - v, z0 + z
@@ -381,33 +389,27 @@ def _raw_amplitudes(
         raise DegenerateGeometryError(
             f"source {tuple(xyz[(*stack, s)])} coincides with collector {tuple(rows[q, :2])}"
         )
-    gamma = np.exp(1j * k * d) / d
+    inv = 1.0 / d
+    inv2 = inv * inv
+    norm2 = inv2.sum(axis=-2)
+    w_norm = np.sqrt(weights / norm2)
+    C = np.exp(1j * k * d) * (inv * w_norm[..., None, :])
+    # C is finite unless a phase is not or ||gamma_s||^2 is 0; w_norm is 0 where it overflows.
+    if not (w_norm.all() and np.isfinite(C).all()):
+        raise _column_error(k * d, norm2)
     if a is None:
-        return gamma, None
-    ax, ay, az = (a[..., None, :, i] for i in range(3))
-    dd = (ex * ax + ey * ay + ez * az) / d
-    return gamma, gamma * (1j * k - 1.0 / d) * dd
-
-
-def _built(
-    scenario: Scenario, xyz: np.ndarray, a: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """C and dC for the sources at ``xyz`` (amplitude_arrays), built, not kept."""
-    rows = _kept(scenario, "_phase_rows", lambda: _phase_rows(scenario.collector_positions()))
-    gamma, dgamma = _raw_amplitudes(rows, xyz, scenario.k, scenario.z0, scenario.mode, a)
-    norms = np.linalg.norm(gamma, axis=-2)
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
-    if bad.any():
-        raise DegenerateGeometryError(
-            f"zero-norm amplitude column for source {int(np.argwhere(bad)[0][-1])}"
-        )
-    scale = (np.sqrt(scenario.weights()) / norms)[..., None, :]
-    C = gamma * scale
-    if dgamma is None:
         return C, None
-    n = gamma / norms[..., None, :]
-    radial = np.real(np.sum(n.conj() * dgamma, axis=-2))
-    return C, (dgamma - n * radial[..., None, :]) * scale
+    ax, ay, az = (a[..., None, :, i] for i in range(3))
+    dd = (ex * ax + ey * ay + ez * az) * inv
+    ddi = dd * inv
+    radial = (ddi * inv2).sum(axis=-2) / norm2
+    return C, C * ((radial[..., None, :] - ddi) + 1j * k * dd)
+
+
+def _column_error(phase: np.ndarray, norm2) -> DegenerateGeometryError:
+    """The error for the first source with a phase that is not finite, or a bad ||gamma_s||^2."""
+    bad = ~(np.isfinite(phase).all(axis=-2) & np.isfinite(norm2) & (norm2 > 0.0))
+    return DegenerateGeometryError(f"zero-norm amplitude column for source {bad.nonzero()[-1][0]}")
 
 
 def amplitude_arrays(
@@ -418,10 +420,10 @@ def amplitude_arrays(
     The one routine that builds amplitudes from a Scenario: its collectors,
     weights, k, z0 and mode, with the sources at ``positions`` (default:
     the scenario's own).  Column s of C is sqrt(w_s) n_s with
-    n_s = gamma_s / ||gamma_s|| (_raw_amplitudes).  The derivative of the
-    normalized column is sqrt(w_s) (dgamma_s - n_s Re(n_s^dag dgamma_s)) /
-    ||gamma_s||, which in paraxial mode reduces to i dphi * C (the Re term
-    vanishes); with ``a`` None only C is computed.
+    n_s = gamma_s / ||gamma_s||, and dC its closed-form derivative (both
+    _raw_amplitudes), sqrt(w_s) (dgamma_s - n_s Re(n_s^dag dgamma_s)) /
+    ||gamma_s||, i dphi * C in paraxial mode; with ``a`` None only C is
+    computed.
 
     ``positions`` is one (N_S, 3) set of source positions, giving (N_C, N_S)
     arrays, or a stack (T, N_S, 3), giving (T, N_C, N_S) arrays whose slice
@@ -438,15 +440,21 @@ def amplitude_arrays(
     direction builds dC (and C with it, the same bits) once more and
     replaces the old dC.  The collector rows of the phase are kept too.
     """
+    rows = _kept(scenario, "_phase_rows", lambda: _phase_rows(scenario.collector_positions()))
+    fixed = (scenario.k, scenario.z0, scenario.mode, scenario.weights())
+
+    def built(xyz, a):
+        return _raw_amplitudes(rows, xyz, *fixed, a)
+
     if positions is not None:
-        return _built(scenario, positions, a)
+        return built(positions, a)
     xyz = scenario.source_positions()
     if a is None:
-        return _kept(scenario, "_amplitudes", lambda: _built(scenario, xyz, None)[0]), None
+        return _kept(scenario, "_amplitudes", lambda: built(xyz, None)[0]), None
     a = np.asarray(a, dtype=float)
 
     def with_derivative():
-        C, dC = _built(scenario, xyz, a)
+        C, dC = built(xyz, a)
         return _kept(scenario, "_amplitudes", lambda: C), dC
 
     return _kept(scenario, "_derivative", with_derivative, key=(a.shape, a.tobytes()))

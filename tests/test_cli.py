@@ -283,6 +283,24 @@ def test_non_numeric_value_exits_2(source, k, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("source, k", [
+    ("{x: yes, y: 0, z: 0}", "1.0"),
+    ("{x: 0, y: 0, z: 0, weight: true}", "1.0"),
+    ("{x: 0, y: 0, z: 0}", "on"),
+], ids=["x-yes", "weight-true", "k-on"])
+def test_boolean_value_exits_2(source, k, tmp_path, capsys):
+    # YAML reads yes, true and on as booleans, which are not numbers.
+    bad = tmp_path / "bad.scn"
+    bad.write_text(
+        f"mode: paraxial\nk: {k}\nz0: 100.0\n"
+        f"sources:\n  - {source}\ncollectors:\n  - {{u: 1, v: 0}}\n  - {{u: -1, v: 0}}\n"
+    )
+    code = run_cli("qfi", "--scenario", str(bad), "--direction", "x")
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "must be a number" in err
+
+
 @pytest.mark.parametrize("mode", ["fresnel", "3", "[exact]", "null"])
 def test_bad_mode_exits_2(mode, tmp_path, capsys):
     bad = tmp_path / "bad.scn"

@@ -126,6 +126,32 @@ def test_invalid_seed_rejected(seed):
         crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3, seed=seed)
 
 
+@pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+def test_boolean_counts_seeds_and_thetas_rejected(value):
+    # int(True) is 1, but a bool is not a photon count, trial count, seed
+    # or parameter value.
+    s = two_collector_scenario()
+    bs = beam_splitter_with_phase(0.0)
+    calls = {
+        "n_photons must be": lambda: crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=value,
+                                               trials=3, seed=1),
+        "trials must be": lambda: crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000,
+                                            trials=value, seed=1),
+        "seed must be": lambda: crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3,
+                                          seed=value),
+        "theta_true must be a number": lambda: crb_sweep(s, SEP_X, bs, theta_true=value,
+                                                         n_photons=1000, trials=3, seed=1),
+        "n_photons must": lambda: sample_detections(s, SEP_X, 2.0, bs, value, seed=1),
+        "seed must": lambda: sample_detections(s, SEP_X, 2.0, bs, 1000, seed=value),
+        "counts must be": lambda: DetectionRecord(counts=[value, value], n_photons=2, seed=0,
+                                                  true_theta=0.0),
+        "prior_center must be a number": lambda: default_search_interval(value, 1000, 0.0025),
+    }
+    for match, call in calls.items():
+        with pytest.raises(ScenarioError, match=match):
+            call()
+
+
 def test_seeds_of_any_integer_type_and_size_accepted():
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
@@ -344,7 +370,7 @@ def _scalar_refine(counts, slopes, theta, log_p):
 
     mask = counts > 0
     n = counts.sum()
-    scores = (counts[mask] * log_p[:, mask]).sum(axis=1)
+    scores = np.einsum("q,gq->g", counts, log_p)
     best = int(np.argmax(scores))
     a, b = theta[max(best - 1, 0)], theta[min(best + 1, len(theta) - 1)]
     # The vertex of the parabola through the scores around the mode, kept
@@ -392,7 +418,8 @@ def test_lockstep_refinement_matches_one_trial_search():
     )
     R = qft_interferometer(4)
     path, slopes = estimation._probability_path(s, SEP_X, R, 1.5, 2.5)
-    theta, log_p = estimation._likelihood_grid(path, 1.5, 2.5)
+    theta = estimation._checked_interval(1.5, 2.5)
+    log_p = estimation._likelihood_grid(path, theta)
     truths = np.concatenate([np.linspace(1.3, 2.7, 15), [1.5, 2.5]])
     rng = np.random.default_rng(5)
     counts = np.array([rng.multinomial(20000, p / p.sum()) for p in path(truths)], dtype=float)
@@ -488,12 +515,13 @@ def test_workload_sweeps_evaluate_the_score_twice(seed, monkeypatch):
 
 
 def _row_by_row_modes(counts, log_p):
-    """The grid scan one log_p row at a time over all trials: the reference for _grid_modes.
+    """The grid scan one row of counts at a time: the reference for _grid_modes.
 
-    Returns each trial's mode and its scores at rows c - 1, c, c + 1, c the
-    mode kept off the end rows.
+    Each trial is scored alone by the one-trial einsum.  Returns each
+    trial's mode and its scores at rows c - 1, c, c + 1, c the mode kept
+    off the end rows.
     """
-    scores = np.array([(counts * row).sum(axis=-1) for row in log_p]).T
+    scores = np.array([np.einsum("q,gq->g", row, log_p) for row in counts])
     modes = np.argmax(scores, axis=1)
     c = np.clip(modes, 1, len(log_p) - 2)
     return modes, np.array([row[i - 1:i + 2] for row, i in zip(scores, c, strict=True)])
@@ -503,13 +531,13 @@ def _row_by_row_modes(counts, log_p):
 @given(trials=st.integers(1, 120), n_collectors=st.integers(2, 16), ties=st.integers(0, 40),
        block_rows=st.one_of(st.none(), st.integers(1, 130)), seed=st.integers(0, 2**32))
 def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, block_rows, seed):
-    # The blocked broadcast scan must pick, bit for bit, the grid row the
-    # row-by-row scan picks, and return the same three scores around it, in
-    # one block or in many (block_rows trials each), past numpy's eight-term
-    # pairwise block of the sum, on exact ties, forced by repeating log_p
-    # rows and trials, where both take the first row, and on near ties, rows
-    # a few ulps from another, where the pick depends on the order in which
-    # each score is summed.
+    # The blocked einsum scan must pick, bit for bit, the grid row the
+    # one-trial scan picks, and return the same three scores around it, in
+    # one block or in many (block_rows trials each), past the vector
+    # lanes in which einsum's inner loop accumulates a score, on exact ties, forced by
+    # repeating log_p rows and trials, where both take the first row, and on
+    # near ties, rows a few ulps from another, where the pick depends on the
+    # order in which each score is summed.
     from unittest import mock
 
     from emitterfisher import estimation
@@ -524,7 +552,7 @@ def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, b
     counts = rng.multinomial(int(rng.integers(1, 10**6)), p[rng.integers(estimation.GRID_POINTS)],
                              size=trials).astype(float)
     counts[rng.random(trials) < 0.2] = counts[0]
-    block = estimation.GRID_BLOCK if block_rows is None else block_rows * log_p.size
+    block = estimation.GRID_BLOCK if block_rows is None else block_rows * estimation.GRID_POINTS
     with mock.patch.object(estimation, "GRID_BLOCK", block):
         modes, around = estimation._grid_modes(counts, log_p)
     row_modes, row_around = _row_by_row_modes(counts, log_p)
@@ -533,9 +561,45 @@ def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, b
     assert around.tobytes() == row_around.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(trials=st.integers(1, 30), n_collectors=st.integers(1, 1300), block_rows=st.integers(1, 12),
+       shift=st.integers(1, 7), seed=st.integers(0, 2**32))
+def test_grid_scan_scores_each_trial_as_it_alone_is_scored(trials, n_collectors, block_rows, shift,
+                                                          seed):
+    # Each trial's mode and scores equal, bit for bit, those of the
+    # one-trial einsum, whatever block of block_rows trials it falls in,
+    # when the trials are a slice of a longer array, and when counts and
+    # log_p start ``shift`` doubles off the alignment of a fresh array.
+    from unittest import mock
+
+    from emitterfisher import estimation
+
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n_collectors), estimation.GRID_POINTS)
+    log_p = np.log(np.maximum(p, estimation.LOG_FLOOR))
+    counts = rng.multinomial(10**5, p[rng.integers(estimation.GRID_POINTS)],
+                             size=trials + 3).astype(float)
+    want_modes, want_around = _row_by_row_modes(counts, log_p)
+
+    def shifted(x):
+        out = np.empty(x.size + shift)[shift:].reshape(x.shape)
+        out[...] = x
+        return out
+
+    scans = ((counts, log_p, slice(None)), (counts[2:], log_p, slice(2, None)),
+             (shifted(counts), shifted(log_p), slice(None)),
+             (shifted(counts)[1:-1], shifted(log_p), slice(1, -1)))
+    with mock.patch.object(estimation, "GRID_BLOCK", block_rows * estimation.GRID_POINTS):
+        for scanned, grid, rows in scans:
+            modes, around = estimation._grid_modes(scanned, grid)
+            assert modes.tolist() == want_modes[rows].tolist()
+            assert around.tobytes() == want_around[rows].tobytes()
+
+
 def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
     # A 40-trial sweep on four collectors scored in blocks of 7 trials, or
-    # of one, gives the records of the sweep scored in one block.
+    # of one, gives the records of the sweep scored in one block; a block
+    # holds GRID_BLOCK // GRID_POINTS trials, one at least.
     from emitterfisher import bundled_scenario_path, estimation, load_scenario, qft_interferometer
 
     four = load_scenario(bundled_scenario_path("four_collector.scn"))
@@ -545,9 +609,8 @@ def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
                          trials=40, seed=9)
 
     aggregate, records = sweep()
-    grid_size = estimation.GRID_POINTS * four.n_collectors
-    assert 40 * grid_size <= estimation.GRID_BLOCK
-    for block in (7 * grid_size, 1):
+    assert 40 * estimation.GRID_POINTS <= estimation.GRID_BLOCK
+    for block in (7 * estimation.GRID_POINTS, 1):
         monkeypatch.setattr(estimation, "GRID_BLOCK", block)
         blocked_aggregate, blocked_records = sweep()
         assert blocked_aggregate.to_dict() == aggregate.to_dict()
@@ -555,9 +618,9 @@ def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
 
 
 def test_disc_sweep_memory_is_bounded():
-    # On the bundled disc (N_C = 1257) a 500-trial sweep's unblocked grid
-    # product alone would hold 500 x 64 x 1257 doubles, 322 MB; scored in
-    # blocks of GRID_BLOCK entries the sweep peaks near 142 MB.
+    # On the bundled disc (N_C = 1257) a 500-trial sweep's broadcast grid
+    # product would hold 500 x 64 x 1257 doubles, 322 MB; the einsum scan
+    # forms none, and the sweep peaks near 147 MB.
     import tracemalloc
 
     from emitterfisher import bundled_scenario_path, load_scenario, qft_interferometer
@@ -635,7 +698,8 @@ def test_refinement_reaches_the_score_root():
         sigma = math.sqrt(aggregate.fisher_predicted_variance)
         lo, hi = default_search_interval(truth, n, 1.0 / (n * aggregate.fisher_predicted_variance))
         path, slopes = estimation._probability_path(s, SEP_X, R, lo, hi)
-        theta, log_p = estimation._likelihood_grid(path, lo, hi)
+        theta = estimation._checked_interval(lo, hi)
+        log_p = estimation._likelihood_grid(path, theta)
         counts = sweep_draws(s, SEP_X, R, truth, n, len(records), seed=7).astype(float)
 
         def score(t):
@@ -882,7 +946,8 @@ def test_search_interval_resolution_boundary():
     # points, and the accepted interval is passed on as it is; 62 do not.
     from emitterfisher.estimation import _checked_interval
 
-    assert _checked_interval(1e17, 1e17 + 63 * 16) == (1e17, 1e17 + 1008)
+    theta = _checked_interval(1e17, 1e17 + 63 * 16)
+    assert (theta[0], theta[-1]) == (1e17, 1e17 + 1008)
     with pytest.raises(ScenarioError, match="has no resolution"):
         _checked_interval(1e17, 1e17 + 62 * 16)
     sigma = math.sqrt(1.0 / (1000 * 0.0025))

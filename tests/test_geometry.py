@@ -57,11 +57,12 @@ def make_scenario(sources, collectors, k=1.0, z0=100.0, mode=Mode.PARAXIAL):
 
 
 def _raw_entry(c, s, k, z0, mode):
-    """The unnormalized amplitude gamma of one source at one collector."""
-    gamma, _ = geometry._raw_amplitudes(
-        geometry._phase_rows(np.array([[c.u, c.v]])), np.array([[s.x, s.y, s.z]]), k, z0, mode, None
+    """The amplitude of one source of weight 1 at one lone collector: exp(i phase), modulus 1."""
+    C, _ = geometry._raw_amplitudes(
+        geometry._phase_rows(np.array([[c.u, c.v]])), np.array([[s.x, s.y, s.z]]), k, z0, mode,
+        np.ones(1), None,
     )
-    return complex(gamma[0, 0])
+    return complex(C[0, 0])
 
 
 def test_paraxial_on_axis_amplitude():
@@ -79,7 +80,7 @@ def test_paraxial_phase_linear_in_x():
 
 
 def test_exact_unit_distance_phase():
-    # k = 1, distance 1 -> phase exactly 1 radian, unnormalized modulus 1.
+    # k = 1, distance 1 -> phase exactly 1 radian; a lone collector's modulus is 1.
     gamma = _raw_entry(Collector(0.0, 0.0), SourcePoint(0, 0, 0), 1.0, 1.0, Mode.EXACT)
     assert np.angle(gamma) == pytest.approx(1.0)
     assert abs(gamma) == pytest.approx(1.0)
@@ -91,6 +92,83 @@ def test_exact_source_on_collector_is_degenerate():
         build_amplitude_matrix(s)
     with pytest.raises(DegenerateGeometryError):
         _raw_entry(Collector(0.0, 0.0), SourcePoint(0, 0, -1.0), 1.0, 1.0, Mode.EXACT)
+
+
+def _small_phase_scenario(rng, n_sources, mode):
+    """Random sources and 2-23 collectors whose phases stay below two radians.
+
+    k z0 <= 1, collectors within z0 of the axis and sources within 0.05 z0
+    of the reference point, so the rounding of the phase itself stays at
+    the level of the rest of the build.
+    """
+    z0 = 10 ** rng.uniform(-1, 1)
+    sources = tuple(SourcePoint(*rng.uniform(-0.05 * z0, 0.05 * z0, 3), weight=w)
+                    for w in rng.uniform(0.5, 1.5, n_sources))
+    collectors = tuple(Collector(*rng.uniform(-z0, z0, 2))
+                       for _ in range(int(rng.integers(max(n_sources, 2), 24))))
+    return Scenario(sources, collectors, rng.uniform(0.1, 1.0) / z0, z0, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(1, 8),
+       mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]))
+def test_closed_form_columns_match_the_oracle(seed, n_sources, mode):
+    # The closed-form build normalizes without a norm of C: each column has
+    # norm sqrt(w_s) to a few ulp, each derivative column is orthogonal to
+    # its column (Re c_s^dag dc_s = 0) to rounding, and C is the mpmath
+    # oracle's to 4 eps max|C|.  That oracle renormalizes the double weights
+    # in extended precision, which alone moves C by up to N_S / 2 ulp.
+    from emitterfisher._precision import amplitude_matrix_mp
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    s = _small_phase_scenario(rng, n_sources, mode)
+    d = GeneralizedCoordinate.from_tangent(rng.normal(size=3 * n_sources))
+    C, dC = amplitude_and_derivative(s, d)
+    np.testing.assert_allclose(np.linalg.norm(C, axis=0), np.sqrt(s.weights()), rtol=4 * eps,
+                               atol=0)
+    radial = np.real(np.sum(C.conj() * dC, axis=0))
+    assert (np.abs(radial) <= 8 * eps * np.sum(np.abs(C) * np.abs(dC), axis=0)).all()
+    M = amplitude_matrix_mp(s)
+    oracle = np.array([[complex(M[q, j]) for j in range(M.cols)] for q in range(M.rows)])
+    assert np.abs(C - oracle).max() <= 4 * eps * np.abs(C).max()
+
+
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+def test_stacked_closed_form_builds_equal_one_build_per_set(mode):
+    # A stack of source sets gives, bit for bit, the arrays of one call per set.
+    rng = np.random.default_rng(3)
+    s = _small_phase_scenario(rng, 3, mode)
+    a = rng.normal(size=(3, 3)) / 3
+    stack = s.source_positions() + rng.normal(0, 0.01 * s.z0, (7, 3, 3))
+    C, dC = geometry.amplitude_arrays(s, stack, a)
+    for t, xyz in enumerate(stack):
+        C_t, dC_t = geometry.amplitude_arrays(s, xyz, a)
+        assert C[t].tobytes() == C_t.tobytes() and dC[t].tobytes() == dC_t.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("z0, z, match", [
+    (1.0, -1.0, "coincides with collector"),
+    # d^2 underflows to 0, so d = 0 and 1/d would overflow.
+    (1e-170, 0.0, "coincides with collector"),
+    # 1/d^2 overflows, so ||gamma||^2 does.
+    (1e-160, 0.0, "zero-norm amplitude column for source 0"),
+], ids=["on-collector", "squared-distance-underflows", "inverse-square-overflows"])
+def test_closed_form_exact_build_rejects_degenerate_distances(z0, z, match):
+    # Source 0 on, or within d of, the collector at the origin.
+    s = make_scenario([(0, 0, z), (0.5, 0, 0)], [(0.0, 0.0), (1.0, 0.0)], z0=z0, mode=Mode.EXACT)
+    with pytest.raises(DegenerateGeometryError, match=match):
+        amplitude_and_derivative(s, named_direction("separation-x", 2))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", [Mode.PARAXIAL, Mode.EXACT])
+def test_overflowing_phase_is_degenerate(mode):
+    # k / z0 overflows the paraxial phase, k d the exact one.
+    s = make_scenario([(0, 0, 0)], [(5.0, 0.0), (-5.0, 0.0)], k=1e308, z0=1e-10, mode=mode)
+    with pytest.raises(DegenerateGeometryError, match="zero-norm amplitude column for source 0"):
+        build_amplitude_matrix(s)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +515,41 @@ def test_non_numeric_coordinates_rejected(value):
         Collector(value, 0)
     with pytest.raises(ScenarioError):
         make_scenario([(0, 0, 0)], [(1, 0)], k=value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_],
+                         ids=["True", "False", "np.True_", "np.False_"])
+def test_boolean_values_rejected(value):
+    # float() takes a bool as 1.0 or 0.0; a coordinate, weight, wavenumber
+    # or distance is a number, not a truth value.
+    calls = (lambda: SourcePoint(value, 0, 0), lambda: SourcePoint(0, 0, 0, weight=value),
+             lambda: Collector(0, value), lambda: make_scenario([(0, 0, 0)], [(1, 0)], k=value),
+             lambda: make_scenario([(0, 0, 0)], [(1, 0)], z0=value),
+             lambda: disc_collector_grid(value))
+    for call in calls:
+        with pytest.raises(ScenarioError, match="must be a number"):
+            call()
+
+
+@pytest.mark.parametrize("entry", ["x: yes", "y: on", "z: false", "weight: true"])
+def test_scenario_file_boolean_rejected(entry, tmp_path):
+    # YAML 1.1 reads yes, on, false and true as booleans.
+    path = tmp_path / "bool.scn"
+    source = {"x": 0, "y": 0, "z": 0, **dict([entry.split(": ")])}
+    path.write_text("k: 1.0\nz0: 100.0\nsources:\n  - {"
+                    + ", ".join(f"{key}: {val}" for key, val in source.items())
+                    + "}\ncollectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n")
+    with pytest.raises(ScenarioError, match="must be a number"):
+        load_scenario(path)
+
+
+def test_scenario_file_numeric_text_is_a_number(tmp_path):
+    # PyYAML reads 1e-3 and 1e2, without a dot, as strings; they are numbers.
+    path = tmp_path / "text.scn"
+    path.write_text("k: 1e0\nz0: 1e2\nsources:\n  - {x: 1e-3, y: 0, z: 0, weight: 2e0}\n"
+                    "collectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n")
+    s = load_scenario(path)
+    assert (s.k, s.z0, s.sources[0].x) == (1.0, 100.0, 1e-3)
 
 
 def test_scenario_file_round_trip(tmp_path):

@@ -602,6 +602,29 @@ def _pivot_case(rng, i):
     return s, GeneralizedCoordinate.from_tangent(rng.normal(size=3 * ns))
 
 
+def _wide_margin_pivot_case():
+    """(scenario, direction) whose pivot search swaps by a margin far above rounding.
+
+    Three paraxial sources whose columns are exactly orthogonal discrete
+    Fourier modes of a 4 x 5 collector grid, whatever the y of source 1,
+    which alone moves, along y.  C^dag C' is then diagonal,
+    (w0, w1 |f|, w2) with 1 - |f| = var(dphi) / 2 = 2.5e-9 at the default
+    step.  With w1 = w0 (1 + 1.25e-9), the aligned frame A takes source 0's
+    column first (its singular value is larger by 1.25e-9 relative), while
+    source 1's column is longer (by 6.3e-10 relative, some 10^6 ulps): the
+    search swaps the two and re-factors the trailing triangle.
+    """
+    collectors = tuple(Collector(u, v) for u in (-1.5, -0.5, 0.5, 1.5)
+                       for v in (-2.0, -1.0, 0.0, 1.0, 2.0))
+    # k u x / z0 steps by 2 pi / 4 along u for source 1; k v y / z0 by 2 pi / 5 along v
+    # for source 2.
+    sources = (SourcePoint(0.0, 0.0, 0.0, weight=1.0),
+               SourcePoint(2.5, 0.0, 0.0, weight=1.0 + 1.25e-9),
+               SourcePoint(0.0, 2.0, 0.0, weight=0.5))
+    s = Scenario(sources, collectors, k=20 * math.pi, z0=100.0)
+    return s, GeneralizedCoordinate.from_tangent([0, 0, 0, 0, 1, 0, 0, 0, 0])
+
+
 def _pivot_pair(s, d):
     """(C, C') of the theorem check's pair at the default step."""
     C = build_amplitude_matrix(s)
@@ -642,7 +665,9 @@ def test_pivot_order_matches_lapack_pivoted_qr():
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), case=st.integers(0, 15))
-# Cases whose search permutes, so that both branches always run.
+# Cases whose search permuted by rounding when they were found; (2, 7)
+# still does.  test_one_qr_alignment_past_a_wide_margin_swap permutes by
+# design, so both branches always run.
 @example(seed=6, case=3)
 @example(seed=0, case=5)
 @example(seed=2, case=7)
@@ -654,6 +679,14 @@ def test_one_qr_alignment_equals_two_qr_reference(seed, case):
     C, C_prime = _pivot_pair(*_pivot_case(np.random.default_rng(seed), case))
     for got, want in zip(itf_mod._align(C, C_prime), _two_qr_alignment(C, C_prime)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_qr_alignment_past_a_wide_margin_swap():
+    C, C_prime = _pivot_pair(*_wide_margin_pivot_case())
+    got, want = itf_mod._align(C, C_prime), _two_qr_alignment(C, C_prime)
+    assert got[-1].tolist() == [1, 0, 2]
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _recorded_qrs(monkeypatch):
@@ -683,15 +716,15 @@ def test_theorem_check_forms_no_square_q(monkeypatch):
     assert [mode for mode, _, _ in calls] == ["raw", "reduced"]
     assert [out[0].shape for mode, _, out in calls if mode == "reduced"] == [(4, 2)]
 
-    # Coincident sources: the search permutes, and its swaps re-factor the
+    # A search that permutes by a wide margin: its swap re-factors the
     # trailing N_S x N_S triangle before the second reduced QR.
     calls.clear()
-    s, d = _pivot_case(np.random.default_rng(6), 3)
+    s, d = _wide_margin_pivot_case()
     report = verify_saturation(s, d)
-    assert report.pivoted and (s.n_sources, s.n_collectors) == (4, 20)
+    assert report.pivots.tolist() == [1, 0, 2] and (s.n_sources, s.n_collectors) == (3, 20)
     assert [mode for mode, _, _ in calls if mode != "r"] == ["raw", "reduced", "reduced"]
-    assert [out[0].shape for mode, _, out in calls if mode == "reduced"] == [(20, 4)] * 2
-    assert all(shape[0] <= 4 for mode, shape, _ in calls if mode == "r")
+    assert [out[0].shape for mode, _, out in calls if mode == "reduced"] == [(20, 3)] * 2
+    assert [shape for mode, shape, _ in calls if mode == "r"] == [(3, 3)]
 
 
 def test_each_optimal_measurement_does_one_householder_qr(monkeypatch):
