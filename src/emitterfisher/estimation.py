@@ -10,11 +10,11 @@ from the vertex of the parabola through the grid scores around the mode,
 Fisher scoring, then secant steps, safeguarded by bisection.  Detection
 probabilities, and with them their derivatives, are evaluated for a
 vector of thetas at once, one apply of the measurement to all their
-amplitudes; the trials of a sweep are scanned in blocks of bounded
-memory and refined together, one batched evaluation per step, and a
-single estimate is the one-trial case of the same code.  A sweep draws
-all its trials from one generator in one call, and its aggregate holds
-the QFI and CFI at its truth.
+amplitudes.  A sweep draws, scans and refines its trials one block at a
+time, from one generator, so its memory does not grow with its trial
+count; a block's trials are refined together, one batched evaluation per
+step, and a single estimate is the one-trial block.  A sweep's aggregate
+holds the QFI and CFI at its truth.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .geometry import (
     check_source_positions,
     direction_rows,
     finite_number,
+    whole_number,
 )
 
 __all__ = [
@@ -46,7 +47,8 @@ __all__ = [
 LOG_FLOOR = 1e-300
 # Grid resolution of the coarse likelihood scan.
 GRID_POINTS = 64
-# Most entries of one block's (trials, GRID_POINTS) score array in the grid scan (8 MB).
+# Most entries of each per-block array of a sweep: the (rows, GRID_POINTS) grid
+# scores and the (2, rows, N_C, N_S) amplitude stack of slopes (16 MB complex).
 GRID_BLOCK = 1 << 20
 # Refinement stops at a step within this fraction of the grid span.
 REFINE_TOL = 1e-8
@@ -80,8 +82,8 @@ class DetectionRecord:
             counts = None
         if counts is None or counts.ndim != 1:
             raise ScenarioError(f"counts must be a vector of detector counts, got {self.counts!r}")
-        values = [_whole_number(c, "counts", 0) for c in counts.tolist()]
-        n_photons = _whole_number(self.n_photons, "n_photons", 1)
+        values = [whole_number(c, "counts", 0) for c in counts.tolist()]
+        n_photons = whole_number(self.n_photons, "n_photons", 1)
         if sum(values) != n_photons:
             raise ScenarioError("counts do not sum to n_photons")
         counts = np.array(values, dtype=np.int64)
@@ -122,9 +124,10 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
     The first gives the (T, N_C) detection probabilities; the second gives
     them with dp/dtheta (T, N_C) and the CFI (T,), dark ports entering
     through their 0/0 limit (fisher._port_information).  Row t depends only
-    on theta t.  The source positions at the ``checked`` thetas are
-    validated in one check; sources move linearly in theta, so the ends of
-    an interval cover all of it.  A measurement R that is not an
+    on theta t, bit for bit: each CFI adds its ports in order (cumsum),
+    which a sum over T = 1 row would not.  The source positions at the
+    ``checked`` thetas are validated in one check; sources move linearly
+    in theta, so the ends of an interval cover all of it.  A measurement R that is not an
     Interferometer is checked once, here.  Each call builds the amplitudes
     of all T thetas in one call and applies R once, in its own form, to the
     stack of them, or of them and their derivatives (fisher._applied): no
@@ -146,35 +149,9 @@ def _probability_path(scenario: Scenario, direction: GeneralizedCoordinate, R, *
 
     def slopes(theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p, dp, terms = fisher._port_information(fisher._applied(R, np.stack(amplitudes(theta, a))))
-        return p, scale * dp, scale**2 * terms.sum(axis=-1)
+        return p, scale * dp, scale**2 * np.cumsum(terms, axis=-1)[:, -1]
 
     return path, slopes
-
-
-# The multinomial draw takes its number of photons as a numpy int64.
-_COUNT_LIMIT = 2**63
-
-
-def _whole_number(value, what: str, least: int) -> int:
-    """``value`` as an int in [least, 2**63); ScenarioError otherwise.
-
-    An integer, not a bool, is taken exactly (operator.index); anything
-    else, such as 2.0, must be a finite number with an integral value.
-    """
-    if isinstance(value, bool):
-        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = finite_number(value, what)
-        if not number.is_integer():
-            raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}") from None
-        number = int(number)
-    if number < least:
-        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
-    if number >= _COUNT_LIMIT:
-        raise ScenarioError(f"{what} must be below 2**63, got {value!r}")
-    return number
 
 
 def _checked_seed(seed) -> int:
@@ -225,7 +202,7 @@ def sample_detections(
     ``seed`` must be a non-negative integer.
     """
     seed = _checked_seed(seed)
-    n_photons = _whole_number(n_photons, "n_photons", 1)
+    n_photons = whole_number(n_photons, "n_photons", 1)
     path, _ = _probability_path(scenario, direction, R, theta_true)
     counts = np.random.default_rng(seed).multinomial(n_photons, _normalized(path([theta_true])[0]))
     return DetectionRecord(counts=counts, n_photons=n_photons, seed=seed, true_theta=theta_true)
@@ -285,48 +262,45 @@ def _grid_modes(counts: np.ndarray, log_p: np.ndarray) -> tuple[np.ndarray, np.n
 
     Returns the index of the grid row of largest log-likelihood, the first
     on ties, and the (T, 3) log-likelihoods at rows c - 1, c, c + 1, where
-    c is the mode clipped to [1, GRID_POINTS - 2].  Blocks of trials are
-    scored against all rows of ``log_p`` by one einsum 'tq,gq->tg' each,
-    into a score array of at most GRID_BLOCK entries (one trial at least),
-    8 MB whatever T and N_C.  numpy's own einsum loop (optimize=False, no
-    BLAS) sums each score in one order whatever the block and the trial's
-    place in it: bit for bit, the one-trial einsum 'q,gq->g' of that trial.
+    c is the mode clipped to [1, GRID_POINTS - 2].  The trials are scored
+    against all rows of ``log_p`` by one einsum 'tq,gq->tg' into a
+    (T, GRID_POINTS) array, which crb_sweep's blocks keep within
+    GRID_BLOCK entries.  numpy's own einsum loop (optimize=False, no BLAS)
+    sums each score in one order whatever T and the trial's place among
+    them: bit for bit, the one-trial einsum 'q,gq->g' of that trial.
     """
-    rows = max(1, GRID_BLOCK // GRID_POINTS)
-    modes, around = np.empty(len(counts), dtype=np.intp), np.empty((len(counts), 3))
-    for i in range(0, len(counts), rows):
-        scores = np.einsum("tq,gq->tg", counts[i:i + rows], log_p)
-        best = scores.argmax(axis=1)
-        modes[i:i + rows] = best
-        c = np.minimum(np.maximum(best, 1), GRID_POINTS - 2)[:, None] + np.arange(-1, 2)
-        around[i:i + rows] = scores[np.arange(len(scores))[:, None], c]
-    return modes, around
+    scores = np.einsum("tq,gq->tg", counts, log_p)
+    best = scores.argmax(axis=1)
+    c = np.minimum(np.maximum(best, 1), GRID_POINTS - 2)[:, None] + np.arange(-1, 2)
+    return best, scores[np.arange(len(scores))[:, None], c]
 
 
 def _refine(counts: np.ndarray, slopes, theta: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """Grid mode of each row of ``counts``, refined to a root of the score in lockstep.
 
     ``counts`` is (T, N_C); returns the T estimates.  Each trial is
-    bracketed by its grid mode's neighbours (_grid_modes, scored in blocks
-    of bounded memory) and starts at the vertex of the parabola through
-    its three grid scores around the mode, x0 = theta_c + h (f0 - f2) /
-    (2 (f0 - 2 f1 + f2)) for grid spacing h, clipped to the bracket; where
-    that curvature is not negative, as for a flat or convex triple at an
-    end of the grid, it starts at the mode.  The sign of
-    the score l'(theta) = sum_q n_q dp_q / p_q at each point it reaches
-    narrows the bracket to that point.  The first step is Fisher scoring,
+    bracketed by its grid mode's neighbours (_grid_modes) and starts at
+    the vertex of the parabola through its three grid scores around the
+    mode, x0 = theta_c + h (f0 - f2) / (2 (f0 - 2 f1 + f2)) for grid
+    spacing h, clipped to the bracket; where that curvature is not
+    negative, as for a flat or convex triple at an end of the grid, it
+    starts at the mode.  The sign of the score
+    l'(theta) = sum_q n_q dp_q / p_q at each point it reaches narrows the
+    bracket to that point.  The first step is Fisher scoring,
     l' / (n CFI(theta)); later steps follow the secant of the last two
     scores where it is concave, and score again where it is not.  A step
     that would leave the bracket, or is longer than half the step before
     last, bisects the bracket instead: between bisections the steps halve
     every two, and each bisection halves the bracket, so the number of
     steps is bounded.  Each step evaluates the scores of all live trials
-    with one call of ``slopes``.  The state (point, bracket, previous
-    point and score, last two step lengths, counts, n and trial index) is
-    held for the live trials only; each step writes its points to the
-    output, and a trial whose step is within REFINE_TOL times the grid
-    span is frozen at the point that step reaches and dropped from the
-    state, so each estimate is what the trial refined alone would give.
+    with one call of ``slopes``, so its arrays grow with T: crb_sweep
+    passes one block of trials at a time.  The state (point, bracket,
+    previous point and score, last two step lengths, counts, n and trial
+    index) is held for the live trials only; each step writes its points
+    to the output, and a trial whose step is within REFINE_TOL times the
+    grid span is frozen at the point that step reaches and dropped from
+    the state, so each estimate is what the trial refined alone would
+    give.
     """
     best, around = _grid_modes(counts, log_p)
     f0, f1, f2 = around.T
@@ -377,7 +351,7 @@ def default_search_interval(
 def _search_grid(prior_center, n_photons, cfi_value) -> np.ndarray:
     """The grid (_checked_interval) of prior_center +- SEARCH_SIGMAS sigmas; n and CFI > 0."""
     prior_center = finite_number(prior_center, "prior_center")
-    n_photons = _whole_number(n_photons, "n_photons", 1)
+    n_photons = whole_number(n_photons, "n_photons", 1)
     cfi_value = finite_number(cfi_value, "the CFI")
     if cfi_value <= 0:
         raise ScenarioError("the CFI must be positive to size the search interval")
@@ -427,25 +401,28 @@ def crb_sweep(
     applied to C alone).  A CFI that is not positive raises
     NonIdentifiableError; the truth and both ends of the search interval
     are then checked in one call, so the paraxial-validity warning is
-    emitted at most once.  All trials are drawn in one call,
-    default_rng(seed).multinomial(n_photons, p(theta_true), size=trials):
-    trial i's photons are row i, so (seed, i) identifies them, record.seed
-    is the sweep seed, a sweep's trials are the first of any longer sweep
-    with its seed, and trial 0's are sample_detections(..., seed).counts.
-    All are then scored against the likelihood grid in blocks of at most
-    GRID_BLOCK entries, which bounds the scan's memory whatever
-    ``trials``, and refined together, one batched evaluation of p(theta)
-    and dp/dtheta per step over the live trials only (_refine), each to
-    mle_estimate of its row over default_search_interval.  ``threads`` is
-    ignored.  Returns the aggregate (qfi and cfi at the truth, crb_ratio =
-    empirical_variance * n * CFI) and per-trial records.  crb_ratio tests
+    emitted at most once.  The trials run in blocks of
+    rows = GRID_BLOCK // max(GRID_POINTS, 2 N_C N_S), one at least, so
+    that no per-block array exceeds GRID_BLOCK entries and the sweep's
+    memory does not grow with ``trials``.  Each block is drawn by
+    rng.multinomial(n_photons, p(theta_true), size=rows) from the sweep's
+    one default_rng(seed), which gives, row for row, its one-call draw of
+    all trials: trial i's photons are row i, so (seed, i) identifies them,
+    record.seed is the sweep seed, a sweep's trials are the first of any
+    longer sweep with its seed, and trial 0's are
+    sample_detections(..., seed).counts.  Each block is then scanned and
+    refined (_refine), and only its estimates are kept; each estimate is
+    mle_estimate of its row over default_search_interval, bit for bit,
+    whatever the block.  ``threads`` is ignored.  Returns the aggregate
+    (qfi and cfi at the truth, crb_ratio = empirical_variance * n * CFI)
+    and per-trial records.  crb_ratio tests
     the asymptotic bound: it means little where the likelihood is far from
     quadratic, as at a symmetric point with n * CFI near one, where it can
     fall well below 1.
     """
     seed = _checked_seed(seed)
-    n_photons = _whole_number(n_photons, "n_photons", 1)
-    trials = _whole_number(trials, "trials", 2)
+    n_photons = whole_number(n_photons, "n_photons", 1)
+    trials = whole_number(trials, "trials", 2)
     theta_true = finite_number(theta_true, "theta_true")
     R = fisher._measurement(R, scenario.n_collectors)
     scale = direction.parameter_scale
@@ -460,8 +437,11 @@ def crb_sweep(
     path, slopes = _probability_path(scenario, direction, R, theta_true, theta[0], theta[-1])
     log_p = _likelihood_grid(path, theta)
     p_true = _normalized(fisher.detection_probabilities(C, R))
-    draws = np.random.default_rng(seed).multinomial(n_photons, p_true, size=trials)
-    estimates = _refine(draws.astype(float), slopes, theta, log_p)
+    rng = np.random.default_rng(seed)
+    rows = max(1, GRID_BLOCK // max(GRID_POINTS, 2 * scenario.n_collectors * scenario.n_sources))
+    estimates = np.concatenate([
+        _refine(rng.multinomial(n_photons, p_true, size=min(rows, trials - i)).astype(float),
+                slopes, theta, log_p) for i in range(0, trials, rows)])
     records = [TrialRecord(i, seed, t) for i, t in enumerate(estimates.tolist())]
     empirical = float(np.var(estimates, ddof=1))
     (qfi_value,), _ = fisher._qfi_value(C, dC, fisher.support_svd(C))

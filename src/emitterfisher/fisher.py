@@ -58,6 +58,7 @@ from .geometry import (
     amplitude_arrays,
     direction_rows,
     finite_real,
+    whole_number,
 )
 
 __all__ = [
@@ -121,7 +122,7 @@ class Interferometer:
     - unitary by construction: interferometer.qft_interferometer, applied
       as an orthonormal inverse FFT along the modes, and
       interferometer.identity_interferometer, applied as a copy of the
-      block.  Nothing is checked at construction; the identity's
+      block.  Only n_modes is checked at construction; the identity's
       ``unitarity_residual`` is 0.0, and the Fourier form's is computed
       from ``matrix``, with the dense form's formula, when first read.
 
@@ -149,11 +150,14 @@ class Interferometer:
         self._n_modes = m.shape[0]
 
     def _init_factored(self, n_modes: int, provenance: Provenance) -> None:
-        """State of a factored form: no matrix yet and no residual unless its builder sets one."""
+        """State of a factored form: no matrix yet and no residual unless its builder sets one.
+
+        ``n_modes`` must be a whole number >= 1 (geometry.whole_number).
+        """
         self._matrix = None
         self._provenance = provenance
         self._alpha = None
-        self._n_modes = n_modes
+        self._n_modes = whole_number(n_modes, "n_modes", 1)
         self._residual = None
 
     @property

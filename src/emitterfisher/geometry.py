@@ -26,6 +26,7 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 import threading
@@ -93,6 +94,34 @@ def finite_real(value, what: str) -> float:
     if not isinstance(value, numbers.Real):
         raise ScenarioError(f"{what} must be a number, got {value!r}")
     return finite_number(value, what)
+
+
+# Whole numbers are kept to numpy's int64: the multinomial draw takes its
+# number of photons as one.
+_WHOLE_LIMIT = 2**63
+
+
+def whole_number(value, what: str, least: int) -> int:
+    """``value`` as an int in [least, 2**63); ScenarioError naming ``what`` otherwise.
+
+    An integer, not a bool, is taken exactly (operator.index); anything
+    else, such as 2.0, must be a finite real number (finite_real: not
+    text) with an integral value.
+    """
+    if isinstance(value, bool):
+        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = finite_real(value, what)
+        if not number.is_integer():
+            raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}") from None
+        number = int(number)
+    if number < least:
+        raise ScenarioError(f"{what} must be an integer >= {least}, got {value!r}")
+    if number >= _WHOLE_LIMIT:
+        raise ScenarioError(f"{what} must be below 2**63, got {value!r}")
+    return number
 
 
 def check_source_positions(positions, z0: float, mode: Mode) -> None:
@@ -251,8 +280,10 @@ class GeneralizedCoordinate:
             raise ScenarioError(f"direction vector must have unit norm, got {norm}")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
-        if not (np.isfinite(self.parameter_scale) and self.parameter_scale > 0):
-            raise ScenarioError("parameter_scale must be positive")
+        scale = finite_real(self.parameter_scale, "parameter_scale")
+        if not scale > 0:
+            raise ScenarioError(f"parameter_scale must be positive, got {scale!r}")
+        object.__setattr__(self, "parameter_scale", scale)
 
     @classmethod
     def from_tangent(cls, tangent: Sequence[float], name: str = "") -> "GeneralizedCoordinate":

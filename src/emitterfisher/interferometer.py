@@ -110,8 +110,9 @@ class _IdentityInterferometer(Interferometer):
 def identity_interferometer(n_modes: int) -> Interferometer:
     """The identity on n_modes modes: ``apply`` returns a complex copy of the block.
 
-    Nothing is checked, and ``unitarity_residual`` is exactly 0.0, the full
-    check's value for np.eye; the matrix is built only when read.
+    ``n_modes`` must be a whole number >= 1; nothing else is checked, and
+    ``unitarity_residual`` is exactly 0.0, the full check's value for
+    np.eye; the matrix is built only when read.
     """
     return _IdentityInterferometer(n_modes)
 
@@ -201,14 +202,23 @@ def interferometer_to_json(interferometer: Interferometer) -> str:
 
 
 def interferometer_from_json(text: str) -> Interferometer:
-    """Parse a serialized interferometer; the constructor checks alpha and re-checks unitarity."""
+    """Parse a serialized interferometer; the constructor checks alpha and re-checks unitarity.
+
+    ``matrix`` must be n x n [re, im] pairs of JSON numbers: a bool, text,
+    null or an integer beyond the float range raises ScenarioError.  The
+    pairs are read as one float array and viewed as complex, so signed
+    zeros keep their bits.
+    """
     try:
         payload = json.loads(text)
-        rows = payload["matrix"]
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        # As objects, so that a bool is not promoted to a number among numbers.
+        pairs = np.array(payload["matrix"], dtype=object)
+        shape = pairs.shape
+        if len(shape) != 3 or shape != (shape[0], shape[0], 2) or not (
+                set(map(type, pairs.flat)) <= {int, float}):
+            raise ValueError("matrix must be n x n [re, im] pairs of numbers")
+        matrix = pairs.astype(float).view(complex)[..., 0]
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"malformed interferometer document: {exc}") from exc
     # json reads NaN, Infinity and out-of-range numbers such as 1e999.
     if not np.isfinite(matrix).all():

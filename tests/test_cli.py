@@ -569,11 +569,14 @@ def test_wrong_size_interferometer_exits_2(two_collector, tmp_path, capsys):
     b'{"matrix": [[[1e999, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     b'{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "alpha": NaN}',
     b'{"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "n_modes": 5}',
-], ids=["not-utf8", "nan", "infinity", "overflow", "nan-alpha", "n-modes"])
+    b'{"matrix": [[[1' + b'0' * 399 + b', 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    b'{"matrix": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+], ids=["not-utf8", "nan", "infinity", "overflow", "nan-alpha", "n-modes", "huge-int", "bool"])
 def test_unreadable_interferometer_file_exits_2(content, two_collector, tmp_path, capsys):
     # Bytes that are not UTF-8, entries json reads as non-finite, a
-    # non-finite alpha and an n_modes that is not the matrix size are a
-    # malformed document, not a numerical failure.
+    # non-finite alpha, an n_modes that is not the matrix size, an integer
+    # entry beyond the float range and a boolean entry are a malformed
+    # document, not a numerical failure.
     path = tmp_path / "R.json"
     path.write_bytes(content)
     code = run_cli("cfi", "--scenario", two_collector, "--direction", "separation-x",

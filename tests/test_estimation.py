@@ -83,21 +83,33 @@ def test_seed_determinism():
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**200), trials=st.integers(2, 80), more=st.integers(1, 40))
-def test_crb_draws_are_one_generators_rows(seed, trials, more):
+@given(seed=st.integers(0, 2**200), trials=st.integers(2, 80), more=st.integers(1, 40),
+       rows=st.one_of(st.none(), st.integers(1, 90)))
+def test_crb_draws_are_one_generators_rows(seed, trials, more, rows):
     # A sweep refines the rows of default_rng(seed).multinomial(n, p_true,
-    # size=trials); its records carry the sweep seed and their row number,
-    # and its rows are the first rows of a longer sweep with the same seed.
+    # size=trials), drawn from that one generator in blocks of ``rows``
+    # trials (on two collectors, GRID_BLOCK // GRID_POINTS; all trials by
+    # default); its records carry the sweep seed and their row number, and
+    # its rows are the first rows of a longer sweep with the same seed.
+    from emitterfisher import estimation
+
     with pytest.MonkeyPatch.context() as monkeypatch:
+        if rows is not None:
+            monkeypatch.setattr(estimation, "GRID_BLOCK", rows * estimation.GRID_POINTS)
         refined = spy_refine(monkeypatch)
         s = two_collector_scenario()
         bs = beam_splitter_with_phase(0.0)
         _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials,
                                seed=seed)
+        blocks = refined[:]
+        refined.clear()
         crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials + more, seed=seed)
     assert [(r.trial, r.seed) for r in records] == [(i, seed) for i in range(trials)]
-    np.testing.assert_array_equal(refined[0], sweep_draws(s, SEP_X, bs, 2.0, 5000, trials, seed))
-    np.testing.assert_array_equal(refined[1][:trials], refined[0])
+    rows = rows or trials
+    assert [len(b) for b in blocks] == [min(rows, trials - i) for i in range(0, trials, rows)]
+    drawn = np.concatenate(blocks)
+    np.testing.assert_array_equal(drawn, sweep_draws(s, SEP_X, bs, 2.0, 5000, trials, seed))
+    np.testing.assert_array_equal(np.concatenate(refined)[:trials], drawn)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**130 + 12345])
@@ -338,29 +350,34 @@ def test_crb_trials_equal_one_trial_estimates():
     # refines them together; each trial must still give what the one-trial
     # functions give, on the symmetric pair, on four collectors in exact
     # mode behind the Fourier measurement, and behind it on the N_C = 49
-    # disc, where sums over more than eight collectors are pairwise.
+    # disc, where sums over more than eight collectors are pairwise, and on
+    # the bundled N_C = 1257 disc, where a CFI summed over one row's ports
+    # pairwise rather than in order moves one of these 40 trials by
+    # 9.5e-15 sigma.
     from emitterfisher import (Mode, bundled_scenario_path, disc_collector_grid, load_scenario,
                                qft_interferometer)
 
     four = load_scenario(bundled_scenario_path("four_collector.scn"))
     pair = load_scenario(bundled_scenario_path("two_collector.scn"))
     disc = Scenario(pair.sources, disc_collector_grid(0.25), pair.k, pair.z0, pair.mode)
+    bundled_disc = load_scenario(bundled_scenario_path("disc_aperture_r1.scn"))
     # The disc's CFI is about 2.4e-5: more photons keep its search interval
     # inside the paraxial range.
     cases = (
-        (two_collector_scenario(), beam_splitter_with_phase(0.0), 40, 5000),
-        (replace(four, mode=Mode.EXACT), qft_interferometer(4), 20, 5000),
-        (disc, qft_interferometer(49), 20, 5_000_000),
+        (two_collector_scenario(), beam_splitter_with_phase(0.0), 40, 5000, 12),
+        (replace(four, mode=Mode.EXACT), qft_interferometer(4), 20, 5000, 12),
+        (disc, qft_interferometer(49), 20, 5_000_000, 12),
+        (bundled_disc, qft_interferometer(bundled_disc.n_collectors), 40, 100_000, 3),
     )
-    for s, R, trials, n in cases:
+    for s, R, trials, n, seed in cases:
         aggregate, records = crb_sweep(s, SEP_X, R, theta_true=2.0, n_photons=n,
-                                       trials=trials, seed=12)
+                                       trials=trials, seed=seed)
         interval = default_search_interval(2.0, n, aggregate.cfi)
-        draws = sweep_draws(s, SEP_X, R, 2.0, n, trials, seed=12)
+        draws = sweep_draws(s, SEP_X, R, 2.0, n, trials, seed=seed)
         for r, counts in zip(records, draws, strict=True):
             assert r.theta_hat == mle_estimate(counts, s, SEP_X, R, interval).theta_hat
         # Trial 0's photons are what sample_detections draws at the sweep seed.
-        record = sample_detections(s, SEP_X, 2.0, R, n, seed=12)
+        record = sample_detections(s, SEP_X, 2.0, R, n, seed=seed)
         assert records[0].theta_hat == mle_estimate(record, s, SEP_X, R, interval).theta_hat
 
 
@@ -531,15 +548,14 @@ def _row_by_row_modes(counts, log_p):
 @given(trials=st.integers(1, 120), n_collectors=st.integers(2, 16), ties=st.integers(0, 40),
        block_rows=st.one_of(st.none(), st.integers(1, 130)), seed=st.integers(0, 2**32))
 def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, block_rows, seed):
-    # The blocked einsum scan must pick, bit for bit, the grid row the
-    # one-trial scan picks, and return the same three scores around it, in
-    # one block or in many (block_rows trials each), past the vector
-    # lanes in which einsum's inner loop accumulates a score, on exact ties, forced by
-    # repeating log_p rows and trials, where both take the first row, and on
-    # near ties, rows a few ulps from another, where the pick depends on the
-    # order in which each score is summed.
-    from unittest import mock
-
+    # The einsum scan must pick, bit for bit, the grid row the one-trial
+    # scan picks, and return the same three scores around it, for all
+    # trials at once or block by block (block_rows trials each, as a sweep
+    # passes them), past the vector lanes in which einsum's inner loop
+    # accumulates a score, on exact ties, forced by repeating log_p rows and
+    # trials, where both take the first row, and on near ties, rows a few
+    # ulps from another, where the pick depends on the order in which each
+    # score is summed.
     from emitterfisher import estimation
 
     rng = np.random.default_rng(seed)
@@ -552,9 +568,10 @@ def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, b
     counts = rng.multinomial(int(rng.integers(1, 10**6)), p[rng.integers(estimation.GRID_POINTS)],
                              size=trials).astype(float)
     counts[rng.random(trials) < 0.2] = counts[0]
-    block = estimation.GRID_BLOCK if block_rows is None else block_rows * estimation.GRID_POINTS
-    with mock.patch.object(estimation, "GRID_BLOCK", block):
-        modes, around = estimation._grid_modes(counts, log_p)
+    block_rows = block_rows or trials
+    scans = [estimation._grid_modes(counts[i:i + block_rows], log_p)
+             for i in range(0, trials, block_rows)]
+    modes, around = (np.concatenate(v) for v in zip(*scans))
     row_modes, row_around = _row_by_row_modes(counts, log_p)
     np.testing.assert_array_equal(modes, row_modes)
     assert around.shape == (trials, 3)
@@ -567,11 +584,9 @@ def test_blocked_grid_scan_matches_row_by_row_scan(trials, n_collectors, ties, b
 def test_grid_scan_scores_each_trial_as_it_alone_is_scored(trials, n_collectors, block_rows, shift,
                                                           seed):
     # Each trial's mode and scores equal, bit for bit, those of the
-    # one-trial einsum, whatever block of block_rows trials it falls in,
-    # when the trials are a slice of a longer array, and when counts and
+    # one-trial einsum, whatever block of block_rows trials it is scanned
+    # in, when the trials are a slice of a longer array, and when counts and
     # log_p start ``shift`` doubles off the alignment of a fresh array.
-    from unittest import mock
-
     from emitterfisher import estimation
 
     rng = np.random.default_rng(seed)
@@ -589,38 +604,44 @@ def test_grid_scan_scores_each_trial_as_it_alone_is_scored(trials, n_collectors,
     scans = ((counts, log_p, slice(None)), (counts[2:], log_p, slice(2, None)),
              (shifted(counts), shifted(log_p), slice(None)),
              (shifted(counts)[1:-1], shifted(log_p), slice(1, -1)))
-    with mock.patch.object(estimation, "GRID_BLOCK", block_rows * estimation.GRID_POINTS):
-        for scanned, grid, rows in scans:
-            modes, around = estimation._grid_modes(scanned, grid)
-            assert modes.tolist() == want_modes[rows].tolist()
-            assert around.tobytes() == want_around[rows].tobytes()
+    for scanned, grid, rows in scans:
+        blocks = [estimation._grid_modes(scanned[i:i + block_rows], grid)
+                  for i in range(0, len(scanned), block_rows)]
+        modes, around = (np.concatenate(v) for v in zip(*blocks))
+        assert modes.tolist() == want_modes[rows].tolist()
+        assert around.tobytes() == want_around[rows].tobytes()
 
 
 def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
-    # A 40-trial sweep on four collectors scored in blocks of 7 trials, or
-    # of one, gives the records of the sweep scored in one block; a block
-    # holds GRID_BLOCK // GRID_POINTS trials, one at least.
-    from emitterfisher import bundled_scenario_path, estimation, load_scenario, qft_interferometer
+    # A 40-trial sweep drawn, scanned and refined in blocks of 7 trials, or
+    # of one, gives the records and the aggregate of the sweep run as one
+    # block, on four collectors and on the N_C = 49 disc.  A block holds
+    # GRID_BLOCK // max(GRID_POINTS, 2 N_C N_S) trials, one at least.
+    from emitterfisher import (bundled_scenario_path, disc_collector_grid, estimation,
+                               load_scenario, qft_interferometer)
 
     four = load_scenario(bundled_scenario_path("four_collector.scn"))
+    disc = Scenario(four.sources, disc_collector_grid(0.25), four.k, four.z0, four.mode)
+    default = estimation.GRID_BLOCK
+    for s, n in ((four, 20000), (disc, 5_000_000)):
+        entries = max(estimation.GRID_POINTS, 2 * s.n_collectors * s.n_sources)
+        assert default // entries >= 40
 
-    def sweep():
-        return crb_sweep(four, SEP_X, qft_interferometer(4), theta_true=2.0, n_photons=20000,
-                         trials=40, seed=9)
+        def sweep():
+            return crb_sweep(s, SEP_X, qft_interferometer(s.n_collectors), theta_true=2.0,
+                             n_photons=n, trials=40, seed=9)
 
-    aggregate, records = sweep()
-    assert 40 * estimation.GRID_POINTS <= estimation.GRID_BLOCK
-    for block in (7 * estimation.GRID_POINTS, 1):
-        monkeypatch.setattr(estimation, "GRID_BLOCK", block)
-        blocked_aggregate, blocked_records = sweep()
-        assert blocked_aggregate.to_dict() == aggregate.to_dict()
-        assert [asdict(r) for r in blocked_records] == [asdict(r) for r in records]
+        monkeypatch.setattr(estimation, "GRID_BLOCK", default)
+        aggregate, records = sweep()
+        for rows in (7, 1):
+            monkeypatch.setattr(estimation, "GRID_BLOCK", rows * entries)
+            blocked_aggregate, blocked_records = sweep()
+            assert blocked_aggregate.to_dict() == aggregate.to_dict()
+            assert [asdict(r) for r in blocked_records] == [asdict(r) for r in records]
 
 
-def test_disc_sweep_memory_is_bounded():
-    # On the bundled disc (N_C = 1257) a 500-trial sweep's broadcast grid
-    # product would hold 500 x 64 x 1257 doubles, 322 MB; the einsum scan
-    # forms none, and the sweep peaks near 147 MB.
+def _disc_sweep_peak(trials, n_photons):
+    """tracemalloc's peak over one sweep of the bundled disc behind qft, at theta 2 and seed 0."""
     import tracemalloc
 
     from emitterfisher import bundled_scenario_path, load_scenario, qft_interferometer
@@ -629,11 +650,27 @@ def test_disc_sweep_memory_is_bounded():
     R = qft_interferometer(disc.n_collectors)
     tracemalloc.start()
     try:
-        crb_sweep(disc, SEP_X, R, theta_true=2.0, n_photons=10**7, trials=500, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
+        crb_sweep(disc, SEP_X, R, theta_true=2.0, n_photons=n_photons, trials=trials, seed=0)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200e6, f"crb_sweep peaked at {peak / 1e6:.1f} MB"
+
+
+def test_disc_sweep_memory_is_bounded():
+    # On the bundled disc (N_C = 1257) a 500-trial sweep's broadcast grid
+    # product would hold 500 x 64 x 1257 doubles, 322 MB, and its
+    # refinement of all trials at once about 140 MB.  The sweep runs 208
+    # trials at a time, whose amplitude stack is 2 x 208 x 1257 x 2
+    # complex entries, 16.7 MB, and peaks near 57 MB.
+    peak = _disc_sweep_peak(500, 10**7)
+    assert peak < 75e6, f"crb_sweep peaked at {peak / 1e6:.1f} MB"
+
+
+def test_disc_sweep_memory_does_not_grow_with_trials():
+    # Drawn, scanned and refined one block at a time, a 2000-trial sweep
+    # of the disc peaks within 10 % of a 250-trial one (both near 57 MB).
+    small, large = _disc_sweep_peak(250, 10**5), _disc_sweep_peak(2000, 10**5)
+    assert large <= 1.1 * small, f"{small / 1e6:.1f} MB at 250 trials, {large / 1e6:.1f} at 2000"
 
 
 def _golden_section(counts, path, theta, log_p):
@@ -969,6 +1006,8 @@ def test_non_integer_photon_and_trial_counts_rejected():
             crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=2.5, seed=1)
         with pytest.raises(ScenarioError, match="trials must be an integer >= 2"):
             crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=1, seed=1)
+        with pytest.raises(ScenarioError, match="n_photons must be a number"):
+            crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons="1000", trials=10, seed=1)
     # An integral float is a whole number.
     assert sample_detections(s, SEP_X, 2.0, bs, 1000.0, seed=1).counts.sum() == 1000
 

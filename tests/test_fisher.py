@@ -690,6 +690,12 @@ def test_generator_moments_disc_quadrature():
     assert m.covariance[0, 0] == pytest.approx(K**2 * 0.25 / Z0**2, rel=2e-4)
 
 
+@pytest.mark.parametrize("collectors", [[], np.empty((0, 2))], ids=["list", "array"])
+def test_generator_moments_need_a_collector(collectors):
+    with pytest.raises(ScenarioError, match="at least one collector"):
+        generator_moments(collectors, K, Z0)
+
+
 def test_paraxial_matrix_single_source():
     mat = paraxial_qfi_matrix(
         [Collector(5, 0), Collector(-5, 0)], K, Z0, ParaxialTarget.SINGLE_SOURCE
@@ -747,6 +753,15 @@ def test_consistency_single_source_diagonal():
     s = Scenario(sources=(SourcePoint(0, 0, 0),), collectors=collectors, k=K, z0=Z0)
     report = qfi_matrix_consistency(s, ParaxialTarget.SINGLE_SOURCE)
     assert report.max_relative_error < 1e-4
+
+
+@pytest.mark.parametrize("target, n_sources", [(ParaxialTarget.SINGLE_SOURCE, 2),
+                                               (ParaxialTarget.TWO_SOURCE_SEPARATION, 1)])
+def test_consistency_requires_the_targets_source_count(target, n_sources):
+    s = symmetric_pair(0.05)
+    s = Scenario(s.sources[:n_sources], s.collectors, s.k, s.z0)
+    with pytest.raises(ScenarioError, match=f"requires {3 - n_sources} source"):
+        qfi_matrix_consistency(s, target)
 
 
 def test_consistency_symmetric_two_source():

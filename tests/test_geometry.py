@@ -487,6 +487,14 @@ _SCENARIO_DATA = {"k": 1.0, "z0": 100.0, "sources": [{"x": 0, "y": 0, "z": 0}],
     (lambda: GeneralizedCoordinate(np.array([math.nan, 0.0, 0.0])), "nonzero and finite"),
     (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=0.0), "parameter_scale"),
     (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=-1.0), "parameter_scale"),
+    (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=math.inf),
+     "parameter_scale must be finite"),
+    (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=True),
+     "parameter_scale must be a number"),
+    (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale="2"),
+     "parameter_scale must be a number"),
+    (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=None),
+     "parameter_scale must be a number"),
     (lambda: GeneralizedCoordinate.from_tangent([0.0, 0.0, 0.0]), "tangent must be nonzero"),
     (lambda: geometry.direction_rows(np.ones(6), 1), "direction length 6 != 3 \\* 1 sources"),
     (lambda: scenario_from_dict({**_SCENARIO_DATA, "sources": {"x": 0, "y": 0, "z": 0}}),
@@ -499,12 +507,19 @@ _SCENARIO_DATA = {"k": 1.0, "z0": 100.0, "sources": [{"x": 0, "y": 0, "z": 0}],
     (lambda: disc_collector_grid(0.1, math.nan), "radius must be finite"),
     (lambda: optimal_interferometer(np.ones((4, 2)), np.ones((4, 1))),
      "amplitude and derivative shapes differ"),
-], ids=["non-flat-a", "zero-a", "nan-a", "zero-scale", "negative-scale", "zero-tangent",
-        "direction-length", "sources-not-list", "item-not-mapping", "top-not-mapping",
-        "zero-spacing", "nan-spacing", "nan-radius", "derivative-shape"])
+], ids=["non-flat-a", "zero-a", "nan-a", "zero-scale", "negative-scale", "inf-scale",
+        "bool-scale", "text-scale", "none-scale", "zero-tangent", "direction-length",
+        "sources-not-list", "item-not-mapping", "top-not-mapping", "zero-spacing", "nan-spacing",
+        "nan-radius", "derivative-shape"])
 def test_input_checks_raise(call, message):
     with pytest.raises(ScenarioError, match=message):
         call()
+
+
+def test_parameter_scale_is_kept_as_a_float():
+    for scale in (2, np.float32(0.5), np.int64(3)):
+        kept = GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=scale).parameter_scale
+        assert type(kept) is float and kept == scale
 
 
 @pytest.mark.parametrize("value", [None, "abc", [1, 2], math.inf])

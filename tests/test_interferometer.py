@@ -180,6 +180,39 @@ def test_n_modes_must_match_the_matrix(n_modes):
     assert interferometer_from_json(json.dumps(doc)).n_modes == 2
 
 
+_IDENTITY_ROWS = '[[{}, [0, 0]], [[0, 0], [1, 0]]]'
+
+
+@pytest.mark.parametrize("entry", ["1" + "0" * 399, "true", "false", '"1"', "null", "[[1], 0]",
+                                   "[1]", "1, 0, 0"],
+                         ids=["400-digit-int", "true", "false", "numeric-text", "null", "nested",
+                              "short-pair", "long-pair"])
+def test_matrix_entries_must_be_number_pairs(entry):
+    # A bool among numbers, which numpy would promote to one, an integer
+    # beyond the float range, text and pairs of the wrong shape are a
+    # malformed document.
+    pair = entry if entry.startswith("[") else f"[{entry}, 0]"
+    with pytest.raises(ScenarioError, match="malformed interferometer document"):
+        interferometer_from_json(f'{{"matrix": {_IDENTITY_ROWS.format(pair)}}}')
+
+
+@pytest.mark.parametrize("matrix", ['[[[1, 0], [0, 0]], [[0, 0]]]', '[[1, 0], [0, 1]]',
+                                    '[[[1, 0]], [[0, 1]]]', '[]', '"identity"', '{"a": 1}'],
+                         ids=["ragged", "no-pairs", "not-square", "empty", "text", "mapping"])
+def test_matrix_must_be_square_pairs(matrix):
+    with pytest.raises(ScenarioError, match="malformed interferometer document"):
+        interferometer_from_json(f'{{"matrix": {matrix}}}')
+
+
+def test_matrix_entries_keep_their_bits():
+    # Integers and floats mix; signed zeros keep their sign bits.
+    loaded = interferometer_from_json(
+        '{"matrix": [[[1, -0.0], [-0.0, 0]], [[0, -0.0], [1.0, 0]]]}').matrix
+    np.testing.assert_array_equal(loaded, np.eye(2))
+    assert np.signbit(loaded.view(float)).tolist() == [[False, True, True, False],
+                                                       [False, True, False, False]]
+
+
 def test_non_unitary_rejected_on_load():
     bad = interferometer_to_json(identity_interferometer(2)).replace('1.0', '1.01', 1)
     with pytest.raises(NumericalError):
@@ -194,6 +227,35 @@ def test_interferometer_constructor_validates():
         Interferometer(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_interferometer_matrix_must_be_square():
+    with pytest.raises(ScenarioError, match="must be square"):
+        Interferometer(np.ones((2, 3)) / math.sqrt(3))
+    with pytest.raises(ScenarioError, match="must be square"):
+        Interferometer(np.ones(2))
+
+
+@pytest.mark.parametrize("build", [qft_interferometer, identity_interferometer])
+@pytest.mark.parametrize("n_modes", [2.5, 0, -1, True, "2", None, math.nan],
+                         ids=["fraction", "zero", "negative", "bool", "text", "none", "nan"])
+def test_builtin_mode_count_must_be_a_whole_number(build, n_modes):
+    with pytest.raises(ScenarioError, match="n_modes"):
+        build(n_modes)
+
+
+def test_builtin_mode_count_is_kept_as_an_int():
+    for n_modes in (1, 3.0, np.int64(4)):
+        R = qft_interferometer(n_modes)
+        assert type(R.n_modes) is int and R.n_modes == n_modes
+
+
+def test_fourier_unitarity_residual_is_computed_when_read():
+    R = qft_interferometer(16)
+    assert R._matrix is None
+    residual = R.unitarity_residual
+    assert R._matrix is not None and 0.0 <= residual < 1e-13
+    assert residual == fisher_mod._full_unitarity_residual(R.matrix)
+
+
 # ---------------------------------------------------------------------------
 # SVD alignment
 # ---------------------------------------------------------------------------
@@ -204,6 +266,14 @@ def test_svd_alignment_scalar():
     np.testing.assert_allclose(align.V, [[1.0]])
     np.testing.assert_allclose(align.W, [[1.0]])
     np.testing.assert_allclose(align.D, [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_svd_alignment_refuses_non_finite_matrices(bad):
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        svd_alignment(M)
 
 
 def test_svd_alignment_diagonal_positive():
