@@ -48,19 +48,20 @@ EXIT_NUMERICAL = 3
 INFORMATION_KEYS = ("qfi", "cfi", "qfi_estimate", "cfi_estimate", "qfi_matrix", "finite_difference")
 
 
-def _parse_direction(spec: str, scenario: Scenario) -> GeneralizedCoordinate:
+def _parse_direction(spec: str, scenario: Scenario) -> tuple[GeneralizedCoordinate, str | list]:
+    """The direction and what the document records: a preset's name, or the tangent as parsed."""
     spec = spec.strip()
     if "," in spec:
         try:
-            tangent = np.array([float(x) for x in spec.split(",")], dtype=float)
+            tangent = [float(x) for x in spec.split(",")]
         except ValueError as exc:
             raise ScenarioError(f"cannot parse direction components: {exc}") from exc
-        if tangent.size != 3 * scenario.n_sources:
-            raise ScenarioError(
-                f"direction needs {3 * scenario.n_sources} components, got {tangent.size}"
-            )
-        return GeneralizedCoordinate.from_tangent(tangent, name="custom")
-    return named_direction(spec, scenario.n_sources)
+        if len(tangent) != 3 * scenario.n_sources:
+            raise ScenarioError(f"direction needs {3 * scenario.n_sources} components, "
+                                f"got {len(tangent)}")
+        return GeneralizedCoordinate.from_tangent(tangent), tangent
+    direction = named_direction(spec, scenario.n_sources)
+    return direction, direction.name
 
 
 def _parse_interferometer(spec: str, scenario: Scenario) -> fisher.Interferometer:
@@ -120,12 +121,10 @@ def cmd_saturate(args, scenario, direction):
 
 
 def cmd_qfimatrix(args, scenario, direction):
-    if scenario.n_sources == 1:
-        target = fisher.ParaxialTarget.SINGLE_SOURCE
-    elif scenario.n_sources == 2:
-        target = fisher.ParaxialTarget.TWO_SOURCE_SEPARATION
-    else:
+    if scenario.n_sources > 2:
         raise ScenarioError("qfimatrix supports one- or two-source scenarios")
+    target = (fisher.ParaxialTarget.SINGLE_SOURCE,
+              fisher.ParaxialTarget.TWO_SOURCE_SEPARATION)[scenario.n_sources - 1]
     report = fisher.qfi_matrix_consistency(scenario, target)
     return {
         "target": target.value,
@@ -137,12 +136,15 @@ def cmd_qfimatrix(args, scenario, direction):
 
 def cmd_simulate(args, scenario, direction):
     measurement = _parse_interferometer(args.interferometer, scenario)
-    # The output directories are checked before the sweep, so a bad path costs no trials.
+    # The output paths are checked before the sweep, so a bad path costs no trials.
     csv_path = Path(args.out).with_suffix(".csv") if args.out else None
-    for path in filter(None, (csv_path, args.gnuplot_dat)):
-        directory = Path(path).parent
-        if not (directory.is_dir() and os.access(directory, os.W_OK)):
-            raise ScenarioError(f"cannot write {path}: {directory} is not a writable directory")
+    outputs = [Path(path) for path in (csv_path, args.gnuplot_dat, args.out) if path]
+    for path in outputs:
+        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
+            raise ScenarioError(f"cannot write {path}: {path.parent} is not a writable directory")
+    if len({path.resolve() for path in outputs}) < len(outputs):
+        raise ScenarioError("simulate's document, trial CSV and gnuplot paths must differ, got "
+                            + ", ".join(map(str, outputs)))
     aggregate, records = estimation.crb_sweep(
         scenario,
         direction,
@@ -316,8 +318,7 @@ def _document(args) -> tuple[dict, bool]:
     document = {"command": args.command, "scenario_digest": scenario_digest(scenario)}
     direction = None
     if command.reads_direction:
-        direction = _parse_direction(args.direction, scenario)
-        document["direction"] = direction.name or list(direction.a)
+        direction, document["direction"] = _parse_direction(args.direction, scenario)
     body, ok = command.compute(args, scenario, direction)
     document.update(body)
     if args.angular:

@@ -6,18 +6,19 @@ scenario, the source positions and the direction(s).  The quantum Fisher
 information of rho = C C^dag is the purification form
 4 min_K ||dC + C K||^2 over anti-Hermitian gauges K (Braunstein & Caves,
 PRL 72, 3439, 1994), evaluated on the thin SVD of C with an explicit rank
-rule.  The classical side evaluates photon counting statistics behind a
-fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with the 0/0
-limit at dark output ports.  These two values are the only Fisher
+rule as the squared norm 4 ||F||^2 of one real-linear map F of dC
+(_qfi_rows).  The classical side evaluates photon counting statistics
+behind a fixed interferometer through sum_q (dp_q/dtheta)^2 / p_q, with
+the 0/0 limit at dark output ports.  These two values are the only Fisher
 numbers the package reports: interferometer.verify_saturation evaluates
 the same closed forms (_qfi_value, _cfi) for its step-free optimal
 measurement, from C, dC and the SVD of C, as information_report does.
 qfi_matrix_consistency reports as ``finite_difference`` (a name kept for
-compatibility) the closed-form qfi along six tangents, from one
-amplitude build, one SVD of C and one _qfi_value pass over the stack of
-six dC.  C, dC and the support SVD of C at a Scenario's own positions
-are built once and kept on it (geometry.amplitude_arrays,
-_scenario_svd), so every entry point here reads them.
+compatibility) the QFI matrix along three tangents as the Gram matrix
+4 Re F F^dag of their rows, from one amplitude build and one SVD of C.
+C, dC and the support SVD of C at a Scenario's own positions are built
+once and kept on it (geometry.amplitude_arrays, _scenario_svd), so every
+entry point here reads them.
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
@@ -41,7 +42,6 @@ per sum rather than once per port.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,7 +56,6 @@ from .geometry import (
     _kept,
     amplitude_and_derivative,
     amplitude_arrays,
-    direction_rows,
     finite_real,
     whole_number,
 )
@@ -425,21 +424,16 @@ def _scenario_svd(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _kept(scenario, "_svd", lambda: support_svd(amplitude_arrays(scenario)[0]))
 
 
-def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> tuple[list[float], np.ndarray]:
-    """4 min_K ||dC + C K||^2 over anti-Hermitian K, on the thin SVD of C (support_svd), and d rho.
+def _qfi_rows(dC: np.ndarray, svd) -> tuple[np.ndarray, np.ndarray]:
+    """d rho and the rows F of the real-linear map of dC whose squared norm is the QFI.
 
     With A = U_r^dag dC V_r, d rho on the support in the eigenbasis of
-    rho = C C^dag is drho_ij = s_j A_ij + s_i conj(A_ji), and the minimum
-    is ||dC - U_r U_r^dag dC||^2 + sum_i (Re A_ii)^2
-    + sum_{i<j} |drho_ij|^2 / (s_i^2 + s_j^2); the last two sums are half
-    the symmetric double sum over all i, j <= r below.  ``svd`` is
-    support_svd(C), which the caller takes and may share.
-
-    dC is one derivative (N_C, N_S) or a stack (..., N_C, N_S) of them,
-    taken in one pass of batched products; the values are a list, one per
-    derivative in C order, each equal bit for bit to what that derivative
-    alone gives.  drho, of shape (..., r, r), is returned for the
-    symmetric logarithmic derivative of the optimal measurement.
+    rho = C C^dag is drho_ij = s_j A_ij + s_i conj(A_ji), and min_K
+    ||dC + C K||^2 over anti-Hermitian K is ||(I - U_r U_r^dag) dC||^2
+    + sum_{i,j <= r} |drho_ij|^2 / (2 (s_i^2 + s_j^2)).  Row a of F holds
+    both parts of dC_a, flat, so the QFI along dC_a is 4 ||F_a||^2 and the
+    QFI matrix is the Gram matrix 4 Re F F^dag.  ``svd`` is support_svd(C);
+    dC is one derivative (N_C, N_S) or a stack (..., N_C, N_S) of them.
     """
     Ur, sr, Vr = svd
     UdC = Ur.conj().T @ dC
@@ -447,13 +441,20 @@ def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> tuple[list[float], np.ndar
     np.subtract(dC, kernel, out=kernel)
     A = UdC @ Vr
     drho = sr * A + sr[:, None] * A.conj().swapaxes(-1, -2)
-    halves = 0.5 * (np.abs(drho) ** 2 / np.add.outer(sr**2, sr**2)).sum(axis=(-2, -1))
-    shape = (-1, *dC.shape[-2:])
-    values = [
-        _drop_rounding(4.0 * float(np.vdot(k, k).real + h), C, d)
-        for k, h, d in zip(kernel.reshape(shape), halves.reshape(-1), dC.reshape(shape))
-    ]
-    return values, drho
+    support = drho / np.sqrt(2.0 * np.add.outer(sr**2, sr**2))
+    flat = (*dC.shape[:-2], -1)
+    return drho, np.concatenate([kernel.reshape(flat), support.reshape(flat)], axis=-1)
+
+
+def _qfi_value(C: np.ndarray, dC: np.ndarray, svd) -> tuple[list[float], np.ndarray]:
+    """4 ||F||^2 (_qfi_rows) of each derivative in dC, as it alone gives, in C order, and d rho.
+
+    ``svd`` is support_svd(C), which the caller may share; d rho serves the
+    symmetric logarithmic derivative of the optimal measurement.
+    """
+    drho, F = _qfi_rows(dC, svd)
+    rows = zip(F.reshape(-1, F.shape[-1]), dC.reshape(-1, *dC.shape[-2:]))
+    return [_drop_rounding(4.0 * float(np.vdot(f, f).real), C, d) for f, d in rows], drho
 
 
 def _port_information(RX: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -631,64 +632,42 @@ class ConsistencyReport:
         return float(np.nanmax(self.relative_errors))
 
 
-_AXIS_PAIRS = ((0, 1), (0, 2), (1, 2))
+def _qfi_matrix(scenario: Scenario, tangents: np.ndarray) -> np.ndarray:
+    """The QFI matrix of the parameters that move the sources along ``tangents`` (m, N_S, 3).
 
-
-@functools.cache
-def _consistency_directions(
-    target: ParaxialTarget,
-) -> tuple[tuple[GeneralizedCoordinate, ...], np.ndarray]:
-    """qfi_matrix_consistency's six directions for ``target`` and their (6, N_S, 3) rows, read-only.
-
-    The axis tangents t_a are the target's x, y and z direction presets
-    (_PARAXIAL_FORMS) from geometry's preset table, followed by t_a + t_b
-    for the pairs a < b.  They depend on the target alone, so they are
-    built once.
+    The Gram matrix 4 Re F F^dag of the rows (_qfi_rows) of the m dC along
+    the tangents as given, from one amplitude_arrays call and the kept
+    support_svd; entry a, a equals qfi(scenario, from_tangent(t_a)) to
+    rounding.  An entry at or below 4 (8 tol)^2 ||dC_a|| ||dC_b|| in
+    modulus is 0.0, on the diagonal _drop_rounding's floor.
     """
-    prefix = _PARAXIAL_FORMS[target][0]
-    tangents = [np.array(_PRESET_TANGENTS[prefix + axis]) for axis in "xyz"]
-    directions = tuple(GeneralizedCoordinate.from_tangent(t) for t in tangents) + tuple(
-        GeneralizedCoordinate.from_tangent(tangents[a] + tangents[b]) for a, b in _AXIS_PAIRS
-    )
-    rows = np.stack([direction_rows(d, tangents[0].size // 3) for d in directions])
-    rows.setflags(write=False)
-    return directions, rows
+    C, dC = amplitude_arrays(scenario, None, tangents)
+    _, F = _qfi_rows(dC, _scenario_svd(scenario))
+    H = 4.0 * (F @ F.conj().T).real
+    norms = np.linalg.norm(dC.reshape(len(dC), -1), axis=1)
+    H[np.abs(H) <= 4.0 * (8.0 * _rounding_tol(C)) ** 2 * np.outer(norms, norms)] = 0.0
+    return H
 
 
 def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> ConsistencyReport:
     """Compare the paraxial closed form against the general qfi engine.
 
-    ``finite_difference`` holds the closed-form qfi along six tangents,
-    from one amplitude build (C and the six dC in one amplitude_arrays
-    call) and one support_svd of C; the key keeps its name for
-    compatibility.  The axis tangents t_a are the target's x, y and z
-    direction presets (_consistency_directions), and the six dC are
-    taken in one stacked _qfi_value pass.  Diagonal entries are the qfi
-    along them, each equal to qfi(scenario, from_tangent(t_a)); the
-    off-diagonal ones come from the polarization identity
-    I_ab = (Q(t_a + t_b) - Q(t_a) - Q(t_b)) / 2.
+    ``finite_difference`` holds _qfi_matrix along the tangents of the
+    target's x, y and z direction presets (_PARAXIAL_FORMS, geometry's
+    preset table); the key keeps its name for compatibility.
     """
     target = ParaxialTarget(target)
-    directions, rows = _consistency_directions(target)
-    expected_ns = rows.shape[1]
+    tangents = np.array([_PRESET_TANGENTS[_PARAXIAL_FORMS[target][0] + axis] for axis in "xyz"])
+    expected_ns = tangents.shape[1] // 3
     if scenario.n_sources != expected_ns:
-        raise ScenarioError(
-            f"{target.value} check requires {expected_ns} source(s), "
-            f"scenario has {scenario.n_sources}"
-        )
+        raise ScenarioError(f"{target.value} check requires {expected_ns} source(s), "
+                            f"scenario has {scenario.n_sources}")
     closed = paraxial_qfi_matrix(scenario.collector_positions(), scenario.k, scenario.z0, target)
-    C, dCs = amplitude_arrays(scenario, None, rows)
-    values, _ = _qfi_value(C, dCs, _scenario_svd(scenario))
-    Q = [d.parameter_scale**2 * value for d, value in zip(directions, values)]
-    fd = np.diag(Q[:3])
-    for (a, b), combo in zip(_AXIS_PAIRS, Q[3:]):
-        fd[a, b] = fd[b, a] = 0.5 * (combo - fd[a, a] - fd[b, b])
+    fd = _qfi_matrix(scenario, tangents.reshape(3, expected_ns, 3))
     # Entries far below the dominant one are held to an absolute standard
     # of 1e-3 * scale so that exact zeros do not produce spurious relative
     # errors from round-off.
     scale = np.max(np.abs(closed))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-3 * scale)
-    return ConsistencyReport(
-        target=target, closed_form=closed, finite_difference=fd, relative_errors=rel
-    )
+    return ConsistencyReport(target, closed_form=closed, finite_difference=fd, relative_errors=rel)

@@ -32,6 +32,7 @@ import sys
 import threading
 import warnings
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -48,10 +49,8 @@ __all__ = [
 
 # Geometry ratios above this trigger a paraxial-validity warning.
 PARAXIAL_SCALE_WARN = 0.1
-# Scenario files go through libyaml when PyYAML was built with it.  The C
-# classes share the pure-Python SafeConstructor, resolver and representer,
-# so they read the same data and write the same text, only faster.
-SCENARIO_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+# Scenario files are read (SCENARIO_LOADER) and written through libyaml where
+# PyYAML has it; the C classes read and write what the pure-Python ones do.
 SCENARIO_DUMPER = yaml.CSafeDumper if yaml.__with_libyaml__ else yaml.SafeDumper
 # File names of the package's own code: its modules, the code it has the
 # standard library generate (a dataclass __init__ is from "<string>"), and
@@ -508,6 +507,25 @@ def build_amplitude_matrix(scenario: Scenario) -> np.ndarray:
 # Scenario files
 # ---------------------------------------------------------------------------
 
+
+class SCENARIO_LOADER(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """The safe loader (libyaml's where available), refusing a mapping that repeats a key."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 _TOP_KEYS = {"mode", "k", "z0", "sources", "collectors"}
 _SOURCE_KEYS = {"x", "y", "z", "weight"}
 _COLLECTOR_KEYS = {"u", "v"}
@@ -574,10 +592,10 @@ def _held_bytes(content: bytes, scenario: Scenario) -> int:
     digest; per source and per collector, its record, floats, array rows
     and singular value or phase row (Python 3.11 takes 248 and 185); and
     the complex arrays kept on it (_kept): C, the support SVD's U_r and V_r
-    (r <= N_S), and one dC, or qfi_matrix_consistency's six for N_S <= 2.
+    (r <= N_S), and one dC, or qfi_matrix_consistency's three for N_S <= 2.
     """
     n_c, n_s = scenario.n_collectors, scenario.n_sources
-    complex_entries = n_c * n_s * (2 + (6 if n_s <= 2 else 1)) + n_s * n_s
+    complex_entries = n_c * n_s * (2 + (3 if n_s <= 2 else 1)) + n_s * n_s
     records = _SOURCE_BYTES * n_s + _COLLECTOR_BYTES * n_c
     return len(content) + _ENTRY_BYTES + records + 16 * complex_entries
 
@@ -616,7 +634,7 @@ class _LoadedScenarios:
                 self._bytes -= _held_bytes(*self._entries.popitem(last=False))
 
 
-# 16 MiB once used: 23 scenarios the size of the bundled disc (N_C = 1257),
+# 16 MiB once used: 29 scenarios the size of the bundled disc (N_C = 1257),
 # over 1000 small arrays, or three files of 100 sources on 1000 collectors.
 _loaded = _LoadedScenarios(max_bytes=16 << 20)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emitterfisher
-from conftest import crb_ratio_interval, spy_refine, sweep_draws
+from conftest import REPEATED_KEY_FILES, crb_ratio_interval, spy_refine, sweep_draws
 from emitterfisher import bundled_scenario_path, bundled_scenarios, identity_interferometer
 from emitterfisher import interferometer_to_json
 from emitterfisher.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, build_parser, main
@@ -619,6 +619,104 @@ def test_simulate_checks_output_paths_before_the_sweep(argv, unwritable, two_col
     assert code == EXIT_VALIDATION
     expected = f"error: cannot write {unwritable.format(missing=missing)}"
     assert capsys.readouterr().err.startswith(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "{dir}/sim.csv"],
+    ["--out", "{dir}/a.json", "--gnuplot-dat", "{dir}/a.csv"],
+    ["--out", "{dir}/a.json", "--gnuplot-dat", "{dir}/sub/../a.json"],
+], ids=["document-is-csv", "gnuplot-is-csv", "gnuplot-is-document"])
+def test_simulate_output_paths_must_differ(argv, two_collector, monkeypatch, tmp_path, capsys):
+    # Outputs at one path would overwrite each other: exit 2 before the
+    # sweep, with nothing written.
+    import emitterfisher.cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("crb_sweep ran although two outputs share a path")
+
+    monkeypatch.setattr(cli_mod.estimation, "crb_sweep", no_sweep)
+    (tmp_path / "sub").mkdir()
+    code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
+                   *SIMULATE_ARGS, *[a.format(dir=tmp_path) for a in argv])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: simulate's document, trial CSV and gnuplot paths must differ")
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEY_FILES))
+def test_repeated_scenario_key_exits_2(case, tmp_path, capsys):
+    text, _, key = REPEATED_KEY_FILES[case]
+    path = tmp_path / "repeated.scn"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "doc.json"
+    assert run_cli("qfi", "--scenario", str(path), "--direction", "x", "--out", str(out)) == (
+        EXIT_VALIDATION)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load scenario file {path}")
+    assert f"found repeated key '{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0.1,0,0,-0.30000000000000004,0,1e-3", "1,2,3,4,5,6"])
+def test_tangent_direction_is_recorded_as_parsed(spec, two_collector, capsys):
+    # The document holds the tangent's components, bit for bit, so two
+    # tangents along one unit direction give documents that differ.
+    assert run_cli("qfi", "--scenario", two_collector, "--direction", spec) == EXIT_OK
+    recorded = json.loads(capsys.readouterr().out)["direction"]
+    assert list(map(repr, recorded)) == [repr(float(x)) for x in spec.split(",")]
+
+
+def test_preset_direction_is_recorded_by_name(two_collector, capsys):
+    assert run_cli("qfi", "--scenario", two_collector, "--direction", " Separation-X ") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["direction"] == "separation-x"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("0.5,abc,0,-0.5,0,0", "cannot parse direction components"),
+    ("1,0,0", "direction needs 6 components, got 3"),
+])
+def test_malformed_tangent_direction_exits_2(spec, message, two_collector, capsys):
+    assert run_cli("qfi", "--scenario", two_collector, "--direction", spec) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+
+
+def _sources_file(path, n_sources):
+    """A paraxial scenario with ``n_sources`` sources on six collectors."""
+    sources = "".join(f"  - {{x: {0.1 * (i + 1)}, y: 0, z: 0}}\n" for i in range(n_sources))
+    collectors = "".join(f"  - {{u: {u}, v: {v}}}\n" for u, v in
+                         ((5, 0), (-5, 0), (0, 4), (0, -4), (3, 3), (-3, -3)))
+    path.write_text(f"k: 1.0\nz0: 100.0\nsources:\n{sources}collectors:\n{collectors}",
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_qfimatrix_single_source(tmp_path, capsys):
+    assert run_cli("qfimatrix", "--scenario", _sources_file(tmp_path / "one.scn", 1)) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["target"] == "single_source"
+    assert doc["max_relative_error"] < 1e-3
+
+
+def test_qfimatrix_three_sources_exits_2(tmp_path, capsys):
+    code = run_cli("qfimatrix", "--scenario", _sources_file(tmp_path / "three.scn", 3))
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: qfimatrix supports one- or two-source scenarios\n"
+
+
+def test_simulate_behind_identity_exits_3(two_collector, tmp_path, capsys):
+    # Paraxial amplitudes have modulus 1/sqrt(N_C) at every separation, so
+    # counting at the collectors themselves carries no information.
+    out = tmp_path / "sim.json"
+    code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
+                   "--interferometer", "identity", "--trials", "5", "--out", str(out))
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: CFI is 0.0; the parameter cannot be estimated")
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -48,7 +48,8 @@ from emitterfisher._precision import (
     one_minus_classical_fidelity,
     one_minus_trace_norm_fidelity,
 )
-from emitterfisher.fisher import NumericalError
+from emitterfisher.fisher import FisherReport, NumericalError, _qfi_matrix
+from emitterfisher.geometry import amplitude_arrays
 
 K, Z0 = 1.0, 100.0
 
@@ -850,3 +851,51 @@ def test_qfi_matrix_check_equals_six_qfi_calls(name, target):
     assert np.all(np.abs(np.diagonal(fd) - diagonal) <= 1e-14 * np.abs(diagonal))
     off = ~np.eye(3, dtype=bool)
     assert np.all(np.abs(fd - reference)[off] <= 1e-14 * np.abs(reference).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    ns=st.integers(1, 4),
+    mode=st.sampled_from([Mode.PARAXIAL, Mode.EXACT]),
+)
+def test_qfi_matrix_is_the_gram_of_the_qfi_rows(seed, ns, mode):
+    # The QFI is a quadratic form in the tangent: along t_a + t_b it is
+    # H_aa + H_bb + 2 H_ab, H is symmetric, and its diagonal is qfi along
+    # each tangent.  Each value is a sum of squares of dC less its part in
+    # the range of C, which can be most of dC; two dC built apart (along
+    # t_a + t_b and the sum of the two, along t and t / |t|) round apart by
+    # about eps ||dC|| per entry, so their values differ by up to about
+    # eps sqrt(Q ||dC||^2).  That is below 1e-13 of max |H| (1e-14 of Q on
+    # the diagonal) on the bundled files but not on every random scenario
+    # (up to 4e-13 and 2e-12 measured), so each check also admits 64 times
+    # the rounding estimate (at most 14 times it on 5600 random scenarios).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(seed)
+    s = random_scenario(rng, ns=ns, mode=mode)
+    ta, tb = rng.normal(size=(2, 3 * ns))
+    tangents = np.stack([ta, tb, ta + tb]).reshape(3, ns, 3)
+    H = _qfi_matrix(s, tangents)
+    assert np.array_equal(H, H.T)
+    _, dC = amplitude_arrays(s, None, tangents)
+    norms2 = [np.vdot(d, d).real for d in dC]
+    polarized = H[0, 0] + H[1, 1] + 2.0 * H[0, 1]
+    top = np.abs(H).max()
+    assert abs(H[2, 2] - polarized) <= max(1e-13 * top, 64 * eps * math.sqrt(top * max(norms2)))
+    for t, value, n2 in zip(tangents, np.diagonal(H), norms2):
+        reference = qfi(s, GeneralizedCoordinate.from_tangent(t.ravel())).qfi
+        assert abs(value - reference) <= max(1e-14 * reference, 64 * eps * math.sqrt(reference * n2))
+
+
+def test_natural_displacement_scale_of_collectors_at_the_origin():
+    # No collector offset sets the scale: it falls back to z0 / k.
+    s = Scenario((SourcePoint(0.1, 0, 0),), (Collector(0, 0), Collector(0, 0)), k=2.0, z0=100.0)
+    assert natural_displacement_scale(s) == 50.0
+
+
+@pytest.mark.parametrize("values", [{}, {"qfi": 1.0}, {"cfi": 1.0}])
+def test_saturation_ratio_needs_both_values(values):
+    report = FisherReport(named_direction("x", 1), **values)
+    assert report.saturation_ratio is None
+    assert report.converged
+

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPEATED_KEY_FILES
 from emitterfisher import (
     Collector,
     DegenerateGeometryError,
@@ -750,6 +751,22 @@ def test_failed_load_is_not_remembered(tmp_path):
         with pytest.raises(ScenarioError, match="must be a number"):
             load_scenario(path)
     assert load_scenario(_pair_file(path, 0.1)).sources[0].x == 0.1
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEY_FILES))
+def test_repeated_key_is_refused(case, tmp_path):
+    # PyYAML keeps the last value of a repeated key; the loader refuses the
+    # file, naming the key, and remembers nothing of the failed load.
+    text, repeat, key = REPEATED_KEY_FILES[case]
+    path = tmp_path / "repeated.scn"
+    path.write_text(text + f"# {tmp_path}\n", encoding="utf-8")
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match=f"repeated key '{key}'"):
+            load_scenario(path)
+    assert geometry._loaded.get(path.read_bytes()) is None
+    path.write_text(text.replace(repeat, "") + f"# {tmp_path}\n", encoding="utf-8")
+    s = load_scenario(path)
+    assert (s.z0, s.sources[0].x) == (100.0, 0.1)
 
 
 def test_every_load_warns_outside_the_paraxial_regime(tmp_path):
