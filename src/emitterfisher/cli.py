@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands operate on a scenario file and write a JSON result document;
-`simulate` additionally writes a per-trial CSV next to the JSON output.
+`simulate` also writes its per-trial CSV next to the JSON output, and any
+`--gnuplot-dat` columns, from `crb_sweep`'s estimates: `estimation` writes no files.
 `main` runs one pipeline for every command: parse the arguments, load the
 scenario, parse the direction, compute the command's body, apply
 `--angular`, emit.  A command's arguments are parsed once, by its own
@@ -89,9 +90,9 @@ def _writing(path):
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
+# A non-finite value exits 3 in main with no document, so qfi and cfi need no check.
 def cmd_qfi(args, scenario, direction):
-    report = fisher.qfi(scenario, direction)
-    return {"qfi": report.qfi, "convergence": {"converged": report.converged}}, report.converged
+    return {"qfi": fisher.qfi(scenario, direction).qfi}, True
 
 
 def cmd_cfi(args, scenario, direction):
@@ -102,8 +103,7 @@ def cmd_cfi(args, scenario, direction):
         "qfi": report.qfi,
         "cfi": report.cfi,
         "saturation_ratio": report.saturation_ratio,
-        "convergence": {"converged": report.converged},
-    }, report.converged
+    }, True
 
 
 def cmd_design(args, scenario, direction):
@@ -145,7 +145,7 @@ def cmd_simulate(args, scenario, direction):
     if len({path.resolve() for path in outputs}) < len(outputs):
         raise ScenarioError("simulate's document, trial CSV and gnuplot paths must differ, got "
                             + ", ".join(map(str, outputs)))
-    aggregate, records = estimation.crb_sweep(
+    aggregate, estimates = estimation.crb_sweep(
         scenario,
         direction,
         measurement,
@@ -155,10 +155,13 @@ def cmd_simulate(args, scenario, direction):
         seed=args.seed,
     )
     if csv_path:
+        # csv.writer's dialect: \r\n line ends; every row holds the sweep seed.
+        rows = ["trial,seed,theta_hat\r\n"] + [
+            f"{i},{args.seed},{theta!r}\r\n" for i, theta in enumerate(estimates.tolist())]
         with _writing(csv_path):
-            estimation.write_trials_csv(csv_path, records)
+            csv_path.write_text("".join(rows), encoding="utf-8", newline="")
     if args.gnuplot_dat:
-        rows = [f"{float(r.trial)!r} {r.theta_hat!r}" for r in records]
+        rows = [f"{float(i)!r} {theta!r}" for i, theta in enumerate(estimates.tolist())]
         with _writing(args.gnuplot_dat):
             Path(args.gnuplot_dat).write_text(
                 "\n".join(["# trial theta_hat", *rows]) + "\n", encoding="utf-8"

@@ -13,13 +13,13 @@ vector of thetas at once, one apply of the measurement to all their
 amplitudes.  A sweep draws, scans and refines its trials one block at a
 time, from one generator, so its memory does not grow with its trial
 count; a block's trials are refined together, one batched evaluation per
-step, and a single estimate is the one-trial block.  A sweep's aggregate
-holds the QFI and CFI at its truth.
+step, and a single estimate is the one-trial block.  A sweep returns its
+aggregate, which holds the QFI and CFI at its truth, and its estimates as
+one array; the module writes no files (cli writes the per-trial ones).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import asdict, dataclass, field
@@ -374,13 +374,6 @@ def _checked_interval(lo, hi) -> np.ndarray:
     return theta
 
 
-@dataclass
-class TrialRecord:
-    trial: int
-    seed: int
-    theta_hat: float
-
-
 def crb_sweep(
     scenario: Scenario,
     direction: GeneralizedCoordinate,
@@ -391,7 +384,7 @@ def crb_sweep(
     trials: int,
     seed: int,
     threads: int = 1,
-) -> tuple[EstimationResult, list[TrialRecord]]:
+) -> tuple[EstimationResult, np.ndarray]:
     """Repeat sample + estimate and compare the spread with 1/(n * CFI).
 
     ``n_photons`` and ``trials`` (at least two) must be integers, and
@@ -408,17 +401,16 @@ def crb_sweep(
     rng.multinomial(n_photons, p(theta_true), size=rows) from the sweep's
     one default_rng(seed), which gives, row for row, its one-call draw of
     all trials: trial i's photons are row i, so (seed, i) identifies them,
-    record.seed is the sweep seed, a sweep's trials are the first of any
-    longer sweep with its seed, and trial 0's are
-    sample_detections(..., seed).counts.  Each block is then scanned and
-    refined (_refine), and only its estimates are kept; each estimate is
-    mle_estimate of its row over default_search_interval, bit for bit,
-    whatever the block.  ``threads`` is ignored.  Returns the aggregate
-    (qfi and cfi at the truth, crb_ratio = empirical_variance * n * CFI)
-    and per-trial records.  crb_ratio tests
-    the asymptotic bound: it means little where the likelihood is far from
-    quadratic, as at a symmetric point with n * CFI near one, where it can
-    fall well below 1.
+    a sweep's trials are the first of any longer sweep with its seed, and
+    trial 0's are sample_detections(..., seed).counts.  Each block is then
+    scanned and refined (_refine), and only its estimates are kept; each
+    estimate is mle_estimate of its row over default_search_interval, bit
+    for bit, whatever the block.  ``threads`` is ignored.  Returns the
+    aggregate (qfi and cfi at the truth, crb_ratio = empirical_variance *
+    n * CFI) and the estimates, a float64 vector whose entry i is trial
+    i's.  crb_ratio tests the asymptotic bound: it means little where the
+    likelihood is far from quadratic, as at a symmetric point with n * CFI
+    near one, where it can fall well below 1.
     """
     seed = _checked_seed(seed)
     n_photons = whole_number(n_photons, "n_photons", 1)
@@ -442,7 +434,6 @@ def crb_sweep(
     estimates = np.concatenate([
         _refine(rng.multinomial(n_photons, p_true, size=min(rows, trials - i)).astype(float),
                 slopes, theta, log_p) for i in range(0, trials, rows)])
-    records = [TrialRecord(i, seed, t) for i, t in enumerate(estimates.tolist())]
     empirical = float(np.var(estimates, ddof=1))
     (qfi_value,), _ = fisher._qfi_value(C, dC, fisher.support_svd(C))
     return EstimationResult(
@@ -454,12 +445,5 @@ def crb_sweep(
         empirical_variance=empirical,
         trials=trials,
         crb_ratio=empirical * n_photons * cfi_value,
-    ), records
+    ), estimates
 
-
-def write_trials_csv(path, records: list[TrialRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "seed", "theta_hat"])
-        for r in records:
-            writer.writerow([r.trial, r.seed, repr(r.theta_hat)])

@@ -51,6 +51,7 @@ import numpy as np
 from .geometry import (
     _PRESET_TANGENTS,
     GeneralizedCoordinate,
+    Mode,
     Scenario,
     ScenarioError,
     _kept,
@@ -270,8 +271,9 @@ class FisherReport:
 
     Values are reported for the physical parameter attached to the
     coordinate (see GeneralizedCoordinate.parameter_scale).  Values come
-    from closed forms, so ``converged`` is read from them and
-    ``step_sequence`` (finite-difference steps) is always empty.
+    from closed forms, so ``converged`` is read from them (no CLI document
+    holds it: a non-finite value writes none) and ``step_sequence``
+    (finite-difference steps) is always empty.
     """
 
     direction: GeneralizedCoordinate
@@ -654,9 +656,13 @@ def qfi_matrix_consistency(scenario: Scenario, target: ParaxialTarget) -> Consis
 
     ``finite_difference`` holds _qfi_matrix along the tangents of the
     target's x, y and z direction presets (_PARAXIAL_FORMS, geometry's
-    preset table); the key keeps its name for compatibility.
+    preset table); the key keeps its name for compatibility.  The closed
+    form is paraxial: an exact-mode scenario raises ScenarioError.
     """
     target = ParaxialTarget(target)
+    if scenario.mode is Mode.EXACT:
+        raise ScenarioError(f"the {target.value} closed form is paraxial; "
+                            "its cross check needs a paraxial-mode scenario")
     tangents = np.array([_PRESET_TANGENTS[_PARAXIAL_FORMS[target][0] + axis] for axis in "xyz"])
     expected_ns = tangents.shape[1] // 3
     if scenario.n_sources != expected_ns:

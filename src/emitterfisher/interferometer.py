@@ -395,7 +395,8 @@ def _align(C: np.ndarray, C_prime: np.ndarray):
     C, C_prime = (np.asarray(M, dtype=complex) for M in _same_shape(C, C_prime))
     nc, ns = C.shape
     if nc < ns:
-        raise ScenarioError(f"synthesis needs at least as many collectors as sources ({nc} < {ns})")
+        raise ScenarioError("the pair alignment needs at least as many collectors as sources "
+                            f"({nc} < {ns})")
     align = svd_alignment(C.conj().T @ C_prime)
     A = C @ align.V
     B = C_prime @ align.W

@@ -7,8 +7,11 @@ import emitterfisher.geometry as geometry
 from emitterfisher import estimation
 
 # A scenario file with one key given twice, at the top level or in a
-# source: the file, the repeat, which the file is valid without, and the key.
+# source, also next to a merge key (<<) that brings the key in once more:
+# the file, the repeat, which the file is valid without, and the key.
 REPEATED_KEY_FILES = {
+    "merge-key": ("k: 1.0\nz0: 100.0\nsources:\n  - {<<: {x: 0.2, y: 0, z: 0}, x: 0.1, x: 9.0}\n"
+                  "collectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n", ", x: 9.0", "x"),
     "top-level": ("k: 1.0\nz0: 100.0\nz0: 5.0\nsources:\n  - {x: 0.1, y: 0, z: 0}\n"
                   "collectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n", "z0: 5.0\n", "z0"),
     "source": ("k: 1.0\nz0: 100.0\nsources:\n  - {x: 0.1, y: 0, z: 0, x: 9.0}\n"

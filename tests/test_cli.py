@@ -55,7 +55,6 @@ def test_qfi_command(two_collector, tmp_path, capsys):
     doc = read_json(out)
     assert doc["command"] == "qfi"
     assert doc["qfi"] == pytest.approx(0.0025, rel=1e-6)
-    assert doc["convergence"] == {"converged": True}
 
 
 def test_qfi_angular_flag(two_collector, tmp_path):
@@ -181,8 +180,8 @@ SIMULATE_ARGS = ("--interferometer", "bs_phase:0.0", "--photons", "3000", "--tri
 
 HEAD = ["command", "scenario_digest", "direction"]
 DOCUMENT_KEYS = {
-    "qfi": HEAD + ["qfi", "convergence"],
-    "cfi": HEAD + ["interferometer", "qfi", "cfi", "saturation_ratio", "convergence"],
+    "qfi": HEAD + ["qfi"],
+    "cfi": HEAD + ["interferometer", "qfi", "cfi", "saturation_ratio"],
     "design": HEAD + ["interferometer", "probabilities", "saturation_ratio"],
     "saturate": HEAD + [
         "delta_theta", "quantum_fidelity", "classical_fidelity", "qfi_estimate",
@@ -705,6 +704,37 @@ def test_qfimatrix_three_sources_exits_2(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and err == "error: qfimatrix supports one- or two-source scenarios\n"
+
+
+@pytest.mark.parametrize("name", ["four_collector.scn", "disc_aperture_r1.scn"])
+def test_qfimatrix_exact_mode_exits_2(name, tmp_path, capsys):
+    # The cross check compares a paraxial closed form; on exact-mode copies of
+    # these files the model error alone is about 1e-3, the check's tolerance.
+    text = bundled_scenario_path(name).read_text(encoding="utf-8")
+    path = tmp_path / name
+    path.write_text(text.replace("mode: paraxial", "mode: exact"), encoding="utf-8")
+    out = tmp_path / "matrix.json"
+    assert run_cli("qfimatrix", "--scenario", str(path), "--out", str(out)) == EXIT_VALIDATION
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("error: ") and "closed form is paraxial" in err
+
+
+def test_saturate_needs_as_many_collectors_as_sources_and_design_does_not(tmp_path, capsys):
+    # Three sources on two collectors: design synthesizes a measurement
+    # (N_C >= N_S is not needed), while saturate's theorem check aligns a
+    # pair of amplitude matrices, which needs it; its error names that step.
+    path = tmp_path / "three_on_two.scn"
+    path.write_text("k: 1.0\nz0: 100.0\nsources:\n  - {x: 0.1, y: 0, z: 0}\n"
+                    "  - {x: -0.1, y: 0, z: 0}\n  - {x: 0.0, y: 0.1, z: 0}\n"
+                    "collectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n", encoding="utf-8")
+    args = ("--scenario", str(path), "--direction", "1,0,0,0,0,0,0,0,0")
+    assert run_cli("design", *args) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["saturation_ratio"] == pytest.approx(1.0, abs=1e-12)
+    assert run_cli("saturate", *args) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: the pair alignment needs at least as many collectors "
+                                 "as sources (2 < 3)\n")
 
 
 def test_simulate_behind_identity_exits_3(two_collector, tmp_path, capsys):

@@ -1,9 +1,11 @@
 """Photon sampling, maximum-likelihood estimation and Cramer-Rao attainment."""
 
+import csv
+import io
 import json
 import math
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from emitterfisher import (
     qfi,
     sample_detections,
 )
-from emitterfisher.estimation import DetectionRecord, write_trials_csv
+from emitterfisher.estimation import DetectionRecord
 
 
 def two_collector_scenario(dx=0.2, u=5.0):
@@ -89,7 +91,7 @@ def test_crb_draws_are_one_generators_rows(seed, trials, more, rows):
     # A sweep refines the rows of default_rng(seed).multinomial(n, p_true,
     # size=trials), drawn from that one generator in blocks of ``rows``
     # trials (on two collectors, GRID_BLOCK // GRID_POINTS; all trials by
-    # default); its records carry the sweep seed and their row number, and
+    # default); its estimates are one float64 vector, one entry per row, and
     # its rows are the first rows of a longer sweep with the same seed.
     from emitterfisher import estimation
 
@@ -99,12 +101,12 @@ def test_crb_draws_are_one_generators_rows(seed, trials, more, rows):
         refined = spy_refine(monkeypatch)
         s = two_collector_scenario()
         bs = beam_splitter_with_phase(0.0)
-        _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials,
-                               seed=seed)
+        _, estimates = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials,
+                                 seed=seed)
         blocks = refined[:]
         refined.clear()
         crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials + more, seed=seed)
-    assert [(r.trial, r.seed) for r in records] == [(i, seed) for i in range(trials)]
+    assert estimates.shape == (trials,) and estimates.dtype == np.float64
     rows = rows or trials
     assert [len(b) for b in blocks] == [min(rows, trials - i) for i in range(0, trials, rows)]
     drawn = np.concatenate(blocks)
@@ -120,9 +122,9 @@ def test_crb_trial_seeds_and_draws_are_numpys(seed, monkeypatch):
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
     for trials in (2, 3, 50, 500):
-        _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials,
-                               seed=seed)
-        assert [(r.trial, r.seed) for r in records] == [(i, seed) for i in range(trials)]
+        _, estimates = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=5000, trials=trials,
+                                 seed=seed)
+        assert estimates.shape == (trials,) and estimates.dtype == np.float64
     np.testing.assert_array_equal(refined[-1], sweep_draws(s, SEP_X, bs, 2.0, 5000, 500, seed))
     for counts in refined:
         np.testing.assert_array_equal(counts, refined[-1][:len(counts)])
@@ -169,10 +171,13 @@ def test_seeds_of_any_integer_type_and_size_accepted():
     bs = beam_splitter_with_phase(0.0)
     big = 2**200 + 3
     assert sample_detections(s, SEP_X, 2.0, bs, 1000, seed=big).seed == big
+    # A numpy integer seeds the sweep as the Python int of its value.
     for seed in (np.uint64(2**64 - 1), big):
-        _, records = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3, seed=seed)
-        assert [r.seed for r in records] == [int(seed)] * 3
-        assert all(type(r.seed) is int for r in records)
+        _, estimates = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3, seed=seed)
+        _, as_int = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3,
+                              seed=int(seed))
+        assert estimates.shape == (3,) and estimates.dtype == np.float64
+        assert estimates.tobytes() == as_int.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -281,7 +286,7 @@ def test_crb_ratio_optimal_scheme():
     trials = 2330
     lo, hi = crb_ratio_interval(trials)
     assert 0.85 <= lo and hi <= 1.15
-    aggregate, records = crb_sweep(
+    aggregate, estimates = crb_sweep(
         s,
         SEP_X,
         beam_splitter_with_phase(0.0),
@@ -290,7 +295,7 @@ def test_crb_ratio_optimal_scheme():
         trials=trials,
         seed=6,
     )
-    assert len(records) == trials
+    assert estimates.shape == (trials,)
     assert 0.85 <= aggregate.crb_ratio <= 1.15
     # no estimator beats the quantum bound
     q = qfi(displace(s, SEP_X, SEP_X.parameter_scale * 2.0), SEP_X).qfi
@@ -370,15 +375,15 @@ def test_crb_trials_equal_one_trial_estimates():
         (bundled_disc, qft_interferometer(bundled_disc.n_collectors), 40, 100_000, 3),
     )
     for s, R, trials, n, seed in cases:
-        aggregate, records = crb_sweep(s, SEP_X, R, theta_true=2.0, n_photons=n,
-                                       trials=trials, seed=seed)
+        aggregate, estimates = crb_sweep(s, SEP_X, R, theta_true=2.0, n_photons=n,
+                                         trials=trials, seed=seed)
         interval = default_search_interval(2.0, n, aggregate.cfi)
         draws = sweep_draws(s, SEP_X, R, 2.0, n, trials, seed=seed)
-        for r, counts in zip(records, draws, strict=True):
-            assert r.theta_hat == mle_estimate(counts, s, SEP_X, R, interval).theta_hat
+        for theta_hat, counts in zip(estimates.tolist(), draws, strict=True):
+            assert theta_hat == mle_estimate(counts, s, SEP_X, R, interval).theta_hat
         # Trial 0's photons are what sample_detections draws at the sweep seed.
         record = sample_detections(s, SEP_X, 2.0, R, n, seed=seed)
-        assert records[0].theta_hat == mle_estimate(record, s, SEP_X, R, interval).theta_hat
+        assert estimates[0] == mle_estimate(record, s, SEP_X, R, interval).theta_hat
 
 
 def _scalar_refine(counts, slopes, theta, log_p):
@@ -614,7 +619,7 @@ def test_grid_scan_scores_each_trial_as_it_alone_is_scored(trials, n_collectors,
 
 def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
     # A 40-trial sweep drawn, scanned and refined in blocks of 7 trials, or
-    # of one, gives the records and the aggregate of the sweep run as one
+    # of one, gives the estimates and the aggregate of the sweep run as one
     # block, on four collectors and on the N_C = 49 disc.  A block holds
     # GRID_BLOCK // max(GRID_POINTS, 2 N_C N_S) trials, one at least.
     from emitterfisher import (bundled_scenario_path, disc_collector_grid, estimation,
@@ -632,12 +637,12 @@ def test_sweep_in_many_grid_blocks_equals_one_block(monkeypatch):
                              n_photons=n, trials=40, seed=9)
 
         monkeypatch.setattr(estimation, "GRID_BLOCK", default)
-        aggregate, records = sweep()
+        aggregate, estimates = sweep()
         for rows in (7, 1):
             monkeypatch.setattr(estimation, "GRID_BLOCK", rows * entries)
-            blocked_aggregate, blocked_records = sweep()
+            blocked_aggregate, blocked_estimates = sweep()
             assert blocked_aggregate.to_dict() == aggregate.to_dict()
-            assert [asdict(r) for r in blocked_records] == [asdict(r) for r in records]
+            assert blocked_estimates.tobytes() == estimates.tobytes()
 
 
 def _disc_sweep_peak(trials, n_photons):
@@ -731,19 +736,19 @@ def test_refinement_reaches_the_score_root():
     )
     n = 100_000
     for s, R, truth in cases:
-        aggregate, records = crb_sweep(s, SEP_X, R, theta_true=truth, n_photons=n, trials=50, seed=7)
+        aggregate, estimate = crb_sweep(s, SEP_X, R, theta_true=truth, n_photons=n, trials=50,
+                                        seed=7)
         sigma = math.sqrt(aggregate.fisher_predicted_variance)
         lo, hi = default_search_interval(truth, n, 1.0 / (n * aggregate.fisher_predicted_variance))
         path, slopes = estimation._probability_path(s, SEP_X, R, lo, hi)
         theta = estimation._checked_interval(lo, hi)
         log_p = estimation._likelihood_grid(path, theta)
-        counts = sweep_draws(s, SEP_X, R, truth, n, len(records), seed=7).astype(float)
+        counts = sweep_draws(s, SEP_X, R, truth, n, len(estimate), seed=7).astype(float)
 
         def score(t):
             p, dp, _ = slopes(t)
             return (counts * dp / p).sum(axis=-1)
 
-        estimate = np.array([r.theta_hat for r in records])
         golden = np.array([_golden_section(c, path, theta, log_p) for c in counts])
         a, b = golden - 1e-3 * sigma, golden + 1e-3 * sigma
         assert (score(a) > 0).all() and (score(b) < 0).all()
@@ -905,16 +910,26 @@ def test_mle_estimate_warns_once_per_call():
 
 
 def test_trial_outputs(tmp_path):
-    s = two_collector_scenario()
-    _, records = crb_sweep(
-        s, SEP_X, beam_splitter_with_phase(0.0),
-        theta_true=2.0, n_photons=2000, trials=10, seed=4,
-    )
-    csv_path = tmp_path / "trials.csv"
-    write_trials_csv(csv_path, records)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "trial,seed,theta_hat"
-    assert len(lines) == 11
+    # simulate's trial CSV is csv.writer's rows (trial, seed, repr(theta_hat))
+    # and its gnuplot file the columns (float(trial), theta_hat), both of
+    # crb_sweep's estimates at the same arguments, the sweep seed on every row.
+    from emitterfisher import bundled_scenario_path, cli, load_scenario
+
+    path = bundled_scenario_path("two_collector.scn")
+    out, dat = tmp_path / "sim.json", tmp_path / "sim.dat"
+    for seed in (4, 2**64 + 5):
+        assert cli.main(["simulate", "--scenario", str(path), "--direction", "separation-x",
+                         "--interferometer", "bs_phase:0.0", "--theta-true", "2.0", "--photons",
+                         "2000", "--trials", "10", "--seed", str(seed), "--out", str(out),
+                         "--gnuplot-dat", str(dat)]) == cli.EXIT_OK
+        _, estimates = crb_sweep(load_scenario(path), SEP_X, beam_splitter_with_phase(0.0),
+                                 theta_true=2.0, n_photons=2000, trials=10, seed=seed)
+        rows = io.StringIO(newline="")
+        csv.writer(rows).writerows([["trial", "seed", "theta_hat"]] + [
+            [i, seed, repr(theta)] for i, theta in enumerate(estimates.tolist())])
+        assert out.with_suffix(".csv").read_bytes() == rows.getvalue().encode()
+        columns = [f"{float(i)!r} {theta!r}\n" for i, theta in enumerate(estimates.tolist())]
+        assert dat.read_bytes() == ("# trial theta_hat\n" + "".join(columns)).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -765,6 +765,23 @@ def test_consistency_requires_the_targets_source_count(target, n_sources):
         qfi_matrix_consistency(s, target)
 
 
+@pytest.mark.parametrize("name", ["two_collector.scn", "four_collector.scn",
+                                  "disc_aperture_r1.scn", "one_source"])
+def test_consistency_refuses_exact_mode(name):
+    # The closed form is paraxial: against an exact-mode QFI its gap is model
+    # error (1.04e-3 on four_collector, 1.002e-3 on the disc), not a fault
+    # the cross check could judge, so an exact-mode scenario is refused.
+    if name == "one_source":
+        s = Scenario((SourcePoint(0, 0, 0),), symmetric_pair(0.05).collectors, K, Z0)
+        target = ParaxialTarget.SINGLE_SOURCE
+    else:
+        s = emitterfisher.load_scenario(bundled_scenario_path(name))
+        target = ParaxialTarget.TWO_SOURCE_SEPARATION
+    qfi_matrix_consistency(s, target)
+    with pytest.raises(ScenarioError, match="closed form is paraxial"):
+        qfi_matrix_consistency(Scenario(s.sources, s.collectors, s.k, s.z0, Mode.EXACT), target)
+
+
 def test_consistency_symmetric_two_source():
     s = symmetric_pair(0.05)
     report = qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)

@@ -769,6 +769,19 @@ def test_repeated_key_is_refused(case, tmp_path):
     assert (s.z0, s.sources[0].x) == (100.0, 0.1)
 
 
+@pytest.mark.parametrize("second, positions", [
+    ("{<<: *s, x: -0.1}", [[0.1, 0, 0], [-0.1, 0, 0]]),
+    ("{<<: [*s, *s], y: 2}", [[0.1, 0, 0], [0.1, 2, 0]]),
+])
+def test_merge_keys_are_not_repeated_keys(second, positions, tmp_path):
+    # A YAML merge key (<<) brings in an anchored mapping's keys, which the
+    # mapping's own keys override; neither counts as a repeated key.
+    path = tmp_path / "merged.scn"
+    path.write_text("k: 1.0\nz0: 100.0\nsources:\n  - &s {x: 0.1, y: 0, z: 0}\n  - " + second
+                    + "\ncollectors:\n  - {u: 1, v: 0}\n  - {u: -1, v: 0}\n", encoding="utf-8")
+    np.testing.assert_array_equal(load_scenario(path).source_positions(), positions)
+
+
 def test_every_load_warns_outside_the_paraxial_regime(tmp_path):
     path = _pair_file(tmp_path / "wide.scn", 12.5)
     with warnings.catch_warnings(record=True) as caught:

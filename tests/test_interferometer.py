@@ -119,6 +119,46 @@ def test_qft_general_entry_formula():
     assert qft.matrix[j, q] == pytest.approx(np.exp(2j * np.pi * j * q / n) / math.sqrt(n))
 
 
+def test_qft_depends_on_the_collector_order():
+    # qft is a 1-D DFT over the collectors in file order, not imaging of a
+    # 2-D array: reordering the 49 collectors of a disc leaves the QFI and
+    # the optimal measurement's saturation, but moves centroid-x's CFI
+    # behind qft (5.79e-11 in grid order, 3.71e-11 and 3.60e-11 reordered).
+    pair = load_scenario(bundled_scenario_path("two_collector.scn"))
+    grid = disc_collector_grid(0.25)
+    d = named_direction("centroid-x", 2)
+    rng = np.random.default_rng(0)
+    values = []
+    for order in (np.arange(len(grid)), rng.permutation(len(grid)), rng.permutation(len(grid))):
+        s = Scenario(pair.sources, tuple(grid[i] for i in order), pair.k, pair.z0, pair.mode)
+        assert abs(verify_saturation(s, d).saturation_ratio - 1.0) <= 1e-9
+        values.append((qfi(s, d).qfi, cfi(s, d, qft_interferometer(s.n_collectors)).cfi))
+    (q0, c0), *reordered = values
+    for q, c in reordered:
+        assert q == pytest.approx(q0, rel=1e-12)
+        assert abs(c - c0) > 0.1 * c0
+
+
+@pytest.mark.parametrize("build, text", [
+    (lambda: qft_interferometer(49), "Interferometer(n_modes=49, provenance='qft')"),
+    (lambda: identity_interferometer(3), "Interferometer(n_modes=3, provenance='identity')"),
+    (lambda: beam_splitter_with_phase(0.3), "Interferometer(n_modes=2, provenance='bs_phase')"),
+    (lambda: optimal_interferometer(*amplitude_and_derivative(symmetric_pair(0.2),
+                                                              named_direction("separation-x", 2))),
+     "Interferometer(n_modes=2, provenance='synthesized')"),
+])
+def test_interferometer_repr_names_size_and_provenance(build, text, monkeypatch):
+    # A measurement prints as its size and provenance, in every form, without
+    # forming its matrix.
+    R = build()
+
+    def no_matrix(self):
+        raise AssertionError("repr formed the N_C x N_C matrix")
+
+    monkeypatch.setattr(type(R), "_form", no_matrix, raising=False)
+    assert repr(R) == text
+
+
 def test_bs_phase_needs_two_modes():
     with pytest.raises(ScenarioError):
         builtin_interferometer("bs_phase", 3)
@@ -1002,8 +1042,8 @@ def test_sweep_behind_factored_measurement_forms_no_matrix(monkeypatch, form):
         raise AssertionError("the sweep formed the N_C x N_C matrix")
 
     monkeypatch.setattr(type(R), "_form", no_matrix)
-    aggregate, records = crb_sweep(s, d, R, theta_true=1.0, n_photons=5_000_000, trials=5, seed=3)
-    assert len(records) == 5 and math.isfinite(aggregate.crb_ratio)
+    aggregate, estimates = crb_sweep(s, d, R, theta_true=1.0, n_photons=5_000_000, trials=5, seed=3)
+    assert len(estimates) == 5 and math.isfinite(aggregate.crb_ratio)
 
 
 def test_pair_built_measurement_saturates_on_ill_conditioned_array():
@@ -1153,7 +1193,7 @@ def test_kept_values_equal_cold_values(seed, ns, mode, calls):
     tangents = rng.normal(size=(2, 3 * ns))
     R = qft_interferometer(nc)
     for name, i in calls:
-        if name == "consistency" and ns > 2:
+        if name == "consistency" and (ns > 2 or mode is Mode.EXACT):
             continue
         d = GeneralizedCoordinate.from_tangent(tangents[i])
         cold = dataclasses.replace(s)
