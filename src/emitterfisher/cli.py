@@ -142,6 +142,8 @@ def cmd_simulate(args, scenario, direction):
     for path in outputs:
         if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
             raise ScenarioError(f"cannot write {path}: {path.parent} is not a writable directory")
+        if path.is_dir():
+            raise ScenarioError(f"cannot write {path}: it is a directory")
     if len({path.resolve() for path in outputs}) < len(outputs):
         raise ScenarioError("simulate's document, trial CSV and gnuplot paths must differ, got "
                             + ", ".join(map(str, outputs)))

@@ -13,16 +13,18 @@ vector of thetas at once, one apply of the measurement to all their
 amplitudes.  A sweep draws, scans and refines its trials one block at a
 time, from one generator, so its memory does not grow with its trial
 count; a block's trials are refined together, one batched evaluation per
-step, and a single estimate is the one-trial block.  A sweep returns its
-aggregate, which holds the QFI and CFI at its truth, and its estimates as
-one array; the module writes no files (cli writes the per-trial ones).
+step, and a single estimate is the one-trial block.  Results are plain
+values: a draw is its vector of counts, an estimate its theta, and a
+sweep returns its aggregate, which holds the QFI and CFI at its truth,
+and its estimates as one array; the module writes no files (cli writes
+the per-trial ones).
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,8 +41,8 @@ from .geometry import (
 )
 
 __all__ = [
-    "DetectionRecord", "EstimationResult", "NonIdentifiableError", "crb_sweep",
-    "default_search_interval", "mle_estimate", "sample_detections",
+    "EstimationResult", "NonIdentifiableError", "crb_sweep", "default_search_interval",
+    "mle_estimate", "sample_detections",
 ]
 
 # Probability floor inside log-likelihoods.
@@ -60,58 +62,21 @@ class NonIdentifiableError(ValueError):
     """The detection probabilities do not depend on the parameter."""
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionRecord:
-    """Photon counts per detector for one experiment.
-
-    The counts must be a vector of whole numbers >= 0 that sum to
-    ``n_photons``, an integer >= 1; ``seed`` a non-negative integer and
-    ``true_theta`` a finite number.  Anything else raises ScenarioError.
-    The counts are kept as a read-only int64 vector.
-    """
-
-    counts: np.ndarray
-    n_photons: int
-    seed: int
-    true_theta: float
-
-    def __post_init__(self):
-        try:
-            counts = np.asarray(self.counts)
-        except ValueError:
-            counts = None
-        if counts is None or counts.ndim != 1:
-            raise ScenarioError(f"counts must be a vector of detector counts, got {self.counts!r}")
-        values = [whole_number(c, "counts", 0) for c in counts.tolist()]
-        n_photons = whole_number(self.n_photons, "n_photons", 1)
-        if sum(values) != n_photons:
-            raise ScenarioError("counts do not sum to n_photons")
-        counts = np.array(values, dtype=np.int64)
-        counts.setflags(write=False)
-        for name, value in (("counts", counts), ("n_photons", n_photons),
-                            ("seed", _checked_seed(self.seed)),
-                            ("true_theta", finite_number(self.true_theta, "true_theta"))):
-            object.__setattr__(self, name, value)
-
-
 @dataclass
 class EstimationResult:
-    """Point estimate or trial aggregate with the Cramer-Rao prediction.
+    """A sweep's aggregate of its trials, with the Cramer-Rao prediction.
 
-    A value a result does not have is None, so ``to_dict`` is strict JSON.
-    An aggregate has no one likelihood; its ``qfi`` and ``cfi`` are
-    fisher.information_report's at the truth its photons are drawn from,
-    which a single estimate lacks, as it lacks a predicted and empirical variance.
+    ``qfi`` and ``cfi`` are fisher.information_report's at the truth the
+    photons are drawn from; ``theta_hat`` is the mean of the estimates.
     """
 
-    qfi: float | None = field(default=None, kw_only=True)
-    cfi: float | None = field(default=None, kw_only=True)
+    qfi: float
+    cfi: float
     theta_hat: float
-    log_likelihood: float | None
-    fisher_predicted_variance: float | None
-    empirical_variance: float | None
+    fisher_predicted_variance: float
+    empirical_variance: float
     trials: int
-    crb_ratio: float | None = None
+    crb_ratio: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -171,8 +136,18 @@ def _checked_seed(seed) -> int:
 
 
 def _checked_counts(counts, n_collectors: int) -> np.ndarray:
-    """Photon counts as a float vector of length N_C: finite, non-negative, not all zero."""
-    counts = np.asarray(counts, dtype=float)
+    """Photon counts as a float vector of length N_C: finite, non-negative, not all zero.
+
+    The counts must be integers or floats: booleans, text and complex numbers are refused.
+    """
+    try:
+        counts = np.asarray(counts)
+    except ValueError:
+        raise ScenarioError(f"counts must be a vector of {n_collectors} detector counts, "
+                            f"got {counts!r}") from None
+    if counts.dtype.kind not in "iuf":
+        raise ScenarioError(f"counts must be integers or floats, got dtype {counts.dtype}")
+    counts = counts.astype(float)
     if counts.shape != (n_collectors,):
         raise ScenarioError(f"counts must be a vector of {n_collectors} detector counts, "
                             f"got shape {counts.shape}")
@@ -196,34 +171,30 @@ def sample_detections(
     R,
     n_photons: int,
     seed: int,
-) -> DetectionRecord:
+) -> np.ndarray:
     """Multinomial draw of n photons from p(. | theta_true) by default_rng(seed).
 
-    ``seed`` must be a non-negative integer.
+    ``seed`` must be a non-negative integer.  Returns the int64 vector of
+    counts per detector.
     """
     seed = _checked_seed(seed)
     n_photons = whole_number(n_photons, "n_photons", 1)
     path, _ = _probability_path(scenario, direction, R, theta_true)
-    counts = np.random.default_rng(seed).multinomial(n_photons, _normalized(path([theta_true])[0]))
-    return DetectionRecord(counts=counts, n_photons=n_photons, seed=seed, true_theta=theta_true)
-
-
-def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """sum_q counts_q log p_q over the last axis; terms with zero counts add nothing."""
-    return (counts * np.log(np.maximum(p, LOG_FLOOR))).sum(axis=-1)
+    return np.random.default_rng(seed).multinomial(n_photons, _normalized(path([theta_true])[0]))
 
 
 def mle_estimate(
-    counts: np.ndarray | DetectionRecord,
+    counts: np.ndarray,
     scenario: Scenario,
     direction: GeneralizedCoordinate,
     R,
     search_interval: tuple[float, float],
-) -> EstimationResult:
-    """Maximize the counting log-likelihood over the search interval.
+) -> float:
+    """The theta that maximizes the counting log-likelihood over the search interval.
 
-    The counts must be a finite, non-negative vector of length N_C with a
-    positive total, and the interval must resolve GRID_POINTS grid values
+    The counts must be a finite, non-negative vector of integers or floats
+    of length N_C with a positive total (_checked_counts), and the
+    interval a pair of numbers that resolves GRID_POINTS grid values
     (_checked_interval).  A coarse grid locates the mode (and checks
     identifiability: flat detection probabilities raise
     NonIdentifiableError); a search for the root of the score, started at
@@ -232,19 +203,15 @@ def mle_estimate(
     within REFINE_TOL times the interval width (_refine).  This is the
     one-trial case of crb_sweep's refinement.
     """
-    if isinstance(counts, DetectionRecord):
-        counts = counts.counts
     counts = _checked_counts(counts, scenario.n_collectors)
-    theta = _checked_interval(*search_interval)
+    try:
+        lo, hi = search_interval
+    except (TypeError, ValueError):
+        raise ScenarioError("search_interval must be a pair of numbers, "
+                            f"got {search_interval!r}") from None
+    theta = _checked_interval(lo, hi)
     path, slopes = _probability_path(scenario, direction, R, theta[0], theta[-1])
-    theta_hat = float(_refine(counts[None], slopes, theta, _likelihood_grid(path, theta))[0])
-    return EstimationResult(
-        theta_hat=theta_hat,
-        log_likelihood=float(_log_likelihood(counts, path([theta_hat])[0])),
-        fisher_predicted_variance=None,
-        empirical_variance=None,
-        trials=1,
-    )
+    return float(_refine(counts[None], slopes, theta, _likelihood_grid(path, theta))[0])
 
 
 def _likelihood_grid(path, theta: np.ndarray) -> np.ndarray:
@@ -402,7 +369,7 @@ def crb_sweep(
     one default_rng(seed), which gives, row for row, its one-call draw of
     all trials: trial i's photons are row i, so (seed, i) identifies them,
     a sweep's trials are the first of any longer sweep with its seed, and
-    trial 0's are sample_detections(..., seed).counts.  Each block is then
+    trial 0's are sample_detections(..., seed).  Each block is then
     scanned and refined (_refine), and only its estimates are kept; each
     estimate is mle_estimate of its row over default_search_interval, bit
     for bit, whatever the block.  ``threads`` is ignored.  Returns the
@@ -440,7 +407,6 @@ def crb_sweep(
         qfi=scale**2 * qfi_value,
         cfi=cfi_value,
         theta_hat=float(estimates.mean()),
-        log_likelihood=None,
         fisher_predicted_variance=1.0 / (n_photons * cfi_value),
         empirical_variance=empirical,
         trials=trials,

@@ -417,7 +417,8 @@ def _raw_amplitudes(
     if not (d > 0.0).all():
         *stack, q, s = np.argwhere(~(d > 0.0))[0]
         raise DegenerateGeometryError(
-            f"source {tuple(xyz[(*stack, s)])} coincides with collector {tuple(rows[q, :2])}"
+            f"source {tuple(xyz[(*stack, s)].tolist())} coincides with collector "
+            f"{tuple(rows[q, :2].tolist())}"
         )
     inv = 1.0 / d
     inv2 = inv * inv

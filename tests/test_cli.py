@@ -192,8 +192,7 @@ DOCUMENT_KEYS = {
     "qfimatrix": ["command", "scenario_digest", "target", "qfi_matrix", "finite_difference",
                   "max_relative_error"],
     "simulate": HEAD + [
-        "interferometer", "qfi", "cfi", "theta_hat", "log_likelihood",
-        "fisher_predicted_variance", "empirical_variance", "trials", "crb_ratio",
+        "interferometer", "qfi", "cfi", "theta_hat", "fisher_predicted_variance", "empirical_variance", "trials", "crb_ratio",
     ],
 }
 
@@ -642,6 +641,44 @@ def test_simulate_output_paths_must_differ(argv, two_collector, monkeypatch, tmp
     assert out == ""
     assert err.startswith("error: simulate's document, trial CSV and gnuplot paths must differ")
     assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--out", "{dir}/outdir"],
+    ["--out", "{dir}/o.json", "--gnuplot-dat", "{dir}/outdir"],
+], ids=["document", "gnuplot-dat"])
+def test_simulate_refuses_a_directory_as_output(argv, two_collector, monkeypatch, tmp_path,
+                                                capsys):
+    # An output path that is a directory cannot be written: exit 2 before
+    # the sweep, with no trial CSV, document or gnuplot file written.
+    import emitterfisher.cli as cli_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("crb_sweep ran although an output path is a directory")
+
+    monkeypatch.setattr(cli_mod.estimation, "crb_sweep", no_sweep)
+    (tmp_path / "outdir").mkdir()
+    code = run_cli("simulate", "--scenario", two_collector, "--direction", "separation-x",
+                   *SIMULATE_ARGS, *[a.format(dir=tmp_path) for a in argv])
+    assert code == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {tmp_path / 'outdir'}: it is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+    assert not any((tmp_path / "outdir").iterdir())
+
+
+def test_degenerate_exact_geometry_exits_2_with_plain_numbers(tmp_path, capsys):
+    # A source at (0, 0, -z0) sits on the collector at the origin.
+    path = tmp_path / "degenerate.scn"
+    path.write_text("mode: exact\nk: 1.0\nz0: 100.0\nsources:\n  - {x: 0, y: 0, z: -100}\n"
+                    "collectors:\n  - {u: 0, v: 0}\n  - {u: 1, v: 0}\n", encoding="utf-8")
+    out = tmp_path / "doc.json"
+    assert run_cli("qfi", "--scenario", str(path), "--direction", "x", "--out", str(out)) == (
+        EXIT_VALIDATION)
+    assert capsys.readouterr().err == (
+        "error: source (0.0, 0.0, -100.0) coincides with collector (0.0, 0.0)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(REPEATED_KEY_FILES))

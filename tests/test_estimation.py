@@ -30,7 +30,6 @@ from emitterfisher import (
     qfi,
     sample_detections,
 )
-from emitterfisher.estimation import DetectionRecord
 
 
 def two_collector_scenario(dx=0.2, u=5.0):
@@ -56,6 +55,15 @@ def wide_scenario():
 SEP_X = named_direction("separation-x", 2)
 
 
+def numpys_draw(s, R, theta_true, n_photons, seed):
+    """default_rng(seed).multinomial(n_photons, p(theta_true)) along SEP_X: one draw, no size."""
+    from emitterfisher import estimation
+
+    path, _ = estimation._probability_path(s, SEP_X, R, theta_true)
+    p_true = estimation._normalized(path([theta_true])[0])
+    return np.random.default_rng(seed).multinomial(n_photons, p_true)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -65,23 +73,23 @@ def test_deterministic_distribution():
     # On the symmetric pair the alpha=0 splitter sends everything to port 1
     # when the sources coincide.
     s = two_collector_scenario(dx=0.0)
-    record = sample_detections(s, SEP_X, 0.0, beam_splitter_with_phase(0.0), 100, seed=5)
-    np.testing.assert_array_equal(record.counts, [100, 0])
+    counts = sample_detections(s, SEP_X, 0.0, beam_splitter_with_phase(0.0), 100, seed=5)
+    np.testing.assert_array_equal(counts, [100, 0])
 
 
 def test_binomial_concentration():
     s = two_collector_scenario(dx=0.0)
-    record = sample_detections(s, SEP_X, 0.0, identity_interferometer(2), 10**6, seed=11)
+    counts = sample_detections(s, SEP_X, 0.0, identity_interferometer(2), 10**6, seed=11)
     # p = (1/2, 1/2); five sigma around the mean.
     sigma = math.sqrt(10**6 * 0.25)
-    assert abs(record.counts[0] - 5 * 10**5) < 5 * sigma
+    assert abs(counts[0] - 5 * 10**5) < 5 * sigma
 
 
 def test_seed_determinism():
     s = two_collector_scenario()
     a = sample_detections(s, SEP_X, 0.3, beam_splitter_with_phase(0.0), 1000, seed=42)
     b = sample_detections(s, SEP_X, 0.3, beam_splitter_with_phase(0.0), 1000, seed=42)
-    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,8 +165,7 @@ def test_boolean_counts_seeds_and_thetas_rejected(value):
                                                          n_photons=1000, trials=3, seed=1),
         "n_photons must": lambda: sample_detections(s, SEP_X, 2.0, bs, value, seed=1),
         "seed must": lambda: sample_detections(s, SEP_X, 2.0, bs, 1000, seed=value),
-        "counts must be": lambda: DetectionRecord(counts=[value, value], n_photons=2, seed=0,
-                                                  true_theta=0.0),
+        "counts must be": lambda: mle_estimate([value, value], s, SEP_X, bs, (1.5, 2.5)),
         "prior_center must be a number": lambda: default_search_interval(value, 1000, 0.0025),
     }
     for match, call in calls.items():
@@ -170,7 +177,9 @@ def test_seeds_of_any_integer_type_and_size_accepted():
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
     big = 2**200 + 3
-    assert sample_detections(s, SEP_X, 2.0, bs, 1000, seed=big).seed == big
+    # The draw is default_rng's at the seed's full value, not at a truncation of it.
+    np.testing.assert_array_equal(sample_detections(s, SEP_X, 2.0, bs, 1000, seed=big),
+                                  numpys_draw(s, bs, 2.0, 1000, big))
     # A numpy integer seeds the sweep as the Python int of its value.
     for seed in (np.uint64(2**64 - 1), big):
         _, estimates = crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=3, seed=seed)
@@ -180,44 +189,14 @@ def test_seeds_of_any_integer_type_and_size_accepted():
         assert estimates.tobytes() == as_int.tobytes()
 
 
-@pytest.mark.parametrize(
-    "fields, match",
-    [
-        ({"counts": [1.5, 1.5]}, "counts must be an integer >= 0, got 1.5"),
-        ({"counts": [-1, 3]}, "counts must be an integer >= 0, got -1"),
-        ({"counts": [math.nan, 2]}, "counts must be finite"),
-        ({"counts": ["one", 1]}, "counts must be a number"),
-        ({"counts": [[1, 1]]}, "counts must be a vector"),
-        ({"counts": [[1], [1, 0]]}, "counts must be a vector"),
-        ({"counts": 2}, "counts must be a vector"),
-        ({"counts": [1, 2]}, "counts do not sum to n_photons"),
-        ({"counts": [2**63, 0]}, r"counts must be below 2\*\*63"),
-        ({"n_photons": 2.5}, "n_photons must be an integer"),
-        ({"counts": [0, 0], "n_photons": 0}, "n_photons must be an integer >= 1"),
-        ({"seed": -5}, "seed must be a non-negative integer"),
-        ({"seed": 1.0}, "seed must be a non-negative integer"),
-        ({"true_theta": math.nan}, "true_theta must be finite"),
-        ({"true_theta": "abc"}, "true_theta must be a number"),
-    ],
-)
-def test_detection_record_rejects_invalid_fields(fields, match):
-    valid = {"counts": [1, 1], "n_photons": 2, "seed": 0, "true_theta": 0.0}
-    with pytest.raises(ScenarioError, match=match):
-        DetectionRecord(**{**valid, **fields})
-
-
-def test_detection_record_keeps_valid_fields():
-    # Integral float counts are whole numbers, kept as a read-only int64
-    # vector; sample_detections builds its records from its own draw, unchanged.
-    record = DetectionRecord(counts=np.array([1.0, 2.0]), n_photons=3, seed=2**70, true_theta=1)
-    assert record.counts.dtype == np.int64 and record.counts.tolist() == [1, 2]
-    assert not record.counts.flags.writeable
-    assert (record.n_photons, record.seed, record.true_theta) == (3, 2**70, 1.0)
+def test_sample_detections_returns_the_sweeps_first_draw():
+    # A draw is its int64 vector of counts, trial 0 of the sweep at its seed.
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
-    record = sample_detections(s, SEP_X, 0.3, bs, 1000, seed=42)
-    np.testing.assert_array_equal(record.counts, sweep_draws(s, SEP_X, bs, 0.3, 1000, 1, 42)[0])
-    assert (record.n_photons, record.seed, record.true_theta) == (1000, 42, 0.3)
+    for seed in (0, 42, 2**200 + 3):
+        counts = sample_detections(s, SEP_X, 0.3, bs, 1000, seed=seed)
+        assert counts.dtype == np.int64 and counts.shape == (2,)
+        np.testing.assert_array_equal(counts, sweep_draws(s, SEP_X, bs, 0.3, 1000, 1, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +213,18 @@ def test_zero_noise_counts_recover_truth():
     moved = displace(s, SEP_X, SEP_X.parameter_scale * theta_true)
     p = detection_probabilities(build_amplitude_matrix(moved), bs)
     counts = 10**6 * p  # noiseless fractional counts
-    est = mle_estimate(counts, s, SEP_X, bs, (0.9, 1.7))
-    assert est.theta_hat == pytest.approx(theta_true, abs=1e-6)
+    theta_hat = mle_estimate(counts, s, SEP_X, bs, (0.9, 1.7))
+    assert theta_hat == pytest.approx(theta_true, abs=1e-6)
 
 
 def test_mle_estimate_result_is_strict_json():
-    # A single estimate has no predicted or empirical variance: they are None, not NaN.
+    # An estimate is its theta, a finite Python float, for integer and float counts alike.
     s = two_collector_scenario()
-    est = mle_estimate(np.array([900.0, 1100.0]), s, SEP_X, beam_splitter_with_phase(0.0),
-                       (-0.5, 0.5))
-    assert est.fisher_predicted_variance is None and est.empirical_variance is None
-    assert est.qfi is None and est.cfi is None
-    doc = json.loads(json.dumps(est.to_dict(), allow_nan=False))
-    assert doc["theta_hat"] == est.theta_hat and doc["trials"] == 1
-    assert doc["qfi"] is None and doc["cfi"] is None
+    bs = beam_splitter_with_phase(0.0)
+    theta_hat = mle_estimate(np.array([900.0, 1100.0]), s, SEP_X, bs, (-0.5, 0.5))
+    assert type(theta_hat) is float and -0.5 <= theta_hat <= 0.5
+    assert json.loads(json.dumps(theta_hat, allow_nan=False)) == theta_hat
+    assert mle_estimate(np.array([900, 1100]), s, SEP_X, bs, (-0.5, 0.5)) == theta_hat
 
 
 def test_mle_concentration():
@@ -263,17 +240,16 @@ def test_mle_concentration():
     hits = 0
     trials = 120
     for i in range(trials):
-        record = sample_detections(s, SEP_X, theta_true, bs, n, seed=900 + i)
-        est = mle_estimate(record, s, SEP_X, bs, interval)
-        hits += abs(est.theta_hat - theta_true) < bound
+        counts = sample_detections(s, SEP_X, theta_true, bs, n, seed=900 + i)
+        hits += abs(mle_estimate(counts, s, SEP_X, bs, interval) - theta_true) < bound
     assert hits / trials >= 0.99
 
 
 def test_identity_measurement_not_identifiable():
     s = two_collector_scenario()
-    record = sample_detections(s, SEP_X, 0.0, identity_interferometer(2), 100, seed=1)
+    counts = sample_detections(s, SEP_X, 0.0, identity_interferometer(2), 100, seed=1)
     with pytest.raises(NonIdentifiableError):
-        mle_estimate(record, s, SEP_X, identity_interferometer(2), (-0.5, 0.5))
+        mle_estimate(counts, s, SEP_X, identity_interferometer(2), (-0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +356,10 @@ def test_crb_trials_equal_one_trial_estimates():
         interval = default_search_interval(2.0, n, aggregate.cfi)
         draws = sweep_draws(s, SEP_X, R, 2.0, n, trials, seed=seed)
         for theta_hat, counts in zip(estimates.tolist(), draws, strict=True):
-            assert theta_hat == mle_estimate(counts, s, SEP_X, R, interval).theta_hat
+            assert theta_hat == mle_estimate(counts, s, SEP_X, R, interval)
         # Trial 0's photons are what sample_detections draws at the sweep seed.
-        record = sample_detections(s, SEP_X, 2.0, R, n, seed=seed)
-        assert estimates[0] == mle_estimate(record, s, SEP_X, R, interval).theta_hat
+        counts = sample_detections(s, SEP_X, 2.0, R, n, seed=seed)
+        assert estimates[0] == mle_estimate(counts, s, SEP_X, R, interval)
 
 
 def _scalar_refine(counts, slopes, theta, log_p):
@@ -900,10 +876,10 @@ def test_mle_estimate_warns_once_per_call():
     # 15.1 > 0.1 z0); they are checked in one call, which names the first.
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
-    record = sample_detections(s, SEP_X, 0.2, bs, 2000, seed=3)
+    counts = sample_detections(s, SEP_X, 0.2, bs, 2000, seed=3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        mle_estimate(record, s, SEP_X, bs, (-30.0, 30.0))
+        mle_estimate(counts, s, SEP_X, bs, (-30.0, 30.0))
     paraxial = [str(w.message) for w in caught if "paraxial mode" in str(w.message)]
     assert len(paraxial) == 1
     assert "offsets 14.9 " in paraxial[0]
@@ -945,13 +921,20 @@ def test_trial_outputs(tmp_path):
         ([10, math.nan], "finite"),
         ([10, -1], "non-negative"),
         ([0, 0], "no photons"),
+        ([[1], [1, 0]], "vector of 2"),
+        (2, "vector of 2"),
+        (["one", 1], "integers or floats, got dtype <U"),
+        ([1 + 0j, 2], "integers or floats, got dtype complex128"),
+        ([True, True], "integers or floats, got dtype bool"),
+        ([2**64, 0], "integers or floats, got dtype object"),
     ],
 )
 def test_mle_estimate_rejects_bad_counts(counts, match):
+    # Counts enter as given, integer, float or not: only integer and float arrays are counts.
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
     with pytest.raises(ScenarioError, match=match):
-        mle_estimate(np.array(counts, dtype=float), s, SEP_X, bs, (1.5, 2.5))
+        mle_estimate(counts, s, SEP_X, bs, (1.5, 2.5))
 
 
 @pytest.mark.parametrize(
@@ -983,6 +966,9 @@ def test_search_interval_input_checks_raise(args, match):
         ((0.5, 0.5), "has no resolution"),
         ((1e17, 1e17 + 64), "has no resolution"),
         ((2.5, 1.5), "invalid search interval"),
+        ((0.0, 1.0, 2.0), "search_interval must be a pair of numbers"),
+        (5, "search_interval must be a pair of numbers"),
+        (("a", 1.0), "a search interval end must be a number"),
     ],
 )
 def test_mle_search_interval_checks_raise(interval, match):
@@ -1023,8 +1009,9 @@ def test_non_integer_photon_and_trial_counts_rejected():
             crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons=1000, trials=1, seed=1)
         with pytest.raises(ScenarioError, match="n_photons must be a number"):
             crb_sweep(s, SEP_X, bs, theta_true=2.0, n_photons="1000", trials=10, seed=1)
-    # An integral float is a whole number.
-    assert sample_detections(s, SEP_X, 2.0, bs, 1000.0, seed=1).counts.sum() == 1000
+    # An integral float is a whole number: the draw of that many photons.
+    np.testing.assert_array_equal(sample_detections(s, SEP_X, 2.0, bs, 1000.0, seed=1),
+                                  numpys_draw(s, bs, 2.0, 1000, 1))
 
 
 def test_photon_counts_taken_exactly(monkeypatch):
@@ -1033,9 +1020,11 @@ def test_photon_counts_taken_exactly(monkeypatch):
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
     for n in (2**53 + 1, 2**63 - 1):
-        record = sample_detections(s, SEP_X, 2.0, bs, n, seed=1)
-        assert record.n_photons == n and int(record.counts.sum()) == n
-    assert sample_detections(s, SEP_X, 2.0, bs, np.int64(1000), seed=1).n_photons == 1000
+        counts = sample_detections(s, SEP_X, 2.0, bs, n, seed=1)
+        assert int(counts.sum()) == n
+        np.testing.assert_array_equal(counts, numpys_draw(s, bs, 2.0, n, 1))
+    np.testing.assert_array_equal(sample_detections(s, SEP_X, 2.0, bs, np.int64(1000), seed=1),
+                                  numpys_draw(s, bs, 2.0, 1000, 1))
     for n in (2**63, 2**70, float(2**63)):
         with pytest.raises(ScenarioError, match=r"n_photons must be below 2\*\*63"):
             sample_detections(s, SEP_X, 2.0, bs, n, seed=1)
