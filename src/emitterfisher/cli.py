@@ -3,13 +3,14 @@
 Commands operate on a scenario file and write a JSON result document;
 `simulate` also writes its per-trial CSV next to the JSON output, and any
 `--gnuplot-dat` columns, from `crb_sweep`'s estimates: `estimation` writes no files.
-`main` runs one pipeline for every command: parse the arguments, load the
-scenario, parse the direction, compute the command's body, apply
-`--angular`, emit.  A command's arguments are parsed once, by its own
-subparser (`_parse_args`), with the same usage, help and error text as
-`build_parser().parse_args`.  Each document is encoded in one pass by
-`_json`, which returns `json.dumps(document, indent=2, allow_nan=False)`
-byte for byte; `interferometer.interferometer_to_json` uses it too.
+`main` runs one pipeline for every command: parse the arguments, check
+every path the command writes (`_check_outputs`), load the scenario, parse
+the direction, compute the command's body, apply `--angular`, emit.  A
+command's arguments are parsed once, by its own subparser (`_parse_args`),
+with the same usage, help and error text as `build_parser().parse_args`.
+Each document is encoded in one pass by `_json`, which returns
+`json.dumps(document, indent=2, allow_nan=False)` byte for byte;
+`interferometer.interferometer_to_json` uses it too.
 Exit status: 0 success, 2 validation error (bad file, bad flags, an output
 path that cannot be written), 3 numerical failure (non-finite result,
 which writes no document, failed decomposition, saturation or cross check
@@ -134,19 +135,39 @@ def cmd_qfimatrix(args, scenario, direction):
     }, report.max_relative_error < 1e-3
 
 
+def _csv_path(args) -> Path | None:
+    """Where simulate writes its per-trial CSV: next to the document, with suffix .csv."""
+    return Path(args.out).with_suffix(".csv") if args.out else None
+
+
+def _outputs(args) -> list[Path]:
+    """The files a command writes, in checking order: simulate's CSV and gnuplot, then --out."""
+    extra = (_csv_path(args), args.gnuplot_dat) if args.command == "simulate" else ()
+    return [Path(path) for path in (*extra, args.out) if path]
+
+
+def _check_outputs(paths: list[Path]) -> None:
+    """Each path's parent a writable directory, no path a directory, and no two paths one file.
+
+    Every command pays this, so the checks are os.path calls on the names
+    (a pathlib call costs several times more) and one path is not
+    resolved, which takes a stat per path component.
+    """
+    for path in paths:
+        name = str(path)
+        parent = os.path.dirname(name) or "."
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise ScenarioError(f"cannot write {path}: {parent} is not a writable directory")
+        if os.path.isdir(name):
+            raise ScenarioError(f"cannot write {path}: it is a directory")
+    if len(paths) > 1 and len({path.resolve() for path in paths}) < len(paths):
+        raise ScenarioError("simulate's document, trial CSV and gnuplot paths must differ, got "
+                            + ", ".join(map(str, paths)))
+
+
 def cmd_simulate(args, scenario, direction):
     measurement = _parse_interferometer(args.interferometer, scenario)
-    # The output paths are checked before the sweep, so a bad path costs no trials.
-    csv_path = Path(args.out).with_suffix(".csv") if args.out else None
-    outputs = [Path(path) for path in (csv_path, args.gnuplot_dat, args.out) if path]
-    for path in outputs:
-        if not (path.parent.is_dir() and os.access(path.parent, os.W_OK)):
-            raise ScenarioError(f"cannot write {path}: {path.parent} is not a writable directory")
-        if path.is_dir():
-            raise ScenarioError(f"cannot write {path}: it is a directory")
-    if len({path.resolve() for path in outputs}) < len(outputs):
-        raise ScenarioError("simulate's document, trial CSV and gnuplot paths must differ, got "
-                            + ", ".join(map(str, outputs)))
+    csv_path = _csv_path(args)
     aggregate, estimates = estimation.crb_sweep(
         scenario,
         direction,
@@ -336,6 +357,8 @@ def _document(args) -> tuple[dict, bool]:
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
+        # Checked before the scenario is loaded, so a bad path costs no computation.
+        _check_outputs(_outputs(args))
         document, ok = _document(args)
         try:
             text = _json(document)

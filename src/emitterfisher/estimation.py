@@ -138,8 +138,10 @@ def _checked_seed(seed) -> int:
 def _checked_counts(counts, n_collectors: int) -> np.ndarray:
     """Photon counts as a float vector of length N_C: finite, non-negative, not all zero.
 
-    The counts must be integers or floats: booleans, text and complex numbers are refused.
+    The counts must be integers or floats: booleans, text and complex numbers are refused,
+    also a bool among numbers in a list, which numpy would read as an integer.
     """
+    given = counts
     try:
         counts = np.asarray(counts)
     except ValueError:
@@ -147,6 +149,9 @@ def _checked_counts(counts, n_collectors: int) -> np.ndarray:
                             f"got {counts!r}") from None
     if counts.dtype.kind not in "iuf":
         raise ScenarioError(f"counts must be integers or floats, got dtype {counts.dtype}")
+    if not isinstance(given, np.ndarray) and any(
+            isinstance(item, (bool, np.bool_)) for item in np.asarray(given, dtype=object).flat):
+        raise ScenarioError("counts must be integers or floats, got a bool among them")
     counts = counts.astype(float)
     if counts.shape != (n_collectors,):
         raise ScenarioError(f"counts must be a vector of {n_collectors} detector counts, "

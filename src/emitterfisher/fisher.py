@@ -18,7 +18,10 @@ compatibility) the QFI matrix along three tangents as the Gram matrix
 4 Re F F^dag of their rows, from one amplitude build and one SVD of C.
 C, dC and the support SVD of C at a Scenario's own positions are built
 once and kept on it (geometry.amplitude_arrays, _scenario_svd), so every
-entry point here reads them.
+entry point here reads them.  So is the unscaled QFI of the most recent
+direction with its d rho (_direction_qfi), which qfi, information_report
+and interferometer._design read; each call still applies the
+direction's parameter_scale^2 (_report).
 
 The trace-norm and classical fidelities of displaced scenario pairs are
 kept as double-precision diagnostics of a finite displacement.
@@ -54,9 +57,11 @@ from .geometry import (
     Mode,
     Scenario,
     ScenarioError,
+    _direction_key,
     _kept,
     amplitude_and_derivative,
     amplitude_arrays,
+    direction_rows,
     finite_real,
     whole_number,
 )
@@ -127,8 +132,9 @@ class Interferometer:
       from ``matrix``, with the dense form's formula, when first read.
 
     ``matrix`` is read-only; every form but the dense one builds it
-    (``_form``) on first access.  Equality and hashing are by identity, so
-    comparing two measurements never forms or compares a matrix.
+    (``_form``) on first access, the Householder form on every access.
+    Equality and hashing are by identity, so comparing two measurements
+    never forms or compares a matrix.
     """
 
     def __init__(self, matrix, provenance=Provenance.USER_SUPPLIED, alpha: float | None = None):
@@ -197,7 +203,12 @@ class Interferometer:
 
 
 class _HouseholderInterferometer(Interferometer):
-    """Householder form: R = Q^dag = I - V T^dag V^dag with its first r rows replaced by S."""
+    """Householder form: R = Q^dag = I - V T^dag V^dag with its first r rows replaced by S.
+
+    ``matrix`` is formed on every read and not kept: the package keeps this
+    form on a Scenario (interferometer._design), which is charged for its
+    O(N_C r) factors (geometry._held_bytes), not for an N_C x N_C matrix.
+    """
 
     def __init__(self, V: np.ndarray, Vh: np.ndarray, Th: np.ndarray, support_rows: np.ndarray):
         self._init_factored(V.shape[0], Provenance.SYNTHESIZED)
@@ -208,6 +219,12 @@ class _HouseholderInterferometer(Interferometer):
         np.subtract(X, RX, out=RX)
         RX[: self._S.shape[0]] = self._S @ X
         return RX
+
+    @property
+    def matrix(self) -> np.ndarray:
+        m = self._form()
+        m.setflags(write=False)
+        return m
 
     def _form(self) -> np.ndarray:
         R = self._V @ (-self._Th @ self._Vh)
@@ -426,6 +443,24 @@ def _scenario_svd(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _kept(scenario, "_svd", lambda: support_svd(amplitude_arrays(scenario)[0]))
 
 
+def _direction_qfi(
+    scenario: Scenario, direction: GeneralizedCoordinate
+) -> tuple[float, np.ndarray]:
+    """_qfi_value's unscaled QFI along ``direction`` and its d rho, kept on the scenario.
+
+    One slot (geometry._kept) for the most recent direction, keyed by its
+    rows (geometry._direction_key) as the kept dC is; d rho is read-only.
+    """
+
+    def build():
+        C, dC = amplitude_and_derivative(scenario, direction)
+        (value,), drho = _qfi_value(C, dC, _scenario_svd(scenario))
+        return value, drho
+
+    key = _direction_key(direction_rows(direction, scenario.n_sources))
+    return _kept(scenario, "_qfi", build, key)
+
+
 def _qfi_rows(dC: np.ndarray, svd) -> tuple[np.ndarray, np.ndarray]:
     """d rho and the rows F of the real-linear map of dC whose squared norm is the QFI.
 
@@ -499,11 +534,10 @@ def qfi(scenario: Scenario, direction: GeneralizedCoordinate) -> FisherReport:
     Closed form on the SVD of C (see _qfi_value).  At coincident sources
     C loses rank and the value is the continuous limit of the QFI from
     nearby separations (Safranek, PRA 95, 052320, 2017).  A value at the
-    rounding level of ||dC||^2 is reported as exactly 0.0.
+    rounding level of ||dC||^2 is reported as exactly 0.0.  The unscaled
+    value is kept on the scenario for the direction (_direction_qfi).
     """
-    C, dC = amplitude_and_derivative(scenario, direction)
-    (value,), _ = _qfi_value(C, dC, _scenario_svd(scenario))
-    return _report(direction, qfi=value)
+    return _report(direction, qfi=_direction_qfi(scenario, direction)[0])
 
 
 def cfi(scenario: Scenario, direction: GeneralizedCoordinate, R) -> FisherReport:
@@ -521,8 +555,7 @@ def information_report(
 ) -> FisherReport:
     """Joint report with both qfi and cfi (and hence the saturation ratio)."""
     C, dC = amplitude_and_derivative(scenario, direction)
-    (qfi_value,), _ = _qfi_value(C, dC, _scenario_svd(scenario))
-    return _report(direction, qfi=qfi_value, cfi=_cfi(C, dC, R)[0])
+    return _report(direction, qfi=_direction_qfi(scenario, direction)[0], cfi=_cfi(C, dC, R)[0])
 
 
 # ---------------------------------------------------------------------------

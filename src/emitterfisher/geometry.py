@@ -356,13 +356,14 @@ def _kept(scenario: Scenario, name: str, build, key=None):
     """The value of ``build()`` kept on ``scenario`` as attribute ``name``, built on first use.
 
     Every value derived from a Scenario alone (its digest, amplitude
-    matrix, support SVD and phase rows), or from it and one direction, is
-    kept this way: one slot per name, holding ``key`` with the value, so a
-    call with another key builds again and replaces it.  Arrays in the
-    value are made read-only, since every later reader shares them.  The
-    slot is a plain attribute, not a field, so equality, hashing and repr
-    see only the records, and it is freed with the scenario; a build that
-    raises keeps nothing.
+    matrix, support SVD and phase rows), or from it and one direction (dC,
+    the QFI with its d rho, the optimal measurement with its values; keyed
+    by _direction_key), is kept this way: one slot per name, holding
+    ``key`` with the value, so a call with another key builds again and
+    replaces it.  Arrays in the value are made read-only, since every
+    later reader shares them.  The slot is a plain attribute, not a field,
+    so equality, hashing and repr see only the records, and it is freed
+    with the scenario; a build that raises keeps nothing.
     """
     held = scenario.__dict__.get(name)
     if held is not None and held[0] == key:
@@ -373,6 +374,15 @@ def _kept(scenario: Scenario, name: str, build, key=None):
             array.setflags(write=False)
     object.__setattr__(scenario, name, (key, value))
     return value
+
+
+def _direction_key(a: np.ndarray) -> tuple:
+    """The key (_kept) of a value kept for direction rows ``a``: their shape and bytes.
+
+    Two coordinates with one unit vector share it whatever their
+    parameter_scale, so what is kept along a direction is unscaled.
+    """
+    return a.shape, a.tobytes()
 
 
 def _phase_rows(uv: np.ndarray) -> np.ndarray:
@@ -488,7 +498,7 @@ def amplitude_arrays(
         C, dC = built(xyz, a)
         return _kept(scenario, "_amplitudes", lambda: C), dC
 
-    return _kept(scenario, "_derivative", with_derivative, key=(a.shape, a.tobytes()))
+    return _kept(scenario, "_derivative", with_derivative, key=_direction_key(a))
 
 
 def amplitude_and_derivative(
@@ -583,20 +593,43 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+# The optimal measurement of a direction is kept on a Scenario (as its
+# Householder factors and support rows, interferometer._design) only while
+# they take at most this many bytes, and built on every call above it: so a
+# memo entry of 100 sources on 2000 collectors stays below the memo's bound.
+KEPT_MEASUREMENT_BYTES = 2 << 20
+
+
+def _kept_measurement_entries(n_collectors: int, n_sources: int) -> int:
+    """The complex entries of a kept optimal measurement, at most; 0 when none is kept.
+
+    Its reflectors V, their conjugate transpose and its support rows hold
+    N_C r numbers each, r <= min(N_C, N_S) the rank of C.
+    """
+    entries = 3 * n_collectors * min(n_collectors, n_sources)
+    return entries if 16 * entries <= KEPT_MEASUREMENT_BYTES else 0
+
+
 _SOURCE_BYTES, _COLLECTOR_BYTES, _ENTRY_BYTES = 384, 256, 8192
 
 
 def _held_bytes(content: bytes, scenario: Scenario) -> int:
     """Upper bound of the bytes a memo entry holds once its Scenario is used.
 
-    The key; _ENTRY_BYTES for the Scenario, its slots, array headers and
-    digest; per source and per collector, its record, floats, array rows
-    and singular value or phase row (Python 3.11 takes 248 and 185); and
-    the complex arrays kept on it (_kept): C, the support SVD's U_r and V_r
-    (r <= N_S), and one dC, or qfi_matrix_consistency's three for N_S <= 2.
+    The key; _ENTRY_BYTES for the Scenario, its slots, array headers, kept
+    measurement object and digest; per source and per collector, its
+    record, floats, array rows and singular value or phase row (Python 3.11
+    takes 248 and 185); and the arrays kept on it (_kept), in complex
+    entries: C, the support SVD's U_r and V_r (r <= N_S), one dC, or
+    qfi_matrix_consistency's three for N_S <= 2, the d rho of the kept QFI
+    and the optimal measurement's r x r triangle T^dag (N_S^2 each), and the
+    measurement's factors (_kept_measurement_entries) with its N_C
+    probabilities (floats, half an entry each) when it is kept.
     """
     n_c, n_s = scenario.n_collectors, scenario.n_sources
-    complex_entries = n_c * n_s * (2 + (3 if n_s <= 2 else 1)) + n_s * n_s
+    measurement = _kept_measurement_entries(n_c, n_s)
+    complex_entries = (n_c * n_s * (2 + (3 if n_s <= 2 else 1)) + 3 * n_s * n_s
+                       + (measurement + n_c // 2 + 1 if measurement else 0))
     records = _SOURCE_BYTES * n_s + _COLLECTOR_BYTES * n_c
     return len(content) + _ENTRY_BYTES + records + 16 * complex_entries
 
@@ -635,8 +668,9 @@ class _LoadedScenarios:
                 self._bytes -= _held_bytes(*self._entries.popitem(last=False))
 
 
-# 16 MiB once used: 29 scenarios the size of the bundled disc (N_C = 1257),
-# over 1000 small arrays, or three files of 100 sources on 1000 collectors.
+# 16 MiB once used: 24 scenarios the size of the bundled disc (N_C = 1257,
+# its optimal measurement kept), over 1000 small arrays, or two files of 100
+# sources on 1000 collectors.
 _loaded = _LoadedScenarios(max_bytes=16 << 20)
 
 

@@ -56,6 +56,7 @@ from .fisher import (
     NumericalError,
     Provenance,
     _cfi,
+    _direction_qfi,
     _householder_interferometer,
     _probabilities,
     _qfi_value,
@@ -68,6 +69,9 @@ from .geometry import (
     GeneralizedCoordinate,
     Scenario,
     ScenarioError,
+    _direction_key,
+    _kept,
+    _kept_measurement_entries,
     amplitude_and_derivative,
     amplitude_arrays,
     check_source_positions,
@@ -453,8 +457,10 @@ class SaturationReport:
     the sum of the alignment's singular values) and its classical fidelity
     behind ``interferometer`` are double-precision diagnostics.
     ``probabilities`` are the detection probabilities behind
-    ``interferometer`` at the base point.  ``to_dict`` holds every field
-    but ``pivots``, ``interferometer`` and ``probabilities``, in field order.
+    ``interferometer`` at the base point; both may be kept on the scenario
+    (_design), the probabilities then read-only.  ``to_dict`` holds
+    every field but ``pivots``, ``interferometer`` and ``probabilities``,
+    in field order.
     """
 
     delta_theta: float
@@ -501,21 +507,32 @@ def _design(
 ) -> tuple[Interferometer, FisherReport, np.ndarray]:
     """optimal_interferometer for ``direction``, its FisherReport and its detection probabilities.
 
-    C, dC and the one support_svd of C that serves the measurement and the
-    QFI are the scenario's own, kept on it (amplitude_and_derivative,
-    fisher._scenario_svd).  U_r^dag dC is formed once: fisher._qfi_value
-    returns the d rho it builds from it, from which the measurement's
-    symmetric logarithmic derivative is taken.  The CFI and probabilities
-    are fisher._cfi's, so the report equals
-    information_report(scenario, direction, R) bit for bit, and the
+    C, dC, the one support_svd of C that serves the measurement and the
+    QFI, and the QFI with its d rho are the scenario's own, kept on it
+    (amplitude_and_derivative, fisher._scenario_svd, fisher._direction_qfi);
+    the measurement's symmetric logarithmic derivative is taken from that
+    d rho.  The CFI and probabilities are fisher._cfi's, so the report
+    equals information_report(scenario, direction, R) bit for bit, and the
     probabilities detection_probabilities(C, R) to rounding.  No pair is
-    built.
+    built.  The measurement (in Householder form, checked once from its
+    factors), its unscaled QFI and CFI and the read-only probabilities are
+    kept on the scenario for the most recent direction, keyed as the kept
+    dC is (geometry._direction_key), when the measurement is small enough
+    (geometry._kept_measurement_entries); every call applies the
+    direction's parameter_scale^2 (fisher._report).
     """
-    C, dC = amplitude_and_derivative(scenario, direction)
-    svd = _scenario_svd(scenario)
-    (qfi_value,), drho = _qfi_value(C, dC, svd)
-    R = _optimal_interferometer(drho, svd)
-    cfi_value, p = _cfi(C, dC, R)
+
+    def build():
+        C, dC = amplitude_and_derivative(scenario, direction)
+        qfi_value, drho = _direction_qfi(scenario, direction)
+        R = _optimal_interferometer(drho, _scenario_svd(scenario))
+        return (R, qfi_value, *_cfi(C, dC, R))
+
+    if _kept_measurement_entries(scenario.n_collectors, scenario.n_sources):
+        key = _direction_key(direction_rows(direction, scenario.n_sources))
+        R, qfi_value, cfi_value, p = _kept(scenario, "_design", build, key)
+    else:
+        R, qfi_value, cfi_value, p = build()
     return R, _report(direction, qfi=qfi_value, cfi=cfi_value), p
 
 
@@ -537,10 +554,12 @@ def verify_saturation(
     geometry.finite_real: a bool, text or a non-finite value raises
     ScenarioError, as does zero, which gives an identical pair and so
     defines no alignment.  The measurement, its Fisher values and its
-    probabilities are _design's, from the C, dC and support SVD kept on
-    the scenario; only C' is built, at the displaced positions, with no
-    derivative, and the measurement is applied to it on its own for the
-    classical fidelity.
+    probabilities are _design's, kept on the scenario for the direction
+    (read-only), so a second call along it builds no measurement and takes
+    no QFI.  The theorem check depends on ``delta_theta`` and runs on
+    every call: C' is built at the displaced positions, with no
+    derivative, aligned with the kept C, and the measurement is applied to
+    it on its own for the classical fidelity.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)

@@ -599,6 +599,44 @@ def test_unwritable_output_path_exits_2(argv, unwritable, two_collector, tmp_pat
     assert capsys.readouterr().err.startswith(expected)
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("{dir}/outdir", "it is a directory"),
+    ("{dir}/missing/doc.json", "{dir}/missing is not a writable directory"),
+], ids=["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["qfi", "design"])
+def test_unwritable_out_exits_2_before_any_computation(command, out, reason, two_collector,
+                                                       monkeypatch, tmp_path, capsys):
+    # Every command's --out is checked before the scenario is loaded: exit
+    # 2 with nothing written, and no Fisher value or measurement computed.
+    import emitterfisher.cli as cli_mod
+    import emitterfisher.fisher as fisher_mod
+    import emitterfisher.interferometer as itf_mod
+
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((cli_mod, "load_scenario"), (fisher_mod, "qfi"),
+                         (fisher_mod, "_qfi_value"), (fisher_mod, "_cfi"), (itf_mod, "_design")):
+        counted(module, name)
+    (tmp_path / "outdir").mkdir()
+    code = run_cli(command, "--scenario", two_collector, "--direction", "separation-x",
+                   "--out", out.format(dir=tmp_path))
+    assert code == EXIT_VALIDATION and calls == []
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err == f"error: cannot write {out.format(dir=tmp_path)}: {reason.format(dir=tmp_path)}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+    assert not any((tmp_path / "outdir").iterdir())
+
+
 @pytest.mark.parametrize("argv, unwritable", [
     (["--out", "{missing}/doc.json"], "{missing}/doc.csv"),
     (["--gnuplot-dat", "{missing}/trials.dat"], "{missing}/trials.dat"),

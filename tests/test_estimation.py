@@ -927,10 +927,13 @@ def test_trial_outputs(tmp_path):
         ([1 + 0j, 2], "integers or floats, got dtype complex128"),
         ([True, True], "integers or floats, got dtype bool"),
         ([2**64, 0], "integers or floats, got dtype object"),
+        ([True, 900], "integers or floats, got a bool"),
+        ((900, np.bool_(True)), "integers or floats, got a bool"),
     ],
 )
 def test_mle_estimate_rejects_bad_counts(counts, match):
-    # Counts enter as given, integer, float or not: only integer and float arrays are counts.
+    # Counts enter as given, integer, float or not: only integer and float arrays are counts,
+    # and a bool among numbers, which numpy reads as an integer, is refused too.
     s = two_collector_scenario()
     bs = beam_splitter_with_phase(0.0)
     with pytest.raises(ScenarioError, match=match):

@@ -457,10 +457,10 @@ def test_optimal_measurement_is_step_free():
         np.testing.assert_array_equal(direct, R)
 
 
-def test_verify_saturation_builds_one_interferometer(monkeypatch):
-    # One factored unitarity check per call, and no O(N_C^3) constructor
-    # check: the measurement is built from its Householder factors and the
-    # theorem check builds none.
+def test_verify_saturation_builds_one_interferometer(monkeypatch, cold_loads):
+    # One factored unitarity check on a cold scenario, and no O(N_C^3)
+    # constructor check: the measurement is built from its Householder
+    # factors and the theorem check builds none.
     built, factored = [], []
     check = Interferometer.__post_init__
     householder = itf_mod._householder_interferometer
@@ -813,11 +813,12 @@ def _recorded_qrs(monkeypatch):
     return calls
 
 
-def test_theorem_check_forms_no_square_q(monkeypatch):
+def test_theorem_check_forms_no_square_q(monkeypatch, cold_loads):
     # No QR of the theorem check returns an N_C x N_C factor.  The check
     # takes one reduced QR of the N_C x N_S frame A, whose triangle the
     # pivot search reads; a second one, of the permuted A, only when the
-    # search permuted.  The optimal measurement's Householder QR is raw.
+    # search permuted.  The optimal measurement's Householder QR is raw
+    # (on a cold scenario: a warm one keeps the measurement).
     calls = _recorded_qrs(monkeypatch)
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
     report = verify_saturation(s, named_direction("separation-x", 2))
@@ -1145,6 +1146,11 @@ def _saturation_values(report) -> tuple:
             report.interferometer.matrix.tobytes())
 
 
+def _design_values(design) -> tuple:
+    R, report, p = design
+    return R.matrix.tobytes(), report.qfi, report.cfi, p.tobytes()
+
+
 def _consistency_values(scenario) -> tuple:
     target = (ParaxialTarget.SINGLE_SOURCE, ParaxialTarget.TWO_SOURCE_SEPARATION)[scenario.n_sources - 1]
     report = qfi_matrix_consistency(scenario, target)
@@ -1158,8 +1164,13 @@ _KEPT_CALLS = {
     "cfi": lambda s, d, R: cfi(s, d, R),
     "report": lambda s, d, R: information_report(s, d, R),
     "saturate": lambda s, d, R: _saturation_values(verify_saturation(s, d)),
+    "design": lambda s, d, R: _design_values(itf_mod._design(s, d)),
     "consistency": lambda s, d, R: _consistency_values(s),
 }
+
+
+# The slots of what is kept on a Scenario from its amplitudes on.
+_KEPT_SLOTS = {"_amplitudes", "_derivative", "_svd", "_qfi", "_design"}
 
 
 def _held_arrays(value):
@@ -1197,7 +1208,7 @@ def test_kept_values_equal_cold_values(seed, ns, mode, calls):
             continue
         d = GeneralizedCoordinate.from_tangent(tangents[i])
         cold = dataclasses.replace(s)
-        assert cold == s and not set(vars(cold)) & {"_amplitudes", "_derivative", "_svd"}
+        assert cold == s and not set(vars(cold)) & _KEPT_SLOTS
         assert repr(_KEPT_CALLS[name](s, d, R)) == repr(_KEPT_CALLS[name](cold, d, R))
 
 
@@ -1207,13 +1218,81 @@ def test_kept_arrays_are_read_only():
     s = symmetric_pair(0.2)
     d = named_direction("separation-x", 2)
     C, dC = amplitude_and_derivative(s, d)
-    verify_saturation(s, d)
+    report = verify_saturation(s, d)
+    drho = fisher_mod._direction_qfi(s, d)[1]
     qfi_matrix_consistency(s, ParaxialTarget.TWO_SOURCE_SEPARATION)
     held = _held_arrays(tuple(vars(s).values()))
-    assert len(held) >= 9  # positions, weights, collectors, rows, C, dC stack, U_r, s_r, V_r
-    for array in (C, dC, build_amplitude_matrix(s), *held):
+    # positions, weights, collectors, rows, C, dC stack, U_r, s_r, V_r, d rho, p
+    assert len(held) >= 11
+    assert any(array is drho for array in held)
+    assert any(array is report.probabilities for array in held)
+    for array in (C, dC, build_amplitude_matrix(s), report.probabilities, drho, *held):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
+
+
+@pytest.mark.parametrize("entry", ["verify_saturation", "_design"])
+def test_second_design_along_a_direction_builds_nothing(entry, monkeypatch):
+    # The QFI with its d rho and the optimal measurement with its CFI and
+    # probabilities are kept on the scenario for the direction: a second
+    # call along it, with the direction parsed anew or at another
+    # parameter_scale, takes no QFI and builds no measurement, and returns
+    # the same measurement; a new direction builds both again.
+    qfi_values, builds = [], []
+    qfi_value, householder = fisher_mod._qfi_value, itf_mod._householder_interferometer
+
+    def counted_qfi(*args):
+        qfi_values.append(args)
+        return qfi_value(*args)
+
+    def counted_householder(*args):
+        builds.append(args)
+        return householder(*args)
+
+    monkeypatch.setattr(fisher_mod, "_qfi_value", counted_qfi)
+    monkeypatch.setattr(itf_mod, "_householder_interferometer", counted_householder)
+    call = getattr(itf_mod, entry)
+
+    def measurement(s, d):
+        result = call(s, d)
+        return result.interferometer if entry == "verify_saturation" else result[0]
+
+    s = symmetric_pair(0.2, collectors=((5.0, 0.0), (-5.0, 0.0), (0.0, 5.0)))
+    R = measurement(s, named_direction("separation-x", 2))
+    assert (len(qfi_values), len(builds)) == (1, 1)
+    assert measurement(s, named_direction("separation-x", 2)) is R
+    assert measurement(s, GeneralizedCoordinate.from_tangent([1, 0, 0, -1, 0, 0])) is R
+    assert (len(qfi_values), len(builds)) == (1, 1)
+    other = measurement(s, named_direction("separation-z", 2))
+    assert other is not R and (len(qfi_values), len(builds)) == (2, 2)
+    # The report scales the kept values by each coordinate's parameter_scale.
+    longer = GeneralizedCoordinate.from_tangent([1, 0, 0, -1, 0, 0])
+    kept = itf_mod._design(s, longer)[1]
+    monkeypatch.undo()
+    cold = itf_mod._design(dataclasses.replace(s), longer)[1]
+    assert (kept.qfi, kept.cfi) == (cold.qfi, cold.cfi)
+    assert kept.qfi == 4.0 * itf_mod._design(s, named_direction("separation-x", 2))[1].qfi
+
+
+def test_large_optimal_measurement_is_not_kept():
+    # Above geometry.KEPT_MEASUREMENT_BYTES of factors the measurement is
+    # built on every call and not kept, so the memo's charge for such a
+    # scenario holds none; the QFI is kept all the same, and the values
+    # equal a cold build's.
+    import emitterfisher.geometry as geometry_mod
+
+    s = Scenario((SourcePoint(0.1, 0.0, 0.0), SourcePoint(-0.1, 0.0, 0.0)),
+                 tuple(Collector(0.001 * q, 0.0) for q in range(22000)), k=1.0, z0=100.0)
+    assert 48 * s.n_collectors * s.n_sources > geometry_mod.KEPT_MEASUREMENT_BYTES
+    assert geometry_mod._kept_measurement_entries(s.n_collectors, s.n_sources) == 0
+    d = named_direction("separation-x", 2)
+    first, second = itf_mod._design(s, d), itf_mod._design(s, d)
+    assert first[0] is not second[0]
+    assert "_design" not in vars(s) and "_qfi" in vars(s)
+    # Not its matrix: that has 22000^2 entries.
+    for R, report, p in (second, itf_mod._design(dataclasses.replace(s), d)):
+        assert (report.qfi, report.cfi, p.tobytes()) == (first[1].qfi, first[1].cfi,
+                                                          first[2].tobytes())
 
 
 def test_degenerate_build_keeps_nothing():
@@ -1226,15 +1305,17 @@ def test_degenerate_build_keeps_nothing():
         for _ in range(2):
             with pytest.raises(DegenerateGeometryError, match="coincides with collector"):
                 call()
-    assert not set(vars(s)) & {"_amplitudes", "_derivative", "_svd"}
+    assert not set(vars(s)) & _KEPT_SLOTS
 
 
 def test_kept_arrays_are_freed_with_their_scenario():
     s = symmetric_pair(0.2)
     d = named_direction("separation-x", 2)
-    verify_saturation(s, d)
-    refs = [weakref.ref(array) for array in (
-        build_amplitude_matrix(s), amplitude_and_derivative(s, d)[1], *fisher_mod._scenario_svd(s))]
+    report = verify_saturation(s, d)
+    refs = [weakref.ref(value) for value in (
+        build_amplitude_matrix(s), amplitude_and_derivative(s, d)[1], *fisher_mod._scenario_svd(s),
+        report.interferometer)]
+    del report
     assert all(ref() is not None for ref in refs)
     del s
     gc.collect()
