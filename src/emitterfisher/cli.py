@@ -67,18 +67,26 @@ def _parse_direction(spec: str, scenario: Scenario) -> tuple[GeneralizedCoordina
 
 
 def _parse_interferometer(spec: str, scenario: Scenario) -> fisher.Interferometer:
-    """A built-in sized for the scenario, else a serialized file; fisher checks its size on use."""
-    spec = spec.strip()
-    name, _, arg = spec.partition(":")
+    """A built-in sized for the scenario, else a serialized file; fisher checks its size on use.
+
+    A spec that is neither a built-in kind nor an existing file is named as
+    typed; a built-in kind with a bad argument keeps its own message.
+    """
+    path = spec.strip()
+    name, _, arg = path.partition(":")
     try:
         return itf.builtin_interferometer(name, scenario.n_collectors, arg or None)
     except ScenarioError:
-        if not Path(spec).is_file():
-            raise
+        if not Path(path).is_file():
+            if name.strip().lower() in itf._BUILTIN_KINDS:
+                raise
+            raise ScenarioError(
+                f"interferometer {spec!r} is neither a built-in (identity, bs_phase[:alpha], qft) "
+                "nor an existing file") from None
     try:
-        text = Path(spec).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
-        raise ScenarioError(f"cannot load interferometer file {spec}: {exc}") from exc
+        raise ScenarioError(f"cannot load interferometer file {path}: {exc}") from exc
     return itf.interferometer_from_json(text)
 
 

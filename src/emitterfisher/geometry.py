@@ -252,6 +252,21 @@ class Scenario:
         return self._collector_positions
 
 
+def _norm(v: np.ndarray, what: str) -> float:
+    """The 2-norm of ``v``, which must be nonzero and finite; ScenarioError naming ``what`` otherwise.
+
+    A norm that overflows while every component is finite says so, and
+    numpy's overflow warning is not shown.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if np.isinf(norm) and np.isfinite(v).all():
+        raise ScenarioError(f"{what} norm overflows the float range")
+    if norm == 0 or not np.isfinite(norm):
+        raise ScenarioError(f"{what} must be nonzero and finite")
+    return norm
+
+
 @dataclass(frozen=True, eq=False)
 class GeneralizedCoordinate:
     """A scalar coordinate theta = a . r of the collective source coordinates.
@@ -272,9 +287,7 @@ class GeneralizedCoordinate:
         a = np.asarray(self.a, dtype=float).copy()
         if a.ndim != 1 or a.size % 3 != 0:
             raise ScenarioError(f"direction must be a flat 3*N_S vector, got shape {a.shape}")
-        norm = np.linalg.norm(a)
-        if not np.isfinite(norm) or norm == 0:
-            raise ScenarioError("direction vector must be nonzero and finite")
+        norm = _norm(a, "direction vector")
         if abs(norm - 1.0) > 1e-9:
             raise ScenarioError(f"direction vector must have unit norm, got {norm}")
         a.setflags(write=False)
@@ -288,9 +301,7 @@ class GeneralizedCoordinate:
     def from_tangent(cls, tangent: Sequence[float], name: str = "") -> "GeneralizedCoordinate":
         """Build from the displacement tangent d r / d(param) (any nonzero length)."""
         t = np.asarray(tangent, dtype=float)
-        norm = np.linalg.norm(t)
-        if norm == 0 or not np.isfinite(norm):
-            raise ScenarioError("tangent must be nonzero and finite")
+        norm = _norm(t, "tangent")
         return cls(a=t / norm, parameter_scale=float(norm), name=name)
 
 
@@ -358,12 +369,15 @@ def _kept(scenario: Scenario, name: str, build, key=None):
     Every value derived from a Scenario alone (its digest, amplitude
     matrix, support SVD and phase rows), or from it and one direction (dC,
     the QFI with its d rho, the optimal measurement with its values; keyed
-    by _direction_key), is kept this way: one slot per name, holding
-    ``key`` with the value, so a call with another key builds again and
-    replaces it.  Arrays in the value are made read-only, since every
-    later reader shares them.  The slot is a plain attribute, not a field,
-    so equality, hashing and repr see only the records, and it is freed
-    with the scenario; a build that raises keeps nothing.
+    by _direction_key), or from it, one direction and one step (the
+    theorem check of interferometer.verify_saturation: its fidelities,
+    residuals and pivots, keyed by _direction_key and the step), is kept
+    this way: one slot per name, holding ``key`` with the value, so a
+    call with another key builds again and replaces it.  Arrays in the
+    value are made read-only, since every later reader shares them.  The
+    slot is a plain attribute, not a field, so equality, hashing and repr
+    see only the records, and it is freed with the scenario; a build that
+    raises keeps nothing.
     """
     held = scenario.__dict__.get(name)
     if held is not None and held[0] == key:
@@ -611,6 +625,10 @@ def _kept_measurement_entries(n_collectors: int, n_sources: int) -> int:
 
 
 _SOURCE_BYTES, _COLLECTOR_BYTES, _ENTRY_BYTES = 384, 256, 8192
+# The kept theorem check (interferometer.verify_saturation): its key, six
+# floats and the tuples and array header that hold them; per source, the
+# direction's bytes in the key and one pivot.
+_THEOREM_BYTES, _THEOREM_SOURCE_BYTES = 1536, 32
 
 
 def _held_bytes(content: bytes, scenario: Scenario) -> int:
@@ -624,14 +642,16 @@ def _held_bytes(content: bytes, scenario: Scenario) -> int:
     qfi_matrix_consistency's three for N_S <= 2, the d rho of the kept QFI
     and the optimal measurement's r x r triangle T^dag (N_S^2 each), and the
     measurement's factors (_kept_measurement_entries) with its N_C
-    probabilities (floats, half an entry each) when it is kept.
+    probabilities (floats, half an entry each) when it is kept; and the
+    kept theorem check, in bytes, whatever the measurement.
     """
     n_c, n_s = scenario.n_collectors, scenario.n_sources
     measurement = _kept_measurement_entries(n_c, n_s)
     complex_entries = (n_c * n_s * (2 + (3 if n_s <= 2 else 1)) + 3 * n_s * n_s
                        + (measurement + n_c // 2 + 1 if measurement else 0))
     records = _SOURCE_BYTES * n_s + _COLLECTOR_BYTES * n_c
-    return len(content) + _ENTRY_BYTES + records + 16 * complex_entries
+    theorem = _THEOREM_BYTES + _THEOREM_SOURCE_BYTES * n_s
+    return len(content) + _ENTRY_BYTES + records + theorem + 16 * complex_entries
 
 
 class _LoadedScenarios:

@@ -15,7 +15,9 @@ The paper's finite-pair construction from C(r) and C(r') is kept as the
 theorem check, which only verify_saturation runs: the design of a
 measurement (the CLI's ``design``) builds no pair, and verify_saturation
 applies the measurement to C' on its own, apart from the [C, dC] product
-that gives fisher.information_report's values bit for bit.  Alignment:
+that gives fisher.information_report's values bit for bit.  The check's
+result is kept on the scenario for one direction and step, so a repeated
+call builds no C' and runs no alignment.  Alignment:
 the SVD V^dag M W = D of M = C^dag C' defines biorthogonal frames
 A = C V and B = C' W (A^dag B = D); a column-pivoted QR of A yields the
 N_S occupied output rows P with P A upper-triangular, which forces P B
@@ -155,25 +157,28 @@ def qft_interferometer(n_modes: int) -> Interferometer:
     return _FourierInterferometer(n_modes)
 
 
+# The kinds builtin_interferometer builds, matched without case or surrounding space.
+_BUILTIN_KINDS = ("identity", "bs_phase", "qft")
+
+
 def builtin_interferometer(
     kind: str, n_modes: int, alpha: float | str | None = None
 ) -> Interferometer:
-    """Dispatcher for the named built-ins: identity, bs_phase (2 modes), qft.
+    """Dispatcher for the named built-ins (_BUILTIN_KINDS): identity, bs_phase (2 modes), qft.
 
     Only bs_phase takes an argument, its phase ``alpha`` (default 0); it
     may be given as text, and must be a finite number.
     """
-    kind = kind.strip().lower()
-    if kind == "bs_phase":
+    name = kind.strip().lower()
+    if name not in _BUILTIN_KINDS:
+        raise ScenarioError(f"unknown interferometer kind {kind!r}")
+    if name == "bs_phase":
         if n_modes != 2:
             raise ScenarioError(f"bs_phase requires exactly 2 modes, got {n_modes}")
         return beam_splitter_with_phase(0.0 if alpha is None else finite_number(alpha, "bs_phase alpha"))
-    builders = {"identity": identity_interferometer, "qft": qft_interferometer}
-    if kind not in builders:
-        raise ScenarioError(f"unknown interferometer kind {kind!r}")
     if alpha is not None:
-        raise ScenarioError(f"{kind} takes no argument, got {alpha!r}")
-    return builders[kind](n_modes)
+        raise ScenarioError(f"{name} takes no argument, got {alpha!r}")
+    return {"identity": identity_interferometer, "qft": qft_interferometer}[name](n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +458,15 @@ class SaturationReport:
     unitarity check, made from its Householder factors.  The theorem check
     runs the alignment stage of the pair construction on
     (r, r + a delta_theta): the triangularity, diagonal-product and
-    scalar-product residuals and the QR pivots refer to it.  The quantum fidelity of the pair (the trace norm of C^dag C',
-    the sum of the alignment's singular values) and its classical fidelity
-    behind ``interferometer`` are double-precision diagnostics.
+    scalar-product residuals and the QR pivots refer to it.  The quantum
+    fidelity of the pair (the trace norm of C^dag C', the sum of the
+    alignment's singular values) and its classical fidelity behind
+    ``interferometer`` are double-precision diagnostics.
     ``probabilities`` are the detection probabilities behind
     ``interferometer`` at the base point; both may be kept on the scenario
-    (_design), the probabilities then read-only.  ``to_dict`` holds
+    (_design), the probabilities then read-only.  ``pivots`` is the
+    theorem check's, kept on the scenario: read-only, and shared by every
+    later report along the direction at the same step.  ``to_dict`` holds
     every field but ``pivots``, ``interferometer`` and ``probabilities``,
     in field order.
     """
@@ -556,10 +564,14 @@ def verify_saturation(
     defines no alignment.  The measurement, its Fisher values and its
     probabilities are _design's, kept on the scenario for the direction
     (read-only), so a second call along it builds no measurement and takes
-    no QFI.  The theorem check depends on ``delta_theta`` and runs on
-    every call: C' is built at the displaced positions, with no
-    derivative, aligned with the kept C, and the measurement is applied to
-    it on its own for the classical fidelity.
+    no QFI.  The theorem check runs once per direction and step: C' is
+    built at the displaced positions, with no derivative, aligned with the
+    kept C, and the measurement is applied to it on its own for the
+    classical fidelity.  Its fidelities, residuals and pivots are kept on
+    the scenario (geometry._kept), keyed by the direction's unit vector
+    (geometry._direction_key) and ``delta_theta``, so a second call at the
+    same key returns the same values and builds no C'.  The step's checks
+    and the paraxial warning of the displaced positions run on every call.
     """
     if delta_theta is None:
         delta_theta = SYNTH_STEP_FRACTION * natural_displacement_scale(scenario)
@@ -570,22 +582,32 @@ def verify_saturation(
     moved = scenario.source_positions() + a * delta_theta
     check_source_positions(moved, scenario.z0, scenario.mode)
     R, info, p = _design(scenario, direction)
-    C_prime, _ = amplitude_arrays(scenario, moved)
-    P, A, B, D, piv = _align(amplitude_arrays(scenario)[0], C_prime)
-    PA, PB = P @ A, P @ B
-    index = np.arange(D.size)
-    below = index[:, None] > index
-    # The largest modulus below and above the diagonal; 0.0 for one source.
-    lower_resid = float(np.abs(PA[below]).max(initial=0.0))
-    upper_resid = float(np.abs(PB[below.T]).max(initial=0.0))
-    diag_resid = float(np.abs(np.abs(PA.diagonal() * PB.diagonal()) - D).max())
-    AB = A.conj().T @ B
-    AB[index, index] -= D
-    scalar_resid = float(np.abs(AB).max())
+
+    def theorem_check():
+        C_prime, _ = amplitude_arrays(scenario, moved)
+        P, A, B, D, piv = _align(amplitude_arrays(scenario)[0], C_prime)
+        PA, PB = P @ A, P @ B
+        index = np.arange(D.size)
+        below = index[:, None] > index
+        AB = A.conj().T @ B
+        AB[index, index] -= D
+        return (
+            float(D.sum()),
+            float(np.sqrt(p * _probabilities(R.apply(C_prime))).sum()),
+            # The largest modulus below and above the diagonal; 0.0 for one source.
+            float(np.abs(PA[below]).max(initial=0.0)),
+            float(np.abs(PB[below.T]).max(initial=0.0)),
+            float(np.abs(np.abs(PA.diagonal() * PB.diagonal()) - D).max()),
+            float(np.abs(AB).max()),
+            piv,
+        )
+
+    quantum, classical, lower_resid, upper_resid, diag_resid, scalar_resid, piv = _kept(
+        scenario, "_theorem", theorem_check, key=(_direction_key(a), delta_theta))
     return SaturationReport(
         delta_theta=delta_theta,
-        quantum_fidelity=float(D.sum()),
-        classical_fidelity=float(np.sqrt(p * _probabilities(R.apply(C_prime))).sum()),
+        quantum_fidelity=quantum,
+        classical_fidelity=classical,
         qfi_estimate=info.qfi,
         cfi_estimate=info.cfi,
         saturation_ratio=info.saturation_ratio,
@@ -595,7 +617,7 @@ def verify_saturation(
         diagonal_product_residual=diag_resid,
         scalar_product_residual=scalar_resid,
         pivoted=_pivoted(piv),
-        pivots=np.asarray(piv),
+        pivots=piv,
         interferometer=R,
         probabilities=p,
     )

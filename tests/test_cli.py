@@ -540,6 +540,18 @@ def test_bad_interferometer_argument_exits_2(spec, two_collector, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_unknown_interferometer_is_named_as_typed(two_collector, capsys):
+    # A spec that is neither a built-in nor an existing file is named with
+    # its case kept; a built-in with a bad argument keeps its own message.
+    args = ("cfi", "--scenario", two_collector, "--direction", "separation-x", "--interferometer")
+    assert run_cli(*args, "/nonexistent/R.json") == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: interferometer '/nonexistent/R.json' is neither a built-in "
+        "(identity, bs_phase[:alpha], qft) nor an existing file\n")
+    assert run_cli(*args, "bs_phase:abc") == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: bs_phase alpha must be a number, got 'abc'\n"
+
+
 def test_interferometer_file_round_trip(two_collector, tmp_path):
     doc = interferometer_to_json(identity_interferometer(2))
     path = tmp_path / "ident.json"
@@ -755,6 +767,17 @@ def test_malformed_tangent_direction_exits_2(spec, message, two_collector, capsy
     assert run_cli("qfi", "--scenario", two_collector, "--direction", spec) == EXIT_VALIDATION
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {message}")
+
+
+def test_tangent_whose_norm_overflows_exits_2(two_collector, capsys):
+    # Every component is finite, but the norm overflows: the error says so,
+    # and numpy's overflow warning is not shown.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("qfi", "--scenario", two_collector, "--direction", "1e200,0,0,-1e200,0,0")
+    assert code == EXIT_VALIDATION and caught == []
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: tangent norm overflows the float range\n"
 
 
 def _sources_file(path, n_sources):

@@ -505,6 +505,7 @@ _SCENARIO_DATA = {"k": 1.0, "z0": 100.0, "sources": [{"x": 0, "y": 0, "z": 0}],
     (lambda: GeneralizedCoordinate(np.array([1.0, 0, 0]), parameter_scale=None),
      "parameter_scale must be a number"),
     (lambda: GeneralizedCoordinate.from_tangent([0.0, 0.0, 0.0]), "tangent must be nonzero"),
+    (lambda: GeneralizedCoordinate(np.array([1e200, 0.0, 0.0])), "direction vector norm overflows"),
     (lambda: geometry.direction_rows(np.ones(6), 1), "direction length 6 != 3 \\* 1 sources"),
     (lambda: scenario_from_dict({**_SCENARIO_DATA, "sources": {"x": 0, "y": 0, "z": 0}}),
      "'sources' must be a non-empty list"),
@@ -517,9 +518,9 @@ _SCENARIO_DATA = {"k": 1.0, "z0": 100.0, "sources": [{"x": 0, "y": 0, "z": 0}],
     (lambda: optimal_interferometer(np.ones((4, 2)), np.ones((4, 1))),
      "amplitude and derivative shapes differ"),
 ], ids=["non-flat-a", "zero-a", "nan-a", "zero-scale", "negative-scale", "inf-scale",
-        "bool-scale", "text-scale", "none-scale", "zero-tangent", "direction-length",
-        "sources-not-list", "item-not-mapping", "top-not-mapping", "zero-spacing", "nan-spacing",
-        "nan-radius", "derivative-shape"])
+        "bool-scale", "text-scale", "none-scale", "zero-tangent", "overflowing-a",
+        "direction-length", "sources-not-list", "item-not-mapping", "top-not-mapping",
+        "zero-spacing", "nan-spacing", "nan-radius", "derivative-shape"])
 def test_input_checks_raise(call, message):
     with pytest.raises(ScenarioError, match=message):
         call()

@@ -485,31 +485,47 @@ def test_verify_saturation_builds_one_interferometer(monkeypatch, cold_loads):
 def test_verify_saturation_builds_amplitudes_once(monkeypatch, cold_loads):
     # On a cold scenario C and dC come from one amplitude build at the base
     # positions, and the displaced C' from one build without a derivative.
-    # A second call reads C and dC from the scenario and builds only C'.
+    # The theorem check is kept for the direction and step: a second call
+    # builds no amplitudes and runs no alignment; another step builds C'
+    # once, and the default step, no longer the kept one, builds it again.
     # The Fisher values equal, bit for bit, what information_report gives
     # for the returned measurement.
     import emitterfisher.geometry as geometry_mod
 
     s = load_scenario(bundled_scenario_path("four_collector.scn"))
     d = named_direction("separation-z", 2)
-    builds = []
-    raw = geometry_mod._raw_amplitudes
+    builds, alignments = [], []
+    raw, align = geometry_mod._raw_amplitudes, itf_mod._align
 
     def counted(rows, xyz, *args):
         builds.append((xyz, args[-1] is not None))
         return raw(rows, xyz, *args)
 
+    def counted_align(*args):
+        alignments.append(args)
+        return align(*args)
+
     monkeypatch.setattr(geometry_mod, "_raw_amplitudes", counted)
+    monkeypatch.setattr(itf_mod, "_align", counted_align)
     report = verify_saturation(s, d)
     assert [derivative for _, derivative in builds] == [True, False]
+    assert len(alignments) == 1
     np.testing.assert_array_equal(builds[0][0], s.source_positions())
     moved = s.source_positions() + geometry_mod.direction_rows(d, 2) * report.delta_theta
     np.testing.assert_array_equal(builds[1][0], moved)
     builds.clear()
     again = verify_saturation(s, d)
-    assert len(builds) == 1 and not builds[0][1]
-    np.testing.assert_array_equal(builds[0][0], moved)
+    assert (builds, len(alignments)) == ([], 1)
     assert again.to_dict() == report.to_dict()
+    step = 2 * report.delta_theta
+    verify_saturation(s, d, step)
+    assert len(builds) == 1 and not builds[0][1] and len(alignments) == 2
+    np.testing.assert_array_equal(builds[0][0], s.source_positions()
+                                  + geometry_mod.direction_rows(d, 2) * step)
+    builds.clear()
+    assert verify_saturation(s, d).to_dict() == report.to_dict()
+    assert len(builds) == 1 and not builds[0][1] and len(alignments) == 3
+    np.testing.assert_array_equal(builds[0][0], moved)
     monkeypatch.undo()
     info = information_report(s, d, report.interferometer)
     assert (report.qfi_estimate, report.cfi_estimate, report.saturation_ratio) == (
@@ -1170,7 +1186,7 @@ _KEPT_CALLS = {
 
 
 # The slots of what is kept on a Scenario from its amplitudes on.
-_KEPT_SLOTS = {"_amplitudes", "_derivative", "_svd", "_qfi", "_design"}
+_KEPT_SLOTS = {"_amplitudes", "_derivative", "_svd", "_qfi", "_design", "_theorem"}
 
 
 def _held_arrays(value):
@@ -1226,7 +1242,8 @@ def test_kept_arrays_are_read_only():
     assert len(held) >= 11
     assert any(array is drho for array in held)
     assert any(array is report.probabilities for array in held)
-    for array in (C, dC, build_amplitude_matrix(s), report.probabilities, drho, *held):
+    for array in (C, dC, build_amplitude_matrix(s), report.probabilities, report.pivots, drho,
+                  *held):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
 
@@ -1308,13 +1325,37 @@ def test_degenerate_build_keeps_nothing():
     assert not set(vars(s)) & _KEPT_SLOTS
 
 
+def test_kept_theorem_check_repeats_the_step_checks():
+    # The kept theorem check skips C' and the alignment, not the checks of
+    # the step: displaced positions out of the paraxial regime warn on
+    # every call, and a pair that cannot be aligned raises on every call
+    # and keeps no check.  A kept report equals a cold one bit for bit.
+    s = symmetric_pair(20.0)
+    d = named_direction("separation-x", 2)
+    with pytest.warns(UserWarning, match="paraxial"):
+        report = verify_saturation(s, d)
+    with pytest.warns(UserWarning, match="paraxial"):
+        again = verify_saturation(s, d)
+    assert "_theorem" in vars(s) and again.pivots is report.pivots
+    with pytest.warns(UserWarning, match="paraxial"):
+        cold = verify_saturation(dataclasses.replace(s), d)
+    assert repr(_saturation_values(again)) == repr(_saturation_values(cold))
+    few = Scenario(tuple(SourcePoint(0.1 * i, 0.0, 0.0) for i in range(3)),
+                   (Collector(5.0, 0.0), Collector(-5.0, 0.0)), k=1.0, z0=100.0)
+    tangent = GeneralizedCoordinate.from_tangent([1, 0, 0, 0, 0, 0, -1, 0, 0])
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="at least as many collectors"):
+            verify_saturation(few, tangent)
+    assert "_theorem" not in vars(few)
+
+
 def test_kept_arrays_are_freed_with_their_scenario():
     s = symmetric_pair(0.2)
     d = named_direction("separation-x", 2)
     report = verify_saturation(s, d)
     refs = [weakref.ref(value) for value in (
         build_amplitude_matrix(s), amplitude_and_derivative(s, d)[1], *fisher_mod._scenario_svd(s),
-        report.interferometer)]
+        report.interferometer, report.pivots)]
     del report
     assert all(ref() is not None for ref in refs)
     del s
